@@ -32,7 +32,7 @@ from .params import Variant, derive_frequencies, validate
 from .persistence import persistence_lower_bound, persistence_unequal_mass
 from .solver import Diagnostics, Scenario, SpeciesInit, run_scenario
 from .svgplot import line_plot_svg
-from .grid import MomentSet, VelocityGrid
+from .grid import MomentSet, VelocityGrid, _tri_index
 
 _AXES = "xyz"
 
@@ -41,18 +41,13 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _tri_pairs(dim: int):
-    return [(i, i) for i in range(dim)] + \
-        [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-
-
 def diagnostics_header(dim: int) -> list[str]:
     cols = ["t"]
     for k in (1, 2):
         cols.append(f"n{k}")
         cols += [f"u{k}{_AXES[i]}" for i in range(dim)]
         cols.append(f"T{k}")
-        cols += [f"P{k}{_AXES[i]}{_AXES[j]}" for i, j in _tri_pairs(dim)]
+        cols += [f"P{k}{_AXES[i]}{_AXES[j]}" for i, j in _tri_index(dim)]
         cols += [f"q{k}{_AXES[i]}" for i in range(dim)]
     cols += ["total_mass1", "total_mass2"]
     cols += [f"total_momentum_{_AXES[i]}" for i in range(dim)]
@@ -62,11 +57,11 @@ def diagnostics_header(dim: int) -> list[str]:
 
 def _species_cells(mom: MomentSet | None, dim: int) -> list[str]:
     if mom is None:
-        return ["0"] * (2 + 2 * dim + len(_tri_pairs(dim)))
+        return ["0"] * (2 + 2 * dim + len(_tri_index(dim)))
     cells = [_fmt(mom.n)]
     cells += [_fmt(mom.u[i]) for i in range(dim)]
     cells.append(_fmt(mom.T))
-    cells += [_fmt(mom.P[i, j]) for i, j in _tri_pairs(dim)]
+    cells += [_fmt(mom.P[i, j]) for i, j in _tri_index(dim)]
     cells += [_fmt(mom.Qtilde[i]) for i in range(dim)]
     return cells
 

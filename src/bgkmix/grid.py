@@ -9,6 +9,10 @@ results are reproducible run to run.
 Temperature uses the d-dimensional normalization
 T = (m / (d n)) * sum w |v-u|^2 f; in three dimensions this is the usual
 factor 3 convention, and lower grid dimensions scale the factor with d.
+
+Moment matching is one Newton loop serving two target families: the
+Maxwellian (scalar T; raw moments 1, v, |v|^2) and the Gaussian (full T
+tensor; raw moments 1, v, v(x)v).
 """
 
 from __future__ import annotations
@@ -225,19 +229,60 @@ def gaussian_on_grid(n: float, u, tensor, mass: float,
     return _gaussian_from_chol(n, u, Lcov, grid)
 
 
-def _raw_moments(f: np.ndarray, grid: VelocityGrid):
-    """(number, momentum (d,), energy-scalar sum w |v|^2 f)."""
-    w = grid.weight
-    return (w * float(np.sum(f)),
-            w * (f @ grid.nodes),
-            w * float(np.sum(grid.speed2 * f)))
-
-
 def _tri_index(dim: int) -> list[tuple[int, int]]:
     """Upper-triangle index order: diagonal first, then off-diagonal."""
     idx = [(i, i) for i in range(dim)]
     idx += [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     return idx
+
+
+def _newton_match(p, spread_basis, spread_target, sample, admissible,
+                  spread_ok, vscale: float, tol: float, grid: VelocityGrid,
+                  max_iter: int, what: str):
+    """Newton-correct parameters p = (n, u, spread...), starting at the
+    targets, until the raw moments q of the sampled f hit them.
+
+    q pairs f with the basis (1, v, spread_basis columns); q[0] is
+    reduced with np.sum, as in `moments`.  sample(p) gives f and a
+    callable for df/dp, (nnodes, len(p)).  Converged when n and u match
+    to tol (u relative to vscale) and spread_ok(q, qu) holds; steps are
+    halved until admissible(p).  Returns (f, iterations).
+    """
+    w, d = grid.weight, grid.dim
+    n, u = p[0], p[1:1 + d]
+    target = np.concatenate([[n], n * u, spread_target])
+    basis = np.concatenate(
+        [np.ones((grid.nnodes, 1)), grid.nodes, spread_basis], axis=1)
+    for it in range(max_iter + 1):
+        f, partials = sample(p)
+        q = w * (f @ basis)
+        q[0] = w * float(np.sum(f))
+        if abs(q[0] - n) <= tol * n:
+            qu = q[1:1 + d] / q[0]
+            if (float(np.linalg.norm(qu - u)) <= tol * vscale
+                    and spread_ok(q, qu)):
+                return f, it
+        if it == max_iter:
+            break
+        jac = w * (basis.T @ partials())
+        try:
+            step = np.linalg.solve(jac, q - target)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(
+                f"singular Jacobian while matching {what}") from exc
+        shrink = 1.0
+        while shrink >= 2.0 ** -20:
+            cand = p - shrink * step
+            if np.all(np.isfinite(cand)) and admissible(cand):
+                break
+            shrink *= 0.5
+        else:
+            raise NoConvergenceError(
+                f"no admissible Newton step while matching {what}")
+        p = cand
+    raise NoConvergenceError(
+        f"moment matching did not converge in {max_iter} iterations "
+        f"({what}; grid too coarse or support clipped)")
 
 
 def match_moments(n: float, u, T: float, mass: float, grid: VelocityGrid,
@@ -256,56 +301,35 @@ def match_moments(n: float, u, T: float, mass: float, grid: VelocityGrid,
         raise ValueError(f"targets require n > 0 and T > 0 (got {n}, {T})")
     u = np.asarray(u, dtype=float)
     d = grid.dim
-    vth = math.sqrt(T / mass)
     unorm = float(np.linalg.norm(u))
-    raw_target = np.concatenate(
-        [[n], n * u, [n * (unorm * unorm + d * T / mass)]])
-    basis = np.concatenate(
-        [np.ones((grid.nnodes, 1)), grid.nodes, grid.speed2[:, None]], axis=1)
 
-    p = np.concatenate([[n], u, [T]])
-    for it in range(max_iter + 1):
-        f = maxwellian_on_grid(p[0], p[1:1 + d], p[1 + d], mass, grid)
-        qn, qmom, qe = _raw_moments(f, grid)
-        if qn > 0.0:
-            qu = qmom / qn
-            qT = mass * (qe - qn * float(qu @ qu)) / (d * qn)
-            ok = (abs(qn - n) <= tol * n
-                  and float(np.linalg.norm(qu - u)) <= tol * (vth + unorm)
-                  and abs(qT - T) <= tol * T)
-            if ok:
-                return (f, it) if return_info else f
-        if it == max_iter:
-            break
-        resid = np.concatenate([[qn], qmom, [qe]]) - raw_target
+    def sample(p):
         pn, pu, pT = p[0], p[1:1 + d], p[1 + d]
-        theta = pT / mass
-        c = grid.nodes - pu
-        csq = np.einsum("ni,ni->n", c, c)
-        deriv = np.empty((grid.nnodes, d + 2))
-        deriv[:, 0] = f / pn
-        for j in range(d):
-            deriv[:, 1 + j] = f * c[:, j] / theta
-        deriv[:, 1 + d] = f * (csq / (2.0 * theta * pT) - d / (2.0 * pT))
-        jac = grid.weight * np.einsum("na,nb->ab", basis, deriv)
-        try:
-            step = np.linalg.solve(jac, resid)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(
-                f"singular Jacobian while matching (n={n}, T={T})") from exc
-        shrink = 1.0
-        while shrink >= 2.0 ** -20:
-            cand = p - shrink * step
-            if cand[0] > 0.0 and cand[1 + d] > 0.0 and np.all(np.isfinite(cand)):
-                break
-            shrink *= 0.5
-        else:
-            raise NoConvergenceError(
-                f"no admissible Newton step while matching (n={n}, T={T})")
-        p = p - shrink * step
-    raise NoConvergenceError(
-        f"moment matching did not converge in {max_iter} iterations "
-        f"(n={n}, T={T}; grid too coarse or support clipped)")
+        f = maxwellian_on_grid(pn, pu, pT, mass, grid)
+
+        def partials():
+            theta = pT / mass
+            c = grid.nodes - pu
+            csq = np.einsum("ni,ni->n", c, c)
+            deriv = np.empty((grid.nnodes, d + 2))
+            deriv[:, 0] = f / pn
+            deriv[:, 1:1 + d] = f[:, None] * c / theta
+            deriv[:, 1 + d] = f * (csq / (2.0 * theta * pT) - d / (2.0 * pT))
+            return deriv
+
+        return f, partials
+
+    def temperature_ok(q, qu):
+        qT = mass * (q[1 + d] - q[0] * float(qu @ qu)) / (d * q[0])
+        return abs(qT - T) <= tol * T
+
+    f, it = _newton_match(
+        np.concatenate([[n], u, [T]]), grid.speed2[:, None],
+        [n * (unorm * unorm + d * T / mass)], sample,
+        lambda p: p[0] > 0.0 and p[1 + d] > 0.0, temperature_ok,
+        math.sqrt(T / mass) + unorm, tol, grid, max_iter,
+        f"Maxwellian n={n}, T={T}")
+    return (f, it) if return_info else f
 
 
 def match_gaussian(n: float, u, tensor, mass: float, grid: VelocityGrid,
@@ -322,86 +346,58 @@ def match_gaussian(n: float, u, tensor, mass: float, grid: VelocityGrid,
     u = np.asarray(u, dtype=float)
     d = grid.dim
     tri = _tri_index(d)
-    ntri = len(tri)
     sigma_t = spd.matrix / mass
     tscale = float(np.trace(spd.matrix)) / d
-    vth = math.sqrt(tscale / mass)
-    unorm = float(np.linalg.norm(u))
 
-    raw_target = np.concatenate(
-        [[n], n * u, [n * (u[i] * u[j] + sigma_t[i, j]) for i, j in tri]])
-    basis = np.concatenate(
-        [np.ones((grid.nnodes, 1)), grid.nodes,
-         np.stack([grid.nodes[:, i] * grid.nodes[:, j] for i, j in tri],
-                  axis=1)], axis=1)
-
-    def unpack(p):
-        sig = np.empty((d, d))
+    def symmetric(upper):
+        out = np.empty((d, d))
         for k, (i, j) in enumerate(tri):
-            sig[i, j] = sig[j, i] = p[1 + d + k]
-        return p[0], p[1:1 + d], sig
+            out[i, j] = out[j, i] = upper[k]
+        return out
 
-    p = np.concatenate([[n], u, [sigma_t[i, j] for i, j in tri]])
-    for it in range(max_iter + 1):
-        pn, pu, sig = unpack(p)
+    def sample(p):
+        pn, pu, sig = p[0], p[1:1 + d], symmetric(p[1 + d:])
         try:
             Lcov = np.linalg.cholesky(sig)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(
                 "covariance left the positive-definite cone") from exc
         f = _gaussian_from_chol(pn, pu, Lcov, grid)
-        w = grid.weight
-        qn = w * float(np.sum(f))
-        qmom = w * (f @ grid.nodes)
-        qS = w * np.einsum("n,ni,nj->ij", f, grid.nodes, grid.nodes)
-        if qn > 0.0:
-            qu = qmom / qn
-            qsig = qS / qn - np.outer(qu, qu)
-            dev = float(np.max(np.abs(mass * qsig - spd.matrix)))
-            ok = (abs(qn - n) <= tol * n
-                  and float(np.linalg.norm(qu - u)) <= tol * (vth + unorm)
-                  and dev <= tol * tscale)
-            if ok:
-                return (f, it) if return_info else f
-        if it == max_iter:
-            break
-        resid = np.concatenate(
-            [[qn], qmom, [qS[i, j] for i, j in tri]]) - raw_target
-        c = grid.nodes - pu
-        z = _backward_sub(Lcov, _forward_sub(Lcov, c))
-        sig_inv = np.linalg.inv(sig)
-        deriv = np.empty((grid.nnodes, 1 + d + ntri))
-        deriv[:, 0] = f / pn
-        for j in range(d):
-            deriv[:, 1 + j] = f * z[:, j]
-        for k, (i, j) in enumerate(tri):
-            if i == j:
-                deriv[:, 1 + d + k] = 0.5 * f * (z[:, i] ** 2 - sig_inv[i, i])
-            else:
-                deriv[:, 1 + d + k] = f * (z[:, i] * z[:, j] - sig_inv[i, j])
-        jac = grid.weight * np.einsum("na,nb->ab", basis, deriv)
+
+        def partials():
+            z = _backward_sub(Lcov, _forward_sub(Lcov, grid.nodes - pu))
+            sig_inv = np.linalg.inv(sig)
+            deriv = np.empty((grid.nnodes, 1 + d + len(tri)))
+            deriv[:, 0] = f / pn
+            deriv[:, 1:1 + d] = f[:, None] * z
+            for k, (i, j) in enumerate(tri):
+                half = 0.5 if i == j else 1.0
+                deriv[:, 1 + d + k] = half * f * (z[:, i] * z[:, j]
+                                                  - sig_inv[i, j])
+            return deriv
+
+        return f, partials
+
+    def admissible(p):
         try:
-            step = np.linalg.solve(jac, resid)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(
-                "singular Jacobian while matching Gaussian") from exc
-        shrink = 1.0
-        while shrink >= 2.0 ** -20:
-            cand = p - shrink * step
-            cn, cu, csig = unpack(cand)
-            if cn > 0.0 and np.all(np.isfinite(cand)):
-                try:
-                    np.linalg.cholesky(csig)
-                    break
-                except np.linalg.LinAlgError:
-                    pass
-            shrink *= 0.5
-        else:
-            raise NoConvergenceError(
-                "no admissible Newton step while matching Gaussian")
-        p = p - shrink * step
-    raise NoConvergenceError(
-        f"Gaussian moment matching did not converge in {max_iter} iterations")
+            np.linalg.cholesky(symmetric(p[1 + d:]))
+        except np.linalg.LinAlgError:
+            return False
+        return p[0] > 0.0
+
+    def tensor_ok(q, qu):
+        qsig = symmetric(q[1 + d:]) / q[0] - np.outer(qu, qu)
+        return float(np.max(np.abs(mass * qsig - spd.matrix))) <= tol * tscale
+
+    f, it = _newton_match(
+        np.concatenate([[n], u, [sigma_t[i, j] for i, j in tri]]),
+        np.stack([grid.nodes[:, i] * grid.nodes[:, j] for i, j in tri],
+                 axis=1),
+        [n * (u[i] * u[j] + sigma_t[i, j]) for i, j in tri], sample,
+        admissible, tensor_ok,
+        math.sqrt(tscale / mass) + float(np.linalg.norm(u)), tol, grid,
+        max_iter, f"Gaussian n={n}")
+    return (f, it) if return_info else f
 
 
 def _xlogx_sum(f: np.ndarray) -> float:

@@ -1,8 +1,9 @@
 """Time integration of the two-species relaxation system.
 
-Space-homogeneous runs integrate the pure relaxation equations; 1-D runs
-add first-order upwind transport on a periodic domain via Lie or Strang
-splitting.  Two integrators are available:
+Every state is a (cells, nodes) array per species; a space-homogeneous
+run is one cell and integrates the pure relaxation equations, while 1-D
+runs add first-order upwind transport on a periodic domain via Lie or
+Strang splitting.  Two integrators are available:
 
 RK4   classical four-stage update with targets rebuilt at every stage;
       accurate but not positivity preserving (negative excursions are
@@ -28,14 +29,15 @@ import numpy as np
 from . import grid as gridmod
 from .errors import CflError
 from .grid import MomentSet, VelocityGrid, h_functional, match_gaussian, \
-    match_moments, gaussian_on_grid, maxwellian_on_grid, _xlogx_sum
+    match_moments, gaussian_on_grid, maxwellian_on_grid
 from .params import ModelParams, derive_frequencies, validate
 from .targets import MixtureState, build_targets
 
 
 @dataclass
 class KineticState:
-    """Distribution pair at one time; (cells, nodes) arrays for 1-D runs."""
+    """Distribution pair at one time as (cells, nodes) arrays; a space-
+    homogeneous state is one cell, also accepted as a (nodes,) array."""
 
     f1: np.ndarray
     f2: np.ndarray
@@ -87,21 +89,26 @@ def _relax_pair(f1, f2, dt, params, grid, integrator, match):
 
 def relax_step(state: KineticState, dt: float, params: ModelParams,
                integrator: str = "exp", match: bool = True) -> KineticState:
-    """One relaxation step; loops over cells for 1-D states."""
+    """One relaxation step, cell by cell; the result keeps the state shape."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive (got {dt})")
-    if state.f1.ndim == 2:
-        f1n = np.empty_like(state.f1)
-        f2n = np.empty_like(state.f2)
-        for j in range(state.f1.shape[0]):
-            f1n[j], f2n[j] = _relax_pair(state.f1[j], state.f2[j], dt,
-                                         params, state.grid, integrator,
-                                         match)
-    else:
-        f1n, f2n = _relax_pair(state.f1, state.f2, dt, params, state.grid,
-                               integrator, match)
-    return KineticState(f1=f1n, f2=f2n, t=state.t + dt, grid=state.grid,
-                        dx=state.dx)
+    f1 = state.f1.reshape(-1, state.grid.nnodes)
+    f2 = state.f2.reshape(-1, state.grid.nnodes)
+    f1n, f2n = np.empty_like(f1), np.empty_like(f2)
+    for j in range(f1.shape[0]):
+        f1n[j], f2n[j] = _relax_pair(f1[j], f2[j], dt, params, state.grid,
+                                     integrator, match)
+    return KineticState(f1=f1n.reshape(state.f1.shape),
+                        f2=f2n.reshape(state.f2.shape), t=state.t + dt,
+                        grid=state.grid, dx=state.dx)
+
+
+def _check_cfl(grid: VelocityGrid, dt: float, dx: float) -> None:
+    """Raise CflError when max|v_x| dt / dx exceeds one."""
+    cfl = float(np.max(np.abs(grid.nodes[:, 0]))) * dt / dx
+    if cfl > 1.0 + 1e-12:
+        raise CflError(f"CFL {cfl:.3f} exceeds 1 "
+                       f"(max|v| dt/dx with dt={dt}, dx={dx:.6g})")
 
 
 def transport_step(state: KineticState, dt: float) -> KineticState:
@@ -113,11 +120,8 @@ def transport_step(state: KineticState, dt: float) -> KineticState:
     """
     if state.f1.ndim != 2 or state.dx is None:
         raise ValueError("transport requires a 1-D state with cell width")
+    _check_cfl(state.grid, dt, state.dx)
     vx = state.grid.nodes[:, 0]
-    cfl = float(np.max(np.abs(vx))) * dt / state.dx
-    if cfl > 1.0 + 1e-12:
-        raise CflError(f"CFL {cfl:.3f} exceeds 1 "
-                       f"(max|v| dt/dx with dt={dt}, dx={state.dx})")
     vp = np.maximum(vx, 0.0)
     vm = np.minimum(vx, 0.0)
     lam = dt / state.dx
@@ -233,15 +237,10 @@ def diagnose(state: KineticState, params: ModelParams) -> DiagRecord:
     """Moments, conserved totals, entropy and anisotropy of one state."""
     grid = state.grid
     m1, m2 = params.species1.m, params.species2.m
-    if state.f1.ndim == 2:
-        fb1 = state.f1.mean(axis=0)
-        fb2 = state.f2.mean(axis=0)
-        h = grid.weight * float(
-            np.mean([_xlogx_sum(state.f1[j]) + _xlogx_sum(state.f2[j])
-                     for j in range(state.f1.shape[0])]))
-    else:
-        fb1, fb2 = state.f1, state.f2
-        h = h_functional(fb1, fb2, grid)
+    f1 = state.f1.reshape(-1, grid.nnodes)
+    f2 = state.f2.reshape(-1, grid.nnodes)
+    fb1, fb2 = f1.mean(axis=0), f2.mean(axis=0)
+    h = float(np.mean([h_functional(a, b, grid) for a, b in zip(f1, f2)]))
 
     def mom_or_none(f, mass):
         if grid.density(f) < gridmod.N_FLOOR:
@@ -269,31 +268,19 @@ def diagnose(state: KineticState, params: ModelParams) -> DiagRecord:
 
 def _initial_distribution(init: SpeciesInit | None, mass: float,
                           grid: VelocityGrid, match: bool,
-                          cells: int, length: float, amplitude: float,
-                          mode: int) -> np.ndarray:
-    shape = (cells, grid.nnodes) if cells > 0 else (grid.nnodes,)
+                          profile: list[float]) -> np.ndarray:
+    """One row per cell, with density init.n times the cell's profile."""
+    f = np.zeros((len(profile), grid.nnodes))
     if init is None or init.n <= 0.0:
-        return np.zeros(shape)
-
-    def build(n):
+        return f
+    u = init.u[:grid.dim]
+    for j, scale in enumerate(profile):
         if init.tensor is not None:
-            if match:
-                return match_gaussian(n, init.u[:grid.dim], init.tensor,
-                                      mass, grid)
-            return gaussian_on_grid(n, init.u[:grid.dim], init.tensor,
-                                    mass, grid)
-        if match:
-            return match_moments(n, init.u[:grid.dim], init.T, mass, grid)
-        return maxwellian_on_grid(n, init.u[:grid.dim], init.T, mass, grid)
-
-    if cells <= 0:
-        return build(init.n)
-    x = (np.arange(cells) + 0.5) * (length / cells)
-    f = np.empty(shape)
-    for j in range(cells):
-        nj = init.n * (1.0 + amplitude
-                       * math.sin(2.0 * math.pi * mode * x[j] / length))
-        f[j] = build(nj)
+            sample = match_gaussian if match else gaussian_on_grid
+            f[j] = sample(init.n * scale, u, init.tensor, mass, grid)
+        else:
+            sample = match_moments if match else maxwellian_on_grid
+            f[j] = sample(init.n * scale, u, init.T, mass, grid)
     return f
 
 
@@ -318,46 +305,34 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
         raise ValueError("inadmissible parameters: " + "; ".join(violations))
 
     grid = scenario.grid
-    cells = scenario.cells
-    dx = scenario.length / cells if cells > 0 else None
+    dt, length, cells = scenario.dt, scenario.length, scenario.cells
+    dx = length / cells if cells > 0 else None
+    profile = [1.0]
     if cells > 0:
-        vmax = float(np.max(np.abs(grid.nodes[:, 0])))
-        cfl = vmax * scenario.dt / dx
-        if cfl > 1.0 + 1e-12:
-            raise CflError(f"CFL {cfl:.3f} exceeds 1 for dt={scenario.dt}, "
-                           f"dx={dx:.6g}")
+        _check_cfl(grid, dt, dx)
+        profile = [1.0 + scenario.wave_amplitude * math.sin(
+            2.0 * math.pi * scenario.wave_mode * x / length)
+            for x in (np.arange(cells) + 0.5) * dx]
 
     f1 = _initial_distribution(scenario.species1, scenario.params.species1.m,
-                               grid, scenario.moment_matching, cells,
-                               scenario.length, scenario.wave_amplitude,
-                               scenario.wave_mode)
+                               grid, scenario.moment_matching, profile)
     f2 = _initial_distribution(scenario.species2, scenario.params.species2.m,
-                               grid, scenario.moment_matching, cells,
-                               scenario.length, scenario.wave_amplitude,
-                               scenario.wave_mode)
+                               grid, scenario.moment_matching, profile)
     state = KineticState(f1=f1, f2=f2, t=0.0, grid=grid, dx=dx)
 
     diag = Diagnostics(dim=grid.dim)
     diag.append(diagnose(state, scenario.params))
-    nsteps = int(round(scenario.t_end / scenario.dt))
+    strang = scenario.splitting == "strang"
+    dt_transport = 0.5 * dt if strang else dt
+    nsteps = int(round(scenario.t_end / dt))
     for step in range(1, nsteps + 1):
-        if cells > 0:
-            if scenario.splitting == "lie":
-                state = transport_step(state, scenario.dt)
-                state = relax_step(state, scenario.dt, scenario.params,
-                                   scenario.integrator,
-                                   scenario.moment_matching)
-            else:
-                state = transport_step(state, 0.5 * scenario.dt)
-                state = relax_step(state, scenario.dt, scenario.params,
-                                   scenario.integrator,
-                                   scenario.moment_matching)
-                state = transport_step(state, 0.5 * scenario.dt)
-        else:
-            state = relax_step(state, scenario.dt, scenario.params,
-                               scenario.integrator,
-                               scenario.moment_matching)
-        state.t = step * scenario.dt
+        if dx is not None:
+            state = transport_step(state, dt_transport)
+        state = relax_step(state, dt, scenario.params, scenario.integrator,
+                           scenario.moment_matching)
+        if dx is not None and strang:
+            state = transport_step(state, dt_transport)
+        state.t = step * dt
         if step % scenario.output_every == 0 or step == nsteps:
             diag.append(diagnose(state, scenario.params))
     return diag

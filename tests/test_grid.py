@@ -171,6 +171,44 @@ class TestMatchGaussian:
         assert np.max(np.abs(fg - fm)) < 1e-12
 
 
+class TestMatchLowDimensions:
+    """Both matcher families on 1-D and 2-D lattices."""
+
+    TENSORS = {1: [[1.1]], 2: [[1.2, 0.1], [0.1, 0.9]]}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_maxwellian_hits_targets(self, dim):
+        grid = VelocityGrid(dim=dim, vmin=-8.0, vmax=8.0, points=12)
+        u = np.array([0.3, -0.1])[:dim]
+        f, iters = match_moments(0.9, u, 0.8, 1.3, grid, return_info=True)
+        assert iters > 0
+        mom = moments(f, 1.3, grid)
+        assert abs(mom.n - 0.9) <= 1e-12
+        assert np.max(np.abs(mom.u - u)) <= 1e-12
+        assert abs(mom.T - 0.8) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gaussian_hits_targets(self, dim):
+        grid = VelocityGrid(dim=dim, vmin=-8.0, vmax=8.0, points=12)
+        u = np.array([0.3, -0.1])[:dim]
+        tensor = np.array(self.TENSORS[dim])
+        f, iters = match_gaussian(0.9, u, tensor, 1.3, grid,
+                                  return_info=True)
+        assert iters > 0
+        mom = moments(f, 1.3, grid)
+        assert abs(mom.n - 0.9) <= 1e-12
+        assert np.max(np.abs(mom.u - u)) <= 1e-12
+        assert np.max(np.abs(mom.P / mom.n - tensor)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_isotropic_gaussian_matches_maxwellian(self, dim):
+        grid = VelocityGrid(dim=dim, vmin=-8.0, vmax=8.0, points=32)
+        u = np.array([0.25, -0.1])[:dim]
+        fg = match_gaussian(1.0, u, 0.9 * np.eye(dim), 1.0, grid)
+        fm = match_moments(1.0, u, 0.9, 1.0, grid)
+        assert np.max(np.abs(fg - fm)) < 1e-12
+
+
 class TestSpdFactor:
     def test_identity(self):
         spd = spd_factor(np.eye(3))

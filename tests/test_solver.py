@@ -90,6 +90,27 @@ class TestRelaxStep:
         assert math.log2(d_coarse / d_fine) >= 1.8
 
 
+    @pytest.mark.parametrize("integrator", ["exp", "rk4"])
+    def test_homogeneous_state_is_one_cell(self, mid_grid, integrator):
+        params = make_params(epsilon=0.5)
+        flat = nonequilibrium_state(mid_grid)
+        cell = KineticState(f1=flat.f1[None, :], f2=flat.f2[None, :],
+                            t=0.0, grid=mid_grid)
+        a = relax_step(flat, 0.05, params, integrator)
+        b = relax_step(cell, 0.05, params, integrator)
+        assert a.f1.shape == flat.f1.shape and b.f1.shape == cell.f1.shape
+        assert np.array_equal(a.f1, b.f1[0])
+        assert np.array_equal(a.f2, b.f2[0])
+        ra, rb = diagnose(a, params), diagnose(b, params)
+        for name in ("t", "mass1", "mass2", "energy", "h", "aniso1",
+                     "aniso2", "negative"):
+            assert getattr(ra, name) == getattr(rb, name)
+        assert np.array_equal(ra.momentum, rb.momentum)
+        for ma, mb in ((ra.mom1, rb.mom1), (ra.mom2, rb.mom2)):
+            for name in ("n", "u", "T", "P", "Q", "Qtilde"):
+                assert np.array_equal(getattr(ma, name), getattr(mb, name))
+
+
 class TestTransportStep:
     def grid1d(self):
         return VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=8)
