@@ -128,23 +128,15 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_relax(cfg: RunConfig, args) -> int:
+def _cmd_run(cfg: RunConfig, args) -> int:
+    """relax: space-homogeneous run; wave: 1-D run, 32 cells by default."""
     scen = cfg.make_scenario()
-    scen = replace(scen, cells=0)
-    diag = run_scenario(scen)
-    path = os.path.join(args.outdir, "relax.csv")
-    write_diagnostics_csv(diag, path)
-    print(path)
-    _maybe_plot(args, path)
-    return 0
-
-
-def _cmd_wave(cfg: RunConfig, args) -> int:
-    scen = cfg.make_scenario()
-    if scen.cells <= 0:
+    if args.subcommand == "relax":
+        scen = replace(scen, cells=0)
+    elif scen.cells <= 0:
         scen = replace(scen, cells=32)
     diag = run_scenario(scen)
-    path = os.path.join(args.outdir, "wave.csv")
+    path = os.path.join(args.outdir, f"{args.subcommand}.csv")
     write_diagnostics_csv(diag, path)
     print(path)
     _maybe_plot(args, path)
@@ -262,8 +254,8 @@ def _cmd_scan(cfg: RunConfig, args) -> int:
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "relax": _cmd_relax,
-    "wave": _cmd_wave,
+    "relax": _cmd_run,
+    "wave": _cmd_run,
     "coeffs": _cmd_coeffs,
     "persistence": _cmd_persistence,
     "scan": _cmd_scan,

@@ -50,17 +50,9 @@ class RunConfig:
                             points=g["points"])
 
     def make_scenario(self) -> Scenario:
-        s = self.scenario_spec
-        return Scenario(
-            params=self.params,
-            grid=self.make_grid(),
-            species1=s["species1"],
-            species2=s["species2"],
-            dt=s["dt"], t_end=s["t_end"], output_every=s["output_every"],
-            integrator=s["integrator"],
-            moment_matching=s["moment_matching"],
-            cells=s["cells"], length=s["length"], splitting=s["splitting"],
-            wave_amplitude=s["wave_amplitude"], wave_mode=s["wave_mode"])
+        # scenario_spec keys are the Scenario field names
+        return Scenario(params=self.params, grid=self.make_grid(),
+                        **self.scenario_spec)
 
 
 def _require(doc: dict, key: str, parent: str = "") -> Any:

@@ -189,18 +189,6 @@ def _forward_sub(L: np.ndarray, c: np.ndarray) -> np.ndarray:
     return w
 
 
-def _backward_sub(L: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve L^T z = w rowwise for w of shape (N, d)."""
-    d = L.shape[0]
-    z = np.empty_like(w)
-    for i in reversed(range(d)):
-        acc = w[:, i].copy()
-        for k in range(i + 1, d):
-            acc -= L[k, i] * z[:, k]
-        z[:, i] = acc / L[i, i]
-    return z
-
-
 def _gaussian_from_chol(n: float, u: np.ndarray, Lcov: np.ndarray,
                         grid: VelocityGrid) -> np.ndarray:
     """Gaussian with covariance Lcov Lcov^T, evaluated via the factor."""
@@ -365,8 +353,8 @@ def match_gaussian(n: float, u, tensor, mass: float, grid: VelocityGrid,
         f = _gaussian_from_chol(pn, pu, Lcov, grid)
 
         def partials():
-            z = _backward_sub(Lcov, _forward_sub(Lcov, grid.nodes - pu))
             sig_inv = np.linalg.inv(sig)
+            z = (grid.nodes - pu) @ sig_inv
             deriv = np.empty((grid.nnodes, 1 + d + len(tri)))
             deriv[:, 0] = f / pn
             deriv[:, 1:1 + d] = f[:, None] * z

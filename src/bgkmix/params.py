@@ -137,7 +137,9 @@ def gamma_bound_expression(delta: float, m1: float, m2: float,
 
     (m1/3)(1-delta)[(1 + epsilon*m1/m2)delta + 1 - epsilon*m1/m2].
     Nonnegative exactly on the admissible delta interval, negative
-    immediately outside it.
+    immediately outside it.  This is the 3-D bound: on a d-dimensional
+    lattice the T21 drift coefficient divides by d instead of 3, so for
+    d < 3 the bound is stricter than needed and T21 >= 0 still holds.
     """
     q = epsilon * m1 / m2
     return (m1 / 3.0) * (1.0 - delta) * ((1.0 + q) * delta + 1.0 - q)

@@ -15,8 +15,12 @@ EXP   freeze the moments at the step start, build the targets once and
       frequency-weighted average of its two targets.  First-order
       accurate and unconditionally positivity preserving.
 
-A run owns its state exclusively; diagnostics reductions reuse the fixed
-summation order of the moment routines, so runs are reproducible.
+Both integrators consume one collision evaluation: per species, (self
+rate, self target, cross rate, cross target).  The initial state samples
+each species' target once and scales it by the cells' density profile.
+Diagnostics take the totals from the moment sets of the cell averages
+(momentum m n u, energy m n |u|^2 / 2 + tr(P) / 2 per species).  Every
+reduction has a fixed summation order, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grid as gridmod
 from .errors import CflError
 from .grid import MomentSet, VelocityGrid, h_functional, match_gaussian, \
     match_moments, gaussian_on_grid, maxwellian_on_grid
@@ -50,16 +53,21 @@ def _relax_pair(f1, f2, dt, params, grid, integrator, match):
     m1, m2 = params.species1.m, params.species2.m
     freq = derive_frequencies(params.interaction)
 
-    def rhs(g1, g2):
+    def collision(g1, g2):
+        """Per species: (self rate, self target, cross rate, cross target)."""
         st = MixtureState.from_distributions(g1, g2, m1, m2, grid)
         ts = build_targets(st, params, grid, match)
         n1 = st.mom1.n if st.mom1 is not None else 0.0
         n2 = st.mom2.n if st.mom2 is not None else 0.0
-        r1 = freq.nu11 * n1 * (ts.g1 - g1) + freq.nu12 * n2 * (ts.g12 - g1)
-        r2 = freq.nu22 * n2 * (ts.g2 - g2) + freq.nu21 * n1 * (ts.g21 - g2)
-        return r1, r2
+        return ((freq.nu11 * n1, ts.g1, freq.nu12 * n2, ts.g12),
+                (freq.nu22 * n2, ts.g2, freq.nu21 * n1, ts.g21))
 
     if integrator == "rk4":
+        def rhs(g1, g2):
+            return tuple(nu_s * (g_s - g) + nu_c * (g_c - g)
+                         for g, (nu_s, g_s, nu_c, g_c)
+                         in zip((g1, g2), collision(g1, g2)))
+
         k1 = rhs(f1, f2)
         k2 = rhs(f1 + 0.5 * dt * k1[0], f2 + 0.5 * dt * k1[1])
         k3 = rhs(f1 + 0.5 * dt * k2[0], f2 + 0.5 * dt * k2[1])
@@ -70,21 +78,16 @@ def _relax_pair(f1, f2, dt, params, grid, integrator, match):
 
     if integrator != "exp":
         raise ValueError(f"unknown integrator {integrator!r}")
-    st = MixtureState.from_distributions(f1, f2, m1, m2, grid)
-    ts = build_targets(st, params, grid, match)
-    n1 = st.mom1.n if st.mom1 is not None else 0.0
-    n2 = st.mom2.n if st.mom2 is not None else 0.0
 
-    def exp_update(f, g_self, g_cross, nu_self, nu_cross):
+    def exp_update(f, nu_self, g_self, nu_cross, g_cross):
         nu_tot = nu_self + nu_cross
         if nu_tot <= 0.0:
             return f.copy()
         gstar = (nu_self * g_self + nu_cross * g_cross) / nu_tot
         return gstar + (f - gstar) * math.exp(-nu_tot * dt)
 
-    f1n = exp_update(f1, ts.g1, ts.g12, freq.nu11 * n1, freq.nu12 * n2)
-    f2n = exp_update(f2, ts.g2, ts.g21, freq.nu22 * n2, freq.nu21 * n1)
-    return f1n, f2n
+    return tuple(exp_update(f, *terms)
+                 for f, terms in zip((f1, f2), collision(f1, f2)))
 
 
 def relax_step(state: KineticState, dt: float, params: ModelParams,
@@ -173,10 +176,10 @@ class Scenario:
 class DiagRecord:
     """One diagnostics sample.
 
-    For 1-D runs the moment sets describe the cell-averaged
-    distributions, whose linear moments are exactly the domain totals
-    per unit length; H is likewise the per-unit-length entropy.
-    `negative` flags any negative or non-finite value in the state.
+    The moment sets describe the cell-averaged distributions, whose
+    linear moments are exactly the domain totals per unit length; H is
+    likewise the per-unit-length entropy.  `negative` flags any negative
+    or non-finite value in the state.
     """
 
     t: float
@@ -206,20 +209,18 @@ class Diagnostics:
     def times(self) -> np.ndarray:
         return np.array([r.t for r in self.records])
 
+    def _gap(self, between) -> np.ndarray:
+        return np.array([between(r.mom1, r.mom2)
+                         if r.mom1 is not None and r.mom2 is not None
+                         else np.nan for r in self.records])
+
     def velocity_gap(self) -> np.ndarray:
         """|u1 - u2| per record (nan where a species is degenerate)."""
-        out = np.full(len(self.records), np.nan)
-        for i, r in enumerate(self.records):
-            if r.mom1 is not None and r.mom2 is not None:
-                out[i] = float(np.linalg.norm(r.mom1.u - r.mom2.u))
-        return out
+        return self._gap(lambda a, b: float(np.linalg.norm(a.u - b.u)))
 
     def temperature_gap(self) -> np.ndarray:
-        out = np.full(len(self.records), np.nan)
-        for i, r in enumerate(self.records):
-            if r.mom1 is not None and r.mom2 is not None:
-                out[i] = abs(r.mom1.T - r.mom2.T)
-        return out
+        """|T1 - T2| per record (nan where a species is degenerate)."""
+        return self._gap(lambda a, b: abs(a.T - b.T))
 
     def anisotropy(self, species: int = 1) -> np.ndarray:
         return np.array([r.aniso1 if species == 1 else r.aniso2
@@ -236,52 +237,45 @@ def _anisotropy(mom: MomentSet | None) -> float:
 def diagnose(state: KineticState, params: ModelParams) -> DiagRecord:
     """Moments, conserved totals, entropy and anisotropy of one state."""
     grid = state.grid
-    m1, m2 = params.species1.m, params.species2.m
     f1 = state.f1.reshape(-1, grid.nnodes)
     f2 = state.f2.reshape(-1, grid.nnodes)
-    fb1, fb2 = f1.mean(axis=0), f2.mean(axis=0)
-    h = float(np.mean([h_functional(a, b, grid) for a, b in zip(f1, f2)]))
-
-    def mom_or_none(f, mass):
-        if grid.density(f) < gridmod.N_FLOOR:
-            return None
-        return gridmod.moments(f, mass, grid)
-
-    mom1 = mom_or_none(fb1, m1)
-    mom2 = mom_or_none(fb2, m2)
-    w = grid.weight
-    momentum = m1 * w * (fb1 @ grid.nodes) + m2 * w * (fb2 @ grid.nodes)
-    energy = 0.5 * m1 * w * float(np.sum(grid.speed2 * fb1)) \
-        + 0.5 * m2 * w * float(np.sum(grid.speed2 * fb2))
-    low = min(state.f1.min(), state.f2.min())
-    bad = (not math.isfinite(low)) or low < 0.0 \
-        or not (np.all(np.isfinite(state.f1)) and np.all(np.isfinite(state.f2)))
+    st = MixtureState.from_distributions(
+        f1.mean(axis=0), f2.mean(axis=0), params.species1.m,
+        params.species2.m, grid)
+    species = [(m, mom) for m, mom in ((st.m1, st.mom1), (st.m2, st.mom2))
+               if mom is not None]
+    momentum = sum((m * mom.n * mom.u for m, mom in species),
+                   np.zeros(grid.dim))
+    energy = sum(0.5 * m * mom.n * float(mom.u @ mom.u)
+                 + 0.5 * float(np.trace(mom.P)) for m, mom in species)
+    negative = not all(np.all(np.isfinite(f)) and f.min() >= 0.0
+                       for f in (f1, f2))
     return DiagRecord(
         t=state.t,
-        mom1=mom1, mom2=mom2,
-        mass1=mom1.n if mom1 is not None else 0.0,
-        mass2=mom2.n if mom2 is not None else 0.0,
-        momentum=momentum, energy=energy, h=h,
-        aniso1=_anisotropy(mom1), aniso2=_anisotropy(mom2),
-        negative=bool(bad))
+        mom1=st.mom1, mom2=st.mom2,
+        mass1=st.mom1.n if st.mom1 is not None else 0.0,
+        mass2=st.mom2.n if st.mom2 is not None else 0.0,
+        momentum=momentum, energy=float(energy),
+        h=h_functional(f1, f2, grid) / f1.shape[0],
+        aniso1=_anisotropy(st.mom1), aniso2=_anisotropy(st.mom2),
+        negative=negative)
 
 
 def _initial_distribution(init: SpeciesInit | None, mass: float,
                           grid: VelocityGrid, match: bool,
                           profile: list[float]) -> np.ndarray:
-    """One row per cell, with density init.n times the cell's profile."""
-    f = np.zeros((len(profile), grid.nnodes))
+    """One row per cell: the species' target, sampled once at density
+    init.n, times the cell's (positive) profile."""
     if init is None or init.n <= 0.0:
-        return f
+        return np.zeros((len(profile), grid.nnodes))
     u = init.u[:grid.dim]
-    for j, scale in enumerate(profile):
-        if init.tensor is not None:
-            sample = match_gaussian if match else gaussian_on_grid
-            f[j] = sample(init.n * scale, u, init.tensor, mass, grid)
-        else:
-            sample = match_moments if match else maxwellian_on_grid
-            f[j] = sample(init.n * scale, u, init.T, mass, grid)
-    return f
+    if init.tensor is not None:
+        sample = match_gaussian if match else gaussian_on_grid
+        f = sample(init.n, u, init.tensor, mass, grid)
+    else:
+        sample = match_moments if match else maxwellian_on_grid
+        f = sample(init.n, u, init.T, mass, grid)
+    return np.outer(profile, f)
 
 
 def run_scenario(scenario: Scenario) -> Diagnostics:
@@ -313,6 +307,10 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
         profile = [1.0 + scenario.wave_amplitude * math.sin(
             2.0 * math.pi * scenario.wave_mode * x / length)
             for x in (np.arange(cells) + 0.5) * dx]
+        if min(profile) <= 0.0:
+            raise ValueError(
+                f"wave_amplitude {scenario.wave_amplitude} gives a cell "
+                f"density <= 0")
 
     f1 = _initial_distribution(scenario.species1, scenario.params.species1.m,
                                grid, scenario.moment_matching, profile)

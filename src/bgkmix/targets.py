@@ -7,8 +7,10 @@ momentum and total energy exactly:
     u12 = delta u1 + (1 - delta) u2
     u21 = u2 - (m1/m2) eps (1 - delta) (u2 - u1)
     T12 = alpha T1 + (1 - alpha) T2 + gamma |u1 - u2|^2
-    T21 = [eps m1 (1-delta)((m1/m2) eps (delta-1) + delta + 1)/3 - eps gamma]
+    T21 = [eps m1 (1-delta)((m1/m2) eps (delta-1) + delta + 1)/d - eps gamma]
           |u1 - u2|^2 + eps (1-alpha) T1 + (1 - eps (1-alpha)) T2
+
+with d the grid dimension, since the lattice normalises T by d.
 
 Every function is pure; target evaluation over grid nodes is data
 parallel if a caller wants it to be.
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as gridmod
+from .errors import DegenerateDensityError
 from .grid import (MomentSet, SpdTensor, VelocityGrid, gaussian_on_grid,
                    match_gaussian, match_moments, maxwellian_on_grid,
                    spd_factor)
@@ -40,9 +43,10 @@ class MixtureState:
     def from_distributions(cls, f1, f2, m1: float, m2: float,
                            grid: VelocityGrid) -> "MixtureState":
         def mom(f, mass):
-            if grid.density(np.asarray(f, dtype=float)) < gridmod.N_FLOOR:
+            try:
+                return gridmod.moments(f, mass, grid)
+            except DegenerateDensityError:
                 return None
-            return gridmod.moments(f, mass, grid)
 
         return cls(m1=m1, m2=m2, mom1=mom(f1, m1), mom2=mom(f2, m2))
 
@@ -57,10 +61,10 @@ def mixture_velocities(state: MixtureState, delta: float,
 
 
 def _t21_drift_coeff(m1: float, m2: float, epsilon: float, delta: float,
-                     gamma: float) -> float:
+                     gamma: float, d: int) -> float:
     q = (m1 / m2) * epsilon
     return (epsilon * m1 * (1.0 - delta)
-            * (q * (delta - 1.0) + delta + 1.0) / 3.0) - epsilon * gamma
+            * (q * (delta - 1.0) + delta + 1.0) / d) - epsilon * gamma
 
 
 def mixture_temperatures(state: MixtureState, alpha: float, gamma: float,
@@ -74,8 +78,9 @@ def mixture_temperatures(state: MixtureState, alpha: float, gamma: float,
     du2 = float(np.sum((state.mom1.u - state.mom2.u) ** 2))
     T12 = alpha * T1 + (1.0 - alpha) * T2 + gamma * du2
     ea = epsilon * (1.0 - alpha)
-    T21 = (_t21_drift_coeff(state.m1, state.m2, epsilon, delta, gamma) * du2
-           + ea * T1 + (1.0 - ea) * T2)
+    d = len(state.mom1.u)
+    T21 = (_t21_drift_coeff(state.m1, state.m2, epsilon, delta, gamma, d)
+           * du2 + ea * T1 + (1.0 - ea) * T2)
     return T12, T21
 
 
@@ -108,7 +113,8 @@ def es_tensor_cross(state: MixtureState, params: ModelParams,
     eye = np.eye(d)
     du2 = float(np.sum((mom1.u - mom2.u) ** 2))
     drift12 = gamma * du2
-    drift21 = _t21_drift_coeff(state.m1, state.m2, eps, delta, gamma) * du2
+    drift21 = _t21_drift_coeff(state.m1, state.m2, eps, delta, gamma,
+                               d) * du2
     ea = eps * (1.0 - alpha)
     if variant == Variant.ES_FULL_A:
         scal12 = alpha * mom1.T + (1.0 - alpha) * mom2.T

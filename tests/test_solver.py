@@ -328,10 +328,61 @@ class TestRunScenario:
         with pytest.raises(CflError):
             run_scenario(scen)
 
+    def test_nonpositive_wave_density_rejected(self):
+        grid = VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=16)
+        scen = Scenario(
+            params=self.balanced_params(), grid=grid,
+            species1=SpeciesInit(n=1.0, u=(0.0,), T=1.0),
+            species2=SpeciesInit(n=1.0, u=(0.0,), T=1.0),
+            dt=0.01, t_end=0.05, cells=8, length=1.0, wave_amplitude=1.5)
+        with pytest.raises(ValueError, match="wave_amplitude"):
+            run_scenario(scen)
+
     def test_inadmissible_parameters_rejected(self, small_grid):
         scen = self.scenario(small_grid, make_params(gamma=10.0))
         with pytest.raises(ValueError, match="inadmissible"):
             run_scenario(scen)
+
+
+class TestUnbalancedConservation:
+    """Total momentum and energy over an unbalanced bundle (eps < 1,
+    n1 != n2, opposed drifts) on 1-, 2- and 3-D lattices."""
+
+    GRIDS = {1: 32, 2: 24, 3: 16}  # points per axis on [-8, 8]^d
+
+    def max_drifts(self, dim, integrator):
+        grid = VelocityGrid(dim, -8.0, 8.0, self.GRIDS[dim])
+        u1 = (0.8,) + (0.0,) * (dim - 1)
+        u2 = (-0.4,) + (0.0,) * (dim - 1)
+        scen = Scenario(
+            params=make_params(epsilon=0.5), grid=grid,
+            species1=SpeciesInit(n=1.0, u=u1, T=1.0),
+            species2=SpeciesInit(n=0.7, u=u2, T=1.2),
+            dt=0.05, t_end=0.5, integrator=integrator)
+        recs = run_scenario(scen).records
+        assert len(recs) == 11
+        r0 = recs[0]
+        # sum_k m_k n_k (|u_k| + thermal speed): the total momentum
+        # itself nearly cancels for opposed drifts
+        pscale = 1.0 * 1.0 * (0.8 + 1.0) + 2.0 * 0.7 * (0.4 + math.sqrt(0.6))
+        momentum = max(np.linalg.norm(r.momentum - r0.momentum)
+                       for r in recs) / pscale
+        energy = max(abs(r.energy - r0.energy) for r in recs) / r0.energy
+        return momentum, energy
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rk4_conserves(self, dim):
+        momentum, energy = self.max_drifts(dim, "rk4")
+        assert momentum <= 1e-12
+        assert energy <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="frozen-target EXP drifts "
+                       "momentum when the species' total frequencies differ")
+    def test_exp_conserves(self):
+        for dim in (1, 2, 3):
+            momentum, energy = self.max_drifts(dim, "exp")
+            assert momentum <= 1e-12
+            assert energy <= 1e-12
 
 
 class TestDiagnostics:
