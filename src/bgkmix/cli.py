@@ -9,7 +9,8 @@ coeffs       expansion constants, prefactors and relaxation rates as CSV
 persistence  persistence-ratio table over a log kappa grid as CSV
 scan         sweep delta or alpha, comparing fitted and analytic rates
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 validation failure or input error, 2 numerical
+failure.
 CSV output is UTF-8, comma-separated, 17 significant digits, one header
 row, and deterministic for a fixed config.
 """
@@ -307,7 +308,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(violation, file=sys.stderr)
         return 1
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NotSpdError, NoConvergenceError, CflError,

@@ -10,9 +10,16 @@ Temperature uses the d-dimensional normalization
 T = (m / (d n)) * sum w |v-u|^2 f; in three dimensions this is the usual
 factor 3 convention, and lower grid dimensions scale the factor with d.
 
+The lattice is the tensor product of its per-axis node vectors
+`grid.axes`, flattened in `meshgrid(indexing="ij")` order (the last axis
+varies fastest).  A drifting Maxwellian on it factorizes into d
+one-dimensional Gaussians exp(-(v_i-u_i)^2 / 2 theta): it is sampled as
+their outer product, and its raw moments (1, v, |v|^2) are multilinear
+in the per-axis sums of (1, v_i, v_i^2) times each factor.
+
 Moment matching is one Newton loop serving two target families: the
-Maxwellian (scalar T; raw moments 1, v, |v|^2) and the Gaussian (full T
-tensor; raw moments 1, v, v(x)v).
+Maxwellian (scalar T), matched on the per-axis sums, and the Gaussian
+(full T tensor; raw moments 1, v, v(x)v), matched on the whole lattice.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import numpy as np
 from .errors import DegenerateDensityError, NoConvergenceError, NotSpdError
 
 N_FLOOR = 1e-30  # separates "empty cell" from "division blow-up"
+_POWERS = np.arange(5)
 
 
 def _per_axis(value, dim: int, name: str) -> np.ndarray:
@@ -127,30 +135,45 @@ def moments(f: np.ndarray, mass: float, grid: VelocityGrid,
         raise DegenerateDensityError(n, n_floor)
     u = w * (f @ grid.nodes) / n
     c = grid.nodes - u
-    P = mass * w * np.einsum("n,ni,nj->ij", f, c, c)
+    fc = c.T * f
+    P = mass * w * (fc @ c)
     P = 0.5 * (P + P.T)  # bitwise symmetric despite summation reassociation
     T = float(np.trace(P)) / (grid.dim * n)
     Q = 0.5 * w * ((grid.speed2 * f) @ grid.nodes)
     csq = np.einsum("ni,ni->n", c, c)
-    Qt = mass * w * ((csq * f) @ c)
+    Qt = mass * w * (fc @ csq)
     return MomentSet(n=n, u=u, T=T, P=P, Q=Q, Qtilde=Qt)
+
+
+def _axis_factors(u, theta: float, grid: VelocityGrid) -> list:
+    """Per axis: the offsets c = v_i - u_i at its nodes and the factor
+    exp(-c^2 / (2 theta))."""
+    out = []
+    for x, ui in zip(grid.axes, u):
+        c = x - ui
+        out.append((c, np.exp(c * c / (-2.0 * theta))))
+    return out
 
 
 def maxwellian_on_grid(n: float, u, T: float, mass: float,
                        grid: VelocityGrid) -> np.ndarray:
     """Drifting Maxwellian sampled at the grid nodes.
 
-    Nodewise n / (2 pi T/m)^(d/2) * exp(-|v-u|^2 / (2 T/m)).
+    Nodewise n / (2 pi T/m)^(d/2) * exp(-|v-u|^2 / (2 T/m)), built as
+    the outer product of the per-axis factors in the nodes' ij order.
     """
     if T <= 0.0:
         raise ValueError(f"temperature must be positive (got {T})")
     if n < 0.0:
         raise ValueError(f"density must be nonnegative (got {n})")
     u = np.asarray(u, dtype=float)
+    if u.shape != (grid.dim,):
+        raise ValueError(f"u must have length {grid.dim} (got {u.shape})")
     theta = T / mass
-    c = grid.nodes - u
-    expo = np.einsum("ni,ni->n", c, c) / (2.0 * theta)
-    return n / (2.0 * math.pi * theta) ** (grid.dim / 2.0) * np.exp(-expo)
+    f = n / (2.0 * math.pi * theta) ** (grid.dim / 2.0)
+    for _, g in _axis_factors(u, theta, grid):
+        f = np.outer(f, g).ravel()
+    return f
 
 
 def spd_factor(matrix) -> SpdTensor:
@@ -224,37 +247,31 @@ def _tri_index(dim: int) -> list[tuple[int, int]]:
     return idx
 
 
-def _newton_match(p, spread_basis, spread_target, sample, admissible,
-                  spread_ok, vscale: float, tol: float, grid: VelocityGrid,
-                  max_iter: int, what: str):
+def _newton_match(p, spread_target, sample, admissible, spread_ok,
+                  vscale: float, tol: float, dim: int, max_iter: int,
+                  what: str):
     """Newton-correct parameters p = (n, u, spread...), starting at the
-    targets, until the raw moments q of the sampled f hit them.
+    targets, until the raw moments q of the sampled target hit them.
 
-    q pairs f with the basis (1, v, spread_basis columns); q[0] is
-    reduced with np.sum, as in `moments`.  sample(p) gives f and a
-    callable for df/dp, (nnodes, len(p)).  Converged when n and u match
-    to tol (u relative to vscale) and spread_ok(q, qu) holds; steps are
-    halved until admissible(p).  Returns (f, iterations).
+    q pairs f with (1, v, spread moments), weighted by the quadrature.
+    sample(p) gives q, a thunk for the Jacobian dq/dp and a thunk for f.
+    Converged when n and u match to tol (u relative to vscale) and
+    spread_ok(q, qu) holds; steps are halved until admissible(p).
+    Returns (f, iterations).
     """
-    w, d = grid.weight, grid.dim
-    n, u = p[0], p[1:1 + d]
+    n, u = p[0], p[1:1 + dim]
     target = np.concatenate([[n], n * u, spread_target])
-    basis = np.concatenate(
-        [np.ones((grid.nnodes, 1)), grid.nodes, spread_basis], axis=1)
     for it in range(max_iter + 1):
-        f, partials = sample(p)
-        q = w * (f @ basis)
-        q[0] = w * float(np.sum(f))
+        q, jacobian, build = sample(p)
         if abs(q[0] - n) <= tol * n:
-            qu = q[1:1 + d] / q[0]
+            qu = q[1:1 + dim] / q[0]
             if (float(np.linalg.norm(qu - u)) <= tol * vscale
                     and spread_ok(q, qu)):
-                return f, it
+                return build(), it
         if it == max_iter:
             break
-        jac = w * (basis.T @ partials())
         try:
-            step = np.linalg.solve(jac, q - target)
+            step = np.linalg.solve(jacobian(), q - target)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(
                 f"singular Jacobian while matching {what}") from exc
@@ -273,14 +290,63 @@ def _newton_match(p, spread_basis, spread_target, sample, admissible,
         f"({what}; grid too coarse or support clipped)")
 
 
+def _maxwellian_raw_moments(p, mass: float, grid: VelocityGrid):
+    """Raw moments w * sum f (1, v, |v|^2) of the Maxwellian with
+    parameters p = (n, u, T), and a thunk for their Jacobian d/dp.
+
+    Only per-axis sums are taken.  With factor g_i and c = v_i - u_i,
+    the sums of c^k g_i (k = 0..4) give, through v_i = c + u_i, the
+    sums of (1, v_i, v_i^2) times g_i (k = 0), times its u_i-derivative
+    g_i c / theta (k = 1) and times its T-derivative g_i c^2 / (2 theta
+    T) (k = 2).  q is multilinear in the per-axis value sums; the u_i
+    column replaces axis i's sums by their u_i-derivatives, and the T
+    column sums that replacement over the axes and adds the
+    prefactor's -d/(2T) q.  The d-fold algebra runs on Python floats.
+    """
+    d = grid.dim
+    pn, pT = float(p[0]), float(p[1 + d])
+    theta = pT / mass
+    scale = grid.weight * pn / (2.0 * math.pi * theta) ** (d / 2.0)
+    pu = p[1:1 + d]
+    value, du, dT = [], [], []
+    for u, (c, g) in zip(pu.tolist(), _axis_factors(pu, theta, grid)):
+        s = (g @ (c[:, None] ** _POWERS)).tolist()
+        shifted = [(s[k], s[k + 1] + u * s[k],
+                    s[k + 2] + u * (2.0 * s[k + 1] + u * s[k]))
+                   for k in range(3)]
+        value.append(shifted[0])
+        du.append([x / theta for x in shifted[1]])
+        dT.append([x / (2.0 * theta * pT) for x in shifted[2]])
+
+    def raw(rows):
+        """q / scale from per-axis sums (sum g, sum v g, sum v^2 g)."""
+        a = [r[0] for r in rows]
+        rest = [math.prod(a[:i] + a[i + 1:]) for i in range(d)]
+        return ([math.prod(a)] + [r[1] * x for r, x in zip(rows, rest)]
+                + [sum(r[2] * x for r, x in zip(rows, rest))])
+
+    q = scale * np.array(raw(value))
+
+    def jacobian():
+        dq = scale * np.array([raw(value[:i] + [row] + value[i + 1:])
+                               for kind in (du, dT)
+                               for i, row in enumerate(kind)]).T
+        return np.column_stack([q / pn, dq[:, :d],
+                                dq[:, d:].sum(axis=1) - d / (2.0 * pT) * q])
+
+    return q, jacobian
+
+
 def match_moments(n: float, u, T: float, mass: float, grid: VelocityGrid,
                   tol: float = 1e-13, max_iter: int = 50,
                   return_info: bool = False) -> np.ndarray:
     """Discrete Maxwellian whose quadrature (n, u, T) hit the targets.
 
     Newton-corrects the Maxwellian parameters so the discrete moments
-    match to `tol` (relative).  If the analytic parameters already match,
-    the sampled Maxwellian is returned unchanged after zero iterations.
+    match to `tol` (relative).  The iteration runs on per-axis sums;
+    f is sampled once, at the converged parameters.  If the analytic
+    parameters already match, the sampled Maxwellian is returned
+    unchanged after zero iterations.
 
     Raises NoConvergenceError when the grid cannot represent the target
     (too coarse, or support clipped by the domain).
@@ -292,30 +358,18 @@ def match_moments(n: float, u, T: float, mass: float, grid: VelocityGrid,
     unorm = float(np.linalg.norm(u))
 
     def sample(p):
-        pn, pu, pT = p[0], p[1:1 + d], p[1 + d]
-        f = maxwellian_on_grid(pn, pu, pT, mass, grid)
-
-        def partials():
-            theta = pT / mass
-            c = grid.nodes - pu
-            csq = np.einsum("ni,ni->n", c, c)
-            deriv = np.empty((grid.nnodes, d + 2))
-            deriv[:, 0] = f / pn
-            deriv[:, 1:1 + d] = f[:, None] * c / theta
-            deriv[:, 1 + d] = f * (csq / (2.0 * theta * pT) - d / (2.0 * pT))
-            return deriv
-
-        return f, partials
+        q, jacobian = _maxwellian_raw_moments(p, mass, grid)
+        return q, jacobian, lambda: maxwellian_on_grid(
+            p[0], p[1:1 + d], p[1 + d], mass, grid)
 
     def temperature_ok(q, qu):
         qT = mass * (q[1 + d] - q[0] * float(qu @ qu)) / (d * q[0])
         return abs(qT - T) <= tol * T
 
     f, it = _newton_match(
-        np.concatenate([[n], u, [T]]), grid.speed2[:, None],
-        [n * (unorm * unorm + d * T / mass)], sample,
-        lambda p: p[0] > 0.0 and p[1 + d] > 0.0, temperature_ok,
-        math.sqrt(T / mass) + unorm, tol, grid, max_iter,
+        np.concatenate([[n], u, [T]]), [n * (unorm * unorm + d * T / mass)],
+        sample, lambda p: p[0] > 0.0 and p[1 + d] > 0.0, temperature_ok,
+        math.sqrt(T / mass) + unorm, tol, d, max_iter,
         f"Maxwellian n={n}, T={T}")
     return (f, it) if return_info else f
 
@@ -326,16 +380,21 @@ def match_gaussian(n: float, u, tensor, mass: float, grid: VelocityGrid,
     """Discrete Gaussian whose quadrature (n, u, T-tensor) hit the targets.
 
     Analogue of match_moments for anisotropic targets: Newton on
-    (n, u, covariance) against the raw moments (1, v, v(x)v).
+    (n, u, covariance) against the raw moments (1, v, v(x)v), reduced
+    over the whole lattice.
     """
     if n <= 0.0:
         raise ValueError(f"targets require n > 0 (got {n})")
     spd = tensor if isinstance(tensor, SpdTensor) else spd_factor(tensor)
     u = np.asarray(u, dtype=float)
-    d = grid.dim
+    d, w = grid.dim, grid.weight
     tri = _tri_index(d)
     sigma_t = spd.matrix / mass
     tscale = float(np.trace(spd.matrix)) / d
+    basis = np.concatenate(
+        [np.ones((grid.nnodes, 1)), grid.nodes,
+         np.stack([grid.nodes[:, i] * grid.nodes[:, j] for i, j in tri],
+                  axis=1)], axis=1)
 
     def symmetric(upper):
         out = np.empty((d, d))
@@ -351,8 +410,10 @@ def match_gaussian(n: float, u, tensor, mass: float, grid: VelocityGrid,
             raise NoConvergenceError(
                 "covariance left the positive-definite cone") from exc
         f = _gaussian_from_chol(pn, pu, Lcov, grid)
+        q = w * (f @ basis)
+        q[0] = w * float(np.sum(f))  # as in `moments`
 
-        def partials():
+        def jacobian():
             sig_inv = np.linalg.inv(sig)
             z = (grid.nodes - pu) @ sig_inv
             deriv = np.empty((grid.nnodes, 1 + d + len(tri)))
@@ -362,9 +423,9 @@ def match_gaussian(n: float, u, tensor, mass: float, grid: VelocityGrid,
                 half = 0.5 if i == j else 1.0
                 deriv[:, 1 + d + k] = half * f * (z[:, i] * z[:, j]
                                                   - sig_inv[i, j])
-            return deriv
+            return w * (basis.T @ deriv)
 
-        return f, partials
+        return q, jacobian, lambda: f
 
     def admissible(p):
         try:
@@ -379,11 +440,9 @@ def match_gaussian(n: float, u, tensor, mass: float, grid: VelocityGrid,
 
     f, it = _newton_match(
         np.concatenate([[n], u, [sigma_t[i, j] for i, j in tri]]),
-        np.stack([grid.nodes[:, i] * grid.nodes[:, j] for i, j in tri],
-                 axis=1),
         [n * (u[i] * u[j] + sigma_t[i, j]) for i, j in tri], sample,
         admissible, tensor_ok,
-        math.sqrt(tscale / mass) + float(np.linalg.norm(u)), tol, grid,
+        math.sqrt(tscale / mass) + float(np.linalg.norm(u)), tol, d,
         max_iter, f"Gaussian n={n}")
     return (f, it) if return_info else f
 

@@ -176,6 +176,17 @@ class TestCliCommands:
                    "-o", str(tmp_path)])
         assert rc == 2
 
+    def test_wave_input_error_exits_one(self, tmp_path, capsys):
+        doc = self.relax_doc(dt=0.005, t_end=0.02, cells=8, length=1.0,
+                             wave_amplitude=1.5)
+        doc["grid"] = {"dim": 1, "points": 16, "vmin": -4.0, "vmax": 4.0}
+        rc = main(["wave", "-c", write_config(tmp_path, doc),
+                   "-o", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "wave_amplitude" in err[0]
+
     def test_unresolvable_grid_exits_two(self, tmp_path):
         doc = self.relax_doc()
         doc["grid"] = {"points": 8, "vmin": -2.0, "vmax": 2.0}

@@ -5,9 +5,17 @@ import pytest
 
 from bgkmix.errors import (DegenerateDensityError, NoConvergenceError,
                            NotSpdError)
-from bgkmix.grid import (VelocityGrid, gaussian_on_grid, h_functional,
-                         match_gaussian, match_moments, maxwellian_on_grid,
-                         moments, spd_factor)
+from bgkmix.grid import (VelocityGrid, _maxwellian_raw_moments,
+                         gaussian_on_grid, h_functional, match_gaussian,
+                         match_moments, maxwellian_on_grid, moments,
+                         spd_factor)
+
+
+def uneven_grid(dim):
+    """A different point count and range per axis, so a transposed
+    outer product cannot hide behind the symmetry of a cubic lattice."""
+    return VelocityGrid(dim=dim, vmin=(-7.0, -6.0, -8.0)[:dim],
+                        vmax=(6.5, 7.5, 8.0)[:dim], points=(12, 16, 20)[:dim])
 
 
 class TestGridConstruction:
@@ -91,6 +99,58 @@ class TestMaxwellianOnGrid:
         with pytest.raises(ValueError):
             maxwellian_on_grid(1.0, (0, 0, 0), 0.0, 1.0, small_grid)
 
+    def test_rejects_velocity_of_wrong_length(self, small_grid):
+        with pytest.raises(ValueError, match="length 3"):
+            maxwellian_on_grid(1.0, (0.1, 0.0), 1.0, 1.0, small_grid)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_outer_product_matches_direct_formula(self, dim):
+        grid = uneven_grid(dim)
+        n, u, T, m = 0.9, np.array([0.3, -0.2, 0.15])[:dim], 0.8, 1.3
+        theta = T / m
+        c = grid.nodes - u
+        direct = (n / (2 * math.pi * theta) ** (dim / 2)
+                  * np.exp(-np.sum(c * c, axis=1) / (2 * theta)))
+        f = maxwellian_on_grid(n, u, T, m, grid)
+        assert np.max(np.abs(f - direct)) <= 1e-14 * np.max(direct)
+
+
+class TestSeparableRawMoments:
+    """The per-axis raw moments and Jacobian of a Maxwellian."""
+
+    MASS = 1.3
+
+    @staticmethod
+    def params(dim):
+        return np.concatenate([[0.9], [0.3, -0.2, 0.15][:dim], [0.8]])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_match_lattice_sums(self, dim):
+        grid = uneven_grid(dim)
+        p = self.params(dim)
+        q, _ = _maxwellian_raw_moments(p, self.MASS, grid)
+        f = maxwellian_on_grid(p[0], p[1:1 + dim], p[1 + dim], self.MASS,
+                               grid)
+        basis = np.column_stack([np.ones(grid.nnodes), grid.nodes,
+                                 grid.speed2])
+        lattice = grid.weight * (f @ basis)
+        assert np.max(np.abs(q - lattice)) <= 1e-14 * np.max(np.abs(lattice))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_jacobian_matches_central_differences(self, dim):
+        grid = uneven_grid(dim)
+        p = self.params(dim)
+        jac = _maxwellian_raw_moments(p, self.MASS, grid)[1]()
+        fd = np.empty_like(jac)
+        for k in range(len(p)):
+            h = 1e-6 * max(1.0, abs(p[k]))
+            step = np.zeros_like(p)
+            step[k] = h
+            hi = _maxwellian_raw_moments(p + step, self.MASS, grid)[0]
+            lo = _maxwellian_raw_moments(p - step, self.MASS, grid)[0]
+            fd[:, k] = (hi - lo) / (2 * h)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
+
 
 class TestGaussianOnGrid:
     def test_isotropic_tensor_reproduces_maxwellian(self, ref_grid):
@@ -172,14 +232,19 @@ class TestMatchGaussian:
 
 
 class TestMatchLowDimensions:
-    """Both matcher families on 1-D and 2-D lattices."""
+    """Both matcher families on 1-D and 2-D lattices; the Maxwellian
+    also on 3-D and on uneven lattices."""
 
     TENSORS = {1: [[1.1]], 2: [[1.2, 0.1], [0.1, 0.9]]}
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_maxwellian_hits_targets(self, dim):
-        grid = VelocityGrid(dim=dim, vmin=-8.0, vmax=8.0, points=12)
-        u = np.array([0.3, -0.1])[:dim]
+    @pytest.mark.parametrize(
+        "dim,uneven",
+        [(1, False), (2, False), (3, False), (1, True), (2, True), (3, True)],
+        ids=["1", "2", "3", "uneven1", "uneven2", "uneven3"])
+    def test_maxwellian_hits_targets(self, dim, uneven):
+        grid = (uneven_grid(dim) if uneven
+                else VelocityGrid(dim=dim, vmin=-8.0, vmax=8.0, points=12))
+        u = np.array([0.3, -0.1, 0.2])[:dim]
         f, iters = match_moments(0.9, u, 0.8, 1.3, grid, return_info=True)
         assert iters > 0
         mom = moments(f, 1.3, grid)
