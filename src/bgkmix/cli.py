@@ -197,8 +197,10 @@ def _scan_scenario(cfg: RunConfig, parameter: str, value: float) -> Scenario:
     vmax = 6.0 * sigma_max
     points = max(12, math.ceil(2.0 * vmax / sigma_min))
     grid = VelocityGrid(dim=3, vmin=-vmax, vmax=vmax, points=points)
-    n1 = cfg.scenario_spec["species1"].n
-    n2 = cfg.scenario_spec["species2"].n
+    species = (cfg.scenario_spec["species1"], cfg.scenario_spec["species2"])
+    if any(sp is None for sp in species):
+        raise ConfigError("scan needs both species")
+    n1, n2 = (sp.n for sp in species)
     rates = chapman.analytic_rates(params.interaction.nu12, params.mixing.delta,
                                    params.mixing.alpha, n1, n2, m1, m2)
     lam = rates.lambda_u if parameter == "delta" else rates.lambda_T
@@ -239,8 +241,8 @@ def _cmd_scan(cfg: RunConfig, args) -> int:
         mix = scen.params.mixing
         rates = chapman.analytic_rates(
             scen.params.interaction.nu12, mix.delta, mix.alpha,
-            cfg.scenario_spec["species1"].n, cfg.scenario_spec["species2"].n,
-            scen.params.species1.m, scen.params.species2.m)
+            scen.species1.n, scen.species2.n, scen.params.species1.m,
+            scen.params.species2.m)
         analytic = rates.lambda_u if parameter == "delta" else rates.lambda_T
         rows.append((float(value), measured, analytic))
     path = os.path.join(args.outdir, "scan.csv")

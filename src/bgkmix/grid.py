@@ -15,7 +15,10 @@ The lattice is the tensor product of its per-axis node vectors
 varies fastest).  A drifting Maxwellian on it factorizes into d
 one-dimensional Gaussians exp(-(v_i-u_i)^2 / 2 theta): it is sampled as
 their outer product, and its raw moments (1, v, |v|^2) are multilinear
-in the per-axis sums of (1, v_i, v_i^2) times each factor.
+in the per-axis sums of (1, v_i, v_i^2) times each factor.  No moment
+of a distribution involves more than two axes, so `moments` reduces f
+to its pairwise and per-axis lattice marginals and forms every moment
+from those, with no node-length temporaries.
 
 Moment matching is one Newton loop serving two target families: the
 Maxwellian (scalar T), matched on the per-axis sums, and the Gaussian
@@ -24,6 +27,7 @@ Maxwellian (scalar T), matched on the per-axis sums, and the Gaussian
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,7 +81,6 @@ class VelocityGrid:
                      for i in range(dim)]
         mesh = np.meshgrid(*self.axes, indexing="ij")
         self.nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        self.speed2 = np.einsum("ni,ni->n", self.nodes, self.nodes)
         self.nnodes = self.nodes.shape[0]
 
     @classmethod
@@ -122,6 +125,17 @@ def moments(f: np.ndarray, mass: float, grid: VelocityGrid,
             n_floor: float = N_FLOOR) -> MomentSet:
     """Full moment set of a distribution array.
 
+    No moment involves more than two velocity axes, so all of them are
+    reduced from lattice marginals of f viewed on the (P_1, ..., P_d)
+    lattice: the pairwise marginals M_ij (one sum over f per pair) and
+    the per-axis marginals m_i summed from them.  n and u come from the
+    m_i.  With the per-axis offsets c_i = v_i - u_i (exact centring: a
+    marginal does not depend on the shift), the centred sums
+    S = sum f c(x)c and S3 = sum f c |c|^2 take c_i^k (k = 2, 3) against
+    m_i and [c_i, c_i^2]^T M_ij [c_j, c_j^2] against each pair.  Then
+    P = m w S, Qtilde = m w S3, and with s0 = sum f the raw flux is
+    Q = w (S3 + 2 S u + u tr S + s0 |u|^2 u) / 2.
+
     Raises DegenerateDensityError when the quadrature density is below
     n_floor; mean velocity and temperature are undefined there.
     """
@@ -129,20 +143,36 @@ def moments(f: np.ndarray, mass: float, grid: VelocityGrid,
     if f.shape != (grid.nnodes,):
         raise ValueError(f"distribution shape {f.shape} does not match grid "
                          f"({grid.nnodes} nodes)")
-    w = grid.weight
-    n = w * float(np.sum(f))
+    d, w = grid.dim, grid.weight
+    lattice, labels = f.reshape(grid.points), list(range(d))
+    pairs = {(i, j): np.einsum(lattice, labels, [i, j])
+             for i, j in itertools.combinations(labels, 2)}
+    if d == 1:
+        marginals = [lattice]
+    else:
+        marginals = ([pairs[0, 1].sum(axis=1)]
+                     + [pairs[0, i].sum(axis=0) for i in range(1, d)])
+    s0 = float(marginals[0].sum())
+    n = w * s0
     if n < n_floor:
         raise DegenerateDensityError(n, n_floor)
-    u = w * (f @ grid.nodes) / n
-    c = grid.nodes - u
-    fc = c.T * f
-    P = mass * w * (fc @ c)
-    P = 0.5 * (P + P.T)  # bitwise symmetric despite summation reassociation
-    T = float(np.trace(P)) / (grid.dim * n)
-    Q = 0.5 * w * ((grid.speed2 * f) @ grid.nodes)
-    csq = np.einsum("ni,ni->n", c, c)
-    Qt = mass * w * (fc @ csq)
-    return MomentSet(n=n, u=u, T=T, P=P, Q=Q, Qtilde=Qt)
+    u = np.array([x @ m for x, m in zip(grid.axes, marginals)]) / s0
+    S, S3 = np.empty((d, d)), np.empty(d)
+    rows = []  # per axis: the rows c_i and c_i^2
+    for i, (x, m) in enumerate(zip(grid.axes, marginals)):
+        c = x - u[i]
+        rows.append(np.array((c, c * c)))
+        S[i, i], S3[i] = rows[i] @ (m * c)
+    for (i, j), M in pairs.items():
+        B = rows[i] @ M @ rows[j].T
+        S[i, j] = S[j, i] = B[0, 0]  # one value, so P is bitwise symmetric
+        S3[i] += B[0, 1]
+        S3[j] += B[1, 0]
+    P = mass * w * S
+    T = float(P.trace()) / (d * n)
+    Q = 0.5 * w * (S3 + 2.0 * (S @ u) + S.trace() * u
+                   + s0 * float(u @ u) * u)
+    return MomentSet(n=n, u=u, T=T, P=P, Q=Q, Qtilde=mass * w * S3)
 
 
 def _axis_factors(u, theta: float, grid: VelocityGrid) -> list:
@@ -411,7 +441,7 @@ def match_gaussian(n: float, u, tensor, mass: float, grid: VelocityGrid,
                 "covariance left the positive-definite cone") from exc
         f = _gaussian_from_chol(pn, pu, Lcov, grid)
         q = w * (f @ basis)
-        q[0] = w * float(np.sum(f))  # as in `moments`
+        q[0] = grid.density(f)
 
         def jacobian():
             sig_inv = np.linalg.inv(sig)

@@ -101,9 +101,11 @@ def es_tensor_cross(state: MixtureState, params: ModelParams,
 
     Variant A mixes scalar and tensor parts with independent weights
     mu12 / mu21; variant B replaces only the partner species' scalar
-    temperature by its pressure tensor.  Both trace back to the scalar
-    cross temperatures, so the scalar exchange identities still hold.
-    The drift heating enters as a multiple of the identity in all cases.
+    temperature by its pressure tensor.  Each pressure tensor is divided
+    by its own species' density, so both trace back to the scalar cross
+    temperatures for any densities and the scalar exchange identities
+    still hold.  The drift heating enters as a multiple of the identity
+    in all cases.
     """
     variant = variant or params.es.variant
     mix, es, inter = params.mixing, params.es, params.interaction
@@ -118,11 +120,11 @@ def es_tensor_cross(state: MixtureState, params: ModelParams,
     ea = eps * (1.0 - alpha)
     if variant == Variant.ES_FULL_A:
         scal12 = alpha * mom1.T + (1.0 - alpha) * mom2.T
-        tens12 = (alpha * mom1.P + (1.0 - alpha) * mom2.P) / mom1.n
+        tens12 = alpha * mom1.P / mom1.n + (1.0 - alpha) * mom2.P / mom2.n
         t12 = ((1.0 - es.mu12) * scal12 * eye + es.mu12 * tens12
                + drift12 * eye)
         scal21 = (1.0 - ea) * mom2.T + ea * mom1.T
-        tens21 = ((1.0 - ea) * mom2.P + ea * mom1.P) / mom2.n
+        tens21 = (1.0 - ea) * mom2.P / mom2.n + ea * mom1.P / mom1.n
         t21 = ((1.0 - es.mu21) * scal21 * eye + es.mu21 * tens21
                + drift21 * eye)
     elif variant == Variant.ES_FULL_B:

@@ -236,6 +236,17 @@ class TestCliCommands:
         for row in rows:
             assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-2)
 
+    def test_scan_without_second_species_exits_one(self, tmp_path, capsys):
+        doc = base_doc(
+            scenario={"species2": None},
+            scan={"parameter": "delta", "start": 0.0, "stop": 0.4,
+                  "count": 2})
+        rc = main(["scan", "-c", write_config(tmp_path, doc),
+                   "-o", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: scan needs both species"]
+
     def test_variant_override(self, tmp_path):
         doc = self.relax_doc()
         rc = main(["relax", "-c", write_config(tmp_path, doc),

@@ -76,6 +76,38 @@ class TestMoments:
         assert np.linalg.norm(mom.u - [0.2, -0.1]) < 1e-8
         assert abs(mom.T - 1.1) < 1e-6
 
+    @staticmethod
+    def longdouble_moments(f, mass, grid):
+        """Node-level reference in extended precision: (n, u, T, P, Q,
+        Qtilde) by their defining sums over all nodes."""
+        ld = np.longdouble
+        f, v, w = f.astype(ld), grid.nodes.astype(ld), ld(grid.weight)
+        n = w * np.sum(f)
+        u = w * (f @ v) / n
+        c = v - u
+        P = mass * w * np.einsum("n,ni,nj->ij", f, c, c)
+        Q = w / 2 * ((np.sum(v * v, axis=1) * f) @ v)
+        Qt = mass * w * ((np.sum(c * c, axis=1) * f) @ c)
+        return n, u, np.trace(P) / (grid.dim * n), P, Q, Qt
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_match_extended_precision_reference(self, dim):
+        grid = uneven_grid(dim)
+        mass = 1.7
+        rng = np.random.default_rng(20 + dim)
+        f = rng.uniform(0.0, 1.0, grid.nnodes) * maxwellian_on_grid(
+            1.3, np.array([0.4, -0.3, 0.2])[:dim], 0.9, mass, grid)
+        mom = moments(f, mass, grid)
+        n, u, T, P, Q, Qt = self.longdouble_moments(f, mass, grid)
+        vth = math.sqrt(float(T) / mass)
+        for got, ref, scale in ((mom.n, n, n), (mom.u, u, vth),
+                                (mom.T, T, T), (mom.P, P, n * T),
+                                (mom.Q, Q, n * T * vth),
+                                (mom.Qtilde, Qt, n * T * vth)):
+            err = np.max(np.abs(np.asarray(got, dtype=np.longdouble) - ref))
+            assert err <= 1e-13 * float(scale)
+        assert np.array_equal(mom.P, mom.P.T)
+
 
 class TestMaxwellianOnGrid:
     def test_peak_value(self):
@@ -132,7 +164,7 @@ class TestSeparableRawMoments:
         f = maxwellian_on_grid(p[0], p[1:1 + dim], p[1 + dim], self.MASS,
                                grid)
         basis = np.column_stack([np.ones(grid.nnodes), grid.nodes,
-                                 grid.speed2])
+                                 np.sum(grid.nodes ** 2, axis=1)])
         lattice = grid.weight * (f @ basis)
         assert np.max(np.abs(q - lattice)) <= 1e-14 * np.max(np.abs(lattice))
 

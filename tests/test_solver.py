@@ -349,14 +349,17 @@ class TestUnbalancedConservation:
     n1 != n2, opposed drifts) on 1-, 2- and 3-D lattices."""
 
     GRIDS = {1: 32, 2: 24, 3: 16}  # points per axis on [-8, 8]^d
+    # sheared, anisotropic starting tensor of species 1 (trace 3)
+    SHEAR = np.array([[1.2, 0.2, 0.1], [0.2, 0.9, -0.15], [0.1, -0.15, 0.9]])
 
-    def max_drifts(self, dim, integrator):
+    def max_drifts(self, dim, integrator, sheared=False, **params):
         grid = VelocityGrid(dim, -8.0, 8.0, self.GRIDS[dim])
         u1 = (0.8,) + (0.0,) * (dim - 1)
         u2 = (-0.4,) + (0.0,) * (dim - 1)
+        tensor = self.SHEAR[:dim, :dim] if sheared else None
         scen = Scenario(
-            params=make_params(epsilon=0.5), grid=grid,
-            species1=SpeciesInit(n=1.0, u=u1, T=1.0),
+            params=make_params(epsilon=0.5, **params), grid=grid,
+            species1=SpeciesInit(n=1.0, u=u1, T=1.0, tensor=tensor),
             species2=SpeciesInit(n=0.7, u=u2, T=1.2),
             dt=0.05, t_end=0.5, integrator=integrator)
         recs = run_scenario(scen).records
@@ -373,6 +376,19 @@ class TestUnbalancedConservation:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_rk4_conserves(self, dim):
         momentum, energy = self.max_drifts(dim, "rk4")
+        assert momentum <= 1e-12
+        assert energy <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("sheared, params", [
+        (False, dict(beta1=0.6, beta2=1.7)),
+        (True, dict(variant=Variant.ES_SELF_ONLY, mu1=-0.4, mu2=0.6)),
+        (True, dict(variant=Variant.ES_FULL_A, mu1=-0.4, mu2=0.6, mu12=0.5,
+                    mu21=-0.3)),
+        (True, dict(variant=Variant.ES_FULL_B, mu1=-0.4, mu2=0.6))],
+        ids=["beta", "es-self", "es-full-a", "es-full-b"])
+    def test_rk4_conserves_other_bundles(self, sheared, params, dim):
+        momentum, energy = self.max_drifts(dim, "rk4", sheared, **params)
         assert momentum <= 1e-12
         assert energy <= 1e-12
 

@@ -164,17 +164,11 @@ class TestEsTensorCross:
         assert np.allclose(t12.matrix, st.mom2.T * np.eye(3))
 
     def test_traces_recover_scalar_temperatures(self):
-        # Variant B recovers the scalar cross temperatures for any
-        # densities; variant A normalizes both pressure tensors by a
-        # single density, so its trace identity needs n1 = n2.
         rng = np.random.default_rng(14)
         for variant in (Variant.ES_FULL_A, Variant.ES_FULL_B):
             for _ in range(50):
                 m1, m2, eps, delta, alpha, gamma = random_admissible(rng)
-                if variant == Variant.ES_FULL_A:
-                    n1 = n2 = rng.uniform(0.2, 2.0)
-                else:
-                    n1, n2 = rng.uniform(0.2, 2.0, 2)
+                n1, n2 = rng.uniform(0.2, 2.0, 2)
                 st = make_state(n1=n1, n2=n2, m1=m1, m2=m2,
                                 u1=rng.normal(0, 0.5, 3),
                                 u2=rng.normal(0, 0.5, 3),
