@@ -9,7 +9,7 @@ documented defaults (EXP integrator, moment matching on, 3-D grid with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -42,7 +42,6 @@ class RunConfig:
     scenario_spec: dict
     scan_spec: dict | None
     persistence_spec: dict
-    raw: dict = field(repr=False, default_factory=dict)
 
     def make_grid(self) -> VelocityGrid:
         g = self.grid_spec
@@ -182,4 +181,4 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(params=params, grid_spec=grid_spec,
                      scenario_spec=scenario_spec, scan_spec=scan_spec,
-                     persistence_spec=persistence_spec, raw=doc)
+                     persistence_spec=persistence_spec)

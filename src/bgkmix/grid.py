@@ -12,21 +12,23 @@ factor 3 convention, and lower grid dimensions scale the factor with d.
 
 The lattice is the tensor product of its per-axis node vectors
 `grid.axes`, flattened in `meshgrid(indexing="ij")` order (the last axis
-varies fastest).  A drifting Maxwellian on it factorizes into d
-one-dimensional Gaussians exp(-(v_i-u_i)^2 / 2 theta): it is sampled as
-their outer product, and its raw moments (1, v, |v|^2) are multilinear
-in the per-axis sums of (1, v_i, v_i^2) times each factor.  No moment
-of a distribution involves more than two axes, so `moments` reduces f
-to its pairwise and per-axis lattice marginals and forms every moment
-from those, with no node-length temporaries.
+varies fastest).  A drifting Maxwellian is sampled as the outer product
+of d one-dimensional Gaussians, an anisotropic Gaussian by a triangular
+substitution run axis by axis.  No moment of a distribution involves
+more than two axes, so `moments` reduces f to its pairwise and per-axis
+lattice marginals, with no node-length temporaries.
 
-Moment matching is one Newton loop serving two target families: the
-Maxwellian (scalar T), matched on the per-axis sums, and the Gaussian
-(full T tensor; raw moments 1, v, v(x)v), matched on the whole lattice.
+Moment matching is one Newton system for the Maxwellian (scalar T; raw
+moments 1, v, |v|^2) and the Gaussian (full T tensor; 1, v, v(x)v):
+every entry of the moments and of their Jacobian is a centred moment of
+degree <= 4 (Mieussens, M3AS 2000), read from one tensor of per-axis
+powers: the outer product of per-axis sums for the Maxwellian, the
+lattice sample contracted axis by axis for the Gaussian.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +38,6 @@ import numpy as np
 from .errors import DegenerateDensityError, NoConvergenceError, NotSpdError
 
 N_FLOOR = 1e-30  # separates "empty cell" from "division blow-up"
-_POWERS = np.arange(5)
 
 
 def _per_axis(value, dim: int, name: str) -> np.ndarray:
@@ -175,14 +176,19 @@ def moments(f: np.ndarray, mass: float, grid: VelocityGrid,
     return MomentSet(n=n, u=u, T=T, P=P, Q=Q, Qtilde=mass * w * S3)
 
 
+def _velocity(u, grid: VelocityGrid) -> np.ndarray:
+    """u as a float vector with one entry per grid axis."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (grid.dim,):
+        raise ValueError(f"u must have length {grid.dim} (got {u.shape})")
+    return u
+
+
 def _axis_factors(u, theta: float, grid: VelocityGrid) -> list:
     """Per axis: the offsets c = v_i - u_i at its nodes and the factor
     exp(-c^2 / (2 theta))."""
-    out = []
-    for x, ui in zip(grid.axes, u):
-        c = x - ui
-        out.append((c, np.exp(c * c / (-2.0 * theta))))
-    return out
+    offsets = [x - ui for x, ui in zip(grid.axes, u)]
+    return [(c, np.exp(c * c / (-2.0 * theta))) for c in offsets]
 
 
 def maxwellian_on_grid(n: float, u, T: float, mass: float,
@@ -196,9 +202,7 @@ def maxwellian_on_grid(n: float, u, T: float, mass: float,
         raise ValueError(f"temperature must be positive (got {T})")
     if n < 0.0:
         raise ValueError(f"density must be nonnegative (got {n})")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (grid.dim,):
-        raise ValueError(f"u must have length {grid.dim} (got {u.shape})")
+    u = _velocity(u, grid)
     theta = T / mass
     f = n / (2.0 * math.pi * theta) ** (grid.dim / 2.0)
     for _, g in _axis_factors(u, theta, grid):
@@ -230,61 +234,145 @@ def spd_factor(matrix) -> SpdTensor:
     return SpdTensor(matrix=M.copy(), chol=L)
 
 
-def _forward_sub(L: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve L w = c rowwise for c of shape (N, d)."""
-    d = L.shape[0]
-    w = np.empty_like(c)
-    for i in range(d):
-        acc = c[:, i].copy()
-        for k in range(i):
-            acc -= L[i, k] * w[:, k]
-        w[:, i] = acc / L[i, i]
-    return w
-
-
-def _gaussian_from_chol(n: float, u: np.ndarray, Lcov: np.ndarray,
-                        grid: VelocityGrid) -> np.ndarray:
-    """Gaussian with covariance Lcov Lcov^T, evaluated via the factor."""
-    c = grid.nodes - u
-    w = _forward_sub(Lcov, c)
-    expo = 0.5 * np.einsum("ni,ni->n", w, w)
-    norm = n / ((2.0 * math.pi) ** (grid.dim / 2.0)
-                * float(np.prod(np.diag(Lcov))))
-    return norm * np.exp(-expo)
-
-
 def gaussian_on_grid(n: float, u, tensor, mass: float,
                      grid: VelocityGrid) -> np.ndarray:
     """Anisotropic Gaussian with temperature tensor `tensor`.
 
     Nodewise n / sqrt(det(2 pi T/m)) * exp(-(v-u) . (T/m)^-1 . (v-u) / 2),
     evaluated through the triangular factor (never an explicit inverse),
-    which stays stable near the positive-definiteness boundary.  A plain
+    which stays stable near the positive-definiteness boundary: L w = v - u
+    is solved axis by axis, w_i living on the leading i axes.  A plain
     matrix is factored first; factorization failure propagates.
     """
     if n < 0.0:
         raise ValueError(f"density must be nonnegative (got {n})")
+    u = _velocity(u, grid)
     spd = tensor if isinstance(tensor, SpdTensor) else spd_factor(tensor)
-    u = np.asarray(u, dtype=float)
-    Lcov = spd.chol / math.sqrt(mass)
-    return _gaussian_from_chol(n, u, Lcov, grid)
+    L, d, ws = spd.chol / math.sqrt(mass), grid.dim, []
+    for i, x in enumerate(grid.axes):
+        acc = (x - u[i]).reshape((-1,) + (1,) * (d - 1 - i))
+        for k in range(i):
+            acc = acc - L[i, k] * ws[k]
+        ws.append(acc / L[i, i])
+    norm = n / ((2.0 * math.pi) ** (d / 2.0) * float(np.prod(np.diag(L))))
+    return (norm * np.exp(-0.5 * sum(w * w for w in ws))).ravel()
 
 
 def _tri_index(dim: int) -> list[tuple[int, int]]:
     """Upper-triangle index order: diagonal first, then off-diagonal."""
-    idx = [(i, i) for i in range(dim)]
-    idx += [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    return idx
+    return ([(i, i) for i in range(dim)]
+            + list(itertools.combinations(range(dim), 2)))
 
 
-def _newton_match(p, spread_target, sample, admissible, spread_ok,
+@functools.lru_cache(maxsize=None)
+def _monomials(dim: int):
+    """Read-only tables for the centred monomials m = (1, c_i, c_i c_j),
+    i <= j in `_tri_index` order: the axes (ti, tj) of each product, the
+    flat index of each Gram entry w sum f m_a m_b into the (5,) * dim
+    moment tensor, and the rows picking (1, v, |v|^2) from (1, v_i, v_i v_j).
+    """
+    ti, tj = np.array(_tri_index(dim)).T
+    eye = np.eye(dim, dtype=int)
+    expo = np.concatenate([np.zeros_like(eye[:1]), eye, eye[ti] + eye[tj]])
+    gram = np.ravel_multi_index(tuple((expo[:, None] + expo).T), (5,) * dim)
+    energy = np.eye(dim + 2, len(expo))
+    energy[-1, 1 + dim:1 + 2 * dim] = 1.0
+    for table in (ti, tj, gram, energy):
+        table.flags.writeable = False
+    return ti, tj, gram, energy
+
+
+def _symmetric(upper, dim: int) -> np.ndarray:
+    """Symmetric matrix from its upper triangle in `_tri_index` order."""
+    ti, tj = _monomials(dim)[:2]
+    out = np.empty((dim, dim))
+    out[ti, tj] = out[tj, ti] = upper
+    return out
+
+
+def _newton_system(u: np.ndarray, select: np.ndarray, M: np.ndarray,
+                   B: np.ndarray):
+    """Raw moments q and Jacobian dq/dp of a target centred at u.
+
+    M[a] = w sum f prod_i c_i^a_i (c = v - u, a_i <= 4) is the target's
+    centred moment tensor and df/dp = f B m.  With the Gram matrix
+    G = w sum f m m^T read from M and A writing the raw monomials
+    (1, v_i, v_i v_j) over m: q = select A G e_0, dq/dp = select A G B^T.
+    """
+    d = len(u)
+    ti, tj, gram, _ = _monomials(d)
+    rows = np.arange(1 + d, len(gram))
+    A = np.eye(len(gram))
+    A[1:1 + d, 0] = u
+    A[rows, 0] = u[ti] * u[tj]
+    A[rows, 1 + tj] = u[ti]
+    A[rows, 1 + ti] += u[tj]
+    SAG = select @ A @ M.ravel()[gram]
+    return SAG[:, 0], SAG @ B.T
+
+
+def _maxwellian_sample(p, mass: float, grid: VelocityGrid):
+    """(M, B, thunk for f) of the Maxwellian with p = (n, u, T).
+
+    M is the prefactor times the outer product of the per-axis sums
+    sum g_i c_i^k of its factors g_i; no lattice-sized array is formed.
+    df/dp = f (1/n, c_i / theta, |c|^2 / (2 theta T) - d / (2T)).
+    """
+    d = grid.dim
+    pn, pu, pT = float(p[0]), p[1:1 + d], float(p[1 + d])
+    theta = pT / mass
+    M = grid.weight * pn / (2.0 * math.pi * theta) ** (d / 2.0)
+    for c, g in _axis_factors(pu, theta, grid):
+        M = np.multiply.outer(M, g @ np.vander(c, 5, increasing=True))
+    B = np.zeros((d + 2, len(_monomials(d)[2])))
+    B[0, 0], B[-1, 0] = 1.0 / pn, -d / (2.0 * pT)
+    B[range(1, 1 + d), range(1, 1 + d)] = 1.0 / theta
+    B[-1, 1 + d:1 + 2 * d] = 1.0 / (2.0 * theta * pT)
+    return M, B, lambda: maxwellian_on_grid(pn, pu, pT, mass, grid)
+
+
+def _gaussian_sample(p, mass: float, grid: VelocityGrid):
+    """(M, B, thunk for f) of the Gaussian with p = (n, u, upper triangle
+    of the covariance S = T/m).
+
+    M contracts the lattice sample axis by axis with the powers c_i^k.
+    With z = S^-1 c and h = 1/2 for i = j, else 1, df/dp = f (1/n, z_i,
+    h (z_i z_j - S^-1_ij)); z_i z_j puts S^-1_ik S^-1_jl + S^-1_il S^-1_jk
+    on c_k c_l (k <= l), twice the one product when k = l: h again.
+    """
+    d = grid.dim
+    ti, tj = _monomials(d)[:2]
+    pn, pu, cov = float(p[0]), p[1:1 + d], _symmetric(p[1 + d:], d)
+    try:
+        Lcov = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(
+            "covariance left the positive-definite cone") from exc
+    f = gaussian_on_grid(pn, pu, SpdTensor(cov, Lcov), 1.0, grid)
+    M = grid.weight * f.reshape(grid.points)
+    for x, ui in zip(grid.axes, pu):
+        M = np.tensordot(M, np.vander(x - ui, 5, increasing=True),
+                         axes=(0, 0))
+    inv = np.linalg.inv(cov)
+    h = np.where(ti == tj, 0.5, 1.0)
+    B = np.zeros((len(p), len(p)))
+    B[0, 0], B[1:1 + d, 1:1 + d] = 1.0 / pn, inv
+    B[1 + d:, 0] = -h * inv[ti, tj]
+    B[1 + d:, 1 + d:] = h[:, None] * h * (inv[ti][:, ti] * inv[tj][:, tj]
+                                          + inv[ti][:, tj] * inv[tj][:, ti])
+    return M, B, lambda: f
+
+
+def _newton_match(p, spread_target, select, sample, admissible, spread_ok,
                   vscale: float, tol: float, dim: int, max_iter: int,
                   what: str):
     """Newton-correct parameters p = (n, u, spread...), starting at the
     targets, until the raw moments q of the sampled target hit them.
 
-    q pairs f with (1, v, spread moments), weighted by the quadrature.
-    sample(p) gives q, a thunk for the Jacobian dq/dp and a thunk for f.
+    q pairs f with (1, v, spread moments), weighted by the quadrature;
+    `select` picks them from (1, v_i, v_i v_j).  sample(p) gives the
+    centred moment tensor, the derivative matrix B and a thunk for f,
+    and `_newton_system` turns them into q and dq/dp for either family.
     Converged when n and u match to tol (u relative to vscale) and
     spread_ok(q, qu) holds; steps are halved until admissible(p).
     Returns (f, iterations).
@@ -292,7 +380,8 @@ def _newton_match(p, spread_target, sample, admissible, spread_ok,
     n, u = p[0], p[1:1 + dim]
     target = np.concatenate([[n], n * u, spread_target])
     for it in range(max_iter + 1):
-        q, jacobian, build = sample(p)
+        M, B, build = sample(p)
+        q, dqdp = _newton_system(p[1:1 + dim], select, M, B)
         if abs(q[0] - n) <= tol * n:
             qu = q[1:1 + dim] / q[0]
             if (float(np.linalg.norm(qu - u)) <= tol * vscale
@@ -301,7 +390,7 @@ def _newton_match(p, spread_target, sample, admissible, spread_ok,
         if it == max_iter:
             break
         try:
-            step = np.linalg.solve(jacobian(), q - target)
+            step = np.linalg.solve(dqdp, q - target)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(
                 f"singular Jacobian while matching {what}") from exc
@@ -320,77 +409,24 @@ def _newton_match(p, spread_target, sample, admissible, spread_ok,
         f"({what}; grid too coarse or support clipped)")
 
 
-def _maxwellian_raw_moments(p, mass: float, grid: VelocityGrid):
-    """Raw moments w * sum f (1, v, |v|^2) of the Maxwellian with
-    parameters p = (n, u, T), and a thunk for their Jacobian d/dp.
-
-    Only per-axis sums are taken.  With factor g_i and c = v_i - u_i,
-    the sums of c^k g_i (k = 0..4) give, through v_i = c + u_i, the
-    sums of (1, v_i, v_i^2) times g_i (k = 0), times its u_i-derivative
-    g_i c / theta (k = 1) and times its T-derivative g_i c^2 / (2 theta
-    T) (k = 2).  q is multilinear in the per-axis value sums; the u_i
-    column replaces axis i's sums by their u_i-derivatives, and the T
-    column sums that replacement over the axes and adds the
-    prefactor's -d/(2T) q.  The d-fold algebra runs on Python floats.
-    """
-    d = grid.dim
-    pn, pT = float(p[0]), float(p[1 + d])
-    theta = pT / mass
-    scale = grid.weight * pn / (2.0 * math.pi * theta) ** (d / 2.0)
-    pu = p[1:1 + d]
-    value, du, dT = [], [], []
-    for u, (c, g) in zip(pu.tolist(), _axis_factors(pu, theta, grid)):
-        s = (g @ (c[:, None] ** _POWERS)).tolist()
-        shifted = [(s[k], s[k + 1] + u * s[k],
-                    s[k + 2] + u * (2.0 * s[k + 1] + u * s[k]))
-                   for k in range(3)]
-        value.append(shifted[0])
-        du.append([x / theta for x in shifted[1]])
-        dT.append([x / (2.0 * theta * pT) for x in shifted[2]])
-
-    def raw(rows):
-        """q / scale from per-axis sums (sum g, sum v g, sum v^2 g)."""
-        a = [r[0] for r in rows]
-        rest = [math.prod(a[:i] + a[i + 1:]) for i in range(d)]
-        return ([math.prod(a)] + [r[1] * x for r, x in zip(rows, rest)]
-                + [sum(r[2] * x for r, x in zip(rows, rest))])
-
-    q = scale * np.array(raw(value))
-
-    def jacobian():
-        dq = scale * np.array([raw(value[:i] + [row] + value[i + 1:])
-                               for kind in (du, dT)
-                               for i, row in enumerate(kind)]).T
-        return np.column_stack([q / pn, dq[:, :d],
-                                dq[:, d:].sum(axis=1) - d / (2.0 * pT) * q])
-
-    return q, jacobian
-
-
 def match_moments(n: float, u, T: float, mass: float, grid: VelocityGrid,
                   tol: float = 1e-13, max_iter: int = 50,
                   return_info: bool = False) -> np.ndarray:
     """Discrete Maxwellian whose quadrature (n, u, T) hit the targets.
 
     Newton-corrects the Maxwellian parameters so the discrete moments
-    match to `tol` (relative).  The iteration runs on per-axis sums;
-    f is sampled once, at the converged parameters.  If the analytic
-    parameters already match, the sampled Maxwellian is returned
-    unchanged after zero iterations.
+    (1, v, |v|^2) match to `tol` (relative).  The Newton system comes
+    from per-axis sums; f is sampled once, at the converged parameters,
+    and is the plain sampled Maxwellian if it matches at once.
 
     Raises NoConvergenceError when the grid cannot represent the target
     (too coarse, or support clipped by the domain).
     """
     if n <= 0.0 or T <= 0.0:
         raise ValueError(f"targets require n > 0 and T > 0 (got {n}, {T})")
-    u = np.asarray(u, dtype=float)
+    u = _velocity(u, grid)
     d = grid.dim
     unorm = float(np.linalg.norm(u))
-
-    def sample(p):
-        q, jacobian = _maxwellian_raw_moments(p, mass, grid)
-        return q, jacobian, lambda: maxwellian_on_grid(
-            p[0], p[1:1 + d], p[1 + d], mass, grid)
 
     def temperature_ok(q, qu):
         qT = mass * (q[1 + d] - q[0] * float(qu @ qu)) / (d * q[0])
@@ -398,7 +434,8 @@ def match_moments(n: float, u, T: float, mass: float, grid: VelocityGrid,
 
     f, it = _newton_match(
         np.concatenate([[n], u, [T]]), [n * (unorm * unorm + d * T / mass)],
-        sample, lambda p: p[0] > 0.0 and p[1 + d] > 0.0, temperature_ok,
+        _monomials(d)[3], lambda p: _maxwellian_sample(p, mass, grid),
+        lambda p: p[0] > 0.0 and p[1 + d] > 0.0, temperature_ok,
         math.sqrt(T / mass) + unorm, tol, d, max_iter,
         f"Maxwellian n={n}, T={T}")
     return (f, it) if return_info else f
@@ -410,68 +447,30 @@ def match_gaussian(n: float, u, tensor, mass: float, grid: VelocityGrid,
     """Discrete Gaussian whose quadrature (n, u, T-tensor) hit the targets.
 
     Analogue of match_moments for anisotropic targets: Newton on
-    (n, u, covariance) against the raw moments (1, v, v(x)v), reduced
-    over the whole lattice.
+    (n, u, covariance) against all raw moments (1, v, v(x)v), with the
+    Newton system from the lattice sample of each iterate.
     """
     if n <= 0.0:
         raise ValueError(f"targets require n > 0 (got {n})")
+    u = _velocity(u, grid)
     spd = tensor if isinstance(tensor, SpdTensor) else spd_factor(tensor)
-    u = np.asarray(u, dtype=float)
-    d, w = grid.dim, grid.weight
-    tri = _tri_index(d)
+    d = grid.dim
+    ti, tj, gram, _ = _monomials(d)
     sigma_t = spd.matrix / mass
     tscale = float(np.trace(spd.matrix)) / d
-    basis = np.concatenate(
-        [np.ones((grid.nnodes, 1)), grid.nodes,
-         np.stack([grid.nodes[:, i] * grid.nodes[:, j] for i, j in tri],
-                  axis=1)], axis=1)
-
-    def symmetric(upper):
-        out = np.empty((d, d))
-        for k, (i, j) in enumerate(tri):
-            out[i, j] = out[j, i] = upper[k]
-        return out
-
-    def sample(p):
-        pn, pu, sig = p[0], p[1:1 + d], symmetric(p[1 + d:])
-        try:
-            Lcov = np.linalg.cholesky(sig)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(
-                "covariance left the positive-definite cone") from exc
-        f = _gaussian_from_chol(pn, pu, Lcov, grid)
-        q = w * (f @ basis)
-        q[0] = grid.density(f)
-
-        def jacobian():
-            sig_inv = np.linalg.inv(sig)
-            z = (grid.nodes - pu) @ sig_inv
-            deriv = np.empty((grid.nnodes, 1 + d + len(tri)))
-            deriv[:, 0] = f / pn
-            deriv[:, 1:1 + d] = f[:, None] * z
-            for k, (i, j) in enumerate(tri):
-                half = 0.5 if i == j else 1.0
-                deriv[:, 1 + d + k] = half * f * (z[:, i] * z[:, j]
-                                                  - sig_inv[i, j])
-            return w * (basis.T @ deriv)
-
-        return q, jacobian, lambda: f
 
     def admissible(p):
-        try:
-            np.linalg.cholesky(symmetric(p[1 + d:]))
-        except np.linalg.LinAlgError:
-            return False
-        return p[0] > 0.0
+        cov = _symmetric(p[1 + d:], d)
+        return p[0] > 0.0 and float(np.linalg.eigvalsh(cov)[0]) > 0.0
 
     def tensor_ok(q, qu):
-        qsig = symmetric(q[1 + d:]) / q[0] - np.outer(qu, qu)
+        qsig = _symmetric(q[1 + d:], d) / q[0] - np.outer(qu, qu)
         return float(np.max(np.abs(mass * qsig - spd.matrix))) <= tol * tscale
 
     f, it = _newton_match(
-        np.concatenate([[n], u, [sigma_t[i, j] for i, j in tri]]),
-        [n * (u[i] * u[j] + sigma_t[i, j]) for i, j in tri], sample,
-        admissible, tensor_ok,
+        np.concatenate([[n], u, sigma_t[ti, tj]]),
+        n * (u[ti] * u[tj] + sigma_t[ti, tj]), np.eye(len(gram)),
+        lambda p: _gaussian_sample(p, mass, grid), admissible, tensor_ok,
         math.sqrt(tscale / mass) + float(np.linalg.norm(u)), tol, d,
         max_iter, f"Gaussian n={n}")
     return (f, it) if return_info else f

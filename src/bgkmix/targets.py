@@ -18,7 +18,7 @@ parallel if a caller wants it to be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,7 +155,6 @@ class TargetSet:
     u21: np.ndarray | None = None
     T12: float | None = None
     T21: float | None = None
-    tensors: dict = field(default_factory=dict)
 
 
 def build_targets(state: MixtureState, params: ModelParams,
@@ -181,20 +180,18 @@ def build_targets(state: MixtureState, params: ModelParams,
             return match_gaussian(n, u, tensor, mass, grid)
         return gaussian_on_grid(n, u, tensor, mass, grid)
 
-    tensors: dict = {}
     out_kwargs: dict = {}
 
-    def self_target(mom, mass, mu, key):
+    def self_target(mom, mass, mu):
         if mom is None:
             return zeros
         if es.variant == Variant.BGK:
             return maxw(mom.n, mom.u, mom.T, mass)
-        tens = es_tensor_self(mom.T, mom.P, mom.n, mu)
-        tensors[key] = tens
-        return gauss(mom.n, mom.u, tens, mass)
+        return gauss(mom.n, mom.u, es_tensor_self(mom.T, mom.P, mom.n, mu),
+                     mass)
 
-    g1 = self_target(state.mom1, state.m1, es.mu1, "t1")
-    g2 = self_target(state.mom2, state.m2, es.mu2, "t2")
+    g1 = self_target(state.mom1, state.m1, es.mu1)
+    g2 = self_target(state.mom2, state.m2, es.mu2)
 
     if state.mom1 is not None and state.mom2 is not None:
         u12, u21 = mixture_velocities(state, mix.delta, inter.epsilon)
@@ -203,7 +200,6 @@ def build_targets(state: MixtureState, params: ModelParams,
         out_kwargs = dict(u12=u12, u21=u21, T12=T12, T21=T21)
         if es.variant in (Variant.ES_FULL_A, Variant.ES_FULL_B):
             t12, t21 = es_tensor_cross(state, params)
-            tensors["t12"], tensors["t21"] = t12, t21
             g12 = gauss(state.mom1.n, u12, t12, state.m1)
             g21 = gauss(state.mom2.n, u21, t21, state.m2)
         else:
@@ -214,5 +210,4 @@ def build_targets(state: MixtureState, params: ModelParams,
         # zero here, so inert placeholder targets are never used.
         g12, g21 = zeros, zeros
 
-    return TargetSet(g1=g1, g2=g2, g12=g12, g21=g21, tensors=tensors,
-                     **out_kwargs)
+    return TargetSet(g1=g1, g2=g2, g12=g12, g21=g21, **out_kwargs)

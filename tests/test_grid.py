@@ -5,10 +5,10 @@ import pytest
 
 from bgkmix.errors import (DegenerateDensityError, NoConvergenceError,
                            NotSpdError)
-from bgkmix.grid import (VelocityGrid, _maxwellian_raw_moments,
-                         gaussian_on_grid, h_functional, match_gaussian,
-                         match_moments, maxwellian_on_grid, moments,
-                         spd_factor)
+from bgkmix.grid import (VelocityGrid, _gaussian_sample, _maxwellian_sample,
+                         _monomials, _newton_system, gaussian_on_grid,
+                         h_functional, match_gaussian, match_moments,
+                         maxwellian_on_grid, moments, spd_factor)
 
 
 def uneven_grid(dim):
@@ -16,6 +16,13 @@ def uneven_grid(dim):
     outer product cannot hide behind the symmetry of a cubic lattice."""
     return VelocityGrid(dim=dim, vmin=(-7.0, -6.0, -8.0)[:dim],
                         vmax=(6.5, 7.5, 8.0)[:dim], points=(12, 16, 20)[:dim])
+
+
+# A temperature tensor with every off-diagonal entry nonzero; its leading
+# 1x1 and 2x2 blocks serve the lower dimensions.
+SHEARED = np.array([[1.2, 0.3, -0.1],
+                    [0.3, 0.9, 0.2],
+                    [-0.1, 0.2, 0.7]])
 
 
 class TestGridConstruction:
@@ -132,8 +139,17 @@ class TestMaxwellianOnGrid:
             maxwellian_on_grid(1.0, (0, 0, 0), 0.0, 1.0, small_grid)
 
     def test_rejects_velocity_of_wrong_length(self, small_grid):
-        with pytest.raises(ValueError, match="length 3"):
-            maxwellian_on_grid(1.0, (0.1, 0.0), 1.0, 1.0, small_grid)
+        # every sampler and matcher, with a short and a long u
+        calls = (lambda u: maxwellian_on_grid(1.0, u, 1.0, 1.0, small_grid),
+                 lambda u: match_moments(1.0, u, 1.0, 1.0, small_grid),
+                 lambda u: gaussian_on_grid(1.0, u, np.eye(3), 1.0,
+                                            small_grid),
+                 lambda u: match_gaussian(1.0, u, np.eye(3), 1.0,
+                                          small_grid))
+        for call in calls:
+            for u in ((0.1, 0.0), (0.3,), (0.1, 0.0, 0.0, 0.2)):
+                with pytest.raises(ValueError, match="length 3"):
+                    call(u)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_outer_product_matches_direct_formula(self, dim):
@@ -148,38 +164,57 @@ class TestMaxwellianOnGrid:
 
 
 class TestSeparableRawMoments:
-    """The per-axis raw moments and Jacobian of a Maxwellian."""
+    """Raw moments q and Jacobian dq/dp of both target families from the
+    shared Newton system, against node-level sums on uneven lattices."""
 
     MASS = 1.3
+    CASES = pytest.mark.parametrize(
+        "family,dim",
+        [("maxwellian", 1), ("maxwellian", 2), ("maxwellian", 3),
+         ("gaussian", 1), ("gaussian", 2), ("gaussian", 3)],
+        ids=["1", "2", "3", "gaussian1", "gaussian2", "gaussian3"])
 
-    @staticmethod
-    def params(dim):
-        return np.concatenate([[0.9], [0.3, -0.2, 0.15][:dim], [0.8]])
-
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_match_lattice_sums(self, dim):
+    def family(self, name, dim):
+        """Parameters, sampler, raw-moment selection and the node-level
+        raw basis of one family on uneven_grid(dim)."""
         grid = uneven_grid(dim)
-        p = self.params(dim)
-        q, _ = _maxwellian_raw_moments(p, self.MASS, grid)
-        f = maxwellian_on_grid(p[0], p[1:1 + dim], p[1 + dim], self.MASS,
-                               grid)
-        basis = np.column_stack([np.ones(grid.nnodes), grid.nodes,
-                                 np.sum(grid.nodes ** 2, axis=1)])
+        u = [0.3, -0.2, 0.15][:dim]
+        ones = np.ones((grid.nnodes, 1))
+        if name == "maxwellian":
+            basis = np.column_stack([ones, grid.nodes,
+                                     np.sum(grid.nodes ** 2, axis=1)])
+            return (grid, np.concatenate([[0.9], u, [0.8]]),
+                    _maxwellian_sample, _monomials(dim)[3], basis)
+        ti, tj = _monomials(dim)[:2]
+        cov = SHEARED[:dim, :dim] / self.MASS
+        basis = np.column_stack([ones, grid.nodes,
+                                 grid.nodes[:, ti] * grid.nodes[:, tj]])
+        return (grid, np.concatenate([[0.9], u, cov[ti, tj]]),
+                _gaussian_sample, np.eye(basis.shape[1]), basis)
+
+    def system(self, p, sample, select, grid):
+        M, B, build = sample(p, self.MASS, grid)
+        q, dqdp = _newton_system(p[1:1 + grid.dim], select, M, B)
+        return q, dqdp, build()
+
+    @CASES
+    def test_match_lattice_sums(self, family, dim):
+        grid, p, sample, select, basis = self.family(family, dim)
+        q, _, f = self.system(p, sample, select, grid)
         lattice = grid.weight * (f @ basis)
         assert np.max(np.abs(q - lattice)) <= 1e-14 * np.max(np.abs(lattice))
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_jacobian_matches_central_differences(self, dim):
-        grid = uneven_grid(dim)
-        p = self.params(dim)
-        jac = _maxwellian_raw_moments(p, self.MASS, grid)[1]()
+    @CASES
+    def test_jacobian_matches_central_differences(self, family, dim):
+        grid, p, sample, select, _ = self.family(family, dim)
+        jac = self.system(p, sample, select, grid)[1]
         fd = np.empty_like(jac)
         for k in range(len(p)):
             h = 1e-6 * max(1.0, abs(p[k]))
             step = np.zeros_like(p)
             step[k] = h
-            hi = _maxwellian_raw_moments(p + step, self.MASS, grid)[0]
-            lo = _maxwellian_raw_moments(p - step, self.MASS, grid)[0]
+            hi = self.system(p + step, sample, select, grid)[0]
+            lo = self.system(p - step, sample, select, grid)[0]
             fd[:, k] = (hi - lo) / (2 * h)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
 
@@ -203,6 +238,18 @@ class TestGaussianOnGrid:
         f = gaussian_on_grid(0.9, (0.1, 0.0, -0.2), np.diag([1.0, 2.0, 3.0]),
                              1.0, grid)
         assert abs(grid.density(f) - 0.9) < 1e-8
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lattice_sampler_matches_direct_formula(self, dim):
+        grid = uneven_grid(dim)
+        n, u, m = 0.9, np.array([0.3, -0.2, 0.15])[:dim], 1.3
+        cov = SHEARED[:dim, :dim] / m
+        c = grid.nodes - u
+        direct = (n / math.sqrt(np.linalg.det(2 * math.pi * cov))
+                  * np.exp(-0.5 * np.einsum("ni,ij,nj->n", c,
+                                            np.linalg.inv(cov), c)))
+        f = gaussian_on_grid(n, u, SHEARED[:dim, :dim], m, grid)
+        assert np.max(np.abs(f - direct)) <= 1e-14 * np.max(direct)
 
     def test_not_spd_propagates(self, small_grid):
         with pytest.raises(NotSpdError):
@@ -264,15 +311,16 @@ class TestMatchGaussian:
 
 
 class TestMatchLowDimensions:
-    """Both matcher families on 1-D and 2-D lattices; the Maxwellian
-    also on 3-D and on uneven lattices."""
+    """Both matcher families on 1-, 2- and 3-D cubic and uneven
+    lattices."""
 
-    TENSORS = {1: [[1.1]], 2: [[1.2, 0.1], [0.1, 0.9]]}
-
-    @pytest.mark.parametrize(
+    TENSORS = {1: [[1.1]], 2: [[1.2, 0.1], [0.1, 0.9]], 3: SHEARED}
+    LATTICES = pytest.mark.parametrize(
         "dim,uneven",
         [(1, False), (2, False), (3, False), (1, True), (2, True), (3, True)],
         ids=["1", "2", "3", "uneven1", "uneven2", "uneven3"])
+
+    @LATTICES
     def test_maxwellian_hits_targets(self, dim, uneven):
         grid = (uneven_grid(dim) if uneven
                 else VelocityGrid(dim=dim, vmin=-8.0, vmax=8.0, points=12))
@@ -284,10 +332,11 @@ class TestMatchLowDimensions:
         assert np.max(np.abs(mom.u - u)) <= 1e-12
         assert abs(mom.T - 0.8) <= 1e-12
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_gaussian_hits_targets(self, dim):
-        grid = VelocityGrid(dim=dim, vmin=-8.0, vmax=8.0, points=12)
-        u = np.array([0.3, -0.1])[:dim]
+    @LATTICES
+    def test_gaussian_hits_targets(self, dim, uneven):
+        grid = (uneven_grid(dim) if uneven
+                else VelocityGrid(dim=dim, vmin=-8.0, vmax=8.0, points=12))
+        u = np.array([0.3, -0.1, 0.2])[:dim]
         tensor = np.array(self.TENSORS[dim])
         f, iters = match_gaussian(0.9, u, tensor, 1.3, grid,
                                   return_info=True)
