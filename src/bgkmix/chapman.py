@@ -94,8 +94,9 @@ def ce_constants(m1: float, m2: float, epsilon: float, beta1: float,
 class ZerothMoments:
     """Leading-order moments of the combination A f1 + f2.
 
-    T0_over_m0 is the second-moment scale (1/3) <|v - u0|^2> of the
-    combination; species temperatures enter it normalized by m1.
+    T0_over_m0 is the second-moment scale (1/d) <|v - u0|^2> of the
+    combination on a d-dimensional lattice; species temperatures enter
+    it normalized by m1.
     """
 
     n0: float
@@ -108,8 +109,8 @@ def zeroth_moments(A: float, state: MixtureState) -> ZerothMoments:
 
     n0 = A n1 + n2 exactly;
     u0 = (A n1 u1 + n2 u2) / n0;
-    T0/m0 = (1/3) A n1 n2 |u1-u2|^2 / n0^2
-            + (A n1 T1 + n2 (m1/m2) T2) / n0,   with T_k := T_k / m1.
+    T0/m0 = (1/d) A n1 n2 |u1-u2|^2 / n0^2
+            + (A n1 T1 + n2 (m1/m2) T2) / n0,   T_k := T_k / m1, d = len(u1).
     """
     mom1, mom2 = state.mom1, state.mom2
     m1, m2 = state.m1, state.m2
@@ -118,7 +119,7 @@ def zeroth_moments(A: float, state: MixtureState) -> ZerothMoments:
     n0 = A * n1 + n2
     u0 = (A * n1 * mom1.u + n2 * mom2.u) / n0
     du2 = float(np.sum((mom1.u - mom2.u) ** 2))
-    T0m0 = (A * n1 * n2 / (3.0 * n0 * n0)) * du2 \
+    T0m0 = (A * n1 * n2 / (len(mom1.u) * n0 * n0)) * du2 \
         + (A * n1 * T1s + n2 * (m1 / m2) * T2s) / n0
     return ZerothMoments(n0=n0, u0=u0, T0_over_m0=T0m0)
 

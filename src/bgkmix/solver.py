@@ -268,6 +268,9 @@ def _initial_distribution(init: SpeciesInit | None, mass: float,
     init.n, times the cell's (positive) profile."""
     if init is None or init.n <= 0.0:
         return np.zeros((len(profile), grid.nnodes))
+    if any(init.u[grid.dim:]):
+        raise ValueError(f"u={tuple(init.u)} has nonzero components beyond "
+                         f"the {grid.dim}-D lattice")
     u = init.u[:grid.dim]
     if init.tensor is not None:
         sample = match_gaussian if match else gaussian_on_grid

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bgkmix import chapman
 from bgkmix.errors import InsufficientWindowError, SingularPrefactorError
-from bgkmix.grid import MomentSet, match_moments, maxwellian_on_grid, moments
+from bgkmix.grid import (MomentSet, VelocityGrid, match_moments,
+                         maxwellian_on_grid, moments)
 from bgkmix.params import (EsParams, InteractionSpec, MixingParams,
                            ModelParams, SpeciesSpec, derive_frequencies)
 from bgkmix.solver import Scenario, SpeciesInit, run_scenario
@@ -74,18 +77,20 @@ class TestZerothMoments:
         assert np.allclose(zm.u0, [0.5, -0.2, 0])
 
     def test_quadrature_agreement(self, ref_grid):
-        # A f1 + f2 has exactly the closed-form leading-order moments
+        # A f1 + f2 has exactly the closed-form leading-order moments,
+        # with T normalised by the lattice dimension d
         rng = np.random.default_rng(41)
-        for _ in range(20):
+        for d, _ in itertools.product((1, 2, 3), range(20)):
+            grid = ref_grid if d == 3 else VelocityGrid(d, -8.0, 8.0, 32)
             m1, m2 = rng.uniform(0.8, 1.25, 2)
             T1h, T2h = rng.uniform(0.7, 1.3, 2)
             n1, n2 = rng.uniform(0.3, 2.0, 2)
-            u1 = rng.uniform(-0.3, 0.3, 3)
-            u2 = rng.uniform(-0.3, 0.3, 3)
-            f1 = maxwellian_on_grid(n1, u1, T1h, m1, ref_grid)
-            f2 = maxwellian_on_grid(n2, u2, T2h, m2, ref_grid)
-            mom1 = moments(f1, m1, ref_grid)
-            mom2 = moments(f2, m2, ref_grid)
+            u1 = rng.uniform(-0.3, 0.3, d)
+            u2 = rng.uniform(-0.3, 0.3, d)
+            f1 = maxwellian_on_grid(n1, u1, T1h, m1, grid)
+            f2 = maxwellian_on_grid(n2, u2, T2h, m2, grid)
+            mom1 = moments(f1, m1, grid)
+            mom2 = moments(f2, m2, grid)
             st = MixtureState(m1=m1, m2=m2, mom1=mom1, mom2=mom2)
             eps = rng.uniform(0.2, 1.0)
             b1, b2 = rng.uniform(0.5, 2.0, 2)
@@ -93,12 +98,12 @@ class TestZerothMoments:
                                            mom1.n, mom2.n)
             zm = chapman.zeroth_moments(A, st)
             comb = A * f1 + f2
-            w = ref_grid.weight
+            w = grid.weight
             n0q = w * comb.sum()
-            u0q = w * (comb @ ref_grid.nodes) / n0q
-            c = ref_grid.nodes - u0q
+            u0q = w * (comb @ grid.nodes) / n0q
+            c = grid.nodes - u0q
             T0q = w * float(np.sum(np.einsum("ni,ni->n", c, c) * comb)) \
-                / (3.0 * n0q)
+                / (d * n0q)
             assert abs(n0q - zm.n0) < 1e-8 * zm.n0
             assert np.max(np.abs(u0q - zm.u0)) < 1e-8
             assert abs(T0q - zm.T0_over_m0) < 1e-8
@@ -165,6 +170,31 @@ class TestCommonEquilibrium:
         assert np.max(np.abs(rN.mom2.u - eq.u)) < 1e-6
         assert abs(rN.mom1.T - eq.T) < 1e-6
         assert abs(rN.mom2.T - eq.T) < 1e-6
+
+    @pytest.mark.parametrize("dim, points", [(1, 32), (2, 24), (3, 16)])
+    def test_rk4_relaxes_to_common_temperature(self, dim, points):
+        # eps = 1, beta1 = beta2 and n1 = n2 make A = m1/m2, so the
+        # common temperature is the conserved-energy fixed point on a
+        # lattice of any dimension
+        m1, m2 = 1.0, 2.0
+        params = ModelParams(
+            species1=SpeciesSpec(m=m1), species2=SpeciesSpec(m=m2),
+            interaction=InteractionSpec(2.0, 1.0, 1.0, 1.0),
+            mixing=MixingParams(delta=0.3, alpha=0.4, gamma=0.05),
+            es=EsParams())
+        u1 = (0.6,) + (0.0,) * (dim - 1)
+        u2 = (-0.4,) + (0.3,) * (dim - 1)
+        scen = Scenario(
+            params=params, grid=VelocityGrid(dim, -8.0, 8.0, points),
+            species1=SpeciesInit(n=1.0, u=u1, T=1.0),
+            species2=SpeciesInit(n=1.0, u=u2, T=1.2),
+            dt=0.1, t_end=10.0, output_every=1000, integrator="rk4")
+        records = run_scenario(scen).records
+        r0, rN = records[0], records[-1]
+        st0 = MixtureState(m1=m1, m2=m2, mom1=r0.mom1, mom2=r0.mom2)
+        eq = chapman.common_equilibrium(m1 / m2, st0)
+        assert abs(rN.mom1.T - eq.T) < 1e-8
+        assert abs(rN.mom2.T - eq.T) < 1e-8
 
 
 class TestExpansionPrefactors:

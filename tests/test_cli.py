@@ -187,6 +187,17 @@ class TestCliCommands:
         assert len(err) == 1
         assert err[0].startswith("error:") and "wave_amplitude" in err[0]
 
+    def test_velocity_beyond_lattice_exits_one(self, tmp_path, capsys):
+        doc = self.relax_doc()
+        doc["grid"] = {"dim": 1, "points": 16}
+        doc["scenario"]["species1"]["u"] = [0, 0.5, 0]
+        rc = main(["relax", "-c", write_config(tmp_path, doc),
+                   "-o", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "1-D lattice" in err[0]
+
     def test_unresolvable_grid_exits_two(self, tmp_path):
         doc = self.relax_doc()
         doc["grid"] = {"points": 8, "vmin": -2.0, "vmax": 2.0}

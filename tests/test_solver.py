@@ -243,8 +243,8 @@ class TestRunScenario:
 
     def test_es_full_a_conserves_at_equal_densities(self, mid_grid):
         # variant A's cross tensors trace to the scalar cross
-        # temperatures only at equal densities; conservation is exact
-        # there
+        # temperatures at any densities (each pressure tensor is divided
+        # by its own density); TestUnbalancedConservation covers n1 != n2
         params = self.balanced_params(variant=Variant.ES_FULL_A,
                                       mu1=0.3, mu2=0.3, mu12=0.2, mu21=0.2)
         scen = self.scenario(mid_grid, params, t_end=1.5)
@@ -337,6 +337,17 @@ class TestRunScenario:
             dt=0.01, t_end=0.05, cells=8, length=1.0, wave_amplitude=1.5)
         with pytest.raises(ValueError, match="wave_amplitude"):
             run_scenario(scen)
+
+    def test_velocity_beyond_lattice_rejected(self):
+        grid = VelocityGrid(1, -8.0, 8.0, 16)
+        scen = self.scenario(grid, self.balanced_params(), t_end=0.1,
+                             species2=SpeciesInit(n=1.0, u=(0.0, 0.5, 0.0)))
+        with pytest.raises(ValueError, match="beyond the 1-D lattice"):
+            run_scenario(scen)
+        # zero trailing components are accepted
+        scen = self.scenario(grid, self.balanced_params(), t_end=0.1,
+                             species2=SpeciesInit(n=1.0, u=(-0.1, 0.0, 0.0)))
+        assert len(run_scenario(scen).records) == 3
 
     def test_inadmissible_parameters_rejected(self, small_grid):
         scen = self.scenario(small_grid, make_params(gamma=10.0))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,21 @@ def random_admissible(rng):
     gamma = rng.uniform(0.0, bound) if bound > 0 else 0.0
     alpha = rng.uniform(0.0, 1.0)
     return m1, m2, eps, delta, alpha, gamma
+
+
+def random_es_state(rng, d, m1, m2):
+    """Two species with unequal densities and sheared d x d pressure
+    tensors; each T is trace(P) / (d n), as the lattice moments give."""
+    n1, n2 = rng.uniform(0.2, 2.0, 2)
+    st = make_state(n1=n1, n2=n2, m1=m1, m2=m2, u1=rng.normal(0, 0.5, d),
+                    u2=rng.normal(0, 0.5, d), T1=rng.uniform(0.5, 2),
+                    T2=rng.uniform(0.5, 2))
+    for mom in (st.mom1, st.mom2):
+        a = rng.normal(size=(d, d)) * 0.1
+        dev = a + a.T - 2 * np.trace(a) / d * np.eye(d)
+        mom.P = mom.n * (mom.T * np.eye(d) + dev)
+        mom.T = np.trace(mom.P) / (d * mom.n)
+    return st
 
 
 class TestMixtureVelocities:
@@ -165,19 +182,11 @@ class TestEsTensorCross:
 
     def test_traces_recover_scalar_temperatures(self):
         rng = np.random.default_rng(14)
-        for variant in (Variant.ES_FULL_A, Variant.ES_FULL_B):
+        for d, variant in itertools.product(
+                (1, 2, 3), (Variant.ES_FULL_A, Variant.ES_FULL_B)):
             for _ in range(50):
                 m1, m2, eps, delta, alpha, gamma = random_admissible(rng)
-                n1, n2 = rng.uniform(0.2, 2.0, 2)
-                st = make_state(n1=n1, n2=n2, m1=m1, m2=m2,
-                                u1=rng.normal(0, 0.5, 3),
-                                u2=rng.normal(0, 0.5, 3),
-                                T1=rng.uniform(0.5, 2), T2=rng.uniform(0.5, 2))
-                for mom in (st.mom1, st.mom2):
-                    a = rng.normal(size=(3, 3)) * 0.1
-                    dev = a + a.T - 2 * np.trace(a) / 3 * np.eye(3)
-                    mom.P = mom.n * (mom.T * np.eye(3) + dev)
-                    mom.T = np.trace(mom.P) / (3 * mom.n)
+                st = random_es_state(rng, d, m1, m2)
                 params = make_params(m1=m1, m2=m2, epsilon=eps, delta=delta,
                                      alpha=alpha, gamma=gamma,
                                      variant=variant,
@@ -185,10 +194,69 @@ class TestEsTensorCross:
                                      mu21=rng.uniform(-0.5, 1))
                 T12, T21 = mixture_temperatures(st, alpha, gamma, delta, eps)
                 t12, t21 = es_tensor_cross(st, params)
-                assert np.trace(t12.matrix) / 3 == pytest.approx(T12,
+                assert np.trace(t12.matrix) / d == pytest.approx(T12,
                                                                  rel=1e-12)
-                assert np.trace(t21.matrix) / 3 == pytest.approx(T21,
+                assert np.trace(t21.matrix) / d == pytest.approx(T21,
                                                                  rel=1e-12)
+
+
+def written_out_tensors(st, params):
+    """The ES tensors as scalar / tensor mixtures, term by term:
+    (1 - mu) T I + mu P / n for the self tensors, and the cross tensors
+    with their scalar mixes, tensor mixes and drift heating spelled out.
+    """
+    mix, es, eps = params.mixing, params.es, params.interaction.epsilon
+    alpha, gamma, delta = mix.alpha, mix.gamma, mix.delta
+    mom1, mom2 = st.mom1, st.mom2
+    d = len(mom1.u)
+    eye = np.eye(d)
+    du2 = float(np.sum((mom1.u - mom2.u) ** 2))
+    q = (st.m1 / st.m2) * eps
+    drift12 = gamma * du2
+    drift21 = (eps * st.m1 * (1 - delta) * (q * (delta - 1) + delta + 1) / d
+               - eps * gamma) * du2
+    ea = eps * (1 - alpha)
+    selfs = [(1 - mu) * mom.T * eye + mu * mom.P / mom.n
+             for mom, mu in ((mom1, es.mu1), (mom2, es.mu2))]
+    if es.variant == Variant.ES_FULL_A:
+        scal12 = alpha * mom1.T + (1 - alpha) * mom2.T
+        tens12 = alpha * mom1.P / mom1.n + (1 - alpha) * mom2.P / mom2.n
+        t12 = (1 - es.mu12) * scal12 * eye + es.mu12 * tens12 + drift12 * eye
+        scal21 = (1 - ea) * mom2.T + ea * mom1.T
+        tens21 = (1 - ea) * mom2.P / mom2.n + ea * mom1.P / mom1.n
+        t21 = (1 - es.mu21) * scal21 * eye + es.mu21 * tens21 + drift21 * eye
+    else:
+        t12 = alpha * mom1.P / mom1.n + (1 - alpha) * mom2.T * eye \
+            + drift12 * eye
+        t21 = (1 - ea) * mom2.P / mom2.n + ea * mom1.T * eye + drift21 * eye
+    return selfs + [t12, t21]
+
+
+class TestDeviatorForm:
+    """T I + weighted traceless deviators against the written-out
+    mixtures, on sheared states with n1 != n2."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("variant", [Variant.ES_FULL_A, Variant.ES_FULL_B],
+                             ids=["es-full-a", "es-full-b"])
+    def test_matches_written_out_tensors(self, variant, d):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            m1, m2, eps, delta, alpha, gamma = random_admissible(rng)
+            st = random_es_state(rng, d, m1, m2)
+            params = make_params(m1=m1, m2=m2, epsilon=eps, delta=delta,
+                                 alpha=alpha, gamma=gamma, variant=variant,
+                                 mu1=rng.uniform(-0.5, 1),
+                                 mu2=rng.uniform(-0.5, 1),
+                                 mu12=rng.uniform(-0.5, 1),
+                                 mu21=rng.uniform(-0.5, 1))
+            es = params.es
+            got = [es_tensor_self(st.mom1.T, st.mom1.P, st.mom1.n, es.mu1),
+                   es_tensor_self(st.mom2.T, st.mom2.P, st.mom2.n, es.mu2),
+                   *es_tensor_cross(st, params)]
+            for spd, ref in zip(got, written_out_tensors(st, params)):
+                err = np.max(np.abs(spd.matrix - ref))
+                assert err <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestBuildTargets:
@@ -267,7 +335,6 @@ class TestBuildTargets:
         ts = build_targets(st, params, mid_grid)
         assert np.all(ts.g2 == 0.0)
         assert np.all(ts.g21 == 0.0)
-        assert ts.u12 is None
 
 
 def maxwellian_like(grid, u, T):
