@@ -27,8 +27,9 @@ import numpy as np
 
 from . import chapman
 from .config import RunConfig, parse_config
-from .errors import (CflError, ConfigError, NoConvergenceError, NotSpdError,
-                     SingularPrefactorError, ValidationFailureError)
+from .errors import (CflError, ConfigError, DegenerateDensityError,
+                     NoConvergenceError, NotSpdError, SingularPrefactorError,
+                     ValidationFailureError)
 from .params import Variant, derive_frequencies, validate
 from .persistence import persistence_lower_bound, persistence_unequal_mass
 from .solver import Diagnostics, Scenario, SpeciesInit, run_scenario
@@ -314,7 +315,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NotSpdError, NoConvergenceError, CflError,
-            SingularPrefactorError) as exc:
+            SingularPrefactorError, DegenerateDensityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,14 @@ moments 1, v, |v|^2) and the Gaussian (full T tensor; 1, v, v(x)v):
 every entry of the moments and of their Jacobian is a centred moment of
 degree <= 4 (Mieussens, M3AS 2000), read from one tensor of per-axis
 powers: the outer product of per-axis sums for the Maxwellian, the
-lattice sample contracted axis by axis for the Gaussian.
+lattice sample contracted axis by axis for the Gaussian.  The matchers
+and samplers take a stack of K targets (n, T, mass as (K,), u as
+(K, d), tensors as a (K, d, d) stack) and run one Newton loop for all
+of them: each iteration samples the members not yet converged and
+solves their systems in one stacked solve, and a converged member is
+frozen, so every member follows exactly the iterates it would follow
+alone.  An unstacked call is a stack of one.  `moments` likewise
+reduces every cell of a (cells, nodes) array at once.
 """
 
 from __future__ import annotations
@@ -80,6 +87,10 @@ class VelocityGrid:
         self.weight = float(np.prod(self.dv))
         self.axes = [lo[i] + (np.arange(pts[i]) + 0.5) * self.dv[i]
                      for i in range(dim)]
+        # every axis' nodes end to end, for reductions over all axes at once
+        self.axis_nodes = np.concatenate(self.axes)
+        self.axis_of = np.repeat(np.arange(dim), pts)
+        self.axis_start = np.cumsum(pts) - pts
         mesh = np.meshgrid(*self.axes, indexing="ij")
         self.nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
         self.nnodes = self.nodes.shape[0]
@@ -96,7 +107,8 @@ class VelocityGrid:
 
 @dataclass
 class MomentSet:
-    """Quadrature moments of one species.
+    """Quadrature moments of one species, one set per cell when the
+    distribution has a leading cell axis (then every field gains it).
 
     n       number density
     u       mean velocity (d,)
@@ -116,7 +128,8 @@ class MomentSet:
 
 @dataclass
 class SpdTensor:
-    """Symmetric positive-definite matrix with its Cholesky factor."""
+    """Symmetric positive-definite matrix with its Cholesky factor; both
+    may carry leading stack axes."""
 
     matrix: np.ndarray
     chol: np.ndarray
@@ -124,138 +137,219 @@ class SpdTensor:
 
 def moments(f: np.ndarray, mass: float, grid: VelocityGrid,
             n_floor: float = N_FLOOR) -> MomentSet:
-    """Full moment set of a distribution array.
+    """Full moment set of a distribution array, (nodes,) or (cells, nodes).
 
     No moment involves more than two velocity axes, so all of them are
-    reduced from lattice marginals of f viewed on the (P_1, ..., P_d)
-    lattice: the pairwise marginals M_ij (one sum over f per pair) and
-    the per-axis marginals m_i summed from them.  n and u come from the
-    m_i.  With the per-axis offsets c_i = v_i - u_i (exact centring: a
-    marginal does not depend on the shift), the centred sums
-    S = sum f c(x)c and S3 = sum f c |c|^2 take c_i^k (k = 2, 3) against
-    m_i and [c_i, c_i^2]^T M_ij [c_j, c_j^2] against each pair.  Then
-    P = m w S, Qtilde = m w S3, and with s0 = sum f the raw flux is
-    Q = w (S3 + 2 S u + u tr S + s0 |u|^2 u) / 2.
+    reduced from lattice marginals of each cell's f viewed on the
+    (P_1, ..., P_d) lattice: the pairwise marginals M_ij (one sum over f
+    per pair) and the per-axis marginals m_i summed from them.  n and u
+    come from the m_i.  With the per-axis offsets c_i = v_i - u_i (exact
+    centring: a marginal does not depend on the shift), the centred sums
+    S = sum f c(x)c and S3 = sum f c |c|^2 are read from one quadratic
+    form R W R^T over all axes' nodes end to end: W holds diag(m_i) in
+    its diagonal blocks and M_ij off them, R the rows c_i and then the
+    rows c_i^2, each zero off axis i's nodes.  So S_ij is entry [i, j]
+    and sum f c_i c_j^2 entry [i, d + j].  Then P = m w S,
+    Qtilde = m w S3, and with s0 = sum f the raw flux is
+    Q = w (S3 + 2 S u + u tr S + s0 |u|^2 u) / 2.  All cells reduce
+    together; a (nodes,) input gives scalar n and T.
 
-    Raises DegenerateDensityError when the quadrature density is below
-    n_floor; mean velocity and temperature are undefined there.
+    Raises DegenerateDensityError, listing the cells, when a quadrature
+    density is below n_floor; mean velocity and temperature are
+    undefined there.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (grid.nnodes,):
+    if f.ndim not in (1, 2) or f.shape[-1] != grid.nnodes:
         raise ValueError(f"distribution shape {f.shape} does not match grid "
                          f"({grid.nnodes} nodes)")
-    d, w = grid.dim, grid.weight
-    lattice, labels = f.reshape(grid.points), list(range(d))
-    pairs = {(i, j): np.einsum(lattice, labels, [i, j])
-             for i, j in itertools.combinations(labels, 2)}
+    d, w, nodes = grid.dim, grid.weight, grid.axis_nodes
+    lattice = f.reshape((-1, *grid.points))
+    labels = list(range(1, d + 1))
+    pairs = {(i, j): np.einsum(lattice, [0] + labels, [0, i + 1, j + 1])
+             for i, j in itertools.combinations(range(d), 2)}
     if d == 1:
         marginals = [lattice]
     else:
-        marginals = ([pairs[0, 1].sum(axis=1)]
-                     + [pairs[0, i].sum(axis=0) for i in range(1, d)])
-    s0 = float(marginals[0].sum())
+        marginals = ([pairs[0, 1].sum(axis=2)]
+                     + [pairs[0, i].sum(axis=1) for i in range(1, d)])
+    s0 = marginals[0].sum(axis=1)
     n = w * s0
-    if n < n_floor:
-        raise DegenerateDensityError(n, n_floor)
-    u = np.array([x @ m for x, m in zip(grid.axes, marginals)]) / s0
-    S, S3 = np.empty((d, d)), np.empty(d)
-    rows = []  # per axis: the rows c_i and c_i^2
-    for i, (x, m) in enumerate(zip(grid.axes, marginals)):
-        c = x - u[i]
-        rows.append(np.array((c, c * c)))
-        S[i, i], S3[i] = rows[i] @ (m * c)
+    if np.any(n < n_floor):
+        bad = np.flatnonzero(n < n_floor)
+        raise DegenerateDensityError(float(n[bad[0]]), n_floor,
+                                     bad if f.ndim == 2 else None)
+    C, axis = len(s0), [slice(a, a + p) for a, p in zip(grid.axis_start,
+                                                         grid.points)]
+    m = np.concatenate(marginals, axis=1)
+    u = np.add.reduceat(m * nodes, grid.axis_start, axis=1) / s0[:, None]
+    c = nodes - u[:, grid.axis_of]
+    W = np.zeros((C, len(nodes), len(nodes)))
+    W.reshape(C, -1)[:, ::len(nodes) + 1] = m
     for (i, j), M in pairs.items():
-        B = rows[i] @ M @ rows[j].T
-        S[i, j] = S[j, i] = B[0, 0]  # one value, so P is bitwise symmetric
-        S3[i] += B[0, 1]
-        S3[j] += B[1, 0]
+        W[:, axis[i], axis[j]] = M
+        W[:, axis[j], axis[i]] = M.transpose(0, 2, 1)
+    R = (grid.axis_of == np.arange(d)[:, None]) * c[:, None, :]
+    R = np.concatenate([R, R * c[:, None, :]], axis=1)
+    K = R @ W @ R.transpose(0, 2, 1)
+    S = K[:, :d, :d]
+    S = 0.5 * (S + S.transpose(0, 2, 1))  # so P is bitwise symmetric
+    S3 = K[:, :d, d:].sum(axis=2)
+    trS = np.einsum("cii->c", S)
     P = mass * w * S
-    T = float(P.trace()) / (d * n)
-    Q = 0.5 * w * (S3 + 2.0 * (S @ u) + S.trace() * u
-                   + s0 * float(u @ u) * u)
+    T = mass * w * trS / (d * n)
+    Q = 0.5 * w * (S3 + 2.0 * (S @ u[:, :, None])[:, :, 0] + trS[:, None] * u
+                   + (s0 * np.sum(u * u, axis=1))[:, None] * u)
+    if f.ndim == 1:
+        return MomentSet(n=float(n[0]), u=u[0], T=float(T[0]), P=P[0],
+                         Q=Q[0], Qtilde=mass * w * S3[0])
     return MomentSet(n=n, u=u, T=T, P=P, Q=Q, Qtilde=mass * w * S3)
 
 
-def _velocity(u, grid: VelocityGrid) -> np.ndarray:
-    """u as a float vector with one entry per grid axis."""
+def _members(grid: VelocityGrid, u, *scalars, shape=()):
+    """The arguments of a sampler or matcher as a stack of K members:
+    u as (K, d) and each scalar argument (n, T, mass) as (K,).
+
+    Any argument may carry the member axis (`shape` is that of a
+    tensor stack); the others broadcast over it.  A call without one is
+    a stack of one, and the first value returned says which it was.
+    """
     u = np.asarray(u, dtype=float)
-    if u.shape != (grid.dim,):
+    if u.ndim not in (1, 2) or u.shape[-1] != grid.dim:
         raise ValueError(f"u must have length {grid.dim} (got {u.shape})")
-    return u
+    cols = [np.asarray(x, dtype=float) for x in scalars]
+    if any(c.ndim > 1 for c in cols) or len(shape) > 1:
+        raise ValueError("stacked arguments take one member axis")
+    stacked = u.ndim == 2 or bool(shape) or any(c.ndim for c in cols)
+    size = max(*shape, len(u) if u.ndim == 2 else 1, *(c.size for c in cols))
+    out = [np.empty((size, grid.dim))] + [np.empty(size) for _ in cols]
+    for dst, src in zip(out, [u, *cols]):
+        dst[...] = src  # broadcasts, or raises for stacks of unequal size
+    return (stacked, *out)
 
 
-def _axis_factors(u, theta: float, grid: VelocityGrid) -> list:
-    """Per axis: the offsets c = v_i - u_i at its nodes and the factor
-    exp(-c^2 / (2 theta))."""
-    offsets = [x - ui for x, ui in zip(grid.axes, u)]
-    return [(c, np.exp(c * c / (-2.0 * theta))) for c in offsets]
+def _require(ok: np.ndarray, values: np.ndarray, what: str) -> None:
+    """ValueError naming the first member where `ok` fails (NaN fails)."""
+    if not np.all(ok):
+        k = int(np.argmin(ok))
+        raise ValueError(f"{what} (member {k}: got {values[k]})")
 
 
-def maxwellian_on_grid(n: float, u, T: float, mass: float,
-                       grid: VelocityGrid) -> np.ndarray:
+def _block(out, members: int, grid: VelocityGrid) -> np.ndarray:
+    """`out`, checked to be a C-contiguous (members, nodes) array, or a
+    new one."""
+    if out is None:
+        return np.empty((members, grid.nnodes))
+    if out.shape != (members, grid.nnodes) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous ({members}, "
+                         f"{grid.nnodes}) array (got {out.shape})")
+    return out
+
+
+def _axis_factors(u: np.ndarray, theta: np.ndarray,
+                  grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets c = v_i - u_i at every axis' nodes (end to end, one
+    row per member) and the factors exp(-c^2 / (2 theta))."""
+    c = grid.axis_nodes - u[:, grid.axis_of]
+    return c, np.exp(c * c / (-2.0 * theta[:, None]))
+
+
+def _maxwellian_fill(n, u, theta, grid: VelocityGrid, out) -> None:
+    """Write the Maxwellians n / (2 pi theta)^(d/2) exp(-|v-u|^2 / (2
+    theta)) of a stack into the rows of out, each the outer product of
+    its per-axis factors in the nodes' ij order."""
+    f = (n / (2.0 * math.pi * theta) ** (grid.dim / 2.0))[:, None]
+    g = _axis_factors(u, theta, grid)[1]
+    factors = [g[:, a:a + p] for a, p in zip(grid.axis_start, grid.points)]
+    for g in factors[:-1]:
+        f = (f[:, :, None] * g[:, None, :]).reshape(len(f), -1)
+    np.multiply(f[:, :, None], factors[-1][:, None, :],
+                out=out.reshape(len(f), f.shape[1], -1))
+
+
+def maxwellian_on_grid(n, u, T, mass, grid: VelocityGrid,
+                       out=None) -> np.ndarray:
     """Drifting Maxwellian sampled at the grid nodes.
 
     Nodewise n / (2 pi T/m)^(d/2) * exp(-|v-u|^2 / (2 T/m)), built as
     the outer product of the per-axis factors in the nodes' ij order.
+    Stacked arguments give one row per member (written into `out` if
+    given).
     """
-    if T <= 0.0:
-        raise ValueError(f"temperature must be positive (got {T})")
-    if n < 0.0:
-        raise ValueError(f"density must be nonnegative (got {n})")
-    u = _velocity(u, grid)
-    theta = T / mass
-    f = n / (2.0 * math.pi * theta) ** (grid.dim / 2.0)
-    for _, g in _axis_factors(u, theta, grid):
-        f = np.outer(f, g).ravel()
-    return f
+    stacked, u, n, T, mass = _members(grid, u, n, T, mass)
+    _require(T > 0.0, T, "temperature must be positive")
+    _require(n >= 0.0, n, "density must be nonnegative")
+    out = _block(out, len(n), grid)
+    _maxwellian_fill(n, u, T / mass, grid, out)
+    return out if stacked else out[0]
 
 
 def spd_factor(matrix) -> SpdTensor:
-    """Cholesky-factor a symmetric matrix; fail identifies the pivot.
+    """Cholesky-factor a symmetric matrix, or a stack of them (..., d, d);
+    a failure identifies the pivot, and the member of a stack.
 
     The matrix must be symmetric to 1e-12 (relative).  Factorization
-    succeeds exactly when all eigenvalues are positive.
+    succeeds exactly when all eigenvalues are positive and finite; a
+    NaN or infinite entry fails at a pivot.
     """
     M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within 1e-12")
-    d = M.shape[0]
+    d = M.shape[-1]
     L = np.zeros_like(M)
-    for j in range(d):
-        s = M[j, j] - float(np.dot(L[j, :j], L[j, :j]))
-        if s <= 0.0:
-            raise NotSpdError(pivot=j, value=s, matrix=M)
-        L[j, j] = math.sqrt(s)
-        for i in range(j + 1, d):
-            L[i, j] = (M[i, j] - float(np.dot(L[i, :j], L[j, :j]))) / L[j, j]
+    with np.errstate(invalid="ignore"):  # non-finite entries fail a pivot
+        scale = max(1.0, float(np.max(np.abs(M))))
+        if float(np.max(np.abs(M - np.swapaxes(M, -1, -2)))) > 1e-12 * scale:
+            raise ValueError("matrix is not symmetric within 1e-12")
+        for j in range(d):
+            s = M[..., j, j] - np.sum(L[..., j, :j] ** 2, axis=-1)
+            bad = np.ravel(~(np.isfinite(s) & (s > 0.0)))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise NotSpdError(pivot=j, value=float(np.ravel(s)[k]),
+                                  matrix=M.reshape(-1, d, d)[k],
+                                  member=k if M.ndim > 2 else None)
+            L[..., j, j] = np.sqrt(s)
+            for i in range(j + 1, d):
+                L[..., i, j] = (M[..., i, j] - np.sum(
+                    L[..., i, :j] * L[..., j, :j], axis=-1)) / L[..., j, j]
     return SpdTensor(matrix=M.copy(), chol=L)
 
 
-def gaussian_on_grid(n: float, u, tensor, mass: float,
-                     grid: VelocityGrid) -> np.ndarray:
-    """Anisotropic Gaussian with temperature tensor `tensor`.
-
-    Nodewise n / sqrt(det(2 pi T/m)) * exp(-(v-u) . (T/m)^-1 . (v-u) / 2),
-    evaluated through the triangular factor (never an explicit inverse),
-    which stays stable near the positive-definiteness boundary: L w = v - u
-    is solved axis by axis, w_i living on the leading i axes.  A plain
-    matrix is factored first; factorization failure propagates.
-    """
-    if n < 0.0:
-        raise ValueError(f"density must be nonnegative (got {n})")
-    u = _velocity(u, grid)
-    spd = tensor if isinstance(tensor, SpdTensor) else spd_factor(tensor)
-    L, d, ws = spd.chol / math.sqrt(mass), grid.dim, []
+def _gaussian_fill(n: float, u: np.ndarray, L: np.ndarray,
+                   grid: VelocityGrid, out: np.ndarray) -> None:
+    """Write n / ((2 pi)^(d/2) det L) exp(-|w|^2 / 2), L w = v - u, into
+    the (nodes,) row out: the substitution runs axis by axis, w_i living
+    on the leading i axes."""
+    d, ws = grid.dim, []
     for i, x in enumerate(grid.axes):
         acc = (x - u[i]).reshape((-1,) + (1,) * (d - 1 - i))
         for k in range(i):
             acc = acc - L[i, k] * ws[k]
         ws.append(acc / L[i, i])
-    norm = n / ((2.0 * math.pi) ** (d / 2.0) * float(np.prod(np.diag(L))))
-    return (norm * np.exp(-0.5 * sum(w * w for w in ws))).ravel()
+    lattice = out.reshape(grid.points)
+    np.exp(-0.5 * sum(w * w for w in ws), out=lattice)
+    lattice *= n / ((2.0 * math.pi) ** (d / 2.0) * float(np.prod(np.diag(L))))
+
+
+def gaussian_on_grid(n, u, tensor, mass, grid: VelocityGrid,
+                     out=None) -> np.ndarray:
+    """Anisotropic Gaussian with temperature tensor `tensor`.
+
+    Nodewise n / sqrt(det(2 pi T/m)) * exp(-(v-u) . (T/m)^-1 . (v-u) / 2),
+    evaluated through the triangular factor (never an explicit inverse),
+    which stays stable near the positive-definiteness boundary.  A plain
+    matrix is factored first; factorization failure propagates.  Stacked
+    arguments give one row per member, sampled member by member.
+    """
+    spd = tensor if isinstance(tensor, SpdTensor) else spd_factor(tensor)
+    stacked, u, n, mass = _members(grid, u, n, mass,
+                                   shape=np.shape(spd.chol)[:-2])
+    _require(n >= 0.0, n, "density must be nonnegative")
+    chol = np.broadcast_to(spd.chol, (len(n), grid.dim, grid.dim))
+    out = _block(out, len(n), grid)
+    for k, row in enumerate(out):
+        _gaussian_fill(n[k], u[k], chol[k] / math.sqrt(mass[k]), grid, row)
+    return out if stacked else out[0]
 
 
 def _tri_index(dim: int) -> list[tuple[int, int]]:
@@ -269,7 +363,9 @@ def _monomials(dim: int):
     """Read-only tables for the centred monomials m = (1, c_i, c_i c_j),
     i <= j in `_tri_index` order: the axes (ti, tj) of each product, the
     flat index of each Gram entry w sum f m_a m_b into the (5,) * dim
-    moment tensor, and the rows picking (1, v, |v|^2) from (1, v_i, v_i v_j).
+    moment tensor, the rows picking (1, v, |v|^2) from (1, v_i, v_i v_j),
+    and the linear map from (u_i, u_i u_j) to the matrix A of
+    `_newton_system`.
     """
     ti, tj = np.array(_tri_index(dim)).T
     eye = np.eye(dim, dtype=int)
@@ -277,203 +373,288 @@ def _monomials(dim: int):
     gram = np.ravel_multi_index(tuple((expo[:, None] + expo).T), (5,) * dim)
     energy = np.eye(dim + 2, len(expo))
     energy[-1, 1 + dim:1 + 2 * dim] = 1.0
-    for table in (ti, tj, gram, energy):
+    # A(u) = I + (u, u_ti u_tj) @ shift, flattened: A writes the raw
+    # monomials over the centred ones, 1 -> 1, v_i -> c_i + u_i and
+    # v_i v_j -> c_i c_j + u_j c_i + u_i c_j + u_i u_j
+    rows, size = np.arange(1 + dim, len(expo)), len(expo)
+    shift = np.zeros((dim + len(ti), size, size))
+    shift[range(dim), range(1, 1 + dim), 0] = 1.0
+    shift[range(dim, dim + len(ti)), rows, 0] = 1.0
+    np.add.at(shift, (ti, rows, 1 + tj), 1.0)
+    np.add.at(shift, (tj, rows, 1 + ti), 1.0)
+    shift = shift.reshape(len(shift), -1)
+    for table in (ti, tj, gram, energy, shift):
         table.flags.writeable = False
-    return ti, tj, gram, energy
+    return ti, tj, gram, energy, shift
 
 
 def _symmetric(upper, dim: int) -> np.ndarray:
-    """Symmetric matrix from its upper triangle in `_tri_index` order."""
+    """Symmetric matrices from their upper triangles in `_tri_index`
+    order (leading axes are kept)."""
     ti, tj = _monomials(dim)[:2]
-    out = np.empty((dim, dim))
-    out[ti, tj] = out[tj, ti] = upper
+    out = np.empty(np.shape(upper)[:-1] + (dim, dim))
+    out[..., ti, tj] = out[..., tj, ti] = upper
     return out
 
 
-def _newton_system(u: np.ndarray, select: np.ndarray, M: np.ndarray,
-                   B: np.ndarray):
-    """Raw moments q and Jacobian dq/dp of a target centred at u.
+def _newton_system(u: np.ndarray, select: np.ndarray,
+                   M: np.ndarray) -> np.ndarray:
+    """select A G for a stack of targets centred at u (K, d).
 
-    M[a] = w sum f prod_i c_i^a_i (c = v - u, a_i <= 4) is the target's
-    centred moment tensor and df/dp = f B m.  With the Gram matrix
+    M[k, a] = w sum f_k prod_i c_i^a_i (c = v - u_k, a_i <= 4) is member
+    k's centred moment tensor and df/dp = f B m.  With the Gram matrix
     G = w sum f m m^T read from M and A writing the raw monomials
-    (1, v_i, v_i v_j) over m: q = select A G e_0, dq/dp = select A G B^T.
+    (1, v_i, v_i v_j) over m, the raw moments are q = select A G e_0
+    (column 0 of the result) and dq/dp = select A G B^T.
     """
-    d = len(u)
-    ti, tj, gram, _ = _monomials(d)
-    rows = np.arange(1 + d, len(gram))
-    A = np.eye(len(gram))
-    A[1:1 + d, 0] = u
-    A[rows, 0] = u[ti] * u[tj]
-    A[rows, 1 + tj] = u[ti]
-    A[rows, 1 + ti] += u[tj]
-    SAG = select @ A @ M.ravel()[gram]
-    return SAG[:, 0], SAG @ B.T
+    K, d = u.shape
+    ti, tj, gram, _, shift = _monomials(d)
+    A = np.concatenate([u, u[:, ti] * u[:, tj]], axis=1) @ shift
+    A[:, ::len(gram) + 1] += 1.0
+    return select @ A.reshape(K, len(gram), -1) @ M.reshape(K, -1)[:, gram]
 
 
-def _maxwellian_sample(p, mass: float, grid: VelocityGrid):
-    """(M, B, thunk for f) of the Maxwellian with p = (n, u, T).
+def _maxwellian_sample(p: np.ndarray, mass: np.ndarray,
+                       grid: VelocityGrid) -> np.ndarray:
+    """Centred moment tensors (K, 5, ..., 5) of the Maxwellians with
+    p = (n, u, T) per row: the prefactor times the outer product of the
+    per-axis power sums sum g_i c_i^k (K, 5, d) of their factors g_i,
+    the powers built by a running product.  No lattice-sized array is
+    formed.
+    """
+    K, d = len(p), grid.dim
+    theta = p[:, 1 + d] / mass
+    c, g = _axis_factors(p[:, 1:1 + d], theta, grid)
+    power = np.empty((K, 5, c.shape[1]))
+    power[:, 0] = g
+    for k in range(1, 5):
+        np.multiply(power[:, k - 1], c, out=power[:, k])
+    sums = np.add.reduceat(power, grid.axis_start, axis=2)
+    M = grid.weight * p[:, 0] / (2.0 * math.pi * theta) ** (d / 2.0)
+    for i in range(d):
+        M = M[..., None] * sums[:, :, i].reshape((K,) + (1,) * i + (5,))
+    return M
 
-    M is the prefactor times the outer product of the per-axis sums
-    sum g_i c_i^k of its factors g_i; no lattice-sized array is formed.
-    df/dp = f (1/n, c_i / theta, |c|^2 / (2 theta T) - d / (2T)).
+
+def _maxwellian_derivs(p: np.ndarray, mass: np.ndarray, d: int):
+    """B (K, d + 2, monomials) with df/dp = f B m for the Maxwellians
+    p = (n, u, T): f (1/n, c_i / theta, |c|^2 / (2 theta T) - d / (2T))."""
+    n, T = p[:, 0], p[:, 1 + d]
+    theta = T / mass
+    axes = np.arange(1, 1 + d)
+    B = np.zeros((len(p), d + 2, len(_monomials(d)[2])))
+    B[:, 0, 0], B[:, -1, 0] = 1.0 / n, -d / (2.0 * T)
+    B[:, axes, axes] = (1.0 / theta)[:, None]
+    B[:, -1, 1 + d:1 + 2 * d] = (1.0 / (2.0 * theta * T))[:, None]
+    return B
+
+
+def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
+                     rows) -> np.ndarray:
+    """Centred moment tensors (K, 5, ..., 5) of the Gaussians with
+    p = (n, u, upper triangle of the covariance S = T/m) per row.
+
+    Member by member: the lattice sample is written into its row of
+    `out` (rows[k] for p[k]) and contracted axis by axis with the
+    powers c_i^k.
     """
     d = grid.dim
-    pn, pu, pT = float(p[0]), p[1:1 + d], float(p[1 + d])
-    theta = pT / mass
-    M = grid.weight * pn / (2.0 * math.pi * theta) ** (d / 2.0)
-    for c, g in _axis_factors(pu, theta, grid):
-        M = np.multiply.outer(M, g @ np.vander(c, 5, increasing=True))
-    B = np.zeros((d + 2, len(_monomials(d)[2])))
-    B[0, 0], B[-1, 0] = 1.0 / pn, -d / (2.0 * pT)
-    B[range(1, 1 + d), range(1, 1 + d)] = 1.0 / theta
-    B[-1, 1 + d:1 + 2 * d] = 1.0 / (2.0 * theta * pT)
-    return M, B, lambda: maxwellian_on_grid(pn, pu, pT, mass, grid)
+    cov = _symmetric(p[:, 1 + d:], d)
+    M = np.empty((len(p),) + (5,) * d)
+    for k, row in enumerate(rows):
+        try:
+            L = np.linalg.cholesky(cov[k])
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(
+                f"covariance left the positive-definite cone (member {row})",
+                member=row) from exc
+        _gaussian_fill(p[k, 0], p[k, 1:1 + d], L, grid, out[row])
+        moment = grid.weight * out[row].reshape(grid.points)
+        for x, ui in zip(grid.axes, p[k, 1:1 + d]):
+            powers = np.vander(x - ui, 5, increasing=True)
+            moment = np.tensordot(moment, powers, axes=(0, 0))
+        M[k] = moment
+    return M
 
 
-def _gaussian_sample(p, mass: float, grid: VelocityGrid):
-    """(M, B, thunk for f) of the Gaussian with p = (n, u, upper triangle
-    of the covariance S = T/m).
+def _gaussian_derivs(p: np.ndarray, d: int) -> np.ndarray:
+    """B (K, P, P) with df/dp = f B m for the Gaussians p = (n, u, S).
 
-    M contracts the lattice sample axis by axis with the powers c_i^k.
     With z = S^-1 c and h = 1/2 for i = j, else 1, df/dp = f (1/n, z_i,
     h (z_i z_j - S^-1_ij)); z_i z_j puts S^-1_ik S^-1_jl + S^-1_il S^-1_jk
     on c_k c_l (k <= l), twice the one product when k = l: h again.
     """
-    d = grid.dim
     ti, tj = _monomials(d)[:2]
-    pn, pu, cov = float(p[0]), p[1:1 + d], _symmetric(p[1 + d:], d)
-    try:
-        Lcov = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(
-            "covariance left the positive-definite cone") from exc
-    f = gaussian_on_grid(pn, pu, SpdTensor(cov, Lcov), 1.0, grid)
-    M = grid.weight * f.reshape(grid.points)
-    for x, ui in zip(grid.axes, pu):
-        M = np.tensordot(M, np.vander(x - ui, 5, increasing=True),
-                         axes=(0, 0))
-    inv = np.linalg.inv(cov)
+    inv = np.linalg.inv(_symmetric(p[:, 1 + d:], d))
     h = np.where(ti == tj, 0.5, 1.0)
-    B = np.zeros((len(p), len(p)))
-    B[0, 0], B[1:1 + d, 1:1 + d] = 1.0 / pn, inv
-    B[1 + d:, 0] = -h * inv[ti, tj]
-    B[1 + d:, 1 + d:] = h[:, None] * h * (inv[ti][:, ti] * inv[tj][:, tj]
-                                          + inv[ti][:, tj] * inv[tj][:, ti])
-    return M, B, lambda: f
+    B = np.zeros((len(p), p.shape[1], p.shape[1]))
+    B[:, 0, 0], B[:, 1:1 + d, 1:1 + d] = 1.0 / p[:, 0], inv
+    B[:, 1 + d:, 0] = -h * inv[:, ti, tj]
+    Ii, Ij = inv[:, ti], inv[:, tj]
+    B[:, 1 + d:, 1 + d:] = h[:, None] * h * (Ii[:, :, ti] * Ij[:, :, tj]
+                                             + Ii[:, :, tj] * Ij[:, :, ti])
+    return B
 
 
-def _newton_match(p, spread_target, select, sample, admissible, spread_ok,
-                  vscale: float, tol: float, dim: int, max_iter: int,
-                  what: str):
-    """Newton-correct parameters p = (n, u, spread...), starting at the
-    targets, until the raw moments q of the sampled target hit them.
+def _newton_match(p, target, select, sample, derivs, admissible, spread_ok,
+                  vscale, tol: float, dim: int, max_iter: int, what):
+    """Newton-correct a stack of parameter sets p (K, P) = (n, u,
+    spread...), starting at the targets, until the raw moments q of each
+    member's sampled target hit its row of `target`.
 
     q pairs f with (1, v, spread moments), weighted by the quadrature;
-    `select` picks them from (1, v_i, v_i v_j).  sample(p) gives the
-    centred moment tensor, the derivative matrix B and a thunk for f,
-    and `_newton_system` turns them into q and dq/dp for either family.
-    Converged when n and u match to tol (u relative to vscale) and
-    spread_ok(q, qu) holds; steps are halved until admissible(p).
-    Returns (f, iterations).
+    `select` picks them from (1, v_i, v_i v_j).  sample(p, rows) gives
+    the centred moment tensors of the members `rows` and
+    derivs(p, rows) their derivative matrices B; `_newton_system` turns
+    them into q and dq/dp for either family.  A member has converged
+    when n and u match to tol (u relative to its vscale) and
+    spread_ok(q, qu, rows) holds.  Each iteration samples only the
+    members not yet converged, forms dq/dp only for those that step,
+    and solves them in one stacked solve; a converged member is frozen,
+    so it follows exactly the iterates it would follow alone.  Each
+    step is halved until admissible(p) holds, down to 2^-20.  Failures
+    name the member through what(k).  Returns (p, per-member
+    iteration counts).
     """
-    n, u = p[0], p[1:1 + dim]
-    target = np.concatenate([[n], n * u, spread_target])
+    p = np.array(p, dtype=float)
+    n, u = p[:, 0].copy(), p[:, 1:1 + dim].copy()
+    iters = np.zeros(len(p), dtype=int)
+    active = np.arange(len(p))
     for it in range(max_iter + 1):
-        M, B, build = sample(p)
-        q, dqdp = _newton_system(p[1:1 + dim], select, M, B)
-        if abs(q[0] - n) <= tol * n:
-            qu = q[1:1 + dim] / q[0]
-            if (float(np.linalg.norm(qu - u)) <= tol * vscale
-                    and spread_ok(q, qu)):
-                return build(), it
+        pa = p[active]
+        SAG = _newton_system(pa[:, 1:1 + dim], select, sample(pa, active))
+        q = SAG[:, :, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # q0 = 0 gives NaN, which fails the tests as n already does
+            qu = q[:, 1:1 + dim] / q[:, :1]
+            du = qu - u[active]
+            done = ((np.abs(q[:, 0] - n[active]) <= tol * n[active])
+                    & (np.sqrt(np.sum(du * du, axis=1))
+                       <= tol * vscale[active])
+                    & spread_ok(q, qu, active))
+        iters[active] = it
+        stepping = ~done
+        active, pa, q, SAG = (active[stepping], pa[stepping], q[stepping],
+                              SAG[stepping])
+        if not active.size:
+            return p, iters
         if it == max_iter:
             break
+        dqdp = SAG @ np.swapaxes(derivs(pa, active), 1, 2)
         try:
-            step = np.linalg.solve(dqdp, q - target)
+            step = np.linalg.solve(dqdp, (q - target[active])[:, :, None])
         except np.linalg.LinAlgError as exc:
+            k = int(active[np.argmax(np.linalg.cond(dqdp))])
             raise NoConvergenceError(
-                f"singular Jacobian while matching {what}") from exc
-        shrink = 1.0
-        while shrink >= 2.0 ** -20:
-            cand = p - shrink * step
-            if np.all(np.isfinite(cand)) and admissible(cand):
+                f"singular Jacobian while matching {what(k)}",
+                member=k) from exc
+        shrink = np.ones(len(active))
+        while True:
+            cand = pa - shrink[:, None] * step[:, :, 0]
+            ok = np.all(np.isfinite(cand), axis=1)
+            ok[ok] = admissible(cand[ok])
+            if ok.all():
                 break
-            shrink *= 0.5
-        else:
-            raise NoConvergenceError(
-                f"no admissible Newton step while matching {what}")
-        p = cand
+            shrink[~ok] *= 0.5
+            if shrink.min() < 2.0 ** -20:
+                k = int(active[np.argmin(shrink)])
+                raise NoConvergenceError(
+                    f"no admissible Newton step while matching {what(k)}",
+                    member=k)
+        p[active] = cand
+    k = int(active[0])
     raise NoConvergenceError(
         f"moment matching did not converge in {max_iter} iterations "
-        f"({what}; grid too coarse or support clipped)")
+        f"({what(k)}; grid too coarse or support clipped)", member=k)
 
 
-def match_moments(n: float, u, T: float, mass: float, grid: VelocityGrid,
-                  tol: float = 1e-13, max_iter: int = 50,
-                  return_info: bool = False) -> np.ndarray:
+def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
+                  max_iter: int = 50, return_info: bool = False,
+                  out=None) -> np.ndarray:
     """Discrete Maxwellian whose quadrature (n, u, T) hit the targets.
 
     Newton-corrects the Maxwellian parameters so the discrete moments
     (1, v, |v|^2) match to `tol` (relative).  The Newton system comes
     from per-axis sums; f is sampled once, at the converged parameters,
-    and is the plain sampled Maxwellian if it matches at once.
+    and is the plain sampled Maxwellian if it matches at once.  Stacked
+    arguments (n, T, mass as (K,), u as (K, d)) match K targets in one
+    Newton loop and give one row per member (written into `out` if
+    given); `return_info` then reports the largest iteration count.
 
-    Raises NoConvergenceError when the grid cannot represent the target
-    (too coarse, or support clipped by the domain).
+    Raises NoConvergenceError, naming the member, when the grid cannot
+    represent a target (too coarse, or support clipped by the domain).
     """
-    if n <= 0.0 or T <= 0.0:
-        raise ValueError(f"targets require n > 0 and T > 0 (got {n}, {T})")
-    u = _velocity(u, grid)
+    stacked, u, n, T, mass = _members(grid, u, n, T, mass)
+    _require(n > 0.0, n, "targets require n > 0")
+    _require(T > 0.0, T, "targets require T > 0")
     d = grid.dim
-    unorm = float(np.linalg.norm(u))
+    theta = T / mass
+    unorm = np.sqrt(np.sum(u * u, axis=1))
 
-    def temperature_ok(q, qu):
-        qT = mass * (q[1 + d] - q[0] * float(qu @ qu)) / (d * q[0])
-        return abs(qT - T) <= tol * T
+    def temperature_ok(q, qu, rows):
+        qT = (mass[rows] * (q[:, 1 + d] - q[:, 0] * np.sum(qu * qu, axis=1))
+              / (d * q[:, 0]))
+        return np.abs(qT - T[rows]) <= tol * T[rows]
 
-    f, it = _newton_match(
-        np.concatenate([[n], u, [T]]), [n * (unorm * unorm + d * T / mass)],
-        _monomials(d)[3], lambda p: _maxwellian_sample(p, mass, grid),
-        lambda p: p[0] > 0.0 and p[1 + d] > 0.0, temperature_ok,
-        math.sqrt(T / mass) + unorm, tol, d, max_iter,
-        f"Maxwellian n={n}, T={T}")
-    return (f, it) if return_info else f
+    p, iters = _newton_match(
+        np.column_stack([n, u, T]),
+        np.column_stack([n, n[:, None] * u, n * (unorm * unorm + d * theta)]),
+        _monomials(d)[3],
+        lambda p, rows: _maxwellian_sample(p, mass[rows], grid),
+        lambda p, rows: _maxwellian_derivs(p, mass[rows], d),
+        lambda p: (p[:, 0] > 0.0) & (p[:, 1 + d] > 0.0), temperature_ok,
+        np.sqrt(theta) + unorm, tol, d, max_iter,
+        lambda k: f"member {k}: Maxwellian n={n[k]}, T={T[k]}")
+    out = _block(out, len(n), grid)
+    _maxwellian_fill(p[:, 0], p[:, 1:1 + d], p[:, 1 + d] / mass, grid, out)
+    f = out if stacked else out[0]
+    return (f, int(iters.max())) if return_info else f
 
 
-def match_gaussian(n: float, u, tensor, mass: float, grid: VelocityGrid,
-                   tol: float = 1e-13, max_iter: int = 50,
-                   return_info: bool = False) -> np.ndarray:
+def match_gaussian(n, u, tensor, mass, grid: VelocityGrid, tol: float = 1e-13,
+                   max_iter: int = 50, return_info: bool = False,
+                   out=None) -> np.ndarray:
     """Discrete Gaussian whose quadrature (n, u, T-tensor) hit the targets.
 
     Analogue of match_moments for anisotropic targets: Newton on
     (n, u, covariance) against all raw moments (1, v, v(x)v), with the
-    Newton system from the lattice sample of each iterate.
+    Newton system from the lattice sample of each iterate, which is
+    written straight into the member's row of the result.  Stacks as
+    match_moments does; a stacked `tensor` is a (K, d, d) SpdTensor or
+    matrix.
     """
-    if n <= 0.0:
-        raise ValueError(f"targets require n > 0 (got {n})")
-    u = _velocity(u, grid)
     spd = tensor if isinstance(tensor, SpdTensor) else spd_factor(tensor)
-    d = grid.dim
-    ti, tj, gram, _ = _monomials(d)
-    sigma_t = spd.matrix / mass
-    tscale = float(np.trace(spd.matrix)) / d
+    stacked, u, n, mass = _members(grid, u, n, mass,
+                                   shape=np.shape(spd.matrix)[:-2])
+    _require(n > 0.0, n, "targets require n > 0")
+    K, d = len(n), grid.dim
+    ti, tj, gram = _monomials(d)[:3]
+    matrix = np.broadcast_to(spd.matrix, (K, d, d))
+    sigma = (matrix / mass[:, None, None])[:, ti, tj]
+    tscale = np.trace(matrix, axis1=1, axis2=2) / d
 
     def admissible(p):
-        cov = _symmetric(p[1 + d:], d)
-        return p[0] > 0.0 and float(np.linalg.eigvalsh(cov)[0]) > 0.0
+        cov = _symmetric(p[:, 1 + d:], d)
+        return (p[:, 0] > 0.0) & (np.linalg.eigvalsh(cov)[:, 0] > 0.0)
 
-    def tensor_ok(q, qu):
-        qsig = _symmetric(q[1 + d:], d) / q[0] - np.outer(qu, qu)
-        return float(np.max(np.abs(mass * qsig - spd.matrix))) <= tol * tscale
+    def tensor_ok(q, qu, rows):
+        qsig = (_symmetric(q[:, 1 + d:], d) / q[:, 0, None, None]
+                - qu[:, :, None] * qu[:, None, :])
+        err = np.abs(mass[rows, None, None] * qsig - matrix[rows])
+        return np.max(err, axis=(1, 2)) <= tol * tscale[rows]
 
-    f, it = _newton_match(
-        np.concatenate([[n], u, sigma_t[ti, tj]]),
-        n * (u[ti] * u[tj] + sigma_t[ti, tj]), np.eye(len(gram)),
-        lambda p: _gaussian_sample(p, mass, grid), admissible, tensor_ok,
-        math.sqrt(tscale / mass) + float(np.linalg.norm(u)), tol, d,
-        max_iter, f"Gaussian n={n}")
-    return (f, it) if return_info else f
+    out = _block(out, K, grid)
+    _, iters = _newton_match(
+        np.column_stack([n, u, sigma]),
+        np.column_stack([n, n[:, None] * u,
+                         n[:, None] * (u[:, ti] * u[:, tj] + sigma)]),
+        np.eye(len(gram)),
+        lambda p, rows: _gaussian_sample(p, grid, out, rows),
+        lambda p, rows: _gaussian_derivs(p, d), admissible, tensor_ok,
+        np.sqrt(tscale / mass) + np.sqrt(np.sum(u * u, axis=1)), tol, d,
+        max_iter, lambda k: f"member {k}: Gaussian n={n[k]}")
+    f = out if stacked else out[0]
+    return (f, int(iters.max())) if return_info else f
 
 
 def _xlogx_sum(f: np.ndarray) -> float:

@@ -15,9 +15,11 @@ EXP   freeze the moments at the step start, build the targets once and
       frequency-weighted average of its two targets.  First-order
       accurate and unconditionally positivity preserving.
 
-Both integrators consume one collision evaluation: per species, (self
-rate, self target, cross rate, cross target).  The initial state samples
-each species' target once and scales it by the cells' density profile.
+Both integrators consume one collision evaluation of all cells at once:
+per species, (self rate, self target, cross rate, cross target), the
+targets matched in one stacked call per family.  The initial state
+samples each species' target once and scales it by the cells' density
+profile.
 Diagnostics take the totals from the moment sets of the cell averages
 (momentum m n u, energy m n |u|^2 / 2 + tr(P) / 2 per species).  Every
 reduction has a fixed summation order, so runs are reproducible.
@@ -49,61 +51,57 @@ class KineticState:
     dx: float | None = None
 
 
-def _relax_pair(f1, f2, dt, params, grid, integrator, match):
-    m1, m2 = params.species1.m, params.species2.m
-    freq = derive_frequencies(params.interaction)
+def relax_step(state: KineticState, dt: float, params: ModelParams,
+               integrator: str = "exp", match: bool = True) -> KineticState:
+    """One relaxation step of all cells at once; the result keeps the
+    state shape.  Species are (cells, nodes) arrays, rates (cells, 1)
+    columns."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive (got {dt})")
+    if integrator not in ("rk4", "exp"):
+        raise ValueError(f"unknown integrator {integrator!r}")
+    grid, freq = state.grid, derive_frequencies(params.interaction)
+    f1, f2 = (f.reshape(-1, grid.nnodes) for f in (state.f1, state.f2))
 
     def collision(g1, g2):
         """Per species: (self rate, self target, cross rate, cross target)."""
-        st = MixtureState.from_distributions(g1, g2, m1, m2, grid)
+        st = MixtureState.from_distributions(g1, g2, params.species1.m,
+                                             params.species2.m, grid)
         ts = build_targets(st, params, grid, match)
-        n1 = st.mom1.n if st.mom1 is not None else 0.0
-        n2 = st.mom2.n if st.mom2 is not None else 0.0
+        n1, n2 = (0.0 if mom is None else mom.n[:, None]
+                  for mom in (st.mom1, st.mom2))
         return ((freq.nu11 * n1, ts.g1, freq.nu12 * n2, ts.g12),
                 (freq.nu22 * n2, ts.g2, freq.nu21 * n1, ts.g21))
 
-    if integrator == "rk4":
-        def rhs(g1, g2):
-            return tuple(nu_s * (g_s - g) + nu_c * (g_c - g)
-                         for g, (nu_s, g_s, nu_c, g_c)
-                         in zip((g1, g2), collision(g1, g2)))
+    def rhs(g1, g2):
+        return tuple(nu_s * (g_s - g) + nu_c * (g_c - g)
+                     for g, (nu_s, g_s, nu_c, g_c)
+                     in zip((g1, g2), collision(g1, g2)))
 
+    def exp_update(f, nu_self, g_self, nu_cross, g_cross):
+        nu_tot = nu_self + nu_cross
+        if not np.all(nu_tot > 0.0):  # both species empty
+            return f.copy()
+        gstar = np.multiply(g_self, nu_self, out=g_self)  # step-local rows
+        gstar += np.multiply(g_cross, nu_cross, out=g_cross)
+        gstar /= nu_tot
+        out = f - gstar
+        out *= np.exp(-nu_tot * dt)
+        return np.add(out, gstar, out=out)
+
+    if integrator == "rk4":
         k1 = rhs(f1, f2)
         k2 = rhs(f1 + 0.5 * dt * k1[0], f2 + 0.5 * dt * k1[1])
         k3 = rhs(f1 + 0.5 * dt * k2[0], f2 + 0.5 * dt * k2[1])
         k4 = rhs(f1 + dt * k3[0], f2 + dt * k3[1])
-        f1n = f1 + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        f2n = f2 + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        return f1n, f2n
-
-    if integrator != "exp":
-        raise ValueError(f"unknown integrator {integrator!r}")
-
-    def exp_update(f, nu_self, g_self, nu_cross, g_cross):
-        nu_tot = nu_self + nu_cross
-        if nu_tot <= 0.0:
-            return f.copy()
-        gstar = (nu_self * g_self + nu_cross * g_cross) / nu_tot
-        return gstar + (f - gstar) * math.exp(-nu_tot * dt)
-
-    return tuple(exp_update(f, *terms)
-                 for f, terms in zip((f1, f2), collision(f1, f2)))
-
-
-def relax_step(state: KineticState, dt: float, params: ModelParams,
-               integrator: str = "exp", match: bool = True) -> KineticState:
-    """One relaxation step, cell by cell; the result keeps the state shape."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive (got {dt})")
-    f1 = state.f1.reshape(-1, state.grid.nnodes)
-    f2 = state.f2.reshape(-1, state.grid.nnodes)
-    f1n, f2n = np.empty_like(f1), np.empty_like(f2)
-    for j in range(f1.shape[0]):
-        f1n[j], f2n[j] = _relax_pair(f1[j], f2[j], dt, params, state.grid,
-                                     integrator, match)
-    return KineticState(f1=f1n.reshape(state.f1.shape),
-                        f2=f2n.reshape(state.f2.shape), t=state.t + dt,
-                        grid=state.grid, dx=state.dx)
+        new = [f + dt / 6.0 * (a + 2.0 * b + 2.0 * c + e)
+               for f, a, b, c, e in zip((f1, f2), k1, k2, k3, k4)]
+    else:
+        new = [exp_update(f, *terms)
+               for f, terms in zip((f1, f2), collision(f1, f2))]
+    return KineticState(f1=new[0].reshape(state.f1.shape),
+                        f2=new[1].reshape(state.f2.shape), t=state.t + dt,
+                        grid=grid, dx=state.dx)
 
 
 def _check_cfl(grid: VelocityGrid, dt: float, dx: float) -> None:

@@ -19,18 +19,22 @@ deviators D_k = P_k / n_k - T_k I, so its trace is d times that T:
                 T21 I + mu21 (ea D1 + (1 - ea) D2)
     es-full-b   T12 I + alpha D1,   T21 I + (1 - ea) D2
 
-Every function is pure; target evaluation over grid nodes is data
-parallel if a caller wants it to be.
+Every function is pure and works on one cell's moments or, elementwise,
+on moments with a leading cell axis; `build_targets` assembles all
+targets of all cells with one stacked matcher call per target family.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as gridmod
-from .errors import DegenerateDensityError
+from .errors import DegenerateDensityError, MemberError
 from .grid import (MomentSet, SpdTensor, VelocityGrid, gaussian_on_grid,
                    match_gaussian, match_moments, maxwellian_on_grid,
                    spd_factor)
@@ -39,7 +43,9 @@ from .params import ModelParams, Variant, gamma_bound_expression
 
 @dataclass
 class MixtureState:
-    """Per-species moments plus masses; a degenerate species is None."""
+    """Per-species moments plus masses; a degenerate species is None.
+    The moment sets carry a leading cell axis when the distributions
+    do."""
 
     m1: float
     m2: float
@@ -49,13 +55,20 @@ class MixtureState:
     @classmethod
     def from_distributions(cls, f1, f2, m1: float, m2: float,
                            grid: VelocityGrid) -> "MixtureState":
-        def mom(f, mass):
+        """Moments of (nodes,) or (cells, nodes) distributions.  A species
+        below the density floor in every cell is None; one below it in
+        only some cells raises DegenerateDensityError naming the species
+        and the cell."""
+        def mom(f, mass, species):
             try:
                 return gridmod.moments(f, mass, grid)
-            except DegenerateDensityError:
-                return None
+            except DegenerateDensityError as exc:
+                if exc.cells is None or len(exc.cells) == len(f):
+                    return None
+                raise DegenerateDensityError(exc.density, exc.floor,
+                                             exc.cells, species) from None
 
-        return cls(m1=m1, m2=m2, mom1=mom(f1, m1), mom2=mom(f2, m2))
+        return cls(m1=m1, m2=m2, mom1=mom(f1, m1, 1), mom2=mom(f2, m2, 2))
 
 
 def mixture_velocities(state: MixtureState, delta: float,
@@ -80,33 +93,41 @@ def _cross_weights(alpha: float, epsilon: float) -> tuple[float, float]:
 
 def mixture_temperatures(state: MixtureState, alpha: float, gamma: float,
                          delta: float, epsilon: float) -> tuple[float, float]:
-    """Cross-target temperatures (T12, T21).
+    """Cross-target temperatures (T12, T21), one per cell for stacked
+    moments.
 
     Admissible (delta, gamma) make the drift coefficient of T21
     nonnegative, so T21 >= 0 whenever T1, T2 >= 0.
     """
     T1, T2 = state.mom1.T, state.mom2.T
-    du2 = float(np.sum((state.mom1.u - state.mom2.u) ** 2))
+    du2 = np.sum((state.mom1.u - state.mom2.u) ** 2, axis=-1)
     w12, w21 = _cross_weights(alpha, epsilon)
     T12 = w12 * T1 + (1.0 - w12) * T2 + gamma * du2
-    d = len(state.mom1.u)
+    d = np.shape(state.mom1.u)[-1]
     T21 = (_t21_drift_coeff(state.m1, state.m2, epsilon, delta, gamma, d)
            * du2 + w21 * T1 + (1.0 - w21) * T2)
     return T12, T21
 
 
-def _deviator(T: float, P: np.ndarray, n: float) -> np.ndarray:
+def _matrices(x) -> np.ndarray:
+    """A per-cell scalar (or a plain scalar) broadcastable over (d, d)."""
+    return np.asarray(x)[..., None, None]
+
+
+def _deviator(T, P: np.ndarray, n) -> np.ndarray:
     """Traceless part P / n - T I of a species' pressure tensor."""
-    return P / n - T * np.eye(len(P))
+    return P / _matrices(n) - _matrices(T) * np.eye(P.shape[-1])
 
 
-def es_tensor_self(T: float, P: np.ndarray, n: float, mu: float) -> SpdTensor:
-    """Self-relaxation tensor T I + mu (P / n - T I).
+def es_tensor_self(T, P: np.ndarray, n, mu: float) -> SpdTensor:
+    """Self-relaxation tensor T I + mu (P / n - T I), one per cell for
+    stacked moments.
 
     Positive definite for any distribution with positive density and
     mu in [-1/2, 1]; trace equals d T for every mu.
     """
-    return spd_factor(T * np.eye(len(P)) + mu * _deviator(T, P, n))
+    return spd_factor(_matrices(T) * np.eye(P.shape[-1])
+                      + mu * _deviator(T, P, n))
 
 
 def es_tensor_cross(state: MixtureState,
@@ -117,7 +138,9 @@ def es_tensor_cross(state: MixtureState,
     mixed with the scalar mix's species-1 weights (alpha, ea): variant A
     scales that mix by mu12 / mu21, variant B keeps only the deviator of
     the species the target relaxes.  The traces are d T12 and d T21 for
-    any densities, so the scalar exchange identities still hold.
+    any densities, so the scalar exchange identities still hold.  Both
+    are factored as one stack (12 first), so a failure's member says
+    which tensor and cell broke.
     """
     mix, es, eps = params.mixing, params.es, params.interaction.epsilon
     T12, T21 = mixture_temperatures(state, mix.alpha, mix.gamma, mix.delta,
@@ -132,14 +155,18 @@ def es_tensor_cross(state: MixtureState,
     else:
         raise ValueError(f"cross tensors are defined for the full ES "
                          f"variants only (got {es.variant})")
-    eye = np.eye(len(D1))
-    return spd_factor(T12 * eye + dev12), spd_factor(T21 * eye + dev21)
+    eye = np.eye(D1.shape[-1])
+    spd = spd_factor(np.stack([_matrices(T12) * eye + dev12,
+                               _matrices(T21) * eye + dev21]))
+    return (SpdTensor(spd.matrix[0], spd.chol[0]),
+            SpdTensor(spd.matrix[1], spd.chol[1]))
 
 
 @dataclass
 class TargetSet:
     """Self targets g1 / g2 and the cross targets g12 / g21 that enter
-    the species 1 / species 2 equations."""
+    the species 1 / species 2 equations; views of one (4, cells, nodes)
+    block."""
 
     g1: np.ndarray
     g2: np.ndarray
@@ -147,49 +174,82 @@ class TargetSet:
     g21: np.ndarray
 
 
+_NAMES = ("g1", "g2", "g12", "g21")
+
+
+@contextlib.contextmanager
+def _located(names, cells: int):
+    """Name the target and cell of a failing member of a stack that runs
+    target-major over `cells` cells."""
+    try:
+        yield
+    except MemberError as exc:
+        k = exc.member or 0
+        exc.where = f"target {names[k // cells]}, cell {k % cells}"
+        raise
+
+
 def build_targets(state: MixtureState, params: ModelParams,
                   grid: VelocityGrid, match: bool = True) -> TargetSet:
-    """Assemble the four targets for the configured model variant.
+    """Assemble the four targets of every cell for the configured model
+    variant.
 
     A scalar temperature gives a Maxwellian target and an `SpdTensor` a
     Gaussian.  With `match` the discrete targets are Newton-corrected so
     their quadrature moments equal the prescribed values, which makes
-    the discrete conservation identities machine-tight.  Cross-target
-    densities are the owning species' densities by construction.
+    the discrete conservation identities machine-tight.  Each family is
+    sampled or matched in one stacked call over its targets and all
+    cells, written into one (4, cells, nodes) block; the targets of a
+    degenerate species stay zero.  Cross-target densities are the
+    owning species' densities by construction.  A failure names the
+    target and the cell.
     """
-    es = params.es
-    zeros = np.zeros(grid.nnodes)
-
-    def sample(n, u, temperature, mass):
-        if isinstance(temperature, SpdTensor):
-            fn = match_gaussian if match else gaussian_on_grid
+    es, moms = params.es, (state.mom1, state.mom2)
+    present = [k for k in (0, 1) if moms[k] is not None]
+    cells = np.shape(moms[present[0]].n) if present else ()
+    C, N, d = math.prod(cells), grid.nnodes, grid.dim
+    rows = {}  # row of the block -> (n, u, temperature) of its target
+    for k in present:
+        mom, mu = moms[k], (es.mu1, es.mu2)[k]
+        if es.variant == Variant.BGK:
+            rows[k] = (mom.n, mom.u, mom.T)
         else:
-            fn = match_moments if match else maxwellian_on_grid
-        return fn(n, u, temperature, mass, grid)
-
-    def self_target(mom, mass, mu):
-        if mom is None:
-            return zeros
-        temperature = (mom.T if es.variant == Variant.BGK
-                       else es_tensor_self(mom.T, mom.P, mom.n, mu))
-        return sample(mom.n, mom.u, temperature, mass)
-
-    g1 = self_target(state.mom1, state.m1, es.mu1)
-    g2 = self_target(state.mom2, state.m2, es.mu2)
-
-    if state.mom1 is not None and state.mom2 is not None:
+            with _located(_NAMES[k:k + 1], C):
+                rows[k] = (mom.n, mom.u, es_tensor_self(mom.T, mom.P, mom.n,
+                                                        mu))
+    if len(present) == 2:
         mix, eps = params.mixing, params.interaction.epsilon
         u12, u21 = mixture_velocities(state, mix.delta, eps)
         if es.variant in (Variant.ES_FULL_A, Variant.ES_FULL_B):
-            t12, t21 = es_tensor_cross(state, params)
+            with _located(_NAMES[2:], C):
+                t12, t21 = es_tensor_cross(state, params)
         else:
             t12, t21 = mixture_temperatures(state, mix.alpha, mix.gamma,
                                             mix.delta, eps)
-        g12 = sample(state.mom1.n, u12, t12, state.m1)
-        g21 = sample(state.mom2.n, u21, t21, state.m2)
-    else:
-        # Coupling terms carry a factor of the partner density, which is
-        # zero here, so inert placeholder targets are never used.
-        g12, g21 = zeros, zeros
+        rows[2], rows[3] = (moms[0].n, u12, t12), (moms[1].n, u21, t21)
 
-    return TargetSet(g1=g1, g2=g2, g12=g12, g21=g21)
+    def stack(values, shape=()):
+        return np.concatenate([np.reshape(x, (C,) + shape) for x in values])
+
+    def family(r):
+        return isinstance(rows[r][2], SpdTensor)
+
+    block = (np.empty if len(rows) == 4 else np.zeros)((4, C, N))
+    # present rows are contiguous, so each run of one family is a slice
+    for gaussian, run in itertools.groupby(sorted(rows), key=family):
+        run = list(run)
+        lo, hi = run[0], run[-1] + 1
+        n, u, temperature = zip(*(rows[r] for r in run))
+        if gaussian:
+            temperature = SpdTensor(
+                stack([t.matrix for t in temperature], (d, d)),
+                stack([t.chol for t in temperature], (d, d)))
+            fn = match_gaussian if match else gaussian_on_grid
+        else:
+            temperature = stack(temperature)
+            fn = match_moments if match else maxwellian_on_grid
+        mass = np.repeat([(state.m1, state.m2)[r % 2] for r in run], C)
+        with _located(_NAMES[lo:hi], C):
+            fn(stack(n), stack(u, (d,)), temperature, mass, grid,
+               out=block[lo:hi].reshape(-1, N))
+    return TargetSet(*block.reshape((4,) + cells + (N,)))

@@ -206,6 +206,40 @@ class TestCliCommands:
                    "-o", str(tmp_path)])
         assert rc == 2
 
+    def test_wave_partly_empty_species_exits_two(self, tmp_path, capsys):
+        # n2 * (1 + 0.5 sin) falls below the 1e-30 density floor in some
+        # cells only, which leaves their moments undefined
+        doc = self.relax_doc(dt=0.005, t_end=0.02, cells=8, length=1.0,
+                             wave_amplitude=0.5)
+        doc["grid"] = {"dim": 1, "points": 16, "vmin": -4.0, "vmax": 4.0}
+        doc["scenario"]["species2"]["n"] = 1.5e-30
+        rc = main(["wave", "-c", write_config(tmp_path, doc),
+                   "-o", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure:")
+        assert "in cell 5 of species 2" in err[0]
+
+    def test_wave_matching_failure_names_target_and_cell(self, tmp_path,
+                                                         capsys):
+        # opposed drifts heat the cross targets beyond what the clipped
+        # 8-point lattice can hold
+        doc = self.relax_doc(dt=0.005, t_end=0.02, cells=8, length=1.0,
+                             wave_amplitude=0.1)
+        doc["mixing"]["gamma"] = 0.1
+        doc["grid"] = {"dim": 1, "points": 8, "vmin": -3.0, "vmax": 3.0}
+        scen = doc["scenario"]
+        scen["species1"].update(u=[1.6, 0, 0], T=0.5)
+        scen["species2"].update(u=[-1.6, 0, 0], T=0.5)
+        rc = main(["wave", "-c", write_config(tmp_path, doc),
+                   "-o", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure:")
+        assert err[0].endswith("(target g21, cell 1)")
+
     def test_wave_runs(self, tmp_path):
         doc = self.relax_doc(dt=0.005, t_end=0.02, cells=8, length=1.0,
                              wave_amplitude=0.1)

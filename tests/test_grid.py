@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from bgkmix import grid as gridmod
 from bgkmix.errors import (DegenerateDensityError, NoConvergenceError,
                            NotSpdError)
-from bgkmix.grid import (VelocityGrid, _gaussian_sample, _maxwellian_sample,
-                         _monomials, _newton_system, gaussian_on_grid,
+from bgkmix.grid import (VelocityGrid, _gaussian_derivs, _gaussian_sample,
+                         _maxwellian_derivs, _maxwellian_sample, _monomials,
+                         _newton_system, gaussian_on_grid,
                          h_functional, match_gaussian, match_moments,
                          maxwellian_on_grid, moments, spd_factor)
 
@@ -176,26 +178,41 @@ class TestSeparableRawMoments:
 
     def family(self, name, dim):
         """Parameters, sampler, raw-moment selection and the node-level
-        raw basis of one family on uneven_grid(dim)."""
+        raw basis of one family on uneven_grid(dim).  The sampler maps
+        one parameter row to (M, B, f), each for a stack of one."""
         grid = uneven_grid(dim)
         u = [0.3, -0.2, 0.15][:dim]
         ones = np.ones((grid.nnodes, 1))
+        mass = np.array([self.MASS])
         if name == "maxwellian":
             basis = np.column_stack([ones, grid.nodes,
                                      np.sum(grid.nodes ** 2, axis=1)])
-            return (grid, np.concatenate([[0.9], u, [0.8]]),
-                    _maxwellian_sample, _monomials(dim)[3], basis)
+
+            def sample(p):
+                return (_maxwellian_sample(p, mass, grid),
+                        _maxwellian_derivs(p, mass, dim),
+                        maxwellian_on_grid(p[:, 0], p[:, 1:1 + dim],
+                                           p[:, 1 + dim], mass, grid))
+
+            return (grid, np.concatenate([[0.9], u, [0.8]]), sample,
+                    _monomials(dim)[3], basis)
         ti, tj = _monomials(dim)[:2]
         cov = SHEARED[:dim, :dim] / self.MASS
         basis = np.column_stack([ones, grid.nodes,
                                  grid.nodes[:, ti] * grid.nodes[:, tj]])
-        return (grid, np.concatenate([[0.9], u, cov[ti, tj]]),
-                _gaussian_sample, np.eye(basis.shape[1]), basis)
+
+        def sample(p):
+            f = np.empty((1, grid.nnodes))
+            M = _gaussian_sample(p, grid, f, [0])
+            return M, _gaussian_derivs(p, dim), f
+
+        return (grid, np.concatenate([[0.9], u, cov[ti, tj]]), sample,
+                np.eye(basis.shape[1]), basis)
 
     def system(self, p, sample, select, grid):
-        M, B, build = sample(p, self.MASS, grid)
-        q, dqdp = _newton_system(p[1:1 + grid.dim], select, M, B)
-        return q, dqdp, build()
+        M, B, f = sample(p[None])
+        SAG = _newton_system(p[None, 1:1 + grid.dim], select, M)
+        return SAG[0, :, 0], (SAG @ B.transpose(0, 2, 1))[0], f[0]
 
     @CASES
     def test_match_lattice_sums(self, family, dim):
@@ -355,6 +372,92 @@ class TestMatchLowDimensions:
         assert np.max(np.abs(fg - fm)) < 1e-12
 
 
+class TestStackedMatching:
+    """A stack matches member by member: each member's f and Newton
+    iteration count equal those of its solo call, on uneven lattices,
+    for members that need no iteration and members that need several."""
+
+    N = np.array([0.9, 1.2, 0.7, 1.0])
+    U = np.array([[0.1, -0.2, 0.05], [0.3, 0.1, -0.2], [-0.4, 0.2, 0.1],
+                  [0.0, 0.0, 0.0]])
+    MASS = np.array([1.0, 1.3, 1.0, 1.0])
+    T = np.array([2.2, 0.3, 4.0, 1.2])  # clipped, coarse, clipped, resolved
+    SCALES = (2.0, 0.4, 3.0, 1.0)  # the same for the Gaussian tensors
+    TOL = 1e-6  # loose enough for the resolved member to need 0 steps
+
+    @staticmethod
+    def newton_counts(monkeypatch):
+        """Per-member iteration counts of every Newton loop run."""
+        counts = []
+        real = gridmod._newton_match
+
+        def spy(*args, **kwargs):
+            p, iters = real(*args, **kwargs)
+            counts.append(list(iters))
+            return p, iters
+
+        monkeypatch.setattr(gridmod, "_newton_match", spy)
+        return counts
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["maxwellian", "gaussian"])
+    def test_stack_equals_solo_calls(self, monkeypatch, family, dim):
+        grid = uneven_grid(dim)
+        u = self.U[:, :dim]
+        if family == "maxwellian":
+            match, spread = match_moments, self.T
+        else:
+            match = match_gaussian
+            spread = np.stack([s * SHEARED[:dim, :dim] for s in self.SCALES])
+        counts = self.newton_counts(monkeypatch)
+        stack, iters = match(self.N, u, spread, self.MASS, grid,
+                             tol=self.TOL, return_info=True)
+        assert stack.shape == (4, grid.nnodes)
+        for k in range(4):
+            solo = match(self.N[k], u[k], spread[k], self.MASS[k], grid,
+                         tol=self.TOL)
+            assert solo.shape == (grid.nnodes,)
+            assert np.max(np.abs(stack[k] - solo)) <= 1e-15 * np.max(solo)
+        solo_counts = [c[0] for c in counts[1:]]
+        assert counts[0] == solo_counts
+        assert iters == max(solo_counts)
+        assert min(solo_counts) == 0 and max(solo_counts) >= 2
+
+    def test_arguments_broadcast_over_the_stack(self, mid_grid):
+        u = np.array([[0.1, 0.0, 0.0], [-0.2, 0.1, 0.0]])
+        f = maxwellian_on_grid(1.0, u, [0.8, 1.1], 1.3, mid_grid)
+        for k in range(2):
+            ref = maxwellian_on_grid(1.0, u[k], [0.8, 1.1][k], 1.3, mid_grid)
+            assert np.array_equal(f[k], ref)
+        with pytest.raises(ValueError):
+            maxwellian_on_grid([1.0, 1.0, 1.0], u, 0.8, 1.3, mid_grid)
+
+    def test_failure_names_the_member(self):
+        grid = VelocityGrid(dim=3, vmin=-2.0, vmax=2.0, points=8)
+        with pytest.raises(NoConvergenceError, match="member 1") as err:
+            match_moments(1.0, np.zeros(3), [0.5, 4.0], 1.0, grid)
+        assert err.value.member == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda g, n, T: match_moments(n, (0, 0, 0), T, 1.0, g),
+        lambda g, n, T: maxwellian_on_grid(n, (0, 0, 0), T, 1.0, g),
+        lambda g, n, T: match_gaussian(n, (0, 0, 0), T * np.eye(3), 1.0, g),
+        lambda g, n, T: gaussian_on_grid(n, (0, 0, 0), T * np.eye(3), 1.0,
+                                         g)],
+        ids=["match_moments", "maxwellian_on_grid", "match_gaussian",
+             "gaussian_on_grid"])
+    def test_nan_targets_rejected(self, small_grid, call):
+        with pytest.raises(ValueError, match="member 0: got nan"):
+            call(small_grid, np.nan, 1.0)
+        with pytest.raises(ValueError, match="member 1: got nan"):
+            call(small_grid, [1.0, np.nan], 1.0)
+
+    def test_nan_temperature_rejected(self, small_grid):
+        for fn in (match_moments, maxwellian_on_grid):
+            with pytest.raises(ValueError, match="member 1: got nan"):
+                fn(1.0, (0, 0, 0), [1.0, np.nan], 1.0, small_grid)
+
+
 class TestSpdFactor:
     def test_identity(self):
         spd = spd_factor(np.eye(3))
@@ -368,6 +471,34 @@ class TestSpdFactor:
         with pytest.raises(NotSpdError) as err:
             spd_factor(np.diag([1.0, 1.0, -0.1]))
         assert err.value.pivot == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_fails_a_pivot(self, bad):
+        diag = np.diag([1.0, bad, 2.0])
+        with pytest.raises(NotSpdError) as err:
+            spd_factor(diag)
+        assert err.value.pivot == 1
+        off = np.eye(3)
+        off[0, 2] = off[2, 0] = bad
+        with pytest.raises(NotSpdError) as err:
+            spd_factor(off)
+        assert err.value.pivot == 2
+
+    def test_stack_failure_names_the_member(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, -0.1]), np.eye(3)])
+        with pytest.raises(NotSpdError, match="member 1") as err:
+            spd_factor(stack)
+        assert err.value.member == 1 and err.value.pivot == 2
+        assert np.array_equal(err.value.matrix, stack[1])
+
+    def test_stack_matches_one_by_one(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(5, 3, 3))
+        stack = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3)
+        spd = spd_factor(stack)
+        for k in range(5):
+            one = spd_factor(stack[k])
+            assert np.allclose(spd.chol[k], one.chol, rtol=1e-14, atol=0)
 
     def test_rejects_asymmetric(self):
         mat = np.array([[1.0, 0.5], [0.2, 1.0]])

@@ -5,7 +5,8 @@ import pytest
 
 from bgkmix import chapman
 from bgkmix.errors import CflError
-from bgkmix.grid import VelocityGrid, match_moments, maxwellian_on_grid
+from bgkmix.grid import (VelocityGrid, gaussian_on_grid, match_moments,
+                         maxwellian_on_grid)
 from bgkmix.params import (EsParams, InteractionSpec, MixingParams,
                            ModelParams, SpeciesSpec, Variant,
                            derive_frequencies)
@@ -109,6 +110,49 @@ class TestRelaxStep:
         for ma, mb in ((ra.mom1, rb.mom1), (ra.mom2, rb.mom2)):
             for name in ("n", "u", "T", "P", "Q", "Qtilde"):
                 assert np.array_equal(getattr(ma, name), getattr(mb, name))
+
+
+class TestStackedRelaxation:
+    """relax_step matches every cell in one stacked call per target
+    family; on a (cells, nodes) state it equals one-cell calls row by
+    row."""
+
+    GRIDS = {1: VelocityGrid(dim=1, vmin=-6.0, vmax=6.0, points=24),
+             2: VelocityGrid(dim=2, vmin=-6.0, vmax=6.0, points=16),
+             3: VelocityGrid(dim=3, vmin=-6.0, vmax=6.0, points=12)}
+    MUS = {"mu1": 0.5, "mu2": -0.3, "mu12": 0.4, "mu21": 0.2}
+
+    @staticmethod
+    def cells(grid, mass, sign):
+        """Three sheared Gaussians with different n, u and T per cell."""
+        d, rows = grid.dim, []
+        for k, (n, drift, scale) in enumerate(((1.0, 0.3, 1.0),
+                                               (0.6, -0.2, 1.4),
+                                               (1.3, 0.1, 0.7))):
+            u = sign * drift * np.array([1.0, -0.5, 0.25])[:d]
+            tensor = scale * (np.eye(d) + 0.15 * (np.ones((d, d)) - np.eye(d)))
+            rows.append(gaussian_on_grid(n, u, tensor, mass, grid))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("integrator", ["exp", "rk4"])
+    @pytest.mark.parametrize("match", [True, False],
+                             ids=["matched", "sampled"])
+    def test_cells_equal_one_cell_calls(self, match, integrator, variant,
+                                        dim):
+        grid = self.GRIDS[dim]
+        mus = {} if variant == Variant.BGK else self.MUS
+        params = make_params(epsilon=0.5, variant=variant, **mus)
+        f1, f2 = self.cells(grid, 1.0, 1.0), self.cells(grid, 2.0, -1.0)
+        state = KineticState(f1=f1, f2=f2, t=0.0, grid=grid)
+        new = relax_step(state, 0.05, params, integrator, match)
+        for c in range(len(f1)):
+            one = relax_step(KineticState(f1=f1[c:c + 1], f2=f2[c:c + 1],
+                                          t=0.0, grid=grid),
+                             0.05, params, integrator, match)
+            for got, ref in ((new.f1[c], one.f1[0]), (new.f2[c], one.f2[0])):
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
 
 
 class TestTransportStep:

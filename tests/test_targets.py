@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from bgkmix.grid import MomentSet, match_moments, moments
+from bgkmix.errors import DegenerateDensityError, NoConvergenceError
+from bgkmix.grid import MomentSet, VelocityGrid, match_moments, moments
 from bgkmix.params import (EsParams, InteractionSpec, MixingParams,
                            ModelParams, SpeciesSpec, Variant, delta_interval,
                            derive_frequencies, gamma_bound_expression)
@@ -336,6 +337,58 @@ class TestBuildTargets:
         assert np.all(ts.g2 == 0.0)
         assert np.all(ts.g21 == 0.0)
 
+
+    def test_cells_are_stacked(self, mid_grid):
+        params = make_params(variant=Variant.ES_SELF_ONLY, mu1=0.4, mu2=-0.2)
+        f1 = np.array([match_moments(1.0, (u, 0, 0), 1.0, 1.0, mid_grid)
+                       for u in (0.1, -0.2)])
+        f2 = np.array([match_moments(0.7, (0, u, 0), 1.2, 2.0, mid_grid)
+                       for u in (0.2, 0.0)])
+        ts = build_targets(
+            MixtureState.from_distributions(f1, f2, 1.0, 2.0, mid_grid),
+            params, mid_grid)
+        block = ts.g1.base
+        assert block is not None and block.shape == (4, 2, mid_grid.nnodes)
+        for c in range(2):
+            one = build_targets(MixtureState.from_distributions(
+                f1[c], f2[c], 1.0, 2.0, mid_grid), params, mid_grid)
+            for name in ("g1", "g2", "g12", "g21"):
+                got = getattr(ts, name)
+                assert got.base is block
+                assert np.max(np.abs(got[c] - getattr(one, name))) <= 1e-15
+
+    def test_failure_names_target_and_cell(self):
+        grid = VelocityGrid(dim=1, vmin=-2.0, vmax=2.0, points=8)
+        cold, hot = np.array([0.3, 0.3]), np.array([0.3, 4.0])
+        st = MixtureState(
+            m1=1.0, m2=1.0,
+            mom1=MomentSet(n=np.ones(2), u=np.zeros((2, 1)), T=hot),
+            mom2=MomentSet(n=np.ones(2), u=np.zeros((2, 1)), T=cold))
+        with pytest.raises(NoConvergenceError,
+                           match=r"\(target g1, cell 1\)") as err:
+            build_targets(st, make_params(m2=1.0), grid)
+        assert err.value.member == 1
+
+    def test_partly_degenerate_species_names_species_and_cell(self,
+                                                              mid_grid):
+        f = match_moments(1.0, (0.0, 0, 0), 1.0, 1.0, mid_grid)
+        f2 = np.array([f, np.zeros_like(f)])
+        with pytest.raises(DegenerateDensityError,
+                           match="in cell 1 of species 2") as err:
+            MixtureState.from_distributions(np.array([f, f]), f2, 1.0, 2.0,
+                                            mid_grid)
+        assert list(err.value.cells) == [1] and err.value.species == 2
+
+    def test_wholly_degenerate_species_is_none_in_every_cell(self, mid_grid):
+        f = match_moments(1.0, (0.0, 0, 0), 1.0, 1.0, mid_grid)
+        st = MixtureState.from_distributions(np.array([f, f]),
+                                             np.zeros((2, mid_grid.nnodes)),
+                                             1.0, 2.0, mid_grid)
+        assert st.mom2 is None and st.mom1.n.shape == (2,)
+        ts = build_targets(st, make_params(), mid_grid)
+        assert ts.g1.shape == (2, mid_grid.nnodes)
+        assert np.all(ts.g2 == 0.0) and np.all(ts.g21 == 0.0)
+        assert np.max(np.abs(ts.g1 - f)) < 1e-12
 
 def maxwellian_like(grid, u, T):
     from bgkmix.grid import maxwellian_on_grid
