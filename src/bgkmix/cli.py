@@ -184,7 +184,9 @@ def _cmd_persistence(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _scan_scenario(cfg: RunConfig, parameter: str, value: float) -> Scenario:
+def _scan_scenario(cfg: RunConfig, parameter: str,
+                   value: float) -> tuple[Scenario, float]:
+    """The relaxation run for one scan value, and its analytic rate."""
     params = replace(cfg.params,
                      mixing=replace(cfg.params.mixing, **{parameter: value}))
     violations = validate(params)
@@ -223,7 +225,7 @@ def _scan_scenario(cfg: RunConfig, parameter: str, value: float) -> Scenario:
     cadence = max(1, int(round(t_end / dt / 2000)))
     return Scenario(params=params, grid=grid, species1=sp1, species2=sp2,
                     dt=dt, t_end=t_end, output_every=cadence,
-                    integrator="rk4", moment_matching=True)
+                    integrator="rk4", moment_matching=True), lam
 
 
 def _cmd_scan(cfg: RunConfig, args) -> int:
@@ -234,17 +236,11 @@ def _cmd_scan(cfg: RunConfig, args) -> int:
     values = np.linspace(spec["start"], spec["stop"], spec["count"])
     rows = []
     for value in values:
-        scen = _scan_scenario(cfg, parameter, float(value))
+        scen, analytic = _scan_scenario(cfg, parameter, float(value))
         diag = run_scenario(scen)
         series = diag.velocity_gap() if parameter == "delta" \
             else diag.temperature_gap()
         measured = chapman.fit_decay_rate(diag.times, series)
-        mix = scen.params.mixing
-        rates = chapman.analytic_rates(
-            scen.params.interaction.nu12, mix.delta, mix.alpha,
-            scen.species1.n, scen.species2.n, scen.params.species1.m,
-            scen.params.species2.m)
-        analytic = rates.lambda_u if parameter == "delta" else rates.lambda_T
         rows.append((float(value), measured, analytic))
     path = os.path.join(args.outdir, "scan.csv")
     with open(path, "w", encoding="utf-8") as fh:

@@ -18,19 +18,23 @@ substitution run axis by axis.  No moment of a distribution involves
 more than two axes, so `moments` reduces f to its pairwise and per-axis
 lattice marginals, with no node-length temporaries.
 
-Moment matching is one Newton system for the Maxwellian (scalar T; raw
-moments 1, v, |v|^2) and the Gaussian (full T tensor; 1, v, v(x)v):
-every entry of the moments and of their Jacobian is a centred moment of
-degree <= 4 (Mieussens, M3AS 2000), read from one tensor of per-axis
-powers: the outer product of per-axis sums for the Maxwellian, the
-lattice sample contracted axis by axis for the Gaussian.  The matchers
-and samplers take a stack of K targets (n, T, mass as (K,), u as
-(K, d), tensors as a (K, d, d) stack) and run one Newton loop for all
-of them: each iteration samples the members not yet converged and
-solves their systems in one stacked solve, and a converged member is
-frozen, so every member follows exactly the iterates it would follow
-alone.  An unstacked call is a stack of one.  `moments` likewise
-reduces every cell of a (cells, nodes) array at once.
+Moment matching is one Newton problem for both target families.  A
+Maxwellian is the Gaussian whose covariance S = T/m is theta I, so each
+family gives spread parameters s in theta units and a constant 0/1
+matrix J taking them to the upper triangle of S (theta onto the
+diagonal, or the identity); the raw moments matched, the convergence
+and admissibility tests and the velocity scale all follow from
+(n, u, J s).  Every entry of the moments and of their Jacobian is a
+centred moment of degree <= 4 (Mieussens, M3AS 2000), read from one
+tensor of per-axis powers: the outer product of per-axis sums for the
+Maxwellian, the lattice sample contracted axis by axis for the
+Gaussian.  The matchers and samplers take a stack of K targets (n, T,
+mass as (K,), u as (K, d), tensors as a (K, d, d) stack) and run one
+Newton loop for all of them: each iteration samples the members not yet
+converged and solves their systems in one stacked solve, and a
+converged member is frozen, so every member follows exactly the
+iterates it would follow alone.  An unstacked call is a stack of one.
+`moments` likewise reduces every cell of a (cells, nodes) array at once.
 """
 
 from __future__ import annotations
@@ -363,16 +367,14 @@ def _monomials(dim: int):
     """Read-only tables for the centred monomials m = (1, c_i, c_i c_j),
     i <= j in `_tri_index` order: the axes (ti, tj) of each product, the
     flat index of each Gram entry w sum f m_a m_b into the (5,) * dim
-    moment tensor, the rows picking (1, v, |v|^2) from (1, v_i, v_i v_j),
-    and the linear map from (u_i, u_i u_j) to the matrix A of
-    `_newton_system`.
+    moment tensor, the linear map from (u_i, u_i u_j) to the matrix A
+    of `_newton_system`, and the 0/1 map from upper triangles to
+    flattened symmetric matrices.
     """
     ti, tj = np.array(_tri_index(dim)).T
     eye = np.eye(dim, dtype=int)
     expo = np.concatenate([np.zeros_like(eye[:1]), eye, eye[ti] + eye[tj]])
     gram = np.ravel_multi_index(tuple((expo[:, None] + expo).T), (5,) * dim)
-    energy = np.eye(dim + 2, len(expo))
-    energy[-1, 1 + dim:1 + 2 * dim] = 1.0
     # A(u) = I + (u, u_ti u_tj) @ shift, flattened: A writes the raw
     # monomials over the centred ones, 1 -> 1, v_i -> c_i + u_i and
     # v_i v_j -> c_i c_j + u_j c_i + u_i c_j + u_i u_j
@@ -383,18 +385,32 @@ def _monomials(dim: int):
     np.add.at(shift, (ti, rows, 1 + tj), 1.0)
     np.add.at(shift, (tj, rows, 1 + ti), 1.0)
     shift = shift.reshape(len(shift), -1)
-    for table in (ti, tj, gram, energy, shift):
+    sym = np.zeros((len(ti), dim, dim))
+    sym[range(len(ti)), ti, tj] = sym[range(len(ti)), tj, ti] = 1.0
+    sym = sym.reshape(len(ti), -1)
+    for table in (ti, tj, gram, shift, sym):
         table.flags.writeable = False
-    return ti, tj, gram, energy, shift
+    return ti, tj, gram, shift, sym
+
+
+@functools.lru_cache(maxsize=None)
+def _spread_map(dim: int, isotropic: bool) -> np.ndarray:
+    """Read-only 0/1 matrix J taking a target family's spread parameters
+    s (in theta = T/m units) to the upper triangle of its covariance S
+    in `_tri_index` order: for the Maxwellian (S = theta I) J puts theta
+    on the diagonal, for the Gaussian J is the identity."""
+    J = np.eye(dim * (dim + 1) // 2)
+    J = J[:, :dim].sum(axis=1, keepdims=True) if isotropic else J
+    J.flags.writeable = False
+    return J
 
 
 def _symmetric(upper, dim: int) -> np.ndarray:
     """Symmetric matrices from their upper triangles in `_tri_index`
-    order (leading axes are kept)."""
-    ti, tj = _monomials(dim)[:2]
-    out = np.empty(np.shape(upper)[:-1] + (dim, dim))
-    out[..., ti, tj] = out[..., tj, ti] = upper
-    return out
+    order (leading axes are kept); each entry is copied exactly from a
+    finite upper triangle."""
+    return (upper @ _monomials(dim)[4]).reshape(np.shape(upper)[:-1]
+                                                + (dim, dim))
 
 
 def _newton_system(u: np.ndarray, select: np.ndarray,
@@ -408,22 +424,21 @@ def _newton_system(u: np.ndarray, select: np.ndarray,
     (column 0 of the result) and dq/dp = select A G B^T.
     """
     K, d = u.shape
-    ti, tj, gram, _, shift = _monomials(d)
+    ti, tj, gram, shift = _monomials(d)[:4]
     A = np.concatenate([u, u[:, ti] * u[:, tj]], axis=1) @ shift
     A[:, ::len(gram) + 1] += 1.0
     return select @ A.reshape(K, len(gram), -1) @ M.reshape(K, -1)[:, gram]
 
 
-def _maxwellian_sample(p: np.ndarray, mass: np.ndarray,
-                       grid: VelocityGrid) -> np.ndarray:
+def _maxwellian_sample(p: np.ndarray, grid: VelocityGrid) -> np.ndarray:
     """Centred moment tensors (K, 5, ..., 5) of the Maxwellians with
-    p = (n, u, T) per row: the prefactor times the outer product of the
-    per-axis power sums sum g_i c_i^k (K, 5, d) of their factors g_i,
-    the powers built by a running product.  No lattice-sized array is
-    formed.
+    p = (n, u, theta) per row: the prefactor times the outer product of
+    the per-axis power sums sum g_i c_i^k (K, 5, d) of their factors
+    g_i, the powers built by a running product.  No lattice-sized array
+    is formed.
     """
     K, d = len(p), grid.dim
-    theta = p[:, 1 + d] / mass
+    theta = p[:, 1 + d]
     c, g = _axis_factors(p[:, 1:1 + d], theta, grid)
     power = np.empty((K, 5, c.shape[1]))
     power[:, 0] = g
@@ -436,16 +451,16 @@ def _maxwellian_sample(p: np.ndarray, mass: np.ndarray,
     return M
 
 
-def _maxwellian_derivs(p: np.ndarray, mass: np.ndarray, d: int):
+def _maxwellian_derivs(p: np.ndarray, d: int) -> np.ndarray:
     """B (K, d + 2, monomials) with df/dp = f B m for the Maxwellians
-    p = (n, u, T): f (1/n, c_i / theta, |c|^2 / (2 theta T) - d / (2T))."""
-    n, T = p[:, 0], p[:, 1 + d]
-    theta = T / mass
+    p = (n, u, theta): f (1/n, c_i / theta, |c|^2 / (2 theta^2)
+    - d / (2 theta))."""
+    n, theta = p[:, 0], p[:, 1 + d]
     axes = np.arange(1, 1 + d)
     B = np.zeros((len(p), d + 2, len(_monomials(d)[2])))
-    B[:, 0, 0], B[:, -1, 0] = 1.0 / n, -d / (2.0 * T)
+    B[:, 0, 0], B[:, -1, 0] = 1.0 / n, -d / (2.0 * theta)
     B[:, axes, axes] = (1.0 / theta)[:, None]
-    B[:, -1, 1 + d:1 + 2 * d] = (1.0 / (2.0 * theta * T))[:, None]
+    B[:, -1, 1 + d:1 + 2 * d] = (0.5 / (theta * theta))[:, None]
     return B
 
 
@@ -496,42 +511,54 @@ def _gaussian_derivs(p: np.ndarray, d: int) -> np.ndarray:
     return B
 
 
-def _newton_match(p, target, select, sample, derivs, admissible, spread_ok,
-                  vscale, tol: float, dim: int, max_iter: int, what):
-    """Newton-correct a stack of parameter sets p (K, P) = (n, u,
-    spread...), starting at the targets, until the raw moments q of each
-    member's sampled target hit its row of `target`.
+def _newton_match(n, u, s, J, sample, derivs, tol: float, max_iter: int,
+                  what):
+    """Newton-correct a stack of K targets of either family until the
+    raw moments q of each member's sampled target hit the exact ones.
 
-    q pairs f with (1, v, spread moments), weighted by the quadrature;
-    `select` picks them from (1, v_i, v_i v_j).  sample(p, rows) gives
-    the centred moment tensors of the members `rows` and
-    derivs(p, rows) their derivative matrices B; `_newton_system` turns
-    them into q and dq/dp for either family.  A member has converged
-    when n and u match to tol (u relative to its vscale) and
-    spread_ok(q, qu, rows) holds.  Each iteration samples only the
-    members not yet converged, forms dq/dp only for those that step,
-    and solves them in one stacked solve; a converged member is frozen,
-    so it follows exactly the iterates it would follow alone.  Each
-    step is halved until admissible(p) holds, down to 2^-20.  Failures
-    name the member through what(k).  Returns (p, per-member
+    Member k has density n[k], mean velocity u[k] and covariance S = T/m
+    with upper triangle J s[k]; all else follows from (n, u, J s).
+    Newton runs on p = (n, u, s) from the targets, and q pairs f with
+    (1, v, J^T (v_i v_j)), picked from (1, v_i, v_i v_j) by select =
+    diag(1, I_d, J^T).  sample(p, rows) gives the centred moment tensors
+    of the members `rows` and derivs(p, d) their derivative matrices B;
+    `_newton_system` turns them into q and dq/dp.  A member has
+    converged when n matches to tol relative, u to tol times the
+    velocity scale sqrt(tr S / d) + |u|, and s, read back from q through
+    J, to tol times tr S / d.  Each iteration samples only the members
+    not yet converged, forms dq/dp only for those that step, and solves
+    them in one stacked solve; a converged member is frozen, so it
+    follows exactly the iterates it would follow alone.  Each step is
+    halved until n > 0 and S is positive definite, down to 2^-20.
+    Failures name the member through what(k).  Returns (p, per-member
     iteration counts).
     """
-    p = np.array(p, dtype=float)
-    n, u = p[:, 0].copy(), p[:, 1:1 + dim].copy()
+    d = u.shape[1]
+    ti, tj = _monomials(d)[:2]
+    select = np.eye(1 + d + J.shape[1], 1 + d + len(J))
+    select[1 + d:, 1 + d:] = J.T
+    cov = s @ J.T
+    target = np.column_stack([n, n[:, None] * u, n[:, None]
+                              * (u[:, ti] * u[:, tj] + cov)]) @ select.T
+    tscale = cov[:, :d].sum(axis=1) / d
+    vscale = np.sqrt(tscale) + np.sqrt((u * u).sum(axis=1))
+    count = J.sum(axis=0)  # the entries of S that each s sets
+    p = np.column_stack([n, u, s])
     iters = np.zeros(len(p), dtype=int)
     active = np.arange(len(p))
     for it in range(max_iter + 1):
         pa = p[active]
-        SAG = _newton_system(pa[:, 1:1 + dim], select, sample(pa, active))
+        SAG = _newton_system(pa[:, 1:1 + d], select, sample(pa, active))
         q = SAG[:, :, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             # q0 = 0 gives NaN, which fails the tests as n already does
-            qu = q[:, 1:1 + dim] / q[:, :1]
+            raw = q[:, 1:] / q[:, :1]
+            qu = raw[:, :d]
             du = qu - u[active]
+            ds = (raw[:, d:] - (qu[:, ti] * qu[:, tj]) @ J) / count - s[active]
             done = ((np.abs(q[:, 0] - n[active]) <= tol * n[active])
-                    & (np.sqrt(np.sum(du * du, axis=1))
-                       <= tol * vscale[active])
-                    & spread_ok(q, qu, active))
+                    & (np.sqrt((du * du).sum(axis=1)) <= tol * vscale[active])
+                    & (np.abs(ds).max(axis=1) <= tol * tscale[active]))
         iters[active] = it
         stepping = ~done
         active, pa, q, SAG = (active[stepping], pa[stepping], q[stepping],
@@ -540,7 +567,7 @@ def _newton_match(p, target, select, sample, derivs, admissible, spread_ok,
             return p, iters
         if it == max_iter:
             break
-        dqdp = SAG @ np.swapaxes(derivs(pa, active), 1, 2)
+        dqdp = SAG @ np.swapaxes(derivs(pa, d), 1, 2)
         try:
             step = np.linalg.solve(dqdp, (q - target[active])[:, :, None])
         except np.linalg.LinAlgError as exc:
@@ -551,8 +578,9 @@ def _newton_match(p, target, select, sample, derivs, admissible, spread_ok,
         shrink = np.ones(len(active))
         while True:
             cand = pa - shrink[:, None] * step[:, :, 0]
-            ok = np.all(np.isfinite(cand), axis=1)
-            ok[ok] = admissible(cand[ok])
+            ok = np.isfinite(cand).all(axis=1)
+            S = _symmetric(cand[ok, 1 + d:] @ J.T, d)
+            ok[ok] = (cand[ok, 0] > 0.0) & (np.linalg.eigvalsh(S)[:, 0] > 0.0)
             if ok.all():
                 break
             shrink[~ok] *= 0.5
@@ -573,7 +601,8 @@ def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
                   out=None) -> np.ndarray:
     """Discrete Maxwellian whose quadrature (n, u, T) hit the targets.
 
-    Newton-corrects the Maxwellian parameters so the discrete moments
+    The Gaussian problem of `_newton_match` with covariance theta I,
+    theta = T/m: Newton on (n, u, theta) so that the discrete moments
     (1, v, |v|^2) match to `tol` (relative).  The Newton system comes
     from per-axis sums; f is sampled once, at the converged parameters,
     and is the plain sampled Maxwellian if it matches at once.  Stacked
@@ -588,25 +617,12 @@ def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
     _require(n > 0.0, n, "targets require n > 0")
     _require(T > 0.0, T, "targets require T > 0")
     d = grid.dim
-    theta = T / mass
-    unorm = np.sqrt(np.sum(u * u, axis=1))
-
-    def temperature_ok(q, qu, rows):
-        qT = (mass[rows] * (q[:, 1 + d] - q[:, 0] * np.sum(qu * qu, axis=1))
-              / (d * q[:, 0]))
-        return np.abs(qT - T[rows]) <= tol * T[rows]
-
     p, iters = _newton_match(
-        np.column_stack([n, u, T]),
-        np.column_stack([n, n[:, None] * u, n * (unorm * unorm + d * theta)]),
-        _monomials(d)[3],
-        lambda p, rows: _maxwellian_sample(p, mass[rows], grid),
-        lambda p, rows: _maxwellian_derivs(p, mass[rows], d),
-        lambda p: (p[:, 0] > 0.0) & (p[:, 1 + d] > 0.0), temperature_ok,
-        np.sqrt(theta) + unorm, tol, d, max_iter,
-        lambda k: f"member {k}: Maxwellian n={n[k]}, T={T[k]}")
+        n, u, (T / mass)[:, None], _spread_map(d, True),
+        lambda p, rows: _maxwellian_sample(p, grid), _maxwellian_derivs,
+        tol, max_iter, lambda k: f"member {k}: Maxwellian n={n[k]}, T={T[k]}")
     out = _block(out, len(n), grid)
-    _maxwellian_fill(p[:, 0], p[:, 1:1 + d], p[:, 1 + d] / mass, grid, out)
+    _maxwellian_fill(p[:, 0], p[:, 1:1 + d], p[:, 1 + d], grid, out)
     f = out if stacked else out[0]
     return (f, int(iters.max())) if return_info else f
 
@@ -616,43 +632,25 @@ def match_gaussian(n, u, tensor, mass, grid: VelocityGrid, tol: float = 1e-13,
                    out=None) -> np.ndarray:
     """Discrete Gaussian whose quadrature (n, u, T-tensor) hit the targets.
 
-    Analogue of match_moments for anisotropic targets: Newton on
-    (n, u, covariance) against all raw moments (1, v, v(x)v), with the
-    Newton system from the lattice sample of each iterate, which is
-    written straight into the member's row of the result.  Stacks as
-    match_moments does; a stacked `tensor` is a (K, d, d) SpdTensor or
-    matrix.
+    The problem of `_newton_match` with the full covariance S = T/m as
+    its spread: Newton on (n, u, S) against all raw moments
+    (1, v, v(x)v), with the Newton system from the lattice sample of
+    each iterate, which is written straight into the member's row of
+    the result.  Stacks as match_moments does; a stacked `tensor` is a
+    (K, d, d) SpdTensor or matrix.
     """
     spd = tensor if isinstance(tensor, SpdTensor) else spd_factor(tensor)
     stacked, u, n, mass = _members(grid, u, n, mass,
                                    shape=np.shape(spd.matrix)[:-2])
     _require(n > 0.0, n, "targets require n > 0")
     K, d = len(n), grid.dim
-    ti, tj, gram = _monomials(d)[:3]
-    matrix = np.broadcast_to(spd.matrix, (K, d, d))
-    sigma = (matrix / mass[:, None, None])[:, ti, tj]
-    tscale = np.trace(matrix, axis1=1, axis2=2) / d
-
-    def admissible(p):
-        cov = _symmetric(p[:, 1 + d:], d)
-        return (p[:, 0] > 0.0) & (np.linalg.eigvalsh(cov)[:, 0] > 0.0)
-
-    def tensor_ok(q, qu, rows):
-        qsig = (_symmetric(q[:, 1 + d:], d) / q[:, 0, None, None]
-                - qu[:, :, None] * qu[:, None, :])
-        err = np.abs(mass[rows, None, None] * qsig - matrix[rows])
-        return np.max(err, axis=(1, 2)) <= tol * tscale[rows]
-
+    ti, tj = _monomials(d)[:2]
+    cov = np.broadcast_to(spd.matrix, (K, d, d)) / mass[:, None, None]
     out = _block(out, K, grid)
     _, iters = _newton_match(
-        np.column_stack([n, u, sigma]),
-        np.column_stack([n, n[:, None] * u,
-                         n[:, None] * (u[:, ti] * u[:, tj] + sigma)]),
-        np.eye(len(gram)),
-        lambda p, rows: _gaussian_sample(p, grid, out, rows),
-        lambda p, rows: _gaussian_derivs(p, d), admissible, tensor_ok,
-        np.sqrt(tscale / mass) + np.sqrt(np.sum(u * u, axis=1)), tol, d,
-        max_iter, lambda k: f"member {k}: Gaussian n={n[k]}")
+        n, u, cov[:, ti, tj], _spread_map(d, False),
+        lambda p, rows: _gaussian_sample(p, grid, out, rows), _gaussian_derivs,
+        tol, max_iter, lambda k: f"member {k}: Gaussian n={n[k]}")
     f = out if stacked else out[0]
     return (f, int(iters.max())) if return_info else f
 

@@ -7,6 +7,7 @@ Boltzmann constant throughout the package (energy units).
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
@@ -98,6 +99,11 @@ Frequencies = namedtuple("Frequencies", "nu11 nu12 nu21 nu22")
 MU_LO, MU_HI = -0.5, 1.0
 
 
+def _positive(x: float) -> bool:
+    """x is finite and positive; NaN and inf are not."""
+    return math.isfinite(x) and x > 0.0
+
+
 def derive_frequencies(inter: InteractionSpec) -> Frequencies:
     """All four collision-frequency coefficients from the three ratios.
 
@@ -105,11 +111,11 @@ def derive_frequencies(inter: InteractionSpec) -> Frequencies:
     """
     if not 0.0 < inter.epsilon <= 1.0:
         raise ValueError(f"epsilon out of range (0, 1]: {inter.epsilon}")
-    if inter.nu12 <= 0.0:
-        raise ValueError(f"nu12 must be positive: {inter.nu12}")
-    if inter.beta1 <= 0.0 or inter.beta2 <= 0.0:
-        raise ValueError(
-            f"beta1, beta2 must be positive: {inter.beta1}, {inter.beta2}")
+    if not _positive(inter.nu12):
+        raise ValueError(f"nu12 must be finite and positive: {inter.nu12}")
+    if not (_positive(inter.beta1) and _positive(inter.beta2)):
+        raise ValueError(f"beta1, beta2 must be finite and positive: "
+                         f"{inter.beta1}, {inter.beta2}")
     nu21 = inter.nu12 / inter.epsilon
     return Frequencies(nu11=inter.beta1 * inter.nu12,
                        nu12=inter.nu12,
@@ -123,8 +129,8 @@ def delta_interval(m1: float, m2: float, epsilon: float) -> tuple[float, float]:
     Positivity of the cross-target temperatures requires
     (epsilon*m1/m2 - 1)/(1 + epsilon*m1/m2) <= delta <= 1.
     """
-    if m1 <= 0.0 or m2 <= 0.0:
-        raise ValueError(f"masses must be positive: {m1}, {m2}")
+    if not (_positive(m1) and _positive(m2)):
+        raise ValueError(f"masses must be finite and positive: {m1}, {m2}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon out of range (0, 1]: {epsilon}")
     q = epsilon * m1 / m2
@@ -166,37 +172,38 @@ def validate(params: ModelParams) -> list[str]:
     """
     v: list[str] = []
     m1, m2 = params.species1.m, params.species2.m
-    if m1 <= 0.0:
-        v.append(f"m1 must be positive (got {m1})")
-    if m2 <= 0.0:
-        v.append(f"m2 must be positive (got {m2})")
+    if not _positive(m1):
+        v.append(f"m1 must be finite and positive (got {m1})")
+    if not _positive(m2):
+        v.append(f"m2 must be finite and positive (got {m2})")
 
     inter = params.interaction
     interaction_ok = True
-    if inter.nu12 <= 0.0:
-        v.append(f"nu12 must be positive (got {inter.nu12})")
+    if not _positive(inter.nu12):
+        v.append(f"nu12 must be finite and positive (got {inter.nu12})")
         interaction_ok = False
     if not 0.0 < inter.epsilon <= 1.0:
         v.append(f"epsilon out of range (0, 1] (got {inter.epsilon})")
         interaction_ok = False
-    if inter.beta1 <= 0.0:
-        v.append(f"beta1 must be positive (got {inter.beta1})")
+    if not _positive(inter.beta1):
+        v.append(f"beta1 must be finite and positive (got {inter.beta1})")
         interaction_ok = False
-    if inter.beta2 <= 0.0:
-        v.append(f"beta2 must be positive (got {inter.beta2})")
+    if not _positive(inter.beta2):
+        v.append(f"beta2 must be finite and positive (got {inter.beta2})")
         interaction_ok = False
 
     mix = params.mixing
     if not 0.0 <= mix.alpha <= 1.0:
         v.append(f"alpha outside [0, 1] (got {mix.alpha})")
-    if mix.gamma < 0.0:
-        v.append(f"gamma must be nonnegative (got {mix.gamma})")
-    if interaction_ok and m1 > 0.0 and m2 > 0.0:
+    gamma_ok = math.isfinite(mix.gamma) and mix.gamma >= 0.0
+    if not gamma_ok:
+        v.append(f"gamma must be finite and nonnegative (got {mix.gamma})")
+    if interaction_ok and _positive(m1) and _positive(m2):
         lo, hi = delta_interval(m1, m2, inter.epsilon)
         if not lo <= mix.delta <= hi:
             v.append(f"delta={mix.delta} outside admissible interval "
                      f"[{lo:.12g}, {hi:.12g}]")
-        elif mix.gamma >= 0.0:
+        elif gamma_ok:
             bound = gamma_bound_expression(mix.delta, m1, m2, inter.epsilon)
             if mix.gamma > bound:
                 v.append(f"gamma={mix.gamma} exceeds temperature-positivity "
@@ -243,8 +250,9 @@ def dimensionless_scales(nu_bar12: float, t_bar: float, x_bar: float,
                       ("x_bar", x_bar), ("n_typical", n_typical),
                       ("beta1", beta1), ("beta2", beta2),
                       ("epsilon", epsilon), ("n1", n1), ("n2", n2)):
-        if val <= 0.0:
-            raise ValueError(f"{name} must be positive (got {val})")
+        if not _positive(val):
+            raise ValueError(f"{name} must be finite and positive "
+                             f"(got {val})")
     inv1 = beta1 * nu_bar12 * t_bar * n_typical / x_bar
     inv_t1 = inv1 / beta1 * (n2 / n1)
     inv_t2 = inv1 / beta1 / epsilon

@@ -115,9 +115,11 @@ def _check_cfl(grid: VelocityGrid, dt: float, dx: float) -> None:
 def transport_step(state: KineticState, dt: float) -> KineticState:
     """First-order upwind advection step on the periodic 1-D domain.
 
-    Updates every velocity node independently with donor-cell fluxes;
-    the flux sum telescopes, so total mass per node is conserved to
-    round-off.  A CFL number above one is a hard error.
+    Updates every velocity node independently in flux form: the
+    donor-cell flux through the right face of cell i is
+    F_i = v+ f_i + v- f_(i+1), and f_i - dt/dx (F_i - F_(i-1)) is the
+    new value.  The flux sum telescopes, so total mass per node is
+    conserved to round-off.  A CFL number above one is a hard error.
     """
     if state.f1.ndim != 2 or state.dx is None:
         raise ValueError("transport requires a 1-D state with cell width")
@@ -128,9 +130,15 @@ def transport_step(state: KineticState, dt: float) -> KineticState:
     lam = dt / state.dx
 
     def advect(f):
-        left = np.roll(f, 1, axis=0)
-        right = np.roll(f, -1, axis=0)
-        return f - lam * (vp * (f - left) + vm * (right - f))
+        flux = np.roll(f, -1, axis=0)
+        flux *= vm
+        out = np.multiply(f, vp)
+        flux += out
+        np.subtract(flux[1:], flux[:-1], out=out[1:])
+        np.subtract(flux[:1], flux[-1:], out=out[:1])
+        out *= -lam
+        out += f
+        return out
 
     return KineticState(f1=advect(state.f1), f2=advect(state.f2),
                         t=state.t + dt, grid=state.grid, dx=state.dx)

@@ -103,6 +103,16 @@ class TestCliCommands:
         rc = main(["relax", "-c", write_config(tmp_path, doc)])
         assert rc == 1
 
+    def test_nan_parameter_exits_one_naming_it(self, tmp_path, capsys):
+        doc = self.relax_doc()
+        doc["interaction"]["nu12"] = float("nan")
+        rc = main(["relax", "-c", write_config(tmp_path, doc),
+                   "-o", str(tmp_path)])
+        assert rc == 1
+        assert "nu12 must be finite and positive (got nan)" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "relax.csv").exists()
+
     def test_relax_on_equilibrium_rows_identical(self, tmp_path):
         path = write_config(tmp_path, self.relax_doc())
         rc = main(["relax", "-c", path, "-o", str(tmp_path)])

@@ -8,7 +8,7 @@ from bgkmix.errors import (DegenerateDensityError, NoConvergenceError,
                            NotSpdError)
 from bgkmix.grid import (VelocityGrid, _gaussian_derivs, _gaussian_sample,
                          _maxwellian_derivs, _maxwellian_sample, _monomials,
-                         _newton_system, gaussian_on_grid,
+                         _newton_system, _spread_map, gaussian_on_grid,
                          h_functional, match_gaussian, match_moments,
                          maxwellian_on_grid, moments, spd_factor)
 
@@ -177,25 +177,28 @@ class TestSeparableRawMoments:
         ids=["1", "2", "3", "gaussian1", "gaussian2", "gaussian3"])
 
     def family(self, name, dim):
-        """Parameters, sampler, raw-moment selection and the node-level
-        raw basis of one family on uneven_grid(dim).  The sampler maps
-        one parameter row to (M, B, f), each for a stack of one."""
+        """Parameters (n, u, s), sampler, raw-moment selection
+        diag(1, I_d, J^T) and the node-level raw basis of one family on
+        uneven_grid(dim).  The sampler maps one parameter row to
+        (M, B, f), each for a stack of one."""
         grid = uneven_grid(dim)
         u = [0.3, -0.2, 0.15][:dim]
         ones = np.ones((grid.nnodes, 1))
-        mass = np.array([self.MASS])
+        J = _spread_map(dim, name == "maxwellian")
+        select = np.eye(1 + dim + J.shape[1], 1 + dim + len(J))
+        select[1 + dim:, 1 + dim:] = J.T
         if name == "maxwellian":
             basis = np.column_stack([ones, grid.nodes,
                                      np.sum(grid.nodes ** 2, axis=1)])
 
             def sample(p):
-                return (_maxwellian_sample(p, mass, grid),
-                        _maxwellian_derivs(p, mass, dim),
+                return (_maxwellian_sample(p, grid),
+                        _maxwellian_derivs(p, dim),
                         maxwellian_on_grid(p[:, 0], p[:, 1:1 + dim],
-                                           p[:, 1 + dim], mass, grid))
+                                           p[:, 1 + dim], 1.0, grid))
 
-            return (grid, np.concatenate([[0.9], u, [0.8]]), sample,
-                    _monomials(dim)[3], basis)
+            return (grid, np.concatenate([[0.9], u, [0.8 / self.MASS]]),
+                    sample, select, basis)
         ti, tj = _monomials(dim)[:2]
         cov = SHEARED[:dim, :dim] / self.MASS
         basis = np.column_stack([ones, grid.nodes,
@@ -207,7 +210,7 @@ class TestSeparableRawMoments:
             return M, _gaussian_derivs(p, dim), f
 
         return (grid, np.concatenate([[0.9], u, cov[ti, tj]]), sample,
-                np.eye(basis.shape[1]), basis)
+                select, basis)
 
     def system(self, p, sample, select, grid):
         M, B, f = sample(p[None])

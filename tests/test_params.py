@@ -33,6 +33,14 @@ class TestDeriveFrequencies:
         with pytest.raises(ValueError, match="epsilon out of range"):
             derive_frequencies(InteractionSpec(1.0, 1.5, 1.0, 1.0))
 
+    @pytest.mark.parametrize("field", ["nu12", "beta1", "beta2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, value):
+        ratios = {"nu12": 1.0, "epsilon": 1.0, "beta1": 1.0, "beta2": 1.0}
+        ratios[field] = value
+        with pytest.raises(ValueError, match="finite and positive"):
+            derive_frequencies(InteractionSpec(**ratios))
+
     def test_reciprocity_to_machine_precision(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -98,6 +106,13 @@ class TestValidate:
         violations = validate(bundle(delta=2.0, alpha=-0.5, mu2=-0.8))
         assert len(violations) == 3
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field",
+                             ["m1", "m2", "nu12", "beta1", "beta2", "gamma"])
+    def test_non_finite_fails(self, field, value):
+        violations = validate(bundle(**{field: value}))
+        assert any(v.startswith(f"{field} must be finite") for v in violations)
+
 
 class TestDimensionlessScales:
     def test_beta_scaling(self):
@@ -137,3 +152,5 @@ class TestDimensionlessScales:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             dimensionless_scales(0.0, 1, 1, 1, 1, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="finite and positive"):
+            dimensionless_scales(np.nan, 1, 1, 1, 1, 1, 1, 1, 1)

@@ -204,6 +204,25 @@ class TestTransportStep:
             state = transport_step(state, dt)
         assert abs(state.f1.sum() - mass1) <= 1e-13 * mass1
 
+    def test_matches_written_out_donor_cell_formula(self):
+        grid = VelocityGrid(dim=2, vmin=-4.0, vmax=3.0, points=(9, 8))
+        rng = np.random.default_rng(32)
+        state = self.state(grid, nx=12, dx=0.25)
+        state.f1[:] = rng.uniform(0, 1, state.f1.shape)
+        state.f2[:] = rng.uniform(0, 2, state.f2.shape)
+        dt = 0.9 * 0.25 / np.max(np.abs(grid.nodes[:, 0]))
+        new = transport_step(state, dt)
+        lam = dt / 0.25
+        for f, got in ((state.f1, new.f1), (state.f2, new.f2)):
+            want = np.empty_like(f)
+            for i in range(12):
+                for k, v in enumerate(grid.nodes[:, 0]):
+                    left, right = f[i - 1, k], f[(i + 1) % 12, k]
+                    want[i, k] = f[i, k] - lam * (max(v, 0.0) * (f[i, k] - left)
+                                                  + min(v, 0.0)
+                                                  * (right - f[i, k]))
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_cfl_violation_is_hard_error(self):
         grid = self.grid1d()
         state = self.state(grid, dx=0.1)
