@@ -1,3 +1,4 @@
-from .cli import main
+from .cli import main_entry
 
-raise SystemExit(main())
+if __name__ == "__main__":
+    main_entry()

@@ -129,6 +129,16 @@ class MomentSet:
     Q: np.ndarray | None = None
     Qtilde: np.ndarray | None = None
 
+    def rows(self, index) -> "MomentSet":
+        """The sets of rows `index` of a full set with a leading row axis:
+        a slice keeps the axis, an integer gives one row's set with
+        scalar n and T."""
+        n, T = self.n[index], self.T[index]
+        if np.ndim(n) == 0:
+            n, T = float(n), float(T)
+        return MomentSet(n=n, u=self.u[index], T=T, P=self.P[index],
+                         Q=self.Q[index], Qtilde=self.Qtilde[index])
+
 
 @dataclass
 class SpdTensor:
@@ -139,9 +149,10 @@ class SpdTensor:
     chol: np.ndarray
 
 
-def moments(f: np.ndarray, mass: float, grid: VelocityGrid,
+def moments(f: np.ndarray, mass, grid: VelocityGrid,
             n_floor: float = N_FLOOR) -> MomentSet:
-    """Full moment set of a distribution array, (nodes,) or (cells, nodes).
+    """Full moment set of a distribution array, (nodes,) or (rows, nodes),
+    with `mass` a scalar or one value per row.
 
     No moment involves more than two velocity axes, so all of them are
     reduced from lattice marginals of each cell's f viewed on the
@@ -155,10 +166,12 @@ def moments(f: np.ndarray, mass: float, grid: VelocityGrid,
     rows c_i^2, each zero off axis i's nodes.  So S_ij is entry [i, j]
     and sum f c_i c_j^2 entry [i, d + j].  Then P = m w S,
     Qtilde = m w S3, and with s0 = sum f the raw flux is
-    Q = w (S3 + 2 S u + u tr S + s0 |u|^2 u) / 2.  All cells reduce
-    together; a (nodes,) input gives scalar n and T.
+    Q = w (S3 + 2 S u + u tr S + s0 |u|^2 u) / 2.  All rows (the cells
+    of a species, or the cells of both species stacked, each row with
+    its own mass) reduce together, and each row's set equals its solo
+    reduction bitwise; a (nodes,) input gives scalar n and T.
 
-    Raises DegenerateDensityError, listing the cells, when a quadrature
+    Raises DegenerateDensityError, listing the rows, when a quadrature
     density is below n_floor; mean velocity and temperature are
     undefined there.
     """
@@ -166,6 +179,12 @@ def moments(f: np.ndarray, mass: float, grid: VelocityGrid,
     if f.ndim not in (1, 2) or f.shape[-1] != grid.nnodes:
         raise ValueError(f"distribution shape {f.shape} does not match grid "
                          f"({grid.nnodes} nodes)")
+    C = len(f) if f.ndim == 2 else 1
+    mw = np.asarray(mass, dtype=float) * grid.weight
+    if mw.ndim and mw.shape != (C,):
+        raise ValueError(f"mass must be a scalar or one value per row "
+                         f"({C}), got shape {mw.shape}")
+    mw = np.broadcast_to(mw, (C,))
     d, w, nodes = grid.dim, grid.weight, grid.axis_nodes
     lattice = f.reshape((-1, *grid.points))
     labels = list(range(1, d + 1))
@@ -182,8 +201,7 @@ def moments(f: np.ndarray, mass: float, grid: VelocityGrid,
         bad = np.flatnonzero(n < n_floor)
         raise DegenerateDensityError(float(n[bad[0]]), n_floor,
                                      bad if f.ndim == 2 else None)
-    C, axis = len(s0), [slice(a, a + p) for a, p in zip(grid.axis_start,
-                                                         grid.points)]
+    axis = [slice(a, a + p) for a, p in zip(grid.axis_start, grid.points)]
     m = np.concatenate(marginals, axis=1)
     u = np.add.reduceat(m * nodes, grid.axis_start, axis=1) / s0[:, None]
     c = nodes - u[:, grid.axis_of]
@@ -199,14 +217,11 @@ def moments(f: np.ndarray, mass: float, grid: VelocityGrid,
     S = 0.5 * (S + S.transpose(0, 2, 1))  # so P is bitwise symmetric
     S3 = K[:, :d, d:].sum(axis=2)
     trS = np.einsum("cii->c", S)
-    P = mass * w * S
-    T = mass * w * trS / (d * n)
     Q = 0.5 * w * (S3 + 2.0 * (S @ u[:, :, None])[:, :, 0] + trS[:, None] * u
                    + (s0 * np.sum(u * u, axis=1))[:, None] * u)
-    if f.ndim == 1:
-        return MomentSet(n=float(n[0]), u=u[0], T=float(T[0]), P=P[0],
-                         Q=Q[0], Qtilde=mass * w * S3[0])
-    return MomentSet(n=n, u=u, T=T, P=P, Q=Q, Qtilde=mass * w * S3)
+    mom = MomentSet(n=n, u=u, T=mw * trS / (d * n), P=mw[:, None, None] * S,
+                    Q=Q, Qtilde=mw[:, None] * S3)
+    return mom.rows(0) if f.ndim == 1 else mom
 
 
 def _members(grid: VelocityGrid, u, *scalars, shape=()):
@@ -236,6 +251,13 @@ def _require(ok: np.ndarray, values: np.ndarray, what: str) -> None:
     if not np.all(ok):
         k = int(np.argmin(ok))
         raise ValueError(f"{what} (member {k}: got {values[k]})")
+
+
+def _require_mass(mass: np.ndarray) -> None:
+    """ValueError naming the first member whose mass is not finite and
+    positive."""
+    _require(np.isfinite(mass) & (mass > 0.0), mass,
+             "mass must be finite and positive")
 
 
 def _block(out, members: int, grid: VelocityGrid) -> np.ndarray:
@@ -282,6 +304,7 @@ def maxwellian_on_grid(n, u, T, mass, grid: VelocityGrid,
     stacked, u, n, T, mass = _members(grid, u, n, T, mass)
     _require(T > 0.0, T, "temperature must be positive")
     _require(n >= 0.0, n, "density must be nonnegative")
+    _require_mass(mass)
     out = _block(out, len(n), grid)
     _maxwellian_fill(n, u, T / mass, grid, out)
     return out if stacked else out[0]
@@ -349,6 +372,7 @@ def gaussian_on_grid(n, u, tensor, mass, grid: VelocityGrid,
     stacked, u, n, mass = _members(grid, u, n, mass,
                                    shape=np.shape(spd.chol)[:-2])
     _require(n >= 0.0, n, "density must be nonnegative")
+    _require_mass(mass)
     chol = np.broadcast_to(spd.chol, (len(n), grid.dim, grid.dim))
     out = _block(out, len(n), grid)
     for k, row in enumerate(out):
@@ -616,6 +640,7 @@ def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
     stacked, u, n, T, mass = _members(grid, u, n, T, mass)
     _require(n > 0.0, n, "targets require n > 0")
     _require(T > 0.0, T, "targets require T > 0")
+    _require_mass(mass)
     d = grid.dim
     p, iters = _newton_match(
         n, u, (T / mass)[:, None], _spread_map(d, True),
@@ -643,6 +668,7 @@ def match_gaussian(n, u, tensor, mass, grid: VelocityGrid, tol: float = 1e-13,
     stacked, u, n, mass = _members(grid, u, n, mass,
                                    shape=np.shape(spd.matrix)[:-2])
     _require(n > 0.0, n, "targets require n > 0")
+    _require_mass(mass)
     K, d = len(n), grid.dim
     ti, tj = _monomials(d)[:2]
     cov = np.broadcast_to(spd.matrix, (K, d, d)) / mass[:, None, None]
@@ -666,7 +692,9 @@ def _xlogx_sum(f: np.ndarray) -> float:
     pos = f > 0.0
     if np.any(pos):
         vals = f[pos]
-        out = float(np.sum(vals * np.log(vals)))
+        logs = np.log(vals)
+        logs *= vals  # in place: one node-length temporary fewer
+        out = float(np.sum(logs))
     return out
 
 

@@ -17,12 +17,16 @@ EXP   freeze the moments at the step start, build the targets once and
 
 Both integrators consume one collision evaluation of all cells at once:
 per species, (self rate, self target, cross rate, cross target), the
-targets matched in one stacked call per family.  The initial state
-samples each species' target once and scales it by the cells' density
-profile.
+targets matched in one stacked call per family.  Each evaluation, and
+each diagnostics record, reduces both species in one `moments` call.
+The initial state samples each species' target once and scales it by
+the cells' density profile.
 Diagnostics take the totals from the moment sets of the cell averages
-(momentum m n u, energy m n |u|^2 / 2 + tr(P) / 2 per species).  Every
-reduction has a fixed summation order, so runs are reproducible.
+(momentum m n u, energy m n |u|^2 / 2 + tr(P) / 2 per species).  A
+homogeneous state is its own cell average, so `run_scenario` reduces
+each recorded one-cell state once and passes the result to `diagnose`
+and to the next `relax_step`.  Every reduction has a fixed summation
+order, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -52,31 +56,35 @@ class KineticState:
 
 
 def relax_step(state: KineticState, dt: float, params: ModelParams,
-               integrator: str = "exp", match: bool = True) -> KineticState:
+               integrator: str = "exp", match: bool = True, *,
+               mixture: MixtureState | None = None) -> KineticState:
     """One relaxation step of all cells at once; the result keeps the
     state shape.  Species are (cells, nodes) arrays, rates (cells, 1)
-    columns."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive (got {dt})")
+    columns.  `mixture`, when given, is the `MixtureState` of the
+    state's own (cells, nodes) distributions and serves the first
+    collision evaluation in place of reducing the state again."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive (got {dt})")
     if integrator not in ("rk4", "exp"):
         raise ValueError(f"unknown integrator {integrator!r}")
     grid, freq = state.grid, derive_frequencies(params.interaction)
     f1, f2 = (f.reshape(-1, grid.nnodes) for f in (state.f1, state.f2))
 
-    def collision(g1, g2):
+    def collision(g1, g2, st=None):
         """Per species: (self rate, self target, cross rate, cross target)."""
-        st = MixtureState.from_distributions(g1, g2, params.species1.m,
-                                             params.species2.m, grid)
+        if st is None:
+            st = MixtureState.from_distributions(g1, g2, params.species1.m,
+                                                 params.species2.m, grid)
         ts = build_targets(st, params, grid, match)
         n1, n2 = (0.0 if mom is None else mom.n[:, None]
                   for mom in (st.mom1, st.mom2))
         return ((freq.nu11 * n1, ts.g1, freq.nu12 * n2, ts.g12),
                 (freq.nu22 * n2, ts.g2, freq.nu21 * n1, ts.g21))
 
-    def rhs(g1, g2):
+    def rhs(g1, g2, st=None):
         return tuple(nu_s * (g_s - g) + nu_c * (g_c - g)
                      for g, (nu_s, g_s, nu_c, g_c)
-                     in zip((g1, g2), collision(g1, g2)))
+                     in zip((g1, g2), collision(g1, g2, st)))
 
     def exp_update(f, nu_self, g_self, nu_cross, g_cross):
         nu_tot = nu_self + nu_cross
@@ -90,7 +98,7 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
         return np.add(out, gstar, out=out)
 
     if integrator == "rk4":
-        k1 = rhs(f1, f2)
+        k1 = rhs(f1, f2, mixture)
         k2 = rhs(f1 + 0.5 * dt * k1[0], f2 + 0.5 * dt * k1[1])
         k3 = rhs(f1 + 0.5 * dt * k2[0], f2 + 0.5 * dt * k2[1])
         k4 = rhs(f1 + dt * k3[0], f2 + dt * k3[1])
@@ -98,7 +106,7 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
                for f, a, b, c, e in zip((f1, f2), k1, k2, k3, k4)]
     else:
         new = [exp_update(f, *terms)
-               for f, terms in zip((f1, f2), collision(f1, f2))]
+               for f, terms in zip((f1, f2), collision(f1, f2, mixture))]
     return KineticState(f1=new[0].reshape(state.f1.shape),
                         f2=new[1].reshape(state.f2.shape), t=state.t + dt,
                         grid=grid, dx=state.dx)
@@ -240,15 +248,28 @@ def _anisotropy(mom: MomentSet | None) -> float:
     return float(np.linalg.norm(dev))
 
 
-def diagnose(state: KineticState, params: ModelParams) -> DiagRecord:
-    """Moments, conserved totals, entropy and anisotropy of one state."""
+def diagnose(state: KineticState, params: ModelParams, *,
+             mixture: MixtureState | None = None) -> DiagRecord:
+    """Moments, conserved totals, entropy and anisotropy of one state.
+
+    The moments are those of the cell averages, reduced as one row per
+    species.  A one-cell state is its own cell average, so `mixture`,
+    the `MixtureState` of its (1, nodes) distributions, may be given in
+    place of that reduction.
+    """
     grid = state.grid
     f1 = state.f1.reshape(-1, grid.nnodes)
     f2 = state.f2.reshape(-1, grid.nnodes)
-    st = MixtureState.from_distributions(
-        f1.mean(axis=0), f2.mean(axis=0), params.species1.m,
-        params.species2.m, grid)
-    species = [(m, mom) for m, mom in ((st.m1, st.mom1), (st.m2, st.mom2))
+    if mixture is None:
+        mixture = MixtureState.from_distributions(
+            f1.mean(axis=0, keepdims=True), f2.mean(axis=0, keepdims=True),
+            params.species1.m, params.species2.m, grid)
+    elif len(f1) != 1:
+        raise ValueError(f"a given mixture state needs a one-cell state "
+                         f"(got {len(f1)} cells)")
+    mom1, mom2 = (None if mom is None else mom.rows(0)
+                  for mom in (mixture.mom1, mixture.mom2))
+    species = [(m, mom) for m, mom in ((mixture.m1, mom1), (mixture.m2, mom2))
                if mom is not None]
     momentum = sum((m * mom.n * mom.u for m, mom in species),
                    np.zeros(grid.dim))
@@ -258,12 +279,12 @@ def diagnose(state: KineticState, params: ModelParams) -> DiagRecord:
                        for f in (f1, f2))
     return DiagRecord(
         t=state.t,
-        mom1=st.mom1, mom2=st.mom2,
-        mass1=st.mom1.n if st.mom1 is not None else 0.0,
-        mass2=st.mom2.n if st.mom2 is not None else 0.0,
+        mom1=mom1, mom2=mom2,
+        mass1=mom1.n if mom1 is not None else 0.0,
+        mass2=mom2.n if mom2 is not None else 0.0,
         momentum=momentum, energy=float(energy),
         h=h_functional(f1, f2, grid) / f1.shape[0],
-        aniso1=_anisotropy(st.mom1), aniso2=_anisotropy(st.mom2),
+        aniso1=_anisotropy(mom1), aniso2=_anisotropy(mom2),
         negative=negative)
 
 
@@ -293,10 +314,16 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
     1-D runs use Lie splitting (transport then relaxation) by default;
     Strang splitting wraps the relaxation in two half transport steps.
     Diagnostics are recorded at step 0, every `output_every` steps and
-    at the final step.
+    at the final step.  A homogeneous run reduces each recorded state
+    once: its `MixtureState` goes to `diagnose` and to the next
+    `relax_step`.  A 1-D run shares nothing, as transport runs between
+    the two.
     """
-    if scenario.dt <= 0.0:
-        raise ValueError(f"dt must be positive (got {scenario.dt})")
+    for name in ("dt", "t_end"):
+        value = getattr(scenario, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive "
+                             f"(got {value})")
     if scenario.t_end < scenario.dt:
         raise ValueError("t_end must be at least one step")
     if scenario.output_every < 1:
@@ -321,25 +348,38 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
                 f"wave_amplitude {scenario.wave_amplitude} gives a cell "
                 f"density <= 0")
 
-    f1 = _initial_distribution(scenario.species1, scenario.params.species1.m,
+    params = scenario.params
+    f1 = _initial_distribution(scenario.species1, params.species1.m,
                                grid, scenario.moment_matching, profile)
-    f2 = _initial_distribution(scenario.species2, scenario.params.species2.m,
+    f2 = _initial_distribution(scenario.species2, params.species2.m,
                                grid, scenario.moment_matching, profile)
     state = KineticState(f1=f1, f2=f2, t=0.0, grid=grid, dx=dx)
-
     diag = Diagnostics(dim=grid.dim)
-    diag.append(diagnose(state, scenario.params))
+
+    def record(state):
+        """Append the state's diagnostics; return its MixtureState when
+        the next step can reuse it (one cell, no transport between)."""
+        mixture = None
+        if dx is None:
+            mixture = MixtureState.from_distributions(
+                state.f1, state.f2, params.species1.m, params.species2.m,
+                grid)
+        diag.append(diagnose(state, params, mixture=mixture))
+        return mixture
+
+    mixture = record(state)
     strang = scenario.splitting == "strang"
     dt_transport = 0.5 * dt if strang else dt
     nsteps = int(round(scenario.t_end / dt))
     for step in range(1, nsteps + 1):
         if dx is not None:
             state = transport_step(state, dt_transport)
-        state = relax_step(state, dt, scenario.params, scenario.integrator,
-                           scenario.moment_matching)
+        state = relax_step(state, dt, params, scenario.integrator,
+                           scenario.moment_matching, mixture=mixture)
+        mixture = None
         if dx is not None and strang:
             state = transport_step(state, dt_transport)
         state.t = step * dt
         if step % scenario.output_every == 0 or step == nsteps:
-            diag.append(diagnose(state, scenario.params))
+            mixture = record(state)
     return diag

@@ -55,20 +55,35 @@ class MixtureState:
     @classmethod
     def from_distributions(cls, f1, f2, m1: float, m2: float,
                            grid: VelocityGrid) -> "MixtureState":
-        """Moments of (nodes,) or (cells, nodes) distributions.  A species
+        """Moments of (nodes,) or (cells, nodes) distributions, both
+        species reduced in one `moments` call on their rows stacked
+        (species 1 first), each row with its species' mass.  A species
         below the density floor in every cell is None; one below it in
         only some cells raises DegenerateDensityError naming the species
         and the cell."""
-        def mom(f, mass, species):
+        fs = [np.atleast_2d(f) for f in (f1, f2)]
+        cells, species = len(fs[0]), [0, 1]
+        while species:
             try:
-                return gridmod.moments(f, mass, grid)
+                mom = gridmod.moments(
+                    np.concatenate([fs[k] for k in species]),
+                    np.repeat([(m1, m2)[k] for k in species], cells), grid)
+                break
             except DegenerateDensityError as exc:
-                if exc.cells is None or len(exc.cells) == len(f):
-                    return None
-                raise DegenerateDensityError(exc.density, exc.floor,
-                                             exc.cells, species) from None
-
-        return cls(m1=m1, m2=m2, mom1=mom(f1, m1, 1), mom2=mom(f2, m2, 2))
+                bad = [exc.cells[exc.cells // cells == i] - i * cells
+                       for i in range(len(species))]
+                if all(len(b) < cells for b in bad):
+                    # the first species with a bad cell holds the first bad row
+                    i = next(i for i, b in enumerate(bad) if len(b))
+                    raise DegenerateDensityError(exc.density, exc.floor, bad[i],
+                                                 species[i] + 1) from None
+                # reduce again without the species that are wholly empty
+                species = [k for k, b in zip(species, bad) if len(b) < cells]
+        sets = [None, None]
+        for i, k in enumerate(species):
+            sets[k] = mom.rows(i if np.ndim(f1) == 1
+                               else slice(i * cells, (i + 1) * cells))
+        return cls(m1=m1, m2=m2, mom1=sets[0], mom2=sets[1])
 
 
 def mixture_velocities(state: MixtureState, delta: float,

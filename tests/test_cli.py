@@ -113,6 +113,20 @@ class TestCliCommands:
             capsys.readouterr().err
         assert not (tmp_path / "relax.csv").exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["dt", "t_end"])
+    def test_non_finite_time_exits_one_naming_it(self, tmp_path, capsys,
+                                                 field, value):
+        doc = self.relax_doc(**{field: value})
+        rc = main(["relax", "-c", write_config(tmp_path, doc),
+                   "-o", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {field} must be finite and positive "
+                       f"(got {value})"]
+        assert not (tmp_path / "relax.csv").exists()
+
     def test_relax_on_equilibrium_rows_identical(self, tmp_path):
         path = write_config(tmp_path, self.relax_doc())
         rc = main(["relax", "-c", path, "-o", str(tmp_path)])

@@ -117,6 +117,45 @@ class TestMoments:
             assert err <= 1e-13 * float(scale)
         assert np.array_equal(mom.P, mom.P.T)
 
+    FIELDS = ("n", "u", "T", "P", "Q", "Qtilde")
+
+    @pytest.mark.parametrize("cells", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_with_their_own_mass_equal_solo_calls(self, dim, cells):
+        """Both species' cells in one call, each row with its species'
+        mass, give every row's solo moments bitwise."""
+        grid = uneven_grid(dim)
+        rng = np.random.default_rng(40 + dim)
+        f = rng.uniform(0.5, 1.0, (2 * cells, grid.nnodes)) * maxwellian_on_grid(
+            1.0, np.array([0.3, -0.2, 0.1])[:dim], 0.8, 1.0, grid)
+        mass = np.repeat([1.0, 2.3], cells)
+        mom = moments(f, mass, grid)
+        assert mom.n.shape == (2 * cells,)
+        assert mom.P.shape == (2 * cells, dim, dim)
+        for k in range(2 * cells):
+            solo = moments(f[k], mass[k], grid)
+            assert isinstance(solo.n, float) and isinstance(solo.T, float)
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(mom, name)[k],
+                                      getattr(solo, name)), (k, name)
+
+    def test_scalar_mass_applies_to_every_row(self, mid_grid):
+        rng = np.random.default_rng(7)
+        f = rng.uniform(0.5, 1.0, (3, mid_grid.nnodes)) * maxwellian_on_grid(
+            1.0, (0.2, 0.0, -0.1), 1.1, 1.0, mid_grid)
+        one, each = moments(f, 1.7, mid_grid), moments(f, [1.7] * 3, mid_grid)
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(one, name), getattr(each, name))
+        flat = moments(f[0], 1.7, mid_grid)
+        assert isinstance(flat.n, float) and flat.u.shape == (3,)
+        assert np.array_equal(moments(f[0], [1.7], mid_grid).P, flat.P)
+
+    def test_rejects_mass_of_wrong_length(self, mid_grid):
+        f = np.ones((3, mid_grid.nnodes))
+        for mass in ([1.0, 2.0], [[1.0, 1.0, 1.0]]):
+            with pytest.raises(ValueError, match="one value per row"):
+                moments(f, mass, mid_grid)
+
 
 class TestMaxwellianOnGrid:
     def test_peak_value(self):
@@ -454,6 +493,21 @@ class TestStackedMatching:
             call(small_grid, np.nan, 1.0)
         with pytest.raises(ValueError, match="member 1: got nan"):
             call(small_grid, [1.0, np.nan], 1.0)
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0, np.nan, np.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("fn, spread", [
+        (match_moments, 1.0), (maxwellian_on_grid, 1.0),
+        (match_gaussian, np.eye(3)), (gaussian_on_grid, np.eye(3))],
+        ids=["match_moments", "maxwellian_on_grid", "match_gaussian",
+             "gaussian_on_grid"])
+    def test_mass_must_be_finite_and_positive(self, small_grid, fn, spread,
+                                              mass):
+        with pytest.raises(ValueError, match="mass must be finite and "
+                                             "positive .member 0: got"):
+            fn(1.0, (0, 0, 0), spread, mass, small_grid)
+        with pytest.raises(ValueError, match="member 1: got"):
+            fn(1.0, (0, 0, 0), spread, [1.0, mass], small_grid)
 
     def test_nan_temperature_rejected(self, small_grid):
         for fn in (match_moments, maxwellian_on_grid):

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from bgkmix import chapman
+from bgkmix import grid as gridmod
+from bgkmix import solver
+from bgkmix.cli import write_diagnostics_csv
 from bgkmix.errors import CflError
 from bgkmix.grid import (VelocityGrid, gaussian_on_grid, match_moments,
                          maxwellian_on_grid)
 from bgkmix.params import (EsParams, InteractionSpec, MixingParams,
                            ModelParams, SpeciesSpec, Variant,
                            derive_frequencies)
-from bgkmix.solver import (KineticState, Scenario, SpeciesInit, diagnose,
-                           relax_step, run_scenario, transport_step)
+from bgkmix.solver import (Diagnostics, KineticState, Scenario, SpeciesInit,
+                           diagnose, relax_step, run_scenario, transport_step)
 from bgkmix.targets import MixtureState, build_targets
 
 
@@ -90,6 +93,12 @@ class TestRelaxStep:
         assert d_coarse / d_fine >= 3.5
         assert math.log2(d_coarse / d_fine) >= 1.8
 
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_dt(self, mid_grid, dt):
+        state = nonequilibrium_state(mid_grid)
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            relax_step(state, dt, make_params())
 
     @pytest.mark.parametrize("integrator", ["exp", "rk4"])
     def test_homogeneous_state_is_one_cell(self, mid_grid, integrator):
@@ -416,6 +425,97 @@ class TestRunScenario:
         scen = self.scenario(small_grid, make_params(gamma=10.0))
         with pytest.raises(ValueError, match="inadmissible"):
             run_scenario(scen)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0],
+                             ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("field", ["dt", "t_end"])
+    def test_time_fields_must_be_finite_and_positive(self, small_grid,
+                                                     field, value):
+        scen = self.scenario(small_grid, self.balanced_params(),
+                             **{field: value})
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be finite and positive"):
+            run_scenario(scen)
+
+
+class TestSharedReduction:
+    """A homogeneous run reduces each recorded state once and hands the
+    result to `diagnose` and to the next `relax_step`; the diagnostics
+    equal those of a loop that shares nothing, byte for byte."""
+
+    GRID = VelocityGrid(dim=2, vmin=-7.0, vmax=7.0, points=20)
+
+    def scenario(self, integrator, every, cells):
+        return Scenario(
+            params=make_params(epsilon=0.5), grid=self.GRID,
+            species1=SpeciesInit(n=1.0, u=(0.4, 0.1, 0.0), T=1.0),
+            species2=SpeciesInit(n=0.7, u=(-0.3, 0.0, 0.0), T=1.3),
+            dt=0.02, t_end=0.14, output_every=every, integrator=integrator,
+            cells=cells, wave_amplitude=0.2 if cells else 0.0)
+
+    @staticmethod
+    def unshared_run(scen):
+        """run_scenario written out, every call reducing its own state."""
+        grid, params, dt = scen.grid, scen.params, scen.dt
+        dx = scen.length / scen.cells if scen.cells else None
+        profile = [1.0]
+        if dx is not None:
+            profile = [1.0 + scen.wave_amplitude * math.sin(
+                2.0 * math.pi * scen.wave_mode * x / scen.length)
+                for x in (np.arange(scen.cells) + 0.5) * dx]
+        f1, f2 = (solver._initial_distribution(sp, spec.m, grid, True,
+                                               profile)
+                  for sp, spec in ((scen.species1, params.species1),
+                                   (scen.species2, params.species2)))
+        state = KineticState(f1=f1, f2=f2, t=0.0, grid=grid, dx=dx)
+        diag = Diagnostics(dim=grid.dim)
+        diag.append(diagnose(state, params))
+        nsteps = int(round(scen.t_end / dt))
+        for step in range(1, nsteps + 1):
+            if dx is not None:
+                state = transport_step(state, dt)
+            state = relax_step(state, dt, params, scen.integrator)
+            state.t = step * dt
+            if step % scen.output_every == 0 or step == nsteps:
+                diag.append(diagnose(state, params))
+        return diag
+
+    @pytest.mark.parametrize("cells", [0, 4], ids=["homogeneous", "wave"])
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("integrator", ["rk4", "exp"])
+    def test_diagnostics_equal_unshared_loop(self, tmp_path, integrator,
+                                             every, cells):
+        scen = self.scenario(integrator, every, cells)
+        shared, unshared = tmp_path / "shared.csv", tmp_path / "unshared.csv"
+        write_diagnostics_csv(run_scenario(scen), str(shared))
+        write_diagnostics_csv(self.unshared_run(scen), str(unshared))
+        assert len(shared.read_text().splitlines()) == 2 + 7 // every + (
+            7 % every > 0)
+        assert shared.read_bytes() == unshared.read_bytes()
+
+    def test_homogeneous_exp_run_reduces_each_state_once(self, monkeypatch):
+        calls = []
+        real = gridmod.moments
+
+        def spy(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gridmod, "moments", spy)
+        diag = run_scenario(self.scenario("exp", 1, 0))
+        steps = len(diag.records) - 1
+        assert steps == 7
+        assert len(calls) == steps + 1
+        assert all(shape == (2, self.GRID.nnodes) for shape in calls)
+
+    def test_given_mixture_needs_one_cell(self):
+        f = maxwellian_on_grid(1.0, (0.0, 0.0), 1.0, 1.0, self.GRID)
+        state = KineticState(f1=np.array([f, f]), f2=np.array([f, f]), t=0.0,
+                             grid=self.GRID)
+        st = MixtureState.from_distributions(state.f1, state.f2, 1.0, 2.0,
+                                             self.GRID)
+        with pytest.raises(ValueError, match="one-cell state"):
+            diagnose(state, make_params(), mixture=st)
 
 
 class TestUnbalancedConservation:

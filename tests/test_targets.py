@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bgkmix import grid as gridmod
 from bgkmix.errors import DegenerateDensityError, NoConvergenceError
 from bgkmix.grid import MomentSet, VelocityGrid, match_moments, moments
 from bgkmix.params import (EsParams, InteractionSpec, MixingParams,
@@ -378,6 +379,35 @@ class TestBuildTargets:
             MixtureState.from_distributions(np.array([f, f]), f2, 1.0, 2.0,
                                             mid_grid)
         assert list(err.value.cells) == [1] and err.value.species == 2
+
+    def test_partly_degenerate_species_after_an_empty_one(self, mid_grid):
+        """Species 1 empty everywhere, species 2 in one cell: the error
+        names species 2 and carries that cell's density."""
+        f = match_moments(1.0, (0.0, 0, 0), 1.0, 2.0, mid_grid)
+        with pytest.raises(DegenerateDensityError,
+                           match="in cell 0 of species 2") as err:
+            MixtureState.from_distributions(np.zeros((2, mid_grid.nnodes)),
+                                            np.array([1e-35 * f, f]), 1.0,
+                                            2.0, mid_grid)
+        assert list(err.value.cells) == [0] and err.value.species == 2
+        assert err.value.density == pytest.approx(1e-35, rel=1e-9, abs=0.0)
+
+    def test_species_reduced_in_one_call(self, monkeypatch, mid_grid):
+        calls = []
+        real = gridmod.moments
+
+        def spy(f, mass, grid, *args):
+            calls.append((np.shape(f), np.shape(mass)))
+            return real(f, mass, grid, *args)
+
+        monkeypatch.setattr(gridmod, "moments", spy)
+        f = match_moments(1.0, (0.1, 0, 0), 1.0, 1.0, mid_grid)
+        st = MixtureState.from_distributions(np.array([f, f, f]),
+                                             np.array([f, f, f]), 1.0, 2.0,
+                                             mid_grid)
+        assert calls == [((6, mid_grid.nnodes), (6,))]
+        assert st.mom1.n.shape == st.mom2.n.shape == (3,)
+        assert np.array_equal(st.mom2.T, 2.0 * st.mom1.T)
 
     def test_wholly_degenerate_species_is_none_in_every_cell(self, mid_grid):
         f = match_moments(1.0, (0.0, 0, 0), 1.0, 1.0, mid_grid)
