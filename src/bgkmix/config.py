@@ -31,6 +31,9 @@ SCENARIO_DEFAULTS = {
     "wave_amplitude": 0.0, "wave_mode": 1,
 }
 PERSISTENCE_DEFAULTS = {"kappa_min": 1e-3, "kappa_max": 1e3, "count": 200}
+MIXING_DEFAULTS = {"delta": 1.0, "alpha": 1.0, "gamma": 0.0}
+ES_DEFAULTS = {"variant": "bgk", "mu1": 0.0, "mu2": 0.0, "mu12": 0.0,
+               "mu21": 0.0}
 
 
 @dataclass
@@ -55,29 +58,77 @@ class RunConfig:
 
 
 def _require(doc: dict, key: str, parent: str = "") -> Any:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{parent} must be an object (got {doc!r})")
     if key not in doc:
         raise MissingKeyError(parent + key if not parent else f"{parent}.{key}")
     return doc[key]
 
 
-def _species_init(entry, dim: int) -> SpeciesInit | None:
+_KINDS = {float: "a number", int: "an integer", bool: "true or false",
+          str: "a string"}
+
+
+def _typed(value, kind: type, key: str, depth: int = 0):
+    """`value` as a float, an int, a bool or a str, else ConfigError
+    naming `key`.  Only JSON true/false are booleans, and they are not
+    numbers; an integer may be written as an integral number (4.0).  Up
+    to `depth` levels of lists are typed element by element: 1 for
+    per-axis grid fields and velocities, 2 for a tensor."""
+    if depth and isinstance(value, list):
+        return [_typed(x, kind, key, depth - 1) for x in value]
+    if kind in (bool, str):
+        ok = isinstance(value, kind)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and (kind is float or isinstance(value, int)
+                 or value.is_integer())
+    if not ok:
+        raise ConfigError(f"{key} must be {_KINDS[kind]} (got {value!r})")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{key} is out of range") from None
+
+
+def _fields(doc, defaults: dict, parent: str, depth: int = 0) -> dict:
+    """The keys of `defaults` read from the object `doc`, each typed as
+    its default."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{parent} must be an object (got {doc!r})")
+    return {key: _typed(doc.get(key, default), type(default),
+                        f"{parent}.{key}", depth)
+            for key, default in defaults.items()}
+
+
+def _pair(doc: dict, key: str, kind: type, default=None) -> list:
+    """A two-element list, one entry per species, each typed as `kind`;
+    required when there is no default."""
+    value = _require(doc, key) if default is None else doc.get(key, default)
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{key} must be a two-element list")
+    return [_typed(x, kind, f"{key}[{k}]") for k, x in enumerate(value)]
+
+
+def _species_init(entry, key: str, dim: int) -> SpeciesInit | None:
     if entry is None:
         return None
     if not isinstance(entry, dict):
         raise ConfigError(f"species entry must be an object or null: {entry!r}")
-    n = float(entry.get("n", 1.0))
-    u = entry.get("u", [0.0] * dim)
+    u = _typed(entry.get("u", [0.0] * dim), float, f"{key}.u", 1)
     if np.ndim(u) == 0:
-        u = [float(u)] + [0.0] * (dim - 1)
-    u = tuple(float(x) for x in u)
-    if len(u) < dim:
-        u = u + (0.0,) * (dim - len(u))
+        u = [u] + [0.0] * (dim - 1)
+    u = tuple(u) + (0.0,) * (dim - len(u))
     tensor = entry.get("tensor")
     if tensor is not None:
-        tensor = np.asarray(tensor, dtype=float)
-        if tensor.shape != (dim, dim):
+        tensor = _typed(tensor, float, f"{key}.tensor", 2)
+        if not (isinstance(tensor, list) and len(tensor) == dim
+                and all(np.shape(row) == (dim,) for row in tensor)):
             raise ConfigError(f"species tensor must be {dim}x{dim}")
-    return SpeciesInit(n=n, u=u, T=float(entry.get("T", 1.0)), tensor=tensor)
+        tensor = np.array(tensor)
+    return SpeciesInit(n=_typed(entry.get("n", 1.0), float, f"{key}.n"), u=u,
+                       T=_typed(entry.get("T", 1.0), float, f"{key}.T"),
+                       tensor=tensor)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -89,7 +140,7 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -99,57 +150,39 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unsupported schema_version {version!r}; "
                           f"this build reads version {SCHEMA_VERSION}")
 
-    masses = _require(doc, "masses")
-    if not isinstance(masses, (list, tuple)) or len(masses) != 2:
-        raise ConfigError("masses must be a two-element list")
-    labels = doc.get("labels", ["1", "2"])
+    masses = _pair(doc, "masses", float)
+    labels = _pair(doc, "labels", str, ["1", "2"])
 
     inter_doc = _require(doc, "interaction")
-    inter = InteractionSpec(
-        nu12=float(_require(inter_doc, "nu12", "interaction")),
-        epsilon=float(_require(inter_doc, "epsilon", "interaction")),
-        beta1=float(_require(inter_doc, "beta1", "interaction")),
-        beta2=float(_require(inter_doc, "beta2", "interaction")))
+    inter = InteractionSpec(**{
+        key: _typed(_require(inter_doc, key, "interaction"), float,
+                    f"interaction.{key}")
+        for key in ("nu12", "epsilon", "beta1", "beta2")})
 
-    mix_doc = doc.get("mixing", {})
-    mixing = MixingParams(delta=float(mix_doc.get("delta", 1.0)),
-                          alpha=float(mix_doc.get("alpha", 1.0)),
-                          gamma=float(mix_doc.get("gamma", 0.0)))
-
-    es_doc = doc.get("es", {})
-    variant_name = es_doc.get("variant", "bgk")
+    mixing = MixingParams(**_fields(doc.get("mixing", {}), MIXING_DEFAULTS,
+                                    "mixing"))
+    es_spec = _fields(doc.get("es", {}), ES_DEFAULTS, "es")
     try:
-        variant = Variant(variant_name)
+        es_spec["variant"] = Variant(es_spec["variant"])
     except ValueError:
-        raise UnknownVariantError(variant_name) from None
-    es = EsParams(variant=variant,
-                  mu1=float(es_doc.get("mu1", 0.0)),
-                  mu2=float(es_doc.get("mu2", 0.0)),
-                  mu12=float(es_doc.get("mu12", 0.0)),
-                  mu21=float(es_doc.get("mu21", 0.0)))
+        raise UnknownVariantError(es_spec["variant"]) from None
+    es = EsParams(**es_spec)
 
     params = ModelParams(
-        species1=SpeciesSpec(m=float(masses[0]), label=str(labels[0])),
-        species2=SpeciesSpec(m=float(masses[1]), label=str(labels[1])),
+        species1=SpeciesSpec(m=masses[0], label=labels[0]),
+        species2=SpeciesSpec(m=masses[1], label=labels[1]),
         interaction=inter, mixing=mixing, es=es)
 
-    grid_spec = dict(GRID_DEFAULTS)
-    grid_spec.update(doc.get("grid", {}))
-    grid_spec["dim"] = int(grid_spec["dim"])
+    # vmin, vmax and points may be per axis; dim is one integer
+    grid_spec = _fields(doc.get("grid", {}), GRID_DEFAULTS, "grid", 1)
+    grid_spec["dim"] = _typed(grid_spec["dim"], int, "grid.dim")
 
     scen_doc = doc.get("scenario", {})
-    scenario_spec = dict(SCENARIO_DEFAULTS)
-    for key in SCENARIO_DEFAULTS:
-        if key in scen_doc:
-            scenario_spec[key] = scen_doc[key]
-    dim = grid_spec["dim"]
-    scenario_spec["species1"] = _species_init(
-        scen_doc.get("species1", {"n": 1.0, "T": 1.0}), dim)
-    scenario_spec["species2"] = _species_init(
-        scen_doc.get("species2", {"n": 1.0, "T": 1.0}), dim)
-    scenario_spec["cells"] = int(scenario_spec["cells"])
-    scenario_spec["output_every"] = int(scenario_spec["output_every"])
-    scenario_spec["wave_mode"] = int(scenario_spec["wave_mode"])
+    scenario_spec = _fields(scen_doc, SCENARIO_DEFAULTS, "scenario")
+    for key in ("species1", "species2"):
+        scenario_spec[key] = _species_init(
+            scen_doc.get(key, {"n": 1.0, "T": 1.0}), f"scenario.{key}",
+            grid_spec["dim"])
     if scenario_spec["integrator"] not in ("exp", "rk4"):
         raise ConfigError(
             f"integrator must be 'exp' or 'rk4' "
@@ -162,18 +195,15 @@ def parse_config(text: str) -> RunConfig:
         if parameter not in ("delta", "alpha"):
             raise ConfigError(f"scan parameter must be 'delta' or 'alpha' "
                               f"(got {parameter!r})")
-        scan_spec = {
-            "parameter": parameter,
-            "start": float(_require(sdoc, "start", "scan")),
-            "stop": float(_require(sdoc, "stop", "scan")),
-            "count": int(_require(sdoc, "count", "scan")),
-        }
+        scan_spec = {"parameter": parameter, **{
+            key: _typed(_require(sdoc, key, "scan"), kind, f"scan.{key}")
+            for key, kind in (("start", float), ("stop", float),
+                              ("count", int))}}
         if scan_spec["count"] < 2:
             raise ConfigError("scan count must be at least 2")
 
-    persistence_spec = dict(PERSISTENCE_DEFAULTS)
-    persistence_spec.update(doc.get("persistence", {}))
-    persistence_spec["count"] = int(persistence_spec["count"])
+    persistence_spec = _fields(doc.get("persistence", {}),
+                               PERSISTENCE_DEFAULTS, "persistence")
 
     violations = validate(params)
     if violations:

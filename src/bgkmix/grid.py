@@ -698,7 +698,7 @@ def _xlogx_sum(f: np.ndarray) -> float:
     return out
 
 
-def h_functional(f1: np.ndarray, f2: np.ndarray, grid: VelocityGrid) -> float:
-    """Entropy functional sum_k sum_nodes w f_k log f_k."""
-    return grid.weight * (_xlogx_sum(np.asarray(f1, dtype=float))
-                          + _xlogx_sum(np.asarray(f2, dtype=float)))
+def h_functional(f: np.ndarray, grid: VelocityGrid) -> float:
+    """Entropy functional sum_k sum_nodes w f_k log f_k of distributions
+    with a leading species axis, summed species by species in order."""
+    return grid.weight * sum(map(_xlogx_sum, np.asarray(f, dtype=float)))

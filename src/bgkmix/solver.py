@@ -1,9 +1,10 @@
 """Time integration of the two-species relaxation system.
 
-Every state is a (cells, nodes) array per species; a space-homogeneous
-run is one cell and integrates the pure relaxation equations, while 1-D
-runs add first-order upwind transport on a periodic domain via Lie or
-Strang splitting.  Two integrators are available:
+A state is one (2, cells, nodes) block, species 1 in row 0; a space-
+homogeneous run is one cell and integrates the pure relaxation
+equations, while 1-D runs add first-order upwind transport on a
+periodic domain via Lie or Strang splitting.  Two integrators are
+available:
 
 RK4   classical four-stage update with targets rebuilt at every stage;
       accurate but not positivity preserving (negative excursions are
@@ -15,12 +16,13 @@ EXP   freeze the moments at the step start, build the targets once and
       frequency-weighted average of its two targets.  First-order
       accurate and unconditionally positivity preserving.
 
-Both integrators consume one collision evaluation of all cells at once:
-per species, (self rate, self target, cross rate, cross target), the
-targets matched in one stacked call per family.  Each evaluation, and
-each diagnostics record, reduces both species in one `moments` call.
-The initial state samples each species' target once and scales it by
-the cells' density profile.
+Both integrators work on whole blocks.  A collision evaluation of all
+cells gives the self rates [nu11 n1, nu22 n2] and the cross rates
+[nu12 n2, nu21 n1] as (2, cells, 1) columns, and the target block
+[g1, g2, g12, g21], whose rows 0:2 (self) and 2:4 (cross) align with
+the species axis.  Each evaluation, and each diagnostics record, reduces
+a view of the block in one `moments` call.  The initial block is each
+species' target, sampled once, times the cells' density profile.
 Diagnostics take the totals from the moment sets of the cell averages
 (momentum m n u, energy m n |u|^2 / 2 + tr(P) / 2 per species).  A
 homogeneous state is its own cell average, so `run_scenario` reduces
@@ -45,71 +47,72 @@ from .targets import MixtureState, build_targets
 
 @dataclass
 class KineticState:
-    """Distribution pair at one time as (cells, nodes) arrays; a space-
-    homogeneous state is one cell, also accepted as a (nodes,) array."""
+    """Both species' distributions at one time as one C-contiguous
+    (2, cells, nodes) block `f`, species 1 in row 0; a space-homogeneous
+    state is one cell.  `f1` and `f2` are views of the block's rows."""
 
-    f1: np.ndarray
-    f2: np.ndarray
+    f: np.ndarray
     t: float
     grid: VelocityGrid
     dx: float | None = None
+
+    f1 = property(lambda self: self.f[0])
+    f2 = property(lambda self: self.f[1])
+
+    def __post_init__(self):
+        self.f = f = np.ascontiguousarray(self.f, dtype=float)
+        if f.ndim != 3 or f.shape[::2] != (2, self.grid.nnodes) or not f.size:
+            raise ValueError(f"a state is a (2, cells, {self.grid.nnodes}) "
+                             f"block (got shape {f.shape})")
 
 
 def relax_step(state: KineticState, dt: float, params: ModelParams,
                integrator: str = "exp", match: bool = True, *,
                mixture: MixtureState | None = None) -> KineticState:
-    """One relaxation step of all cells at once; the result keeps the
-    state shape.  Species are (cells, nodes) arrays, rates (cells, 1)
-    columns.  `mixture`, when given, is the `MixtureState` of the
-    state's own (cells, nodes) distributions and serves the first
+    """One relaxation step of all cells at once, on the whole
+    (2, cells, nodes) block.  `mixture`, when given, is the
+    `MixtureState` of the state's own block and serves the first
     collision evaluation in place of reducing the state again."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive (got {dt})")
     if integrator not in ("rk4", "exp"):
         raise ValueError(f"unknown integrator {integrator!r}")
-    grid, freq = state.grid, derive_frequencies(params.interaction)
-    f1, f2 = (f.reshape(-1, grid.nnodes) for f in (state.f1, state.f2))
+    grid, freq, f = state.grid, derive_frequencies(params.interaction), state.f
+    nu_self = np.array([freq.nu11, freq.nu22])[:, None, None]
+    nu_cross = np.array([freq.nu12, freq.nu21])[:, None, None]
 
-    def collision(g1, g2, st=None):
-        """Per species: (self rate, self target, cross rate, cross target)."""
+    def collision(g, st=None):
+        """Self rate, self targets, cross rate, cross targets."""
         if st is None:
-            st = MixtureState.from_distributions(g1, g2, params.species1.m,
-                                                 params.species2.m, grid)
-        ts = build_targets(st, params, grid, match)
-        n1, n2 = (0.0 if mom is None else mom.n[:, None]
-                  for mom in (st.mom1, st.mom2))
-        return ((freq.nu11 * n1, ts.g1, freq.nu12 * n2, ts.g12),
-                (freq.nu22 * n2, ts.g2, freq.nu21 * n1, ts.g21))
+            st = MixtureState.from_distributions(
+                g, params.species1.m, params.species2.m, grid)
+        n = st.densities().reshape(2, -1, 1)
+        block = build_targets(st, params, grid, match).block
+        return nu_self * n, block[:2], nu_cross * n[::-1], block[2:]
 
-    def rhs(g1, g2, st=None):
-        return tuple(nu_s * (g_s - g) + nu_c * (g_c - g)
-                     for g, (nu_s, g_s, nu_c, g_c)
-                     in zip((g1, g2), collision(g1, g2, st)))
-
-    def exp_update(f, nu_self, g_self, nu_cross, g_cross):
-        nu_tot = nu_self + nu_cross
-        if not np.all(nu_tot > 0.0):  # both species empty
-            return f.copy()
-        gstar = np.multiply(g_self, nu_self, out=g_self)  # step-local rows
-        gstar += np.multiply(g_cross, nu_cross, out=g_cross)
-        gstar /= nu_tot
-        out = f - gstar
-        out *= np.exp(-nu_tot * dt)
-        return np.add(out, gstar, out=out)
+    def rhs(g, st=None):
+        nu_s, g_s, nu_c, g_c = collision(g, st)
+        return nu_s * (g_s - g) + nu_c * (g_c - g)
 
     if integrator == "rk4":
-        k1 = rhs(f1, f2, mixture)
-        k2 = rhs(f1 + 0.5 * dt * k1[0], f2 + 0.5 * dt * k1[1])
-        k3 = rhs(f1 + 0.5 * dt * k2[0], f2 + 0.5 * dt * k2[1])
-        k4 = rhs(f1 + dt * k3[0], f2 + dt * k3[1])
-        new = [f + dt / 6.0 * (a + 2.0 * b + 2.0 * c + e)
-               for f, a, b, c, e in zip((f1, f2), k1, k2, k3, k4)]
+        k1 = rhs(f, mixture)
+        k2 = rhs(f + 0.5 * dt * k1)
+        k3 = rhs(f + 0.5 * dt * k2)
+        k4 = rhs(f + dt * k3)
+        new = f + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     else:
-        new = [exp_update(f, *terms)
-               for f, terms in zip((f1, f2), collision(f1, f2, mixture))]
-    return KineticState(f1=new[0].reshape(state.f1.shape),
-                        f2=new[1].reshape(state.f2.shape), t=state.t + dt,
-                        grid=grid, dx=state.dx)
+        nu_s, g_s, nu_c, g_c = collision(f, mixture)
+        nu_tot = nu_s + nu_c
+        if np.all(nu_tot > 0.0):
+            gstar = np.multiply(g_s, nu_s, out=g_s)  # step-local rows
+            gstar += np.multiply(g_c, nu_c, out=g_c)
+            gstar /= nu_tot
+            new = f - gstar
+            new *= np.exp(-nu_tot * dt)
+            new += gstar
+        else:  # both species empty
+            new = f.copy()
+    return KineticState(f=new, t=state.t + dt, grid=grid, dx=state.dx)
 
 
 def _check_cfl(grid: VelocityGrid, dt: float, dx: float) -> None:
@@ -123,33 +126,26 @@ def _check_cfl(grid: VelocityGrid, dt: float, dx: float) -> None:
 def transport_step(state: KineticState, dt: float) -> KineticState:
     """First-order upwind advection step on the periodic 1-D domain.
 
-    Updates every velocity node independently in flux form: the
+    Advects the whole block along its cell axis, every velocity node
+    independently, in flux form: the
     donor-cell flux through the right face of cell i is
     F_i = v+ f_i + v- f_(i+1), and f_i - dt/dx (F_i - F_(i-1)) is the
     new value.  The flux sum telescopes, so total mass per node is
     conserved to round-off.  A CFL number above one is a hard error.
     """
-    if state.f1.ndim != 2 or state.dx is None:
+    if state.dx is None:
         raise ValueError("transport requires a 1-D state with cell width")
     _check_cfl(state.grid, dt, state.dx)
-    vx = state.grid.nodes[:, 0]
-    vp = np.maximum(vx, 0.0)
-    vm = np.minimum(vx, 0.0)
-    lam = dt / state.dx
-
-    def advect(f):
-        flux = np.roll(f, -1, axis=0)
-        flux *= vm
-        out = np.multiply(f, vp)
-        flux += out
-        np.subtract(flux[1:], flux[:-1], out=out[1:])
-        np.subtract(flux[:1], flux[-1:], out=out[:1])
-        out *= -lam
-        out += f
-        return out
-
-    return KineticState(f1=advect(state.f1), f2=advect(state.f2),
-                        t=state.t + dt, grid=state.grid, dx=state.dx)
+    f, vx = state.f, state.grid.nodes[:, 0]
+    flux = np.roll(f, -1, axis=1)
+    flux *= np.minimum(vx, 0.0)
+    out = np.multiply(f, np.maximum(vx, 0.0))
+    flux += out
+    np.subtract(flux[:, 1:], flux[:, :-1], out=out[:, 1:])
+    np.subtract(flux[:, :1], flux[:, -1:], out=out[:, :1])
+    out *= -dt / state.dx
+    out += f
+    return KineticState(f=out, t=state.t + dt, grid=state.grid, dx=state.dx)
 
 
 @dataclass
@@ -254,19 +250,17 @@ def diagnose(state: KineticState, params: ModelParams, *,
 
     The moments are those of the cell averages, reduced as one row per
     species.  A one-cell state is its own cell average, so `mixture`,
-    the `MixtureState` of its (1, nodes) distributions, may be given in
-    place of that reduction.
+    the `MixtureState` of its (2, 1, nodes) block, may be given in place
+    of that reduction.
     """
-    grid = state.grid
-    f1 = state.f1.reshape(-1, grid.nnodes)
-    f2 = state.f2.reshape(-1, grid.nnodes)
+    grid, f, cells = state.grid, state.f, state.f.shape[1]
     if mixture is None:
         mixture = MixtureState.from_distributions(
-            f1.mean(axis=0, keepdims=True), f2.mean(axis=0, keepdims=True),
-            params.species1.m, params.species2.m, grid)
-    elif len(f1) != 1:
+            f.mean(axis=1, keepdims=True), params.species1.m,
+            params.species2.m, grid)
+    elif cells != 1:
         raise ValueError(f"a given mixture state needs a one-cell state "
-                         f"(got {len(f1)} cells)")
+                         f"(got {cells} cells)")
     mom1, mom2 = (None if mom is None else mom.rows(0)
                   for mom in (mixture.mom1, mixture.mom2))
     species = [(m, mom) for m, mom in ((mixture.m1, mom1), (mixture.m2, mom2))
@@ -275,37 +269,33 @@ def diagnose(state: KineticState, params: ModelParams, *,
                    np.zeros(grid.dim))
     energy = sum(0.5 * m * mom.n * float(mom.u @ mom.u)
                  + 0.5 * float(np.trace(mom.P)) for m, mom in species)
-    negative = not all(np.all(np.isfinite(f)) and f.min() >= 0.0
-                       for f in (f1, f2))
+    negative = not (np.all(np.isfinite(f)) and f.min() >= 0.0)
     return DiagRecord(
         t=state.t,
         mom1=mom1, mom2=mom2,
         mass1=mom1.n if mom1 is not None else 0.0,
         mass2=mom2.n if mom2 is not None else 0.0,
         momentum=momentum, energy=float(energy),
-        h=h_functional(f1, f2, grid) / f1.shape[0],
+        h=h_functional(f, grid) / cells,
         aniso1=_anisotropy(mom1), aniso2=_anisotropy(mom2),
         negative=negative)
 
 
-def _initial_distribution(init: SpeciesInit | None, mass: float,
-                          grid: VelocityGrid, match: bool,
-                          profile: list[float]) -> np.ndarray:
-    """One row per cell: the species' target, sampled once at density
-    init.n, times the cell's (positive) profile."""
+def _initial_sample(init: SpeciesInit | None, mass: float,
+                    grid: VelocityGrid, match: bool) -> np.ndarray:
+    """The species' target at density init.n on the nodes; zero for an
+    empty species."""
     if init is None or init.n <= 0.0:
-        return np.zeros((len(profile), grid.nnodes))
+        return np.zeros(grid.nnodes)
     if any(init.u[grid.dim:]):
         raise ValueError(f"u={tuple(init.u)} has nonzero components beyond "
                          f"the {grid.dim}-D lattice")
     u = init.u[:grid.dim]
     if init.tensor is not None:
         sample = match_gaussian if match else gaussian_on_grid
-        f = sample(init.n, u, init.tensor, mass, grid)
-    else:
-        sample = match_moments if match else maxwellian_on_grid
-        f = sample(init.n, u, init.T, mass, grid)
-    return np.outer(profile, f)
+        return sample(init.n, u, init.tensor, mass, grid)
+    sample = match_moments if match else maxwellian_on_grid
+    return sample(init.n, u, init.T, mass, grid)
 
 
 def run_scenario(scenario: Scenario) -> Diagnostics:
@@ -348,12 +338,12 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
                 f"wave_amplitude {scenario.wave_amplitude} gives a cell "
                 f"density <= 0")
 
-    params = scenario.params
-    f1 = _initial_distribution(scenario.species1, params.species1.m,
-                               grid, scenario.moment_matching, profile)
-    f2 = _initial_distribution(scenario.species2, params.species2.m,
-                               grid, scenario.moment_matching, profile)
-    state = KineticState(f1=f1, f2=f2, t=0.0, grid=grid, dx=dx)
+    params, match = scenario.params, scenario.moment_matching
+    samples = np.array([_initial_sample(sp, spec.m, grid, match) for sp, spec
+                        in ((scenario.species1, params.species1),
+                            (scenario.species2, params.species2))])
+    state = KineticState(f=samples[:, None, :] * np.array(profile)[:, None],
+                         t=0.0, grid=grid, dx=dx)
     diag = Diagnostics(dim=grid.dim)
 
     def record(state):
@@ -362,8 +352,7 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
         mixture = None
         if dx is None:
             mixture = MixtureState.from_distributions(
-                state.f1, state.f2, params.species1.m, params.species2.m,
-                grid)
+                state.f, params.species1.m, params.species2.m, grid)
         diag.append(diagnose(state, params, mixture=mixture))
         return mixture
 

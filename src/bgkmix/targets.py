@@ -53,20 +53,22 @@ class MixtureState:
     mom2: MomentSet | None
 
     @classmethod
-    def from_distributions(cls, f1, f2, m1: float, m2: float,
+    def from_distributions(cls, f, m1: float, m2: float,
                            grid: VelocityGrid) -> "MixtureState":
-        """Moments of (nodes,) or (cells, nodes) distributions, both
-        species reduced in one `moments` call on their rows stacked
-        (species 1 first), each row with its species' mass.  A species
-        below the density floor in every cell is None; one below it in
-        only some cells raises DegenerateDensityError naming the species
-        and the cell."""
-        fs = [np.atleast_2d(f) for f in (f1, f2)]
-        cells, species = len(fs[0]), [0, 1]
+        """Moments of a (2, cells, nodes) block, or of (2, nodes) for
+        scalar sets, reduced in one `moments` call on a (2 cells, nodes)
+        view (species 1 first), each row with its species' mass.  A
+        species below the density floor in every cell is None; one below
+        it in only some cells raises DegenerateDensityError naming the
+        species and the cell."""
+        f = np.asarray(f, dtype=float)
+        if f.ndim not in (2, 3) or len(f) != 2:
+            raise ValueError(f"need a leading species axis of 2 ({f.shape})")
+        cells, species = (f.shape[1] if f.ndim == 3 else 1), [0, 1]
         while species:
             try:
                 mom = gridmod.moments(
-                    np.concatenate([fs[k] for k in species]),
+                    f[species[0]:species[-1] + 1].reshape(-1, f.shape[-1]),
                     np.repeat([(m1, m2)[k] for k in species], cells), grid)
                 break
             except DegenerateDensityError as exc:
@@ -81,9 +83,14 @@ class MixtureState:
                 species = [k for k, b in zip(species, bad) if len(b) < cells]
         sets = [None, None]
         for i, k in enumerate(species):
-            sets[k] = mom.rows(i if np.ndim(f1) == 1
+            sets[k] = mom.rows(i if f.ndim == 2
                                else slice(i * cells, (i + 1) * cells))
         return cls(m1=m1, m2=m2, mom1=sets[0], mom2=sets[1])
+
+    def densities(self) -> np.ndarray:
+        """Both species' densities, zero for a degenerate species."""
+        return np.array(np.broadcast_arrays(*(
+            0.0 if mom is None else mom.n for mom in (self.mom1, self.mom2))))
 
 
 def mixture_velocities(state: MixtureState, delta: float,
@@ -179,14 +186,16 @@ def es_tensor_cross(state: MixtureState,
 
 @dataclass
 class TargetSet:
-    """Self targets g1 / g2 and the cross targets g12 / g21 that enter
-    the species 1 / species 2 equations; views of one (4, cells, nodes)
-    block."""
+    """The (4, cells, nodes) block [g1, g2, g12, g21] of the self and
+    cross targets of species 1 / 2: rows 0:2 and 2:4 align with the
+    species axis of a state."""
 
-    g1: np.ndarray
-    g2: np.ndarray
-    g12: np.ndarray
-    g21: np.ndarray
+    block: np.ndarray
+
+    g1 = property(lambda self: self.block[0])
+    g2 = property(lambda self: self.block[1])
+    g12 = property(lambda self: self.block[2])
+    g21 = property(lambda self: self.block[3])
 
 
 _NAMES = ("g1", "g2", "g12", "g21")
@@ -215,13 +224,13 @@ def build_targets(state: MixtureState, params: ModelParams,
     the discrete conservation identities machine-tight.  Each family is
     sampled or matched in one stacked call over its targets and all
     cells, written into one (4, cells, nodes) block; the targets of a
-    degenerate species stay zero.  Cross-target densities are the
-    owning species' densities by construction.  A failure names the
-    target and the cell.
+    degenerate species stay zero (one cell of them when both are).
+    Cross-target densities are the owning species' densities by
+    construction.  A failure names the target and the cell.
     """
     es, moms = params.es, (state.mom1, state.mom2)
     present = [k for k in (0, 1) if moms[k] is not None]
-    cells = np.shape(moms[present[0]].n) if present else ()
+    cells = np.shape(moms[present[0]].n) if present else (1,)
     C, N, d = math.prod(cells), grid.nnodes, grid.dim
     rows = {}  # row of the block -> (n, u, temperature) of its target
     for k in present:
@@ -267,4 +276,4 @@ def build_targets(state: MixtureState, params: ModelParams,
         with _located(_NAMES[lo:hi], C):
             fn(stack(n), stack(u, (d,)), temperature, mass, grid,
                out=block[lo:hi].reshape(-1, N))
-    return TargetSet(*block.reshape((4,) + cells + (N,)))
+    return TargetSet(block.reshape((4,) + cells + (N,)))

@@ -217,7 +217,8 @@ def test_07_bgk_reduction(ref_grid):
     with criterion(7, "ES self targets with mu=0 equal BGK targets"):
         f1 = match_moments(1.0, (0.3, 0, 0), 1.0, 1.0, ref_grid)
         f2 = match_moments(0.8, (-0.2, 0.1, 0), 1.3, 2.0, ref_grid)
-        st = MixtureState.from_distributions(f1, f2, 1.0, 2.0, ref_grid)
+        st = MixtureState.from_distributions(np.array([f1, f2]), 1.0, 2.0,
+                                             ref_grid)
         bgk = build_targets(st, model(m2=2.0, variant=Variant.BGK), ref_grid)
         es = build_targets(st, model(m2=2.0, variant=Variant.ES_SELF_ONLY,
                                      mu1=0.0, mu2=0.0), ref_grid)

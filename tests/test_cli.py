@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -125,6 +127,31 @@ class TestCliCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {field} must be finite and positive "
                        f"(got {value})"]
+        assert not (tmp_path / "relax.csv").exists()
+
+    # the key an error names: (where it sits in the document, bad value)
+    MISTYPED = {
+        "scenario.dt": (("scenario", "dt"), "0.05"),
+        "scenario.output_every": (("scenario", "output_every"), "x"),
+        "scenario.cells": (("scenario", "cells"), "x"),
+        "scenario.moment_matching": (("scenario", "moment_matching"),
+                                     "false"),
+        "masses[0]": (("masses", 0), "a"),
+        "scenario.species1.n": (("scenario", "species1", "n"), "x"),
+        "grid.points": (("grid", "points"), [16, "x", 16]),
+        "interaction": (("interaction",), 3),
+    }
+
+    @pytest.mark.parametrize("key", list(MISTYPED))
+    def test_mistyped_field_exits_one_naming_it(self, tmp_path, capsys, key):
+        (*path, name), value = self.MISTYPED[key]
+        doc = self.relax_doc()
+        functools.reduce(operator.getitem, path, doc)[name] = value
+        rc = main(["relax", "-c", write_config(tmp_path, doc),
+                   "-o", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must be ")
         assert not (tmp_path / "relax.csv").exists()
 
     def test_relax_on_equilibrium_rows_identical(self, tmp_path):

@@ -576,25 +576,25 @@ class TestHFunctional:
         n, T, m = 1.0, 1.0, 1.0
         f = maxwellian_on_grid(n, (0.0, 0, 0), T, m, ref_grid)
         expected = n * (math.log(n / (2 * math.pi * T / m) ** 1.5) - 1.5)
-        got = h_functional(f, np.zeros(ref_grid.nnodes), ref_grid)
+        got = h_functional([f, np.zeros(ref_grid.nnodes)], ref_grid)
         assert abs(got - expected) < 1e-8
 
     def test_zero_nodes_contribute_nothing(self, small_grid):
         f = np.zeros(small_grid.nnodes)
         f[3] = 2.0
         expected = small_grid.weight * 2.0 * math.log(2.0)
-        assert h_functional(f, np.zeros_like(f), small_grid) == \
+        assert h_functional([f, np.zeros_like(f)], small_grid) == \
             pytest.approx(expected, rel=1e-15)
 
     def test_additivity(self, mid_grid):
         f = maxwellian_on_grid(0.8, (0.1, 0, 0), 1.2, 1.0, mid_grid)
-        single = h_functional(f, np.zeros_like(f), mid_grid)
-        assert h_functional(f, f, mid_grid) == pytest.approx(2 * single,
+        single = h_functional([f, np.zeros_like(f)], mid_grid)
+        assert h_functional([f, f], mid_grid) == pytest.approx(2 * single,
                                                              rel=1e-14)
 
     def test_negative_values_clamped_in_h_only(self, small_grid):
         f = np.full(small_grid.nnodes, -1.0)
-        assert h_functional(f, f, small_grid) == 0.0
+        assert h_functional([f, f], small_grid) == 0.0
 
 
 class TestInvariants:

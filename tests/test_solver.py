@@ -27,10 +27,15 @@ def make_params(m1=1.0, m2=2.0, nu12=1.0, epsilon=1.0, beta1=1.0, beta2=1.0,
         es=EsParams(variant=variant, **mus))
 
 
+def one_cell(f1, f2, grid):
+    """A homogeneous state: both species' (nodes,) rows as one cell."""
+    return KineticState(f=np.array([f1, f2])[:, None], t=0.0, grid=grid)
+
+
 def nonequilibrium_state(grid, m1=1.0, m2=2.0):
     f1 = match_moments(1.0, (0.3, 0, 0), 1.0, m1, grid)
     f2 = match_moments(0.8, (-0.2, 0.1, 0), 1.3, m2, grid)
-    return KineticState(f1=f1, f2=f2, t=0.0, grid=grid)
+    return one_cell(f1, f2, grid)
 
 
 class TestRelaxStep:
@@ -38,7 +43,7 @@ class TestRelaxStep:
         params = make_params()
         f1 = match_moments(1.0, (0.15, 0, 0), 1.1, 1.0, mid_grid)
         f2 = match_moments(0.6, (0.15, 0, 0), 1.1, 2.0, mid_grid)
-        state = KineticState(f1=f1, f2=f2, t=0.0, grid=mid_grid)
+        state = one_cell(f1, f2, mid_grid)
         for integrator in ("exp", "rk4"):
             new = relax_step(state, 0.1, params, integrator)
             assert np.max(np.abs(new.f1 - f1)) < 1e-12
@@ -47,7 +52,7 @@ class TestRelaxStep:
     def test_exp_large_dt_lands_on_weighted_target(self, mid_grid):
         params = make_params()
         state = nonequilibrium_state(mid_grid)
-        st = MixtureState.from_distributions(state.f1, state.f2, 1.0, 2.0,
+        st = MixtureState.from_distributions(state.f[:, 0], 1.0, 2.0,
                                              mid_grid)
         ts = build_targets(st, params, mid_grid)
         freq = derive_frequencies(params.interaction)
@@ -100,25 +105,39 @@ class TestRelaxStep:
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             relax_step(state, dt, make_params())
 
-    @pytest.mark.parametrize("integrator", ["exp", "rk4"])
-    def test_homogeneous_state_is_one_cell(self, mid_grid, integrator):
-        params = make_params(epsilon=0.5)
-        flat = nonequilibrium_state(mid_grid)
-        cell = KineticState(f1=flat.f1[None, :], f2=flat.f2[None, :],
-                            t=0.0, grid=mid_grid)
-        a = relax_step(flat, 0.05, params, integrator)
-        b = relax_step(cell, 0.05, params, integrator)
-        assert a.f1.shape == flat.f1.shape and b.f1.shape == cell.f1.shape
-        assert np.array_equal(a.f1, b.f1[0])
-        assert np.array_equal(a.f2, b.f2[0])
-        ra, rb = diagnose(a, params), diagnose(b, params)
-        for name in ("t", "mass1", "mass2", "energy", "h", "aniso1",
-                     "aniso2", "negative"):
-            assert getattr(ra, name) == getattr(rb, name)
-        assert np.array_equal(ra.momentum, rb.momentum)
-        for ma, mb in ((ra.mom1, rb.mom1), (ra.mom2, rb.mom2)):
-            for name in ("n", "u", "T", "P", "Q", "Qtilde"):
-                assert np.array_equal(getattr(ma, name), getattr(mb, name))
+    def test_moments_reduce_a_view_of_the_block(self, monkeypatch,
+                                                mid_grid):
+        state = nonequilibrium_state(mid_grid)
+        views = []
+        real = gridmod.moments
+
+        def spy(*args, **kwargs):
+            views.append(np.shares_memory(args[0], state.f))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gridmod, "moments", spy)
+        relax_step(state, 0.05, make_params(), "exp")
+        assert views == [True]
+
+
+class TestKineticState:
+    def test_rows_are_views_of_the_block(self, small_grid):
+        state = KineticState(f=np.zeros((2, 3, small_grid.nnodes)), t=0.0,
+                             grid=small_grid)
+        state.f2[1] = 1.0
+        assert state.f.flags.c_contiguous
+        assert np.shares_memory(state.f1, state.f)
+        assert np.array_equal(state.f[1, 1], np.ones(small_grid.nnodes))
+
+    @pytest.mark.parametrize("shape", [
+        lambda N: (3, N), lambda N: (2, 3, N - 1), lambda N: (N,),
+        lambda N: (2, N), lambda N: (1, 3, N), lambda N: (2, 0, N)],
+        ids=["cells-nodes", "node-count", "flat", "species-nodes",
+             "one-species", "no-cells"])
+    def test_rejects_other_shapes(self, small_grid, shape):
+        shape = shape(small_grid.nnodes)
+        with pytest.raises(ValueError, match=r"\(2, cells, 512\) block"):
+            KineticState(f=np.zeros(shape), t=0.0, grid=small_grid)
 
 
 class TestStackedRelaxation:
@@ -153,12 +172,11 @@ class TestStackedRelaxation:
         grid = self.GRIDS[dim]
         mus = {} if variant == Variant.BGK else self.MUS
         params = make_params(epsilon=0.5, variant=variant, **mus)
-        f1, f2 = self.cells(grid, 1.0, 1.0), self.cells(grid, 2.0, -1.0)
-        state = KineticState(f1=f1, f2=f2, t=0.0, grid=grid)
+        f = np.array([self.cells(grid, 1.0, 1.0), self.cells(grid, 2.0, -1.0)])
+        state = KineticState(f=f, t=0.0, grid=grid)
         new = relax_step(state, 0.05, params, integrator, match)
-        for c in range(len(f1)):
-            one = relax_step(KineticState(f1=f1[c:c + 1], f2=f2[c:c + 1],
-                                          t=0.0, grid=grid),
+        for c in range(f.shape[1]):
+            one = relax_step(KineticState(f=f[:, c:c + 1], t=0.0, grid=grid),
                              0.05, params, integrator, match)
             for got, ref in ((new.f1[c], one.f1[0]), (new.f2[c], one.f2[0])):
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
@@ -169,9 +187,8 @@ class TestTransportStep:
         return VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=8)
 
     def state(self, grid, nx=16, dx=0.5):
-        f1 = np.zeros((nx, grid.nnodes))
-        f2 = np.zeros((nx, grid.nnodes))
-        return KineticState(f1=f1, f2=f2, t=0.0, grid=grid, dx=dx)
+        return KineticState(f=np.zeros((2, nx, grid.nnodes)), t=0.0,
+                            grid=grid, dx=dx)
 
     def test_uniform_state_unchanged(self):
         grid = self.grid1d()
@@ -356,6 +373,22 @@ class TestRunScenario:
         assert abs(rN.mass1 - r0.mass1) <= 1e-12 * r0.mass1
         assert abs(rN.mass2 - r0.mass2) <= 1e-12 * r0.mass2
 
+    @pytest.mark.parametrize("cells", [0, 4], ids=["homogeneous", "1d"])
+    @pytest.mark.parametrize("integrator", ["exp", "rk4"])
+    def test_both_species_empty_gives_zero_records(self, tmp_path,
+                                                   integrator, cells):
+        grid = VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=16)
+        scen = Scenario(
+            params=self.balanced_params(), grid=grid, species1=None,
+            species2=None, dt=0.01, t_end=0.05, integrator=integrator,
+            cells=cells, wave_amplitude=0.2 if cells else 0.0)
+        path = tmp_path / "empty.csv"
+        write_diagnostics_csv(run_scenario(scen), str(path))
+        rows = [line.split(",")[1:]
+                for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(float(x) == 0.0 for row in rows for x in row)
+
     def test_strang_splitting_runs(self):
         grid = VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=16)
         scen = Scenario(
@@ -463,11 +496,12 @@ class TestSharedReduction:
             profile = [1.0 + scen.wave_amplitude * math.sin(
                 2.0 * math.pi * scen.wave_mode * x / scen.length)
                 for x in (np.arange(scen.cells) + 0.5) * dx]
-        f1, f2 = (solver._initial_distribution(sp, spec.m, grid, True,
-                                               profile)
-                  for sp, spec in ((scen.species1, params.species1),
-                                   (scen.species2, params.species2)))
-        state = KineticState(f1=f1, f2=f2, t=0.0, grid=grid, dx=dx)
+        species = ((scen.species1, params.species1),
+                   (scen.species2, params.species2))
+        samples = np.array([solver._initial_sample(sp, spec.m, grid, True)
+                            for sp, spec in species])
+        state = KineticState(f=samples[:, None] * np.array(profile)[:, None],
+                             t=0.0, grid=grid, dx=dx)
         diag = Diagnostics(dim=grid.dim)
         diag.append(diagnose(state, params))
         nsteps = int(round(scen.t_end / dt))
@@ -510,10 +544,9 @@ class TestSharedReduction:
 
     def test_given_mixture_needs_one_cell(self):
         f = maxwellian_on_grid(1.0, (0.0, 0.0), 1.0, 1.0, self.GRID)
-        state = KineticState(f1=np.array([f, f]), f2=np.array([f, f]), t=0.0,
+        state = KineticState(f=np.array([[f, f], [f, f]]), t=0.0,
                              grid=self.GRID)
-        st = MixtureState.from_distributions(state.f1, state.f2, 1.0, 2.0,
-                                             self.GRID)
+        st = MixtureState.from_distributions(state.f, 1.0, 2.0, self.GRID)
         with pytest.raises(ValueError, match="one-cell state"):
             diagnose(state, make_params(), mixture=st)
 
@@ -580,20 +613,17 @@ class TestDiagnostics:
         f1 = maxwellian_on_grid(1.0, (0, 0, 0), 1.0, 1.0, small_grid)
         f2 = f1.copy()
         f2[0] = -1e-6
-        state = KineticState(f1=f1, f2=f2, t=0.0, grid=small_grid)
-        rec = diagnose(state, make_params())
+        rec = diagnose(one_cell(f1, f2, small_grid), make_params())
         assert rec.negative
 
     def test_nonfinite_values_flagged(self, small_grid):
         f1 = maxwellian_on_grid(1.0, (0, 0, 0), 1.0, 1.0, small_grid)
         f2 = f1.copy()
         f2[0] = np.nan
-        state = KineticState(f1=f1, f2=f2, t=0.0, grid=small_grid)
-        rec = diagnose(state, make_params())
+        rec = diagnose(one_cell(f1, f2, small_grid), make_params())
         assert rec.negative
 
     def test_anisotropy_of_isotropic_state_is_small(self, ref_grid):
         f1 = maxwellian_on_grid(1.0, (0.2, 0, 0), 1.0, 1.0, ref_grid)
-        state = KineticState(f1=f1, f2=f1.copy(), t=0.0, grid=ref_grid)
-        rec = diagnose(state, make_params(m2=1.0))
+        rec = diagnose(one_cell(f1, f1, ref_grid), make_params(m2=1.0))
         assert rec.aniso1 < 1e-10

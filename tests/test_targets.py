@@ -266,7 +266,8 @@ class TestBuildTargets:
         params = make_params(delta=0.4, alpha=0.3, gamma=0.01)
         f1 = match_moments(1.0, (0.1, 0, 0), 1.1, 1.0, mid_grid)
         f2 = match_moments(0.7, (0.1, 0, 0), 1.1, 2.0, mid_grid)
-        st = MixtureState.from_distributions(f1, f2, 1.0, 2.0, mid_grid)
+        st = MixtureState.from_distributions(np.array([f1, f2]), 1.0,
+                                             2.0, mid_grid)
         ts = build_targets(st, params, mid_grid)
         assert np.max(np.abs(ts.g1 - f1)) < 1e-12
         assert np.max(np.abs(ts.g2 - f2)) < 1e-12
@@ -280,7 +281,8 @@ class TestBuildTargets:
         freq = derive_frequencies(params.interaction)
         f1 = match_moments(1.1, (0.25, -0.1, 0), 0.9, 1.0, mid_grid)
         f2 = match_moments(0.6, (-0.15, 0.2, 0.05), 1.2, 1.6, mid_grid)
-        st = MixtureState.from_distributions(f1, f2, 1.0, 1.6, mid_grid)
+        st = MixtureState.from_distributions(np.array([f1, f2]), 1.0,
+                                             1.6, mid_grid)
         ts = build_targets(st, params, mid_grid)
         q12 = moments(ts.g12, 1.0, mid_grid)
         q21 = moments(ts.g21, 1.6, mid_grid)
@@ -295,7 +297,8 @@ class TestBuildTargets:
                              gamma=0.0)
         f1 = match_moments(1.2, (0.2, 0, 0), 1.0, 1.0, mid_grid)
         f2 = match_moments(0.5, (-0.1, 0, 0), 1.4, 2.0, mid_grid)
-        st = MixtureState.from_distributions(f1, f2, 1.0, 2.0, mid_grid)
+        st = MixtureState.from_distributions(np.array([f1, f2]), 1.0,
+                                             2.0, mid_grid)
         ts = build_targets(st, params, mid_grid)
         assert mid_grid.density(ts.g12) == pytest.approx(st.mom1.n,
                                                          rel=1e-12)
@@ -306,7 +309,8 @@ class TestBuildTargets:
         mid_grid = ref_grid  # resolution-limited comparison, see test_grid
         f1 = match_moments(1.0, (0.3, 0, 0), 1.0, 1.0, mid_grid)
         f2 = match_moments(0.8, (-0.2, 0.1, 0), 1.3, 2.0, mid_grid)
-        st = MixtureState.from_distributions(f1, f2, 1.0, 2.0, mid_grid)
+        st = MixtureState.from_distributions(np.array([f1, f2]), 1.0,
+                                             2.0, mid_grid)
         bgk = build_targets(st, make_params(variant=Variant.BGK), mid_grid)
         es = build_targets(st, make_params(variant=Variant.ES_SELF_ONLY,
                                            mu1=0.0, mu2=0.0), mid_grid)
@@ -321,7 +325,8 @@ class TestBuildTargets:
             * maxwellian_like(mid_grid, (0.2, 0, 0), 1.0)
         f2 = np.abs(rng.normal(0.5, 0.2, mid_grid.nnodes)) \
             * maxwellian_like(mid_grid, (-0.1, 0, 0), 1.4)
-        st = MixtureState.from_distributions(f1, f2, 1.0, 2.0, mid_grid)
+        st = MixtureState.from_distributions(np.array([f1, f2]), 1.0,
+                                             2.0, mid_grid)
         ts = build_targets(st, params, mid_grid)
         for g, mom, mass in ((ts.g1, st.mom1, 1.0), (ts.g2, st.mom2, 2.0)):
             q = moments(g, mass, mid_grid)
@@ -332,8 +337,8 @@ class TestBuildTargets:
     def test_degenerate_partner_gives_inert_cross_targets(self, mid_grid):
         params = make_params()
         f1 = match_moments(1.0, (0.0, 0, 0), 1.0, 1.0, mid_grid)
-        st = MixtureState.from_distributions(f1, np.zeros(mid_grid.nnodes),
-                                             1.0, 2.0, mid_grid)
+        st = MixtureState.from_distributions(
+            np.array([f1, np.zeros(mid_grid.nnodes)]), 1.0, 2.0, mid_grid)
         ts = build_targets(st, params, mid_grid)
         assert np.all(ts.g2 == 0.0)
         assert np.all(ts.g21 == 0.0)
@@ -346,13 +351,15 @@ class TestBuildTargets:
         f2 = np.array([match_moments(0.7, (0, u, 0), 1.2, 2.0, mid_grid)
                        for u in (0.2, 0.0)])
         ts = build_targets(
-            MixtureState.from_distributions(f1, f2, 1.0, 2.0, mid_grid),
+            MixtureState.from_distributions(np.array([f1, f2]), 1.0, 2.0,
+                                            mid_grid),
             params, mid_grid)
         block = ts.g1.base
         assert block is not None and block.shape == (4, 2, mid_grid.nnodes)
         for c in range(2):
             one = build_targets(MixtureState.from_distributions(
-                f1[c], f2[c], 1.0, 2.0, mid_grid), params, mid_grid)
+                np.array([f1[c], f2[c]]), 1.0, 2.0, mid_grid), params,
+                mid_grid)
             for name in ("g1", "g2", "g12", "g21"):
                 got = getattr(ts, name)
                 assert got.base is block
@@ -376,8 +383,8 @@ class TestBuildTargets:
         f2 = np.array([f, np.zeros_like(f)])
         with pytest.raises(DegenerateDensityError,
                            match="in cell 1 of species 2") as err:
-            MixtureState.from_distributions(np.array([f, f]), f2, 1.0, 2.0,
-                                            mid_grid)
+            MixtureState.from_distributions(np.array([[f, f], f2]), 1.0,
+                                            2.0, mid_grid)
         assert list(err.value.cells) == [1] and err.value.species == 2
 
     def test_partly_degenerate_species_after_an_empty_one(self, mid_grid):
@@ -386,9 +393,9 @@ class TestBuildTargets:
         f = match_moments(1.0, (0.0, 0, 0), 1.0, 2.0, mid_grid)
         with pytest.raises(DegenerateDensityError,
                            match="in cell 0 of species 2") as err:
-            MixtureState.from_distributions(np.zeros((2, mid_grid.nnodes)),
-                                            np.array([1e-35 * f, f]), 1.0,
-                                            2.0, mid_grid)
+            MixtureState.from_distributions(
+                np.array([np.zeros((2, mid_grid.nnodes)), [1e-35 * f, f]]),
+                1.0, 2.0, mid_grid)
         assert list(err.value.cells) == [0] and err.value.species == 2
         assert err.value.density == pytest.approx(1e-35, rel=1e-9, abs=0.0)
 
@@ -402,18 +409,24 @@ class TestBuildTargets:
 
         monkeypatch.setattr(gridmod, "moments", spy)
         f = match_moments(1.0, (0.1, 0, 0), 1.0, 1.0, mid_grid)
-        st = MixtureState.from_distributions(np.array([f, f, f]),
-                                             np.array([f, f, f]), 1.0, 2.0,
-                                             mid_grid)
+        st = MixtureState.from_distributions(np.array([[f, f, f]] * 2),
+                                             1.0, 2.0, mid_grid)
         assert calls == [((6, mid_grid.nnodes), (6,))]
         assert st.mom1.n.shape == st.mom2.n.shape == (3,)
         assert np.array_equal(st.mom2.T, 2.0 * st.mom1.T)
 
+    @pytest.mark.parametrize("shape", [(3, 8), (8,), (2, 1, 1, 8)])
+    def test_needs_a_leading_species_axis(self, small_grid, shape):
+        shape = shape[:-1] + (small_grid.nnodes,)
+        with pytest.raises(ValueError, match="leading species axis of 2"):
+            MixtureState.from_distributions(np.ones(shape), 1.0, 2.0,
+                                            small_grid)
+
     def test_wholly_degenerate_species_is_none_in_every_cell(self, mid_grid):
         f = match_moments(1.0, (0.0, 0, 0), 1.0, 1.0, mid_grid)
-        st = MixtureState.from_distributions(np.array([f, f]),
-                                             np.zeros((2, mid_grid.nnodes)),
-                                             1.0, 2.0, mid_grid)
+        st = MixtureState.from_distributions(
+            np.array([[f, f], np.zeros((2, mid_grid.nnodes))]), 1.0, 2.0,
+            mid_grid)
         assert st.mom2 is None and st.mom1.n.shape == (2,)
         ts = build_targets(st, make_params(), mid_grid)
         assert ts.g1.shape == (2, mid_grid.nnodes)
