@@ -13,8 +13,9 @@ factor 3 convention, and lower grid dimensions scale the factor with d.
 The lattice is the tensor product of its per-axis node vectors
 `grid.axes`, flattened in `meshgrid(indexing="ij")` order (the last axis
 varies fastest).  A drifting Maxwellian is sampled as the outer product
-of d one-dimensional Gaussians, an anisotropic Gaussian by a triangular
-substitution run axis by axis.  No moment of a distribution involves
+of d one-dimensional Gaussians, an anisotropic Gaussian in place as a
+one-dimensional Gaussian along the last axis, its log-height and centre
+conditioned on the leading axes.  No moment of a distribution involves
 more than two axes, so `moments` reduces f to its pairwise and per-axis
 lattice marginals, with no node-length temporaries.
 
@@ -27,14 +28,15 @@ and admissibility tests and the velocity scale all follow from
 (n, u, J s).  Every entry of the moments and of their Jacobian is a
 centred moment of degree <= 4 (Mieussens, M3AS 2000), read from one
 tensor of per-axis powers: the outer product of per-axis sums for the
-Maxwellian, the lattice sample contracted axis by axis for the
-Gaussian.  The matchers and samplers take a stack of K targets (n, T,
-mass as (K,), u as (K, d), tensors as a (K, d, d) stack) and run one
-Newton loop for all of them: each iteration samples the members not yet
-converged and solves their systems in one stacked solve, and a
-converged member is frozen, so every member follows exactly the
-iterates it would follow alone.  An unstacked call is a stack of one.
-`moments` likewise reduces every cell of a (cells, nodes) array at once.
+Maxwellian, the lattice sample contracted by one matrix product per
+axis for the Gaussian.  The matchers and samplers take a stack of K
+targets (n, T, mass as (K,), u as (K, d), tensors as a (K, d, d) stack)
+and run one Newton loop for all of them: each iteration samples the
+members not yet converged and solves their systems in one stacked
+solve, and a converged member is frozen, so every member follows
+exactly the iterates it would follow alone.  An unstacked call is a
+stack of one.  `moments` likewise reduces every cell of a (cells,
+nodes) array at once.
 """
 
 from __future__ import annotations
@@ -345,17 +347,40 @@ def spd_factor(matrix) -> SpdTensor:
 def _gaussian_fill(n: float, u: np.ndarray, L: np.ndarray,
                    grid: VelocityGrid, out: np.ndarray) -> None:
     """Write n / ((2 pi)^(d/2) det L) exp(-|w|^2 / 2), L w = v - u, into
-    the (nodes,) row out: the substitution runs axis by axis, w_i living
-    on the leading i axes."""
+    the (nodes,) row out.
+
+    The Gaussian factors as p(v_<d) p(v_d | v_<d): the exponent is
+    head - (v_d - centre)^2 / (2 L_dd^2) with head = log(n / ((2 pi)^(d/2)
+    det L)) - sum_k<d w_k^2 / 2 and centre = u_d + sum_k<d L_dk w_k, both
+    on the leading d - 1 axes only (w_k lives on the leading k + 1).  So
+    the row is written in place in four passes, with no lattice-sized
+    temporary: the scaled difference v_d - centre, a square, head minus
+    that, and exp.  n = 0 gives head = -inf and so an exactly zero row.
+    """
     d, ws = grid.dim, []
-    for i, x in enumerate(grid.axes):
-        acc = (x - u[i]).reshape((-1,) + (1,) * (d - 1 - i))
+    for i, x in enumerate(grid.axes[:-1]):
+        acc = (x - u[i]).reshape((-1,) + (1,) * (d - 2 - i))
         for k in range(i):
             acc = acc - L[i, k] * ws[k]
         ws.append(acc / L[i, i])
-    lattice = out.reshape(grid.points)
-    np.exp(-0.5 * sum(w * w for w in ws), out=lattice)
-    lattice *= n / ((2.0 * math.pi) ** (d / 2.0) * float(np.prod(np.diag(L))))
+    norm = n / ((2.0 * math.pi) ** (d / 2.0) * math.prod(np.diag(L)))
+    head = math.log(norm) if norm > 0.0 else -math.inf  # exp(-inf) = 0
+    head = np.asarray(head - 0.5 * sum(w * w for w in ws))
+    centre = np.asarray(u[-1] + sum(L[-1, k] * w for k, w in enumerate(ws)))
+    scale = 1.0 / (math.sqrt(2.0) * L[-1, -1])
+    # (v_d - centre) scale as the rank-2 product (-centre, 1) (1, v_d)^T:
+    # each entry is the one exactly rounded difference a broadcast
+    # subtract gives, but in one GEMM pass (the broadcast runs one short
+    # inner loop per lattice row, several times slower)
+    lead = np.ones((head.size, 2))
+    lead[:, 0] = -scale * centre.ravel()
+    last = np.ones((2, len(grid.axes[-1])))
+    last[1] = scale * grid.axes[-1]
+    lattice = out.reshape(head.size, -1)
+    np.matmul(lead, last, out=lattice)
+    np.square(lattice, out=lattice)
+    np.subtract(head.reshape(-1, 1), lattice, out=lattice)
+    np.exp(lattice, out=lattice)
 
 
 def gaussian_on_grid(n, u, tensor, mass, grid: VelocityGrid,
@@ -364,9 +389,12 @@ def gaussian_on_grid(n, u, tensor, mass, grid: VelocityGrid,
 
     Nodewise n / sqrt(det(2 pi T/m)) * exp(-(v-u) . (T/m)^-1 . (v-u) / 2),
     evaluated through the triangular factor (never an explicit inverse),
-    which stays stable near the positive-definiteness boundary.  A plain
-    matrix is factored first; factorization failure propagates.  Stacked
-    arguments give one row per member, sampled member by member.
+    which stays stable near the positive-definiteness boundary: each row
+    is written in place as a 1-D Gaussian along the last axis whose
+    log-height and centre depend on the leading axes (`_gaussian_fill`).
+    n = 0 gives an exactly zero row.  A plain matrix is factored first;
+    factorization failure propagates.  Stacked arguments give one row
+    per member, sampled member by member.
     """
     spd = tensor if isinstance(tensor, SpdTensor) else spd_factor(tensor)
     stacked, u, n, mass = _members(grid, u, n, mass,
@@ -494,8 +522,11 @@ def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
     p = (n, u, upper triangle of the covariance S = T/m) per row.
 
     Member by member: the lattice sample is written into its row of
-    `out` (rows[k] for p[k]) and contracted axis by axis with the
-    powers c_i^k.
+    `out` (rows[k] for p[k]) and contracted with the per-axis powers
+    c_i^k (P_i, 5), one matrix product per axis: the first is a GEMM
+    over the whole row viewed as (P_0, rest), each later one a batched
+    product on the (5^i, P_i, rest) view of the previous result.  The
+    weight scales the small result.
     """
     d = grid.dim
     cov = _symmetric(p[:, 1 + d:], d)
@@ -508,11 +539,12 @@ def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
                 f"covariance left the positive-definite cone (member {row})",
                 member=row) from exc
         _gaussian_fill(p[k, 0], p[k, 1:1 + d], L, grid, out[row])
-        moment = grid.weight * out[row].reshape(grid.points)
-        for x, ui in zip(grid.axes, p[k, 1:1 + d]):
-            powers = np.vander(x - ui, 5, increasing=True)
-            moment = np.tensordot(moment, powers, axes=(0, 0))
-        M[k] = moment
+        moment = out[row]
+        powers = np.vander(grid.axis_nodes - p[k, 1 + grid.axis_of], 5,
+                           increasing=True)
+        for i, (a, size) in enumerate(zip(grid.axis_start, grid.points)):
+            moment = powers[a:a + size].T @ moment.reshape(5 ** i, size, -1)
+        M[k] = grid.weight * moment.reshape((5,) * d)
     return M
 
 
@@ -684,18 +716,16 @@ def match_gaussian(n, u, tensor, mass, grid: VelocityGrid, tol: float = 1e-13,
 def _xlogx_sum(f: np.ndarray) -> float:
     """Sum of f log f with the 0 log 0 = 0 convention.
 
-    Nonpositive values contribute exactly zero; negative excursions of a
-    non-positivity-preserving integrator are clamped here only, never in
-    the state itself.
+    Nonpositive (and NaN) values contribute exactly zero: log and
+    product are taken only where f > 0, in place in one zeroed array, so
+    no compacted copy of the positive values is made.  Negative
+    excursions of a non-positivity-preserving integrator are clamped
+    here only, never in the state itself.
     """
-    out = 0.0
     pos = f > 0.0
-    if np.any(pos):
-        vals = f[pos]
-        logs = np.log(vals)
-        logs *= vals  # in place: one node-length temporary fewer
-        out = float(np.sum(logs))
-    return out
+    terms = np.log(f, out=np.zeros_like(f), where=pos)
+    np.multiply(terms, f, out=terms, where=pos)
+    return float(np.sum(terms))
 
 
 def h_functional(f: np.ndarray, grid: VelocityGrid) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from bgkmix import grid as gridmod
 from bgkmix.errors import (DegenerateDensityError, NoConvergenceError,
                            NotSpdError)
-from bgkmix.grid import (VelocityGrid, _gaussian_derivs, _gaussian_sample,
-                         _maxwellian_derivs, _maxwellian_sample, _monomials,
-                         _newton_system, _spread_map, gaussian_on_grid,
-                         h_functional, match_gaussian, match_moments,
-                         maxwellian_on_grid, moments, spd_factor)
+from bgkmix.grid import (VelocityGrid, _gaussian_derivs, _gaussian_fill,
+                         _gaussian_sample, _maxwellian_derivs,
+                         _maxwellian_sample, _monomials, _newton_system,
+                         _spread_map, gaussian_on_grid, h_functional,
+                         match_gaussian, match_moments, maxwellian_on_grid,
+                         moments, spd_factor)
 
 
 def uneven_grid(dim):
@@ -263,6 +265,26 @@ class TestSeparableRawMoments:
         lattice = grid.weight * (f @ basis)
         assert np.max(np.abs(q - lattice)) <= 1e-14 * np.max(np.abs(lattice))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gaussian_contraction_matches_einsum(self, dim):
+        """The per-axis matrix products give w sum f prod_i c_i^a_i as
+        one einsum of the lattice sample with the power tables does,
+        each entry to 1e-14 of its own round-off scale (the same sum
+        over |f| and |c_i|^a_i)."""
+        grid, p = self.family("gaussian", dim)[:2]
+        f = np.empty((1, grid.nnodes))
+        M = _gaussian_sample(p[None], grid, f, [0])[0]
+        powers = [np.vander(x - ui, 5, increasing=True)
+                  for x, ui in zip(grid.axes, p[1:1 + dim])]
+        labels = "abc"[:dim]
+        spec = (labels + "," + ",".join(f"{a}{a.upper()}" for a in labels)
+                + "->" + labels.upper())
+        lattice = f[0].reshape(grid.points)
+        ref = grid.weight * np.einsum(spec, lattice, *powers)
+        scale = grid.weight * np.einsum(spec, np.abs(lattice),
+                                        *map(np.abs, powers))
+        assert np.all(np.abs(M - ref) <= 1e-14 * scale)
+
     @CASES
     def test_jacobian_matches_central_differences(self, family, dim):
         grid, p, sample, select, _ = self.family(family, dim)
@@ -309,6 +331,64 @@ class TestGaussianOnGrid:
                                             np.linalg.inv(cov), c)))
         f = gaussian_on_grid(n, u, SHEARED[:dim, :dim], m, grid)
         assert np.max(np.abs(f - direct)) <= 1e-14 * np.max(direct)
+
+    @staticmethod
+    def longdouble_gaussian(n, u, tensor, mass, grid):
+        """n / sqrt(det(2 pi S)) exp(-c . S^-1 . c / 2), S = tensor / mass,
+        in extended precision through the Cholesky factor of S."""
+        ld, d = np.longdouble, grid.dim
+        S = np.asarray(tensor, dtype=ld) / ld(mass)
+        L = np.zeros((d, d), dtype=ld)
+        for j in range(d):
+            L[j, j] = np.sqrt(S[j, j] - np.sum(L[j, :j] ** 2))
+            for i in range(j + 1, d):
+                L[i, j] = (S[i, j] - np.sum(L[i, :j] * L[j, :j])) / L[j, j]
+        c, w = grid.nodes.astype(ld) - np.asarray(u, dtype=ld), []
+        for i in range(d):
+            w.append((c[:, i] - sum(L[i, k] * w[k] for k in range(i)))
+                     / L[i, i])
+        return (ld(n) / (np.prod(np.diag(L)) * (2 * ld(math.pi)) ** (d / 2))
+                * np.exp(-sum(x * x for x in w) / 2))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fill_matches_direct_formula_near_singular(self, dim):
+        """Correlation 0.999 between every pair of axes, on a lattice
+        with nodes on the ridge so the peak is sampled."""
+        grid = VelocityGrid(dim=dim, vmin=-6.0, vmax=6.0, points=24)
+        tensor = 0.8 * np.full((dim, dim), 0.999)
+        np.fill_diagonal(tensor, 0.8)
+        n, u, m = 0.9, np.full(dim, 0.5), 1.3
+        direct = self.longdouble_gaussian(n, u, tensor, m, grid)
+        f = gaussian_on_grid(n, u, tensor, m, grid)
+        assert np.max(np.abs(f - direct)) <= 3e-14 * np.max(direct)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_density_gives_zero_row(self, dim):
+        grid = uneven_grid(dim)
+        u, tensor = np.array([0.3, -0.2, 0.15])[:dim], SHEARED[:dim, :dim]
+        assert np.array_equal(gaussian_on_grid(0.0, u, tensor, 1.3, grid),
+                              np.zeros(grid.nnodes))
+        stack = gaussian_on_grid([0.9, 0.0, 1.1], u, tensor, 1.3, grid)
+        assert np.array_equal(stack[1], np.zeros(grid.nnodes))
+        for k in (0, 2):
+            solo = gaussian_on_grid([0.9, 0.0, 1.1][k], u, tensor, 1.3, grid)
+            assert np.array_equal(stack[k], solo)
+
+    def test_fill_allocates_no_row_sized_block(self, ref_grid):
+        """The row is written in place: while `_gaussian_fill` runs on
+        the 32^3 lattice, traced memory never grows by one row's bytes."""
+        out = np.empty(ref_grid.nnodes)
+        args = (0.9, np.array([0.3, -0.2, 0.1]), np.linalg.cholesky(SHEARED),
+                ref_grid, out)
+        _gaussian_fill(*args)  # warm any lazily built state
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _gaussian_fill(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < ref_grid.nnodes * out.itemsize
 
     def test_not_spd_propagates(self, small_grid):
         with pytest.raises(NotSpdError):
@@ -595,6 +675,26 @@ class TestHFunctional:
     def test_negative_values_clamped_in_h_only(self, small_grid):
         f = np.full(small_grid.nnodes, -1.0)
         assert h_functional([f, f], small_grid) == 0.0
+
+    def test_zero_negative_and_nan_contribute_exactly_zero(self, mid_grid):
+        f = maxwellian_on_grid(0.8, (0.1, 0, 0), 1.2, 1.0, mid_grid)
+        f[::5], f[1::7], f[2::11] = 0.0, -0.3, np.nan
+        clean = np.where(f > 0.0, f, 0.0)
+        assert h_functional([f, f[::-1]], mid_grid) == h_functional(
+            [clean, clean[::-1]], mid_grid)
+        assert h_functional([np.full_like(f, np.nan), f], mid_grid) == \
+            h_functional([np.zeros_like(f), clean], mid_grid)
+
+    def test_matches_sum_over_positive_values(self, mid_grid):
+        rng = np.random.default_rng(9)
+        f = rng.uniform(-0.2, 1.0, (2, 3, mid_grid.nnodes))
+        f[0, :, ::9] = 0.0
+        ref = 0.0
+        for species in f:
+            vals = species[species > 0.0]
+            ref += float(np.sum(vals * np.log(vals)))
+        assert h_functional(f, mid_grid) == pytest.approx(
+            mid_grid.weight * ref, rel=1e-15)
 
 
 class TestInvariants:
