@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-validate     print admissibility violations of the configured bundle
+validate     check the whole config as the run subcommands would
 relax        space-homogeneous relaxation run, diagnostics to CSV
 wave         1-D transport + relaxation run, diagnostics to CSV
 coeffs       expansion constants, prefactors and relaxation rates as CSV
@@ -112,20 +112,18 @@ def _maybe_plot(args, csv_path: str) -> None:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    params = cfg.params
+    scen = cfg.make_scenario()
     if args.variant:
-        try:
-            variant = Variant(args.variant)
-        except ValueError:
-            raise ConfigError(f"unknown variant {args.variant!r}") from None
-        params = replace(params, es=replace(params.es, variant=variant))
-    scen = dict(cfg.scenario_spec)
+        es = replace(scen.params.es, variant=Variant(args.variant))
+        scen = replace(scen, params=replace(scen.params, es=es))
     if args.integrator:
-        scen["integrator"] = args.integrator
-    return replace(cfg, params=params, scenario_spec=scen)
+        scen = replace(scen, integrator=args.integrator)
+    return replace(cfg, scenario=scen)
 
 
 def _cmd_validate(cfg: RunConfig, args) -> int:
+    if cfg.scan_spec is not None:  # the scan's runs are checked as built
+        _scan_runs(cfg)
     print("ok")
     return 0
 
@@ -135,7 +133,7 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     scen = cfg.make_scenario()
     if args.subcommand == "relax":
         scen = replace(scen, cells=0)
-    elif scen.cells <= 0:
+    elif scen.cells == 0:
         scen = replace(scen, cells=32)
     diag = run_scenario(scen)
     path = os.path.join(args.outdir, f"{args.subcommand}.csv")
@@ -148,10 +146,8 @@ def _cmd_run(cfg: RunConfig, args) -> int:
 def _cmd_coeffs(cfg: RunConfig, args) -> int:
     p = cfg.params
     inter, mix, es = p.interaction, p.mixing, p.es
-    s1 = cfg.scenario_spec["species1"]
-    s2 = cfg.scenario_spec["species2"]
-    n1 = s1.n if s1 is not None else 1.0
-    n2 = s2.n if s2 is not None else 1.0
+    n1, n2 = (1.0 if sp is None else sp.n for sp in (
+        cfg.make_scenario().species1, cfg.make_scenario().species2))
     m1, m2 = p.species1.m, p.species2.m
     consts = chapman.ce_constants(m1, m2, inter.epsilon, inter.beta1,
                                   inter.beta2, n1, n2, mix.delta, mix.alpha)
@@ -184,26 +180,19 @@ def _cmd_persistence(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _scan_scenario(cfg: RunConfig, parameter: str,
-                   value: float) -> tuple[Scenario, float]:
-    """The relaxation run for one scan value, and its analytic rate."""
+def _scan_scenario(cfg: RunConfig, parameter: str, value: float,
+                   grid: VelocityGrid) -> tuple[Scenario, float]:
+    """The relaxation run on `grid` for one scan value, and its rate."""
     params = replace(cfg.params,
                      mixing=replace(cfg.params.mixing, **{parameter: value}))
     violations = validate(params)
     if violations:
         raise ValidationFailureError(violations)
     m1, m2 = params.species1.m, params.species2.m
-    # size the lattice to the thermal widths at T = 1: six widths of
-    # extent for the lighter species, one cell per width for the heavier
-    sigma_max = 1.0 / math.sqrt(min(m1, m2))
-    sigma_min = 1.0 / math.sqrt(max(m1, m2))
-    vmax = 6.0 * sigma_max
-    points = max(12, math.ceil(2.0 * vmax / sigma_min))
-    grid = VelocityGrid(dim=3, vmin=-vmax, vmax=vmax, points=points)
-    species = (cfg.scenario_spec["species1"], cfg.scenario_spec["species2"])
-    if any(sp is None for sp in species):
+    scen = cfg.make_scenario()
+    if scen.species1 is None or scen.species2 is None:
         raise ConfigError("scan needs both species")
-    n1, n2 = (sp.n for sp in species)
+    n1, n2 = scen.species1.n, scen.species2.n
     rates = chapman.analytic_rates(params.interaction.nu12, params.mixing.delta,
                                    params.mixing.alpha, n1, n2, m1, m2)
     lam = rates.lambda_u if parameter == "delta" else rates.lambda_T
@@ -228,20 +217,33 @@ def _scan_scenario(cfg: RunConfig, parameter: str,
                     integrator="rk4", moment_matching=True), lam
 
 
+def _scan_runs(cfg: RunConfig) -> list[tuple[float, Scenario, float]]:
+    """Each scan value with its run and analytic rate, all built (and
+    so checked) before any of them runs.  The runs share one lattice,
+    sized to the thermal widths at T = 1: six widths of extent for the
+    lighter species, one cell per width for the heavier."""
+    spec = cfg.scan_spec
+    m1, m2 = cfg.params.species1.m, cfg.params.species2.m
+    sigma_max = 1.0 / math.sqrt(min(m1, m2))
+    sigma_min = 1.0 / math.sqrt(max(m1, m2))
+    vmax = 6.0 * sigma_max
+    points = max(12, math.ceil(2.0 * vmax / sigma_min))
+    grid = VelocityGrid(dim=3, vmin=-vmax, vmax=vmax, points=points)
+    values = np.linspace(spec["start"], spec["stop"], spec["count"])
+    return [(value, *_scan_scenario(cfg, spec["parameter"], value, grid))
+            for value in values.tolist()]
+
+
 def _cmd_scan(cfg: RunConfig, args) -> int:
     if cfg.scan_spec is None:
         raise ConfigError("scan subcommand needs a 'scan' config section")
-    spec = cfg.scan_spec
-    parameter = spec["parameter"]
-    values = np.linspace(spec["start"], spec["stop"], spec["count"])
+    delta = cfg.scan_spec["parameter"] == "delta"
     rows = []
-    for value in values:
-        scen, analytic = _scan_scenario(cfg, parameter, float(value))
+    for value, scen, analytic in _scan_runs(cfg):
         diag = run_scenario(scen)
-        series = diag.velocity_gap() if parameter == "delta" \
-            else diag.temperature_gap()
+        series = diag.velocity_gap() if delta else diag.temperature_gap()
         measured = chapman.fit_decay_rate(diag.times, series)
-        rows.append((float(value), measured, analytic))
+        rows.append((value, measured, analytic))
     path = os.path.join(args.outdir, "scan.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("parameter,lambda_measured,lambda_analytic\n")
@@ -272,8 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-o", "--outdir", default=".",
                         help="directory for output files")
     parser.add_argument("--integrator", choices=["rk4", "exp"], default=None)
-    parser.add_argument("--variant", default=None,
-                        choices=["bgk", "es-self", "es-full-a", "es-full-b"])
+    parser.add_argument("--variant", choices=[v.value for v in Variant])
     parser.add_argument("--plot", default=None, metavar="X,Y",
                         help="emit an SVG line plot of two CSV columns")
     return parser
@@ -281,33 +282,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    cfg = None
     try:
         with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        cfg = parse_config(text)
-    except ValidationFailureError as exc:
-        for violation in exc.violations:
-            print(violation, file=sys.stderr if args.subcommand != "validate"
-                  else sys.stdout)
-        return 1
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        cfg = _apply_overrides(cfg, args)
+            cfg = _apply_overrides(parse_config(fh.read()), args)
         os.makedirs(args.outdir, exist_ok=True)
         return _COMMANDS[args.subcommand](cfg, args)
     except ValidationFailureError as exc:
+        # validate reports the configured bundle's violations as its output
+        report = args.subcommand == "validate" and cfg is None
         for violation in exc.violations:
-            print(violation, file=sys.stderr)
+            print(violation, file=sys.stdout if report else sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NotSpdError, NoConvergenceError, CflError,

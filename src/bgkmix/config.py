@@ -3,13 +3,15 @@
 The document is plain JSON with a versioned schema field.  Required keys
 are `masses` and the four entries of `interaction`; everything else has
 documented defaults (EXP integrator, moment matching on, 3-D grid with
-32 points per axis on [-8, 8]).
+32 points per axis on [-8, 8]); the scenario keys are the fields of
+`solver.Scenario`, typed as their defaults.  `parse_config` builds the
+configured Scenario, which checks the run rules, once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -24,12 +26,6 @@ from .solver import Scenario, SpeciesInit
 SCHEMA_VERSION = 1
 
 GRID_DEFAULTS = {"dim": 3, "vmin": -8.0, "vmax": 8.0, "points": 32}
-SCENARIO_DEFAULTS = {
-    "dt": 0.05, "t_end": 1.0, "output_every": 1,
-    "integrator": "exp", "moment_matching": True,
-    "cells": 0, "length": 1.0, "splitting": "lie",
-    "wave_amplitude": 0.0, "wave_mode": 1,
-}
 PERSISTENCE_DEFAULTS = {"kappa_min": 1e-3, "kappa_max": 1e3, "count": 200}
 MIXING_DEFAULTS = {"delta": 1.0, "alpha": 1.0, "gamma": 0.0}
 ES_DEFAULTS = {"variant": "bgk", "mu1": 0.0, "mu2": 0.0, "mu12": 0.0,
@@ -38,23 +34,18 @@ ES_DEFAULTS = {"variant": "bgk", "mu1": 0.0, "mu2": 0.0, "mu12": 0.0,
 
 @dataclass
 class RunConfig:
-    """Parsed and validated configuration."""
+    """Parsed and validated configuration, its run already built."""
 
-    params: ModelParams
-    grid_spec: dict
-    scenario_spec: dict
+    scenario: Scenario
     scan_spec: dict | None
     persistence_spec: dict
 
-    def make_grid(self) -> VelocityGrid:
-        g = self.grid_spec
-        return VelocityGrid(dim=g["dim"], vmin=g["vmin"], vmax=g["vmax"],
-                            points=g["points"])
+    @property
+    def params(self) -> ModelParams:
+        return self.scenario.params
 
     def make_scenario(self) -> Scenario:
-        # scenario_spec keys are the Scenario field names
-        return Scenario(params=self.params, grid=self.make_grid(),
-                        **self.scenario_spec)
+        return self.scenario
 
 
 def _require(doc: dict, key: str, parent: str = "") -> Any:
@@ -134,9 +125,9 @@ def _species_init(entry, key: str, dim: int) -> SpeciesInit | None:
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON config document into a validated RunConfig.
 
-    Raises MissingKeyError, UnknownVariantError or, when the parameter
-    bundle breaks an admissibility bound, ValidationFailureError with
-    the full violation list.
+    Raises ConfigError (MissingKeyError, UnknownVariantError) for a bad
+    key; ValidationFailureError with the full violation list for an
+    inadmissible bundle; ValueError or CflError for a broken run rule.
     """
     try:
         doc = json.loads(text)
@@ -178,15 +169,13 @@ def parse_config(text: str) -> RunConfig:
     grid_spec["dim"] = _typed(grid_spec["dim"], int, "grid.dim")
 
     scen_doc = doc.get("scenario", {})
-    scenario_spec = _fields(scen_doc, SCENARIO_DEFAULTS, "scenario")
+    scenario_spec = _fields(scen_doc, {
+        f.name: f.default for f in fields(Scenario)
+        if f.default is not MISSING}, "scenario")
     for key in ("species1", "species2"):
         scenario_spec[key] = _species_init(
             scen_doc.get(key, {"n": 1.0, "T": 1.0}), f"scenario.{key}",
             grid_spec["dim"])
-    if scenario_spec["integrator"] not in ("exp", "rk4"):
-        raise ConfigError(
-            f"integrator must be 'exp' or 'rk4' "
-            f"(got {scenario_spec['integrator']!r})")
 
     scan_spec = None
     if "scan" in doc:
@@ -209,6 +198,7 @@ def parse_config(text: str) -> RunConfig:
     if violations:
         raise ValidationFailureError(violations)
 
-    return RunConfig(params=params, grid_spec=grid_spec,
-                     scenario_spec=scenario_spec, scan_spec=scan_spec,
-                     persistence_spec=persistence_spec)
+    return RunConfig(
+        scenario=Scenario(params=params, grid=VelocityGrid(**grid_spec),
+                          **scenario_spec),
+        scan_spec=scan_spec, persistence_spec=persistence_spec)

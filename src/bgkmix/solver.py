@@ -28,7 +28,8 @@ Diagnostics take the totals from the moment sets of the cell averages
 homogeneous state is its own cell average, so `run_scenario` reduces
 each recorded one-cell state once and passes the result to `diagnose`
 and to the next `relax_step`.  Every reduction has a fixed summation
-order, so runs are reproducible.
+order, so runs are reproducible.  A run is a frozen `Scenario`, whose
+construction is the one place a run's rules are checked.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import CflError
 from .grid import MomentSet, VelocityGrid, h_functional, match_gaussian, \
     match_moments, gaussian_on_grid, maxwellian_on_grid
-from .params import ModelParams, derive_frequencies, validate
+from .params import ModelParams, _positive, derive_frequencies, validate
 from .targets import MixtureState, build_targets
 
 
@@ -162,16 +163,17 @@ class SpeciesInit:
     tensor: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Complete description of one run."""
+    """Complete description of one run.  Construction, and so
+    `dataclasses.replace`, checks every run rule (ValueError, CflError)."""
 
     params: ModelParams
     grid: VelocityGrid
     species1: SpeciesInit | None
     species2: SpeciesInit | None
-    dt: float
-    t_end: float
+    dt: float = 0.05
+    t_end: float = 1.0
     output_every: int = 1
     integrator: str = "exp"
     moment_matching: bool = True
@@ -180,6 +182,55 @@ class Scenario:
     splitting: str = "lie"    # "lie" or "strang"
     wave_amplitude: float = 0.0
     wave_mode: int = 1
+
+    def __post_init__(self):
+        for name in ("dt", "t_end", "length"):
+            value = getattr(self, name)
+            if not _positive(value):
+                raise ValueError(f"{name} must be finite and positive "
+                                 f"(got {value})")
+        if self.t_end < self.dt:
+            raise ValueError("t_end must be at least one step")
+        if self.output_every < 1:
+            raise ValueError("output_every must be >= 1")
+        if self.integrator not in ("exp", "rk4"):
+            raise ValueError(f"integrator must be 'exp' or 'rk4' "
+                             f"(got {self.integrator!r})")
+        if self.splitting not in ("lie", "strang"):
+            raise ValueError(f"unknown splitting {self.splitting!r}")
+        if self.cells < 0:
+            raise ValueError(f"cells must be >= 0 (got {self.cells})")
+        for k, init in enumerate((self.species1, self.species2), start=1):
+            if init is None:
+                continue
+            if not (math.isfinite(init.n) and init.n >= 0.0):
+                raise ValueError(f"species{k}.n must be finite and >= 0 "
+                                 f"(got {init.n})")
+            if init.tensor is None and not _positive(init.T):
+                raise ValueError(f"species{k}.T must be finite and positive "
+                                 f"(got {init.T})")
+            if any(init.u[self.grid.dim:]):
+                raise ValueError(f"u={tuple(init.u)} has nonzero components "
+                                 f"beyond the {self.grid.dim}-D lattice")
+        violations = validate(self.params)
+        if violations:
+            raise ValueError("inadmissible parameters: "
+                             + "; ".join(violations))
+        if self.cells > 0:
+            _check_cfl(self.grid, self.dt, self.length / self.cells)
+            if min(self.density_profile()) <= 0.0:
+                raise ValueError(f"wave_amplitude {self.wave_amplitude} "
+                                 f"gives a cell density <= 0")
+
+    def density_profile(self) -> np.ndarray:
+        """Each cell's density factor 1 + a sin(2 pi k x / L) at its
+        centre x; [1] for a homogeneous run."""
+        if self.cells == 0:
+            return np.ones(1)
+        dx = self.length / self.cells
+        return np.array([1.0 + self.wave_amplitude * math.sin(
+            2.0 * math.pi * self.wave_mode * x / self.length)
+            for x in (np.arange(self.cells) + 0.5) * dx])
 
 
 @dataclass
@@ -285,11 +336,8 @@ def _initial_sample(init: SpeciesInit | None, mass: float,
                     grid: VelocityGrid, match: bool) -> np.ndarray:
     """The species' target at density init.n on the nodes; zero for an
     empty species."""
-    if init is None or init.n <= 0.0:
+    if init is None or init.n == 0.0:
         return np.zeros(grid.nnodes)
-    if any(init.u[grid.dim:]):
-        raise ValueError(f"u={tuple(init.u)} has nonzero components beyond "
-                         f"the {grid.dim}-D lattice")
     u = init.u[:grid.dim]
     if init.tensor is not None:
         sample = match_gaussian if match else gaussian_on_grid
@@ -309,41 +357,15 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
     `relax_step`.  A 1-D run shares nothing, as transport runs between
     the two.
     """
-    for name in ("dt", "t_end"):
-        value = getattr(scenario, name)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive "
-                             f"(got {value})")
-    if scenario.t_end < scenario.dt:
-        raise ValueError("t_end must be at least one step")
-    if scenario.output_every < 1:
-        raise ValueError("output_every must be >= 1")
-    if scenario.splitting not in ("lie", "strang"):
-        raise ValueError(f"unknown splitting {scenario.splitting!r}")
-    violations = validate(scenario.params)
-    if violations:
-        raise ValueError("inadmissible parameters: " + "; ".join(violations))
-
-    grid = scenario.grid
-    dt, length, cells = scenario.dt, scenario.length, scenario.cells
-    dx = length / cells if cells > 0 else None
-    profile = [1.0]
-    if cells > 0:
-        _check_cfl(grid, dt, dx)
-        profile = [1.0 + scenario.wave_amplitude * math.sin(
-            2.0 * math.pi * scenario.wave_mode * x / length)
-            for x in (np.arange(cells) + 0.5) * dx]
-        if min(profile) <= 0.0:
-            raise ValueError(
-                f"wave_amplitude {scenario.wave_amplitude} gives a cell "
-                f"density <= 0")
-
+    grid, dt, cells = scenario.grid, scenario.dt, scenario.cells
+    dx = scenario.length / cells if cells > 0 else None
     params, match = scenario.params, scenario.moment_matching
     samples = np.array([_initial_sample(sp, spec.m, grid, match) for sp, spec
                         in ((scenario.species1, params.species1),
                             (scenario.species2, params.species2))])
-    state = KineticState(f=samples[:, None, :] * np.array(profile)[:, None],
-                         t=0.0, grid=grid, dx=dx)
+    profile = scenario.density_profile()[:, None]
+    state = KineticState(f=samples[:, None, :] * profile, t=0.0, grid=grid,
+                         dx=dx)
     diag = Diagnostics(dim=grid.dim)
 
     def record(state):

@@ -5,6 +5,7 @@ import operator
 import numpy as np
 import pytest
 
+from bgkmix import cli
 from bgkmix.cli import diagnostics_header, main
 from bgkmix.config import parse_config
 from bgkmix.errors import (MissingKeyError, UnknownVariantError,
@@ -30,14 +31,16 @@ def write_config(tmp_path, doc, name="config.json"):
 
 class TestParseConfig:
     def test_minimal_document_gets_defaults(self):
-        cfg = parse_config(json.dumps(base_doc()))
-        assert cfg.grid_spec == {"dim": 3, "vmin": -8.0, "vmax": 8.0,
-                                 "points": 32}
-        assert cfg.scenario_spec["integrator"] == "exp"
-        assert cfg.scenario_spec["moment_matching"] is True
-        assert cfg.scenario_spec["species1"].n == 1.0
-        assert cfg.params.mixing.delta == 1.0
-        assert cfg.params.mixing.gamma == 0.0
+        scen = parse_config(json.dumps(base_doc())).make_scenario()
+        grid = scen.grid
+        assert (grid.dim, grid.vmin.tolist(), grid.vmax.tolist(),
+                grid.points.tolist()) == (3, [-8.0] * 3, [8.0] * 3, [32] * 3)
+        assert (scen.dt, scen.t_end) == (0.05, 1.0)
+        assert scen.integrator == "exp"
+        assert scen.moment_matching is True
+        assert scen.species1.n == 1.0
+        assert scen.params.mixing.delta == 1.0
+        assert scen.params.mixing.gamma == 0.0
 
     def test_missing_masses(self):
         doc = base_doc()
@@ -89,6 +92,25 @@ class TestCliCommands:
             grid={"points": 16},
             scenario=scen)
 
+    def wave_doc(self, **scenario):
+        doc = self.relax_doc(**{"dt": 0.005, "t_end": 0.02, "cells": 8,
+                                "length": 1.0, **scenario})
+        doc["grid"] = {"dim": 1, "points": 16, "vmin": -4.0, "vmax": 4.0}
+        return doc
+
+    def run_and_validate(self, tmp_path, capsys, subcommand, doc):
+        """Exit code and stderr lines of `subcommand` on `doc`, once
+        `validate` on the same config is seen to give the same two; the
+        subcommand writes no CSV."""
+        path = write_config(tmp_path, doc)
+        results = []
+        for command in (subcommand, "validate"):
+            rc = main([command, "-c", path, "-o", str(tmp_path)])
+            results.append((rc, capsys.readouterr().err.strip().splitlines()))
+        assert results[0] == results[1]
+        assert not (tmp_path / f"{subcommand}.csv").exists()
+        return results[0]
+
     def test_validate_ok(self, tmp_path, capsys):
         rc = main(["validate", "-c", write_config(tmp_path, base_doc())])
         assert rc == 0
@@ -120,14 +142,54 @@ class TestCliCommands:
     @pytest.mark.parametrize("field", ["dt", "t_end"])
     def test_non_finite_time_exits_one_naming_it(self, tmp_path, capsys,
                                                  field, value):
-        doc = self.relax_doc(**{field: value})
-        rc = main(["relax", "-c", write_config(tmp_path, doc),
-                   "-o", str(tmp_path)])
+        rc, err = self.run_and_validate(tmp_path, capsys, "relax",
+                                        self.relax_doc(**{field: value}))
         assert rc == 1
-        err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {field} must be finite and positive "
                        f"(got {value})"]
-        assert not (tmp_path / "relax.csv").exists()
+
+    # each run rule a scenario breaks: (subcommand, document, stderr line)
+    RULES = {
+        "dt-negative": ("relax", dict(dt=-1.0),
+                        "error: dt must be finite and positive (got -1.0)"),
+        "t_end-below-dt": ("relax", dict(dt=0.1, t_end=0.05),
+                           "error: t_end must be at least one step"),
+        "splitting-typo": ("wave", dict(splitting="strnag"),
+                           "error: unknown splitting 'strnag'"),
+        "output_every-zero": ("relax", dict(output_every=0),
+                              "error: output_every must be >= 1"),
+        "cells-negative": ("wave", dict(cells=-3),
+                           "error: cells must be >= 0 (got -3)"),
+        "length-zero": ("wave", dict(length=0.0), "error: length must be "
+                        "finite and positive (got 0.0)"),
+        "length-negative": ("wave", dict(length=-1.0), "error: length must "
+                            "be finite and positive (got -1.0)"),
+        "n-negative": ("relax", dict(species1={"n": -1.0}),
+                       "error: species1.n must be finite and >= 0 "
+                       "(got -1.0)"),
+        "T-negative": ("relax", dict(species1={"T": -1.0}),
+                       "error: species1.T must be finite and positive "
+                       "(got -1.0)"),
+        "scan-zero-rate": ("scan", None,
+                           "scan value delta=1.0 gives zero relaxation rate"),
+    }
+
+    @pytest.mark.parametrize("case", list(RULES))
+    def test_run_rule_exits_one_before_running(self, tmp_path, capsys,
+                                               monkeypatch, case):
+        subcommand, scenario, line = self.RULES[case]
+        if subcommand == "scan":
+            doc = base_doc(
+                mixing={"delta": 0.0, "alpha": 0.5, "gamma": 0.0},
+                scan={"parameter": "delta", "start": 0.0, "stop": 1.0,
+                      "count": 3})
+        else:
+            doc = (self.wave_doc if subcommand == "wave"
+                   else self.relax_doc)(**scenario)
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda scen: pytest.fail("a run was started"))
+        rc, err = self.run_and_validate(tmp_path, capsys, subcommand, doc)
+        assert (rc, err) == (1, [line])
 
     # the key an error names: (where it sits in the document, bad value)
     MISTYPED = {
@@ -220,21 +282,17 @@ class TestCliCommands:
         ratios = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(0.25 <= r <= 1.0 for r in ratios)
 
-    def test_wave_cfl_violation_exits_two(self, tmp_path):
+    def test_wave_cfl_violation_exits_two(self, tmp_path, capsys):
         doc = self.relax_doc(dt=0.5, t_end=1.0, cells=64, length=1.0)
         doc["grid"] = {"points": 16}
-        rc = main(["wave", "-c", write_config(tmp_path, doc),
-                   "-o", str(tmp_path)])
+        rc, err = self.run_and_validate(tmp_path, capsys, "wave", doc)
         assert rc == 2
+        assert len(err) == 1 and err[0].startswith("numerical failure: CFL")
 
     def test_wave_input_error_exits_one(self, tmp_path, capsys):
-        doc = self.relax_doc(dt=0.005, t_end=0.02, cells=8, length=1.0,
-                             wave_amplitude=1.5)
-        doc["grid"] = {"dim": 1, "points": 16, "vmin": -4.0, "vmax": 4.0}
-        rc = main(["wave", "-c", write_config(tmp_path, doc),
-                   "-o", str(tmp_path)])
+        rc, err = self.run_and_validate(tmp_path, capsys, "wave",
+                                        self.wave_doc(wave_amplitude=1.5))
         assert rc == 1
-        err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "wave_amplitude" in err[0]
 
@@ -242,10 +300,8 @@ class TestCliCommands:
         doc = self.relax_doc()
         doc["grid"] = {"dim": 1, "points": 16}
         doc["scenario"]["species1"]["u"] = [0, 0.5, 0]
-        rc = main(["relax", "-c", write_config(tmp_path, doc),
-                   "-o", str(tmp_path)])
+        rc, err = self.run_and_validate(tmp_path, capsys, "relax", doc)
         assert rc == 1
-        err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "1-D lattice" in err[0]
 
@@ -260,9 +316,7 @@ class TestCliCommands:
     def test_wave_partly_empty_species_exits_two(self, tmp_path, capsys):
         # n2 * (1 + 0.5 sin) falls below the 1e-30 density floor in some
         # cells only, which leaves their moments undefined
-        doc = self.relax_doc(dt=0.005, t_end=0.02, cells=8, length=1.0,
-                             wave_amplitude=0.5)
-        doc["grid"] = {"dim": 1, "points": 16, "vmin": -4.0, "vmax": 4.0}
+        doc = self.wave_doc(wave_amplitude=0.5)
         doc["scenario"]["species2"]["n"] = 1.5e-30
         rc = main(["wave", "-c", write_config(tmp_path, doc),
                    "-o", str(tmp_path)])
@@ -292,9 +346,7 @@ class TestCliCommands:
         assert err[0].endswith("(target g21, cell 1)")
 
     def test_wave_runs(self, tmp_path):
-        doc = self.relax_doc(dt=0.005, t_end=0.02, cells=8, length=1.0,
-                             wave_amplitude=0.1)
-        doc["grid"] = {"dim": 1, "points": 16, "vmin": -4.0, "vmax": 4.0}
+        doc = self.wave_doc(wave_amplitude=0.1)
         rc = main(["wave", "-c", write_config(tmp_path, doc),
                    "-o", str(tmp_path)])
         assert rc == 0

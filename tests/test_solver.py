@@ -425,50 +425,46 @@ class TestRunScenario:
 
     def test_cfl_checked_up_front(self):
         grid = VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=16)
-        scen = Scenario(
-            params=self.balanced_params(), grid=grid,
-            species1=SpeciesInit(n=1.0, u=(0.0,), T=1.0),
-            species2=SpeciesInit(n=1.0, u=(0.0,), T=1.0),
-            dt=0.5, t_end=1.0, cells=64, length=1.0)
         with pytest.raises(CflError):
-            run_scenario(scen)
+            Scenario(
+                params=self.balanced_params(), grid=grid,
+                species1=SpeciesInit(n=1.0, u=(0.0,), T=1.0),
+                species2=SpeciesInit(n=1.0, u=(0.0,), T=1.0),
+                dt=0.5, t_end=1.0, cells=64, length=1.0)
 
     def test_nonpositive_wave_density_rejected(self):
         grid = VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=16)
-        scen = Scenario(
-            params=self.balanced_params(), grid=grid,
-            species1=SpeciesInit(n=1.0, u=(0.0,), T=1.0),
-            species2=SpeciesInit(n=1.0, u=(0.0,), T=1.0),
-            dt=0.01, t_end=0.05, cells=8, length=1.0, wave_amplitude=1.5)
         with pytest.raises(ValueError, match="wave_amplitude"):
-            run_scenario(scen)
+            Scenario(
+                params=self.balanced_params(), grid=grid,
+                species1=SpeciesInit(n=1.0, u=(0.0,), T=1.0),
+                species2=SpeciesInit(n=1.0, u=(0.0,), T=1.0),
+                dt=0.01, t_end=0.05, cells=8, length=1.0,
+                wave_amplitude=1.5)
 
     def test_velocity_beyond_lattice_rejected(self):
         grid = VelocityGrid(1, -8.0, 8.0, 16)
-        scen = self.scenario(grid, self.balanced_params(), t_end=0.1,
-                             species2=SpeciesInit(n=1.0, u=(0.0, 0.5, 0.0)))
         with pytest.raises(ValueError, match="beyond the 1-D lattice"):
-            run_scenario(scen)
+            self.scenario(grid, self.balanced_params(), t_end=0.1,
+                          species2=SpeciesInit(n=1.0, u=(0.0, 0.5, 0.0)))
         # zero trailing components are accepted
         scen = self.scenario(grid, self.balanced_params(), t_end=0.1,
                              species2=SpeciesInit(n=1.0, u=(-0.1, 0.0, 0.0)))
         assert len(run_scenario(scen).records) == 3
 
     def test_inadmissible_parameters_rejected(self, small_grid):
-        scen = self.scenario(small_grid, make_params(gamma=10.0))
         with pytest.raises(ValueError, match="inadmissible"):
-            run_scenario(scen)
+            self.scenario(small_grid, make_params(gamma=10.0))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0],
                              ids=["nan", "inf", "negative"])
     @pytest.mark.parametrize("field", ["dt", "t_end"])
     def test_time_fields_must_be_finite_and_positive(self, small_grid,
                                                      field, value):
-        scen = self.scenario(small_grid, self.balanced_params(),
-                             **{field: value})
         with pytest.raises(ValueError,
                            match=f"^{field} must be finite and positive"):
-            run_scenario(scen)
+            self.scenario(small_grid, self.balanced_params(),
+                          **{field: value})
 
 
 class TestSharedReduction:
