@@ -281,17 +281,22 @@ def _axis_factors(u: np.ndarray, theta: np.ndarray,
     return c, np.exp(c * c / (-2.0 * theta[:, None]))
 
 
-def _maxwellian_fill(n, u, theta, grid: VelocityGrid, out) -> None:
+def _maxwellian_fill(n, theta, g, grid: VelocityGrid, out) -> None:
     """Write the Maxwellians n / (2 pi theta)^(d/2) exp(-|v-u|^2 / (2
-    theta)) of a stack into the rows of out, each the outer product of
-    its per-axis factors in the nodes' ij order."""
+    theta)) of a stack into the rows of out from their per-axis factors
+    g (`_axis_factors`, one row per member; `match_moments` passes the
+    ones its last Newton evaluation formed): the prefactor times the
+    outer product of the factors in the nodes' ij order, the last axis'
+    product written by one einsum outer product straight into out (a
+    broadcast multiply there runs one short inner loop per lattice row,
+    and is slower).  Each entry is the one rounded product either
+    gives."""
     f = (n / (2.0 * math.pi * theta) ** (grid.dim / 2.0))[:, None]
-    g = _axis_factors(u, theta, grid)[1]
     factors = [g[:, a:a + p] for a, p in zip(grid.axis_start, grid.points)]
-    for g in factors[:-1]:
-        f = (f[:, :, None] * g[:, None, :]).reshape(len(f), -1)
-    np.multiply(f[:, :, None], factors[-1][:, None, :],
-                out=out.reshape(len(f), f.shape[1], -1))
+    for h in factors[:-1]:
+        f = (f[:, :, None] * h[:, None, :]).reshape(len(f), -1)
+    np.einsum("ka,kb->kab", f, factors[-1],
+              out=out.reshape(len(f), f.shape[1], -1))
 
 
 def maxwellian_on_grid(n, u, T, mass, grid: VelocityGrid,
@@ -307,8 +312,9 @@ def maxwellian_on_grid(n, u, T, mass, grid: VelocityGrid,
     _require(T > 0.0, T, "temperature must be positive")
     _require(n >= 0.0, n, "density must be nonnegative")
     _require_mass(mass)
+    theta = T / mass
     out = _block(out, len(n), grid)
-    _maxwellian_fill(n, u, T / mass, grid, out)
+    _maxwellian_fill(n, theta, _axis_factors(u, theta, grid)[1], grid, out)
     return out if stacked else out[0]
 
 
@@ -482,16 +488,19 @@ def _newton_system(u: np.ndarray, select: np.ndarray,
     return select @ A.reshape(K, len(gram), -1) @ M.reshape(K, -1)[:, gram]
 
 
-def _maxwellian_sample(p: np.ndarray, grid: VelocityGrid) -> np.ndarray:
+def _maxwellian_sample(p: np.ndarray, grid: VelocityGrid, factors: np.ndarray,
+                       rows) -> np.ndarray:
     """Centred moment tensors (K, 5, ..., 5) of the Maxwellians with
     p = (n, u, theta) per row: the prefactor times the outer product of
     the per-axis power sums sum g_i c_i^k (K, 5, d) of their factors
     g_i, the powers built by a running product.  No lattice-sized array
-    is formed.
+    is formed.  The factors of p[k] are kept in row rows[k] of
+    `factors`, for `_maxwellian_fill` to sample the lattice from.
     """
     K, d = len(p), grid.dim
     theta = p[:, 1 + d]
     c, g = _axis_factors(p[:, 1:1 + d], theta, grid)
+    factors[rows] = g
     power = np.empty((K, 5, c.shape[1]))
     power[:, 0] = g
     for k in range(1, 5):
@@ -660,11 +669,15 @@ def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
     The Gaussian problem of `_newton_match` with covariance theta I,
     theta = T/m: Newton on (n, u, theta) so that the discrete moments
     (1, v, |v|^2) match to `tol` (relative).  The Newton system comes
-    from per-axis sums; f is sampled once, at the converged parameters,
-    and is the plain sampled Maxwellian if it matches at once.  Stacked
-    arguments (n, T, mass as (K,), u as (K, d)) match K targets in one
-    Newton loop and give one row per member (written into `out` if
-    given); `return_info` then reports the largest iteration count.
+    from per-axis sums; f is sampled once, at the converged parameters:
+    `_maxwellian_fill` reuses the per-axis factors of each member's last
+    Newton evaluation and writes the last axis with one einsum outer
+    product.  So f is the plain sampled Maxwellian (`maxwellian_on_grid`)
+    of the converged parameters, or of the targets if they match at
+    once.  Stacked arguments (n, T, mass as (K,), u as (K, d)) match K
+    targets in one Newton loop and give one row per member (written into
+    `out` if given); `return_info` then reports the largest iteration
+    count.
 
     Raises NoConvergenceError, naming the member, when the grid cannot
     represent a target (too coarse, or support clipped by the domain).
@@ -674,12 +687,14 @@ def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
     _require(T > 0.0, T, "targets require T > 0")
     _require_mass(mass)
     d = grid.dim
+    factors = np.empty((len(n), len(grid.axis_nodes)))
     p, iters = _newton_match(
         n, u, (T / mass)[:, None], _spread_map(d, True),
-        lambda p, rows: _maxwellian_sample(p, grid), _maxwellian_derivs,
-        tol, max_iter, lambda k: f"member {k}: Maxwellian n={n[k]}, T={T[k]}")
+        lambda p, rows: _maxwellian_sample(p, grid, factors, rows),
+        _maxwellian_derivs, tol, max_iter,
+        lambda k: f"member {k}: Maxwellian n={n[k]}, T={T[k]}")
     out = _block(out, len(n), grid)
-    _maxwellian_fill(p[:, 0], p[:, 1:1 + d], p[:, 1 + d], grid, out)
+    _maxwellian_fill(p[:, 0], p[:, 1 + d], factors, grid, out)
     f = out if stacked else out[0]
     return (f, int(iters.max())) if return_info else f
 

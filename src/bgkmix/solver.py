@@ -39,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CflError
+from .errors import CflError, NotSpdError
 from .grid import MomentSet, VelocityGrid, h_functional, match_gaussian, \
-    match_moments, gaussian_on_grid, maxwellian_on_grid
+    match_moments, gaussian_on_grid, maxwellian_on_grid, spd_factor
 from .params import ModelParams, _positive, derive_frequencies, validate
 from .targets import MixtureState, build_targets
 
@@ -163,6 +163,19 @@ class SpeciesInit:
     tensor: np.ndarray | None = None
 
 
+def _spd(tensor, dim: int) -> bool:
+    """`tensor` is a finite, symmetric positive-definite dim x dim
+    matrix."""
+    matrix = np.asarray(tensor, dtype=float)
+    if matrix.shape != (dim, dim) or not np.all(np.isfinite(matrix)):
+        return False
+    try:
+        spd_factor(matrix)
+    except (NotSpdError, ValueError):
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one run.  Construction, and so
@@ -209,6 +222,15 @@ class Scenario:
             if init.tensor is None and not _positive(init.T):
                 raise ValueError(f"species{k}.T must be finite and positive "
                                  f"(got {init.T})")
+            d = self.grid.dim
+            if init.tensor is not None and not _spd(init.tensor, d):
+                raise ValueError(
+                    f"species{k}.tensor must be a finite symmetric positive-"
+                    f"definite {d}x{d} matrix (got "
+                    f"{np.asarray(init.tensor).tolist()})")
+            if not np.all(np.isfinite(init.u)):
+                raise ValueError(f"species{k}.u must be finite "
+                                 f"(got {tuple(init.u)})")
             if any(init.u[self.grid.dim:]):
                 raise ValueError(f"u={tuple(init.u)} has nonzero components "
                                  f"beyond the {self.grid.dim}-D lattice")
@@ -218,7 +240,7 @@ class Scenario:
                              + "; ".join(violations))
         if self.cells > 0:
             _check_cfl(self.grid, self.dt, self.length / self.cells)
-            if min(self.density_profile()) <= 0.0:
+            if not min(self.density_profile()) > 0.0:  # NaN fails too
                 raise ValueError(f"wave_amplitude {self.wave_amplitude} "
                                  f"gives a cell density <= 0")
 
@@ -320,7 +342,8 @@ def diagnose(state: KineticState, params: ModelParams, *,
                    np.zeros(grid.dim))
     energy = sum(0.5 * m * mom.n * float(mom.u @ mom.u)
                  + 0.5 * float(np.trace(mom.P)) for m, mom in species)
-    negative = not (np.all(np.isfinite(f)) and f.min() >= 0.0)
+    # NaN fails the first test and +inf the second
+    negative = not (f.min() >= 0.0 and f.max() < math.inf)
     return DiagRecord(
         t=state.t,
         mom1=mom1, mom2=mom2,

@@ -172,6 +172,18 @@ class TestCliCommands:
                        "(got -1.0)"),
         "scan-zero-rate": ("scan", None,
                            "scan value delta=1.0 gives zero relaxation rate"),
+        "amplitude-nan": ("wave", dict(wave_amplitude=float("nan")),
+                          "error: wave_amplitude nan gives a cell density "
+                          "<= 0"),
+        # a scenario that sets cells gets the 1-D document of wave_doc
+        "tensor-negative": ("relax", dict(cells=0, species1={
+            "tensor": [[-1.0]]}), "error: species1.tensor must be a finite "
+            "symmetric positive-definite 1x1 matrix (got [[-1.0]])"),
+        "tensor-nan": ("relax", dict(cells=0, species1={
+            "tensor": [[float("nan")]]}), "error: species1.tensor must be a "
+            "finite symmetric positive-definite 1x1 matrix (got [[nan]])"),
+        "u-nan": ("relax", dict(cells=0, species1={"u": [float("nan")]}),
+                  "error: species1.u must be finite (got (nan,))"),
     }
 
     @pytest.mark.parametrize("case", list(RULES))
@@ -184,7 +196,7 @@ class TestCliCommands:
                 scan={"parameter": "delta", "start": 0.0, "stop": 1.0,
                       "count": 3})
         else:
-            doc = (self.wave_doc if subcommand == "wave"
+            doc = (self.wave_doc if subcommand == "wave" or "cells" in scenario
                    else self.relax_doc)(**scenario)
         monkeypatch.setattr(cli, "run_scenario",
                             lambda scen: pytest.fail("a run was started"))

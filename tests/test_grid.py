@@ -233,7 +233,8 @@ class TestSeparableRawMoments:
                                      np.sum(grid.nodes ** 2, axis=1)])
 
             def sample(p):
-                return (_maxwellian_sample(p, grid),
+                factors = np.empty((1, len(grid.axis_nodes)))
+                return (_maxwellian_sample(p, grid, factors, [0]),
                         _maxwellian_derivs(p, dim),
                         maxwellian_on_grid(p[:, 0], p[:, 1:1 + dim],
                                            p[:, 1 + dim], 1.0, grid))
@@ -544,6 +545,27 @@ class TestStackedMatching:
         assert counts[0] == solo_counts
         assert iters == max(solo_counts)
         assert min(solo_counts) == 0 and max(solo_counts) >= 2
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_maxwellian_rows_sampled_at_converged_parameters(
+            self, monkeypatch, dim):
+        """Each row is the plain Maxwellian of its own converged p, for
+        members frozen after different iteration counts."""
+        grid, found = uneven_grid(dim), []
+        real = gridmod._newton_match
+
+        def spy(*args, **kwargs):
+            found.append(real(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(gridmod, "_newton_match", spy)
+        stack = match_moments(self.N, self.U[:, :dim], self.T, self.MASS,
+                              grid, tol=self.TOL)
+        (p, iters), = found
+        assert min(iters) == 0 and max(iters) >= 2
+        ref = maxwellian_on_grid(p[:, 0], p[:, 1:1 + dim], p[:, 1 + dim],
+                                 1.0, grid)
+        assert np.array_equal(stack, ref)
 
     def test_arguments_broadcast_over_the_stack(self, mid_grid):
         u = np.array([[0.1, 0.0, 0.0], [-0.2, 0.1, 0.0]])

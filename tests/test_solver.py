@@ -614,10 +614,19 @@ class TestDiagnostics:
 
     def test_nonfinite_values_flagged(self, small_grid):
         f1 = maxwellian_on_grid(1.0, (0, 0, 0), 1.0, 1.0, small_grid)
+        for value in (np.nan, np.inf, -np.inf):
+            f2 = f1.copy()
+            f2[0] = value
+            with np.errstate(invalid="ignore"):  # inf / inf in the moments
+                rec = diagnose(one_cell(f1, f2, small_grid), make_params())
+            assert rec.negative, value
+
+    def test_exact_zeros_not_flagged(self, small_grid):
+        f1 = maxwellian_on_grid(1.0, (0, 0, 0), 1.0, 1.0, small_grid)
         f2 = f1.copy()
-        f2[0] = np.nan
+        f2[::2] = 0.0
         rec = diagnose(one_cell(f1, f2, small_grid), make_params())
-        assert rec.negative
+        assert f2.min() == 0.0 and not rec.negative
 
     def test_anisotropy_of_isotropic_state_is_small(self, ref_grid):
         f1 = maxwellian_on_grid(1.0, (0.2, 0, 0), 1.0, 1.0, ref_grid)
