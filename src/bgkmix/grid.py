@@ -15,9 +15,9 @@ The lattice is the tensor product of its per-axis node vectors
 varies fastest).  A drifting Maxwellian is sampled as the outer product
 of d one-dimensional Gaussians, an anisotropic Gaussian in place as a
 one-dimensional Gaussian along the last axis, its log-height and centre
-conditioned on the leading axes.  No moment of a distribution involves
-more than two axes, so `moments` reduces f to its pairwise and per-axis
-lattice marginals, with no node-length temporaries.
+conditioned on the leading axes.  Every lattice moment, of a
+distribution or of a Gaussian sample, is read from its tensor
+sum f prod_i c_i^a_i of per-axis offset powers (`_lattice_tensor`).
 
 Moment matching is one Newton problem for both target families.  A
 Maxwellian is the Gaussian whose covariance S = T/m is theta I, so each
@@ -28,15 +28,14 @@ and admissibility tests and the velocity scale all follow from
 (n, u, J s).  Every entry of the moments and of their Jacobian is a
 centred moment of degree <= 4 (Mieussens, M3AS 2000), read from one
 tensor of per-axis powers: the outer product of per-axis sums for the
-Maxwellian, the lattice sample contracted by one matrix product per
-axis for the Gaussian.  The matchers and samplers take a stack of K
-targets (n, T, mass as (K,), u as (K, d), tensors as a (K, d, d) stack)
-and run one Newton loop for all of them: each iteration samples the
-members not yet converged and solves their systems in one stacked
-solve, and a converged member is frozen, so every member follows
-exactly the iterates it would follow alone.  An unstacked call is a
-stack of one.  `moments` likewise reduces every cell of a (cells,
-nodes) array at once.
+Maxwellian, the lattice sample's tensor for the Gaussian.  The matchers
+and samplers take a stack of K targets (n, T, mass as (K,), u as
+(K, d), tensors as a (K, d, d) stack) and run one Newton loop for all
+of them: each iteration samples the members not yet converged and
+solves their systems in one stacked solve, and a converged member is
+frozen, so every member follows exactly the iterates it would follow
+alone.  An unstacked call is a stack of one.  `moments` likewise
+reduces every cell of a (cells, nodes) array at once.
 """
 
 from __future__ import annotations
@@ -156,22 +155,18 @@ def moments(f: np.ndarray, mass, grid: VelocityGrid,
     """Full moment set of a distribution array, (nodes,) or (rows, nodes),
     with `mass` a scalar or one value per row.
 
-    No moment involves more than two velocity axes, so all of them are
-    reduced from lattice marginals of each cell's f viewed on the
-    (P_1, ..., P_d) lattice: the pairwise marginals M_ij (one sum over f
-    per pair) and the per-axis marginals m_i summed from them.  n and u
-    come from the m_i.  With the per-axis offsets c_i = v_i - u_i (exact
-    centring: a marginal does not depend on the shift), the centred sums
-    S = sum f c(x)c and S3 = sum f c |c|^2 are read from one quadratic
-    form R W R^T over all axes' nodes end to end: W holds diag(m_i) in
-    its diagonal blocks and M_ij off them, R the rows c_i and then the
-    rows c_i^2, each zero off axis i's nodes.  So S_ij is entry [i, j]
-    and sum f c_i c_j^2 entry [i, d + j].  Then P = m w S,
-    Qtilde = m w S3, and with s0 = sum f the raw flux is
+    Every moment is read from a lattice tensor sum f prod_i c_i^a_i of
+    per-axis offsets c_i (`_lattice_tensor`).  With c_i = v_i, the
+    degree-1 tensor gives s0 = sum f and sum f v_i, so n = w s0 and u.
+    With c_i = v_i - u_i, the degree-4 tensor holds the centred Gram
+    entries that `_newton_system` reads (`_monomials`): the centred sums
+    S = sum f c(x)c and S3 = sum f c |c|^2.  Then P = m w S,
+    Qtilde = m w S3, and the raw flux is
     Q = w (S3 + 2 S u + u tr S + s0 |u|^2 u) / 2.  All rows (the cells
     of a species, or the cells of both species stacked, each row with
     its own mass) reduce together, and each row's set equals its solo
-    reduction bitwise; a (nodes,) input gives scalar n and T.
+    reduction bitwise; a (nodes,) input gives scalar n and T.  A row
+    holding a non-finite value gives NaN moments, with no warning.
 
     Raises DegenerateDensityError, listing the rows, when a quadrature
     density is below n_floor; mean velocity and temperature are
@@ -187,37 +182,24 @@ def moments(f: np.ndarray, mass, grid: VelocityGrid,
         raise ValueError(f"mass must be a scalar or one value per row "
                          f"({C}), got shape {mw.shape}")
     mw = np.broadcast_to(mw, (C,))
-    d, w, nodes = grid.dim, grid.weight, grid.axis_nodes
-    lattice = f.reshape((-1, *grid.points))
-    labels = list(range(1, d + 1))
-    pairs = {(i, j): np.einsum(lattice, [0] + labels, [0, i + 1, j + 1])
-             for i, j in itertools.combinations(range(d), 2)}
-    if d == 1:
-        marginals = [lattice]
-    else:
-        marginals = ([pairs[0, 1].sum(axis=2)]
-                     + [pairs[0, i].sum(axis=1) for i in range(1, d)])
-    s0 = marginals[0].sum(axis=1)
-    n = w * s0
-    if np.any(n < n_floor):
-        bad = np.flatnonzero(n < n_floor)
-        raise DegenerateDensityError(float(n[bad[0]]), n_floor,
-                                     bad if f.ndim == 2 else None)
-    axis = [slice(a, a + p) for a, p in zip(grid.axis_start, grid.points)]
-    m = np.concatenate(marginals, axis=1)
-    u = np.add.reduceat(m * nodes, grid.axis_start, axis=1) / s0[:, None]
-    c = nodes - u[:, grid.axis_of]
-    W = np.zeros((C, len(nodes), len(nodes)))
-    W.reshape(C, -1)[:, ::len(nodes) + 1] = m
-    for (i, j), M in pairs.items():
-        W[:, axis[i], axis[j]] = M
-        W[:, axis[j], axis[i]] = M.transpose(0, 2, 1)
-    R = (grid.axis_of == np.arange(d)[:, None]) * c[:, None, :]
-    R = np.concatenate([R, R * c[:, None, :]], axis=1)
-    K = R @ W @ R.transpose(0, 2, 1)
-    S = K[:, :d, :d]
-    S = 0.5 * (S + S.transpose(0, 2, 1))  # so P is bitwise symmetric
-    S3 = K[:, :d, d:].sum(axis=2)
+    d, w, rows = grid.dim, grid.weight, f.reshape(C, -1)
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 inf give NaN
+        origin = _lattice_tensor(rows, grid.axis_nodes[None], grid, 1)
+        s0 = origin.reshape(C, -1)[:, 0]
+        n = w * s0
+        if np.any(n < n_floor):
+            bad = np.flatnonzero(n < n_floor)
+            raise DegenerateDensityError(float(n[bad[0]]), n_floor,
+                                         bad if f.ndim == 2 else None)
+        # entry e_i of the degree-1 tensor holds sum f v_i
+        u = origin.reshape(C, -1)[:, 2 ** np.arange(d)[::-1]] / s0[:, None]
+        centred = _lattice_tensor(rows, grid.axis_nodes - u[:, grid.axis_of],
+                                  grid, 4).reshape(C, -1)
+    # S_ij and S_ji are one entry, so S is bitwise symmetric; take gives
+    # C-contiguous blocks, whose products reduce row by row alike
+    gram = _monomials(d)[2]
+    S = np.take(centred, gram[1:1 + d, 1:1 + d], axis=1)
+    S3 = np.take(centred, gram[1:1 + d, 1 + d:1 + 2 * d], axis=1).sum(axis=2)
     trS = np.einsum("cii->c", S)
     Q = 0.5 * w * (S3 + 2.0 * (S @ u[:, :, None])[:, :, 0] + trS[:, None] * u
                    + (s0 * np.sum(u * u, axis=1))[:, None] * u)
@@ -281,6 +263,34 @@ def _axis_factors(u: np.ndarray, theta: np.ndarray,
     return c, np.exp(c * c / (-2.0 * theta[:, None]))
 
 
+def _powers(c: np.ndarray, degree: int, first=1.0) -> np.ndarray:
+    """The table first c^k, k = 0..degree, as (K, degree + 1, n) for the
+    offsets c (K, n), built by a running product."""
+    power = np.empty((len(c), degree + 1, c.shape[1]))
+    power[:, 0] = first
+    for k in range(1, degree + 1):
+        np.multiply(power[:, k - 1], c, out=power[:, k])
+    return power
+
+
+def _lattice_tensor(rows: np.ndarray, c: np.ndarray, grid: VelocityGrid,
+                    degree: int) -> np.ndarray:
+    """The tensors sum f prod_i c_i^a_i, a_i <= degree, of lattice rows
+    f (K, nodes), unweighted, as (K, P, ..., P) with P = degree + 1.
+
+    c holds the per-axis offsets (one row per member, or one for all).
+    One batched matrix product per axis contracts its power table with
+    the (P^i, P_i, rest) view of the last result, member by member, so
+    each row's tensor is its solo tensor bitwise.
+    """
+    K, P = len(rows), degree + 1
+    powers = _powers(c, degree)[:, None]
+    moment = rows
+    for i, (a, size) in enumerate(zip(grid.axis_start, grid.points)):
+        moment = powers[..., a:a + size] @ moment.reshape(K, P ** i, size, -1)
+    return moment.reshape((K,) + (P,) * grid.dim)
+
+
 def _maxwellian_fill(n, theta, g, grid: VelocityGrid, out) -> None:
     """Write the Maxwellians n / (2 pi theta)^(d/2) exp(-|v-u|^2 / (2
     theta)) of a stack into the rows of out from their per-axis factors
@@ -324,19 +334,22 @@ def spd_factor(matrix) -> SpdTensor:
 
     The matrix must be symmetric to 1e-12 (relative).  Factorization
     succeeds exactly when all eigenvalues are positive and finite; a
-    NaN or infinite entry fails at a pivot.
+    NaN or infinite entry (i, j), above the diagonal too, fails pivot
+    max(i, j) at the latest.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    d = M.shape[-1]
+    d, Mt = M.shape[-1], np.swapaxes(M, -1, -2)
+    # a non-finite entry above the diagonal fails via its mirror below
+    low = np.where(np.isfinite(Mt), M, Mt)
     L = np.zeros_like(M)
     with np.errstate(invalid="ignore"):  # non-finite entries fail a pivot
         scale = max(1.0, float(np.max(np.abs(M))))
-        if float(np.max(np.abs(M - np.swapaxes(M, -1, -2)))) > 1e-12 * scale:
+        if float(np.max(np.abs(M - Mt))) > 1e-12 * scale:
             raise ValueError("matrix is not symmetric within 1e-12")
         for j in range(d):
-            s = M[..., j, j] - np.sum(L[..., j, :j] ** 2, axis=-1)
+            s = low[..., j, j] - np.sum(L[..., j, :j] ** 2, axis=-1)
             bad = np.ravel(~(np.isfinite(s) & (s > 0.0)))
             if bad.any():
                 k = int(np.argmax(bad))
@@ -345,7 +358,7 @@ def spd_factor(matrix) -> SpdTensor:
                                   member=k if M.ndim > 2 else None)
             L[..., j, j] = np.sqrt(s)
             for i in range(j + 1, d):
-                L[..., i, j] = (M[..., i, j] - np.sum(
+                L[..., i, j] = (low[..., i, j] - np.sum(
                     L[..., i, :j] * L[..., j, :j], axis=-1)) / L[..., j, j]
     return SpdTensor(matrix=M.copy(), chol=L)
 
@@ -501,11 +514,7 @@ def _maxwellian_sample(p: np.ndarray, grid: VelocityGrid, factors: np.ndarray,
     theta = p[:, 1 + d]
     c, g = _axis_factors(p[:, 1:1 + d], theta, grid)
     factors[rows] = g
-    power = np.empty((K, 5, c.shape[1]))
-    power[:, 0] = g
-    for k in range(1, 5):
-        np.multiply(power[:, k - 1], c, out=power[:, k])
-    sums = np.add.reduceat(power, grid.axis_start, axis=2)
+    sums = np.add.reduceat(_powers(c, 4, g), grid.axis_start, axis=2)
     M = grid.weight * p[:, 0] / (2.0 * math.pi * theta) ** (d / 2.0)
     for i in range(d):
         M = M[..., None] * sums[:, :, i].reshape((K,) + (1,) * i + (5,))
@@ -528,18 +537,11 @@ def _maxwellian_derivs(p: np.ndarray, d: int) -> np.ndarray:
 def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
                      rows) -> np.ndarray:
     """Centred moment tensors (K, 5, ..., 5) of the Gaussians with
-    p = (n, u, upper triangle of the covariance S = T/m) per row.
-
-    Member by member: the lattice sample is written into its row of
-    `out` (rows[k] for p[k]) and contracted with the per-axis powers
-    c_i^k (P_i, 5), one matrix product per axis: the first is a GEMM
-    over the whole row viewed as (P_0, rest), each later one a batched
-    product on the (5^i, P_i, rest) view of the previous result.  The
-    weight scales the small result.
-    """
+    p = (n, u, upper triangle of the covariance S = T/m) per row: the
+    sample of p[k] is written into row rows[k] of `out`, then all are
+    reduced about their own u in one `_lattice_tensor` call."""
     d = grid.dim
     cov = _symmetric(p[:, 1 + d:], d)
-    M = np.empty((len(p),) + (5,) * d)
     for k, row in enumerate(rows):
         try:
             L = np.linalg.cholesky(cov[k])
@@ -548,13 +550,8 @@ def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
                 f"covariance left the positive-definite cone (member {row})",
                 member=row) from exc
         _gaussian_fill(p[k, 0], p[k, 1:1 + d], L, grid, out[row])
-        moment = out[row]
-        powers = np.vander(grid.axis_nodes - p[k, 1 + grid.axis_of], 5,
-                           increasing=True)
-        for i, (a, size) in enumerate(zip(grid.axis_start, grid.points)):
-            moment = powers[a:a + size].T @ moment.reshape(5 ** i, size, -1)
-        M[k] = grid.weight * moment.reshape((5,) * d)
-    return M
+    c = grid.axis_nodes - p[:, 1 + grid.axis_of]
+    return grid.weight * _lattice_tensor(out[rows], c, grid, 4)
 
 
 def _gaussian_derivs(p: np.ndarray, d: int) -> np.ndarray:
@@ -603,8 +600,9 @@ def _newton_match(n, u, s, J, sample, derivs, tol: float, max_iter: int,
     select = np.eye(1 + d + J.shape[1], 1 + d + len(J))
     select[1 + d:, 1 + d:] = J.T
     cov = s @ J.T
-    target = np.column_stack([n, n[:, None] * u, n[:, None]
-                              * (u[:, ti] * u[:, tj] + cov)]) @ select.T
+    # per member: a 2-D GEMM's summation order depends on the stack size
+    target = (select @ np.column_stack([n, n[:, None] * u, n[:, None] * (
+        u[:, ti] * u[:, tj] + cov)])[:, :, None])[:, :, 0]
     tscale = cov[:, :d].sum(axis=1) / d
     vscale = np.sqrt(tscale) + np.sqrt((u * u).sum(axis=1))
     count = J.sum(axis=0)  # the entries of S that each s sets
@@ -620,7 +618,8 @@ def _newton_match(n, u, s, J, sample, derivs, tol: float, max_iter: int,
             raw = q[:, 1:] / q[:, :1]
             qu = raw[:, :d]
             du = qu - u[active]
-            ds = (raw[:, d:] - (qu[:, ti] * qu[:, tj]) @ J) / count - s[active]
+            spread = (J.T @ (qu[:, ti] * qu[:, tj])[:, :, None])[:, :, 0]
+            ds = (raw[:, d:] - spread) / count - s[active]
             done = ((np.abs(q[:, 0] - n[active]) <= tol * n[active])
                     & (np.sqrt((du * du).sum(axis=1)) <= tol * vscale[active])
                     & (np.abs(ds).max(axis=1) <= tol * tscale[active]))

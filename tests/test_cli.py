@@ -1,6 +1,7 @@
 import functools
 import json
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -355,7 +356,10 @@ class TestCliCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("numerical failure:")
-        assert err[0].endswith("(target g21, cell 1)")
+        # every cell holds a near-identical target the lattice cannot
+        # hold, so which cell fails first is down to round-off
+        found = re.search(r"\(target g21, cell (\d+)\)$", err[0])
+        assert found and 0 <= int(found.group(1)) < 8
 
     def test_wave_runs(self, tmp_path):
         doc = self.wave_doc(wave_amplitude=0.1)
