@@ -28,8 +28,8 @@ import numpy as np
 from . import chapman
 from .config import RunConfig, parse_config
 from .errors import (CflError, ConfigError, DegenerateDensityError,
-                     NoConvergenceError, NotSpdError, SingularPrefactorError,
-                     ValidationFailureError)
+                     InsufficientWindowError, NoConvergenceError, NotSpdError,
+                     SingularPrefactorError, ValidationFailureError)
 from .params import Variant, derive_frequencies, validate
 from .persistence import persistence_lower_bound, persistence_unequal_mass
 from .solver import Diagnostics, Scenario, SpeciesInit, run_scenario
@@ -237,12 +237,17 @@ def _scan_runs(cfg: RunConfig) -> list[tuple[float, Scenario, float]]:
 def _cmd_scan(cfg: RunConfig, args) -> int:
     if cfg.scan_spec is None:
         raise ConfigError("scan subcommand needs a 'scan' config section")
-    delta = cfg.scan_spec["parameter"] == "delta"
+    parameter = cfg.scan_spec["parameter"]
     rows = []
     for value, scen, analytic in _scan_runs(cfg):
         diag = run_scenario(scen)
-        series = diag.velocity_gap() if delta else diag.temperature_gap()
-        measured = chapman.fit_decay_rate(diag.times, series)
+        series = (diag.velocity_gap() if parameter == "delta"
+                  else diag.temperature_gap())
+        try:
+            measured = chapman.fit_decay_rate(diag.times, series)
+        except InsufficientWindowError as exc:
+            raise InsufficientWindowError(
+                f"scan value {parameter}={value}: {exc}") from exc
         rows.append((value, measured, analytic))
     path = os.path.join(args.outdir, "scan.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -297,8 +302,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotSpdError, NoConvergenceError, CflError,
-            SingularPrefactorError, DegenerateDensityError) as exc:
+    except (NotSpdError, NoConvergenceError, CflError, SingularPrefactorError,
+            DegenerateDensityError, InsufficientWindowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -31,11 +31,11 @@ tensor of per-axis powers: the outer product of per-axis sums for the
 Maxwellian, the lattice sample's tensor for the Gaussian.  The matchers
 and samplers take a stack of K targets (n, T, mass as (K,), u as
 (K, d), tensors as a (K, d, d) stack) and run one Newton loop for all
-of them: each iteration samples the members not yet converged and
-solves their systems in one stacked solve, and a converged member is
-frozen, so every member follows exactly the iterates it would follow
-alone.  An unstacked call is a stack of one.  `moments` likewise
-reduces every cell of a (cells, nodes) array at once.
+of them: it steps the whole stack until a member converges, then only
+the members not yet converged, in one stacked solve, so every member
+follows exactly the iterates it would follow alone.  An unstacked call
+is a stack of one.  `moments` likewise reduces every cell of a
+(cells, nodes) array at once.
 """
 
 from __future__ import annotations
@@ -181,28 +181,28 @@ def moments(f: np.ndarray, mass, grid: VelocityGrid,
     if mw.ndim and mw.shape != (C,):
         raise ValueError(f"mass must be a scalar or one value per row "
                          f"({C}), got shape {mw.shape}")
-    mw = np.broadcast_to(mw, (C,))
+    mw = mw if mw.ndim else mw.repeat(C)
     d, w, rows = grid.dim, grid.weight, f.reshape(C, -1)
     with np.errstate(invalid="ignore"):  # inf - inf and 0 inf give NaN
         origin = _lattice_tensor(rows, grid.axis_nodes[None], grid, 1)
         s0 = origin.reshape(C, -1)[:, 0]
         n = w * s0
-        if np.any(n < n_floor):
+        if (n < n_floor).any():
             bad = np.flatnonzero(n < n_floor)
             raise DegenerateDensityError(float(n[bad[0]]), n_floor,
                                          bad if f.ndim == 2 else None)
         # entry e_i of the degree-1 tensor holds sum f v_i
         u = origin.reshape(C, -1)[:, 2 ** np.arange(d)[::-1]] / s0[:, None]
-        centred = _lattice_tensor(rows, grid.axis_nodes - u[:, grid.axis_of],
-                                  grid, 4).reshape(C, -1)
+        c = grid.axis_nodes - u.take(grid.axis_of, 1)
+        centred = _lattice_tensor(rows, c, grid, 4).reshape(C, -1)
     # S_ij and S_ji are one entry, so S is bitwise symmetric; take gives
     # C-contiguous blocks, whose products reduce row by row alike
     gram = _monomials(d)[2]
-    S = np.take(centred, gram[1:1 + d, 1:1 + d], axis=1)
-    S3 = np.take(centred, gram[1:1 + d, 1 + d:1 + 2 * d], axis=1).sum(axis=2)
+    S = centred.take(gram[1:1 + d, 1:1 + d], axis=1)
+    S3 = centred.take(gram[1:1 + d, 1 + d:1 + 2 * d], axis=1).sum(axis=2)
     trS = np.einsum("cii->c", S)
     Q = 0.5 * w * (S3 + 2.0 * (S @ u[:, :, None])[:, :, 0] + trS[:, None] * u
-                   + (s0 * np.sum(u * u, axis=1))[:, None] * u)
+                   + (s0 * (u * u).sum(axis=1))[:, None] * u)
     mom = MomentSet(n=n, u=u, T=mw * trS / (d * n), P=mw[:, None, None] * S,
                     Q=Q, Qtilde=mw[:, None] * S3)
     return mom.rows(0) if f.ndim == 1 else mom
@@ -232,7 +232,7 @@ def _members(grid: VelocityGrid, u, *scalars, shape=()):
 
 def _require(ok: np.ndarray, values: np.ndarray, what: str) -> None:
     """ValueError naming the first member where `ok` fails (NaN fails)."""
-    if not np.all(ok):
+    if not ok.all():
         k = int(np.argmin(ok))
         raise ValueError(f"{what} (member {k}: got {values[k]})")
 
@@ -259,18 +259,18 @@ def _axis_factors(u: np.ndarray, theta: np.ndarray,
                   grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
     """The offsets c = v_i - u_i at every axis' nodes (end to end, one
     row per member) and the factors exp(-c^2 / (2 theta))."""
-    c = grid.axis_nodes - u[:, grid.axis_of]
+    c = grid.axis_nodes - u.take(grid.axis_of, 1)
     return c, np.exp(c * c / (-2.0 * theta[:, None]))
 
 
 def _powers(c: np.ndarray, degree: int, first=1.0) -> np.ndarray:
     """The table first c^k, k = 0..degree, as (K, degree + 1, n) for the
-    offsets c (K, n), built by a running product."""
-    power = np.empty((len(c), degree + 1, c.shape[1]))
-    power[:, 0] = first
+    offsets c (K, n), built power-major by a contiguous running product."""
+    power = np.empty((degree + 1,) + c.shape)
+    power[0] = first
     for k in range(1, degree + 1):
-        np.multiply(power[:, k - 1], c, out=power[:, k])
-    return power
+        np.multiply(power[k - 1], c, out=power[k])
+    return power.transpose(1, 0, 2)
 
 
 def _lattice_tensor(rows: np.ndarray, c: np.ndarray, grid: VelocityGrid,
@@ -465,15 +465,20 @@ def _monomials(dim: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _spread_map(dim: int, isotropic: bool) -> np.ndarray:
-    """Read-only 0/1 matrix J taking a target family's spread parameters
-    s (in theta = T/m units) to the upper triangle of its covariance S
-    in `_tri_index` order: for the Maxwellian (S = theta I) J puts theta
-    on the diagonal, for the Gaussian J is the identity."""
+def _family(dim: int, isotropic: bool):
+    """Read-only tables of a target family: the 0/1 matrix J taking its
+    spread parameters s (in theta = T/m units) to the upper triangle of
+    its covariance S in `_tri_index` order (theta onto the diagonal for
+    the Maxwellian, S = theta I; the identity for the Gaussian), the
+    selection diag(1, I_d, J^T) and the count of entries each s sets."""
     J = np.eye(dim * (dim + 1) // 2)
     J = J[:, :dim].sum(axis=1, keepdims=True) if isotropic else J
-    J.flags.writeable = False
-    return J
+    select = np.eye(1 + dim + J.shape[1], 1 + dim + len(J))
+    select[1 + dim:, 1 + dim:] = J.T
+    count = J.sum(axis=0)
+    for table in (J, select, count):
+        table.flags.writeable = False
+    return J, select, count
 
 
 def _symmetric(upper, dim: int) -> np.ndarray:
@@ -496,9 +501,10 @@ def _newton_system(u: np.ndarray, select: np.ndarray,
     """
     K, d = u.shape
     ti, tj, gram, shift = _monomials(d)[:4]
-    A = np.concatenate([u, u[:, ti] * u[:, tj]], axis=1) @ shift
+    A = np.concatenate([u, u.take(ti, 1) * u.take(tj, 1)], axis=1) @ shift
     A[:, ::len(gram) + 1] += 1.0
-    return select @ A.reshape(K, len(gram), -1) @ M.reshape(K, -1)[:, gram]
+    G = M.reshape(K, -1).take(gram, 1)
+    return select @ A.reshape(K, len(gram), -1) @ G
 
 
 def _maxwellian_sample(p: np.ndarray, grid: VelocityGrid, factors: np.ndarray,
@@ -550,8 +556,9 @@ def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
                 f"covariance left the positive-definite cone (member {row})",
                 member=row) from exc
         _gaussian_fill(p[k, 0], p[k, 1:1 + d], L, grid, out[row])
-    c = grid.axis_nodes - p[:, 1 + grid.axis_of]
-    return grid.weight * _lattice_tensor(out[rows], c, grid, 4)
+    c = grid.axis_nodes - p.take(1 + grid.axis_of, 1)
+    block = out if len(rows) == len(out) else out[rows]
+    return grid.weight * _lattice_tensor(block, c, grid, 4)
 
 
 def _gaussian_derivs(p: np.ndarray, d: int) -> np.ndarray:
@@ -573,87 +580,86 @@ def _gaussian_derivs(p: np.ndarray, d: int) -> np.ndarray:
     return B
 
 
-def _newton_match(n, u, s, J, sample, derivs, tol: float, max_iter: int,
-                  what):
+def _newton_match(n, u, s, isotropic: bool, sample, derivs, tol: float,
+                  max_iter: int, what):
     """Newton-correct a stack of K targets of either family until the
     raw moments q of each member's sampled target hit the exact ones.
 
     Member k has density n[k], mean velocity u[k] and covariance S = T/m
-    with upper triangle J s[k]; all else follows from (n, u, J s).
-    Newton runs on p = (n, u, s) from the targets, and q pairs f with
-    (1, v, J^T (v_i v_j)), picked from (1, v_i, v_i v_j) by select =
-    diag(1, I_d, J^T).  sample(p, rows) gives the centred moment tensors
-    of the members `rows` and derivs(p, d) their derivative matrices B;
-    `_newton_system` turns them into q and dq/dp.  A member has
-    converged when n matches to tol relative, u to tol times the
-    velocity scale sqrt(tr S / d) + |u|, and s, read back from q through
-    J, to tol times tr S / d.  Each iteration samples only the members
-    not yet converged, forms dq/dp only for those that step, and solves
-    them in one stacked solve; a converged member is frozen, so it
-    follows exactly the iterates it would follow alone.  Each step is
-    halved until n > 0 and S is positive definite, down to 2^-20.
+    with upper triangle J s[k] (`_family`).  Newton runs on p = (n, u, s)
+    from the targets, and q pairs f with (1, v, J^T (v_i v_j)), picked
+    from (1, v_i, v_i v_j) by select.  sample(p, rows) gives the centred
+    moment tensors of the members `rows` and derivs(p, d) their
+    derivative matrices B; `_newton_system` turns them into q and dq/dp.
+    A member has converged when n matches to tol relative, u to tol
+    times the velocity scale sqrt(tr S / d) + |u|, and each s, read back
+    from q through J, to tol times tr S / d: one residual array against
+    one of limits.  The whole stack steps until a member converges, which
+    is then frozen; from there on only the members not yet converged are
+    sampled and solved (one stacked solve), so each member follows
+    exactly its solo iterates.  Each step is halved until n > 0 and S is
+    positive definite (theta > 0 for the Maxwellian), down to 2^-20.
     Failures name the member through what(k).  Returns (p, per-member
     iteration counts).
     """
-    d = u.shape[1]
+    K, d = u.shape
     ti, tj = _monomials(d)[:2]
-    select = np.eye(1 + d + J.shape[1], 1 + d + len(J))
-    select[1 + d:, 1 + d:] = J.T
-    cov = s @ J.T
+    J, select, count = _family(d, isotropic)
+    cov, nk = s @ J.T, n[:, None]
     # per member: a 2-D GEMM's summation order depends on the stack size
-    target = (select @ np.column_stack([n, n[:, None] * u, n[:, None] * (
-        u[:, ti] * u[:, tj] + cov)])[:, :, None])[:, :, 0]
+    target = (select @ np.concatenate([nk, nk * u, nk * (
+        u.take(ti, 1) * u.take(tj, 1) + cov)], axis=1)[:, :, None])[:, :, 0]
     tscale = cov[:, :d].sum(axis=1) / d
     vscale = np.sqrt(tscale) + np.sqrt((u * u).sum(axis=1))
-    count = J.sum(axis=0)  # the entries of S that each s sets
-    p = np.column_stack([n, u, s])
-    iters = np.zeros(len(p), dtype=int)
-    active = np.arange(len(p))
-    for it in range(max_iter + 1):
-        pa = p[active]
-        SAG = _newton_system(pa[:, 1:1 + d], select, sample(pa, active))
-        q = SAG[:, :, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # q0 = 0 gives NaN, which fails the tests as n already does
+    limit = tol * np.array([n, vscale] + [tscale] * s.shape[1]).T
+    pa = ref = np.concatenate([nk, u, s], axis=1)
+    p, iters, active = np.empty_like(pa), np.zeros(K, dtype=int), np.arange(K)
+    # q0 = 0 gives NaN, which fails the tests as n already does
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(max_iter + 1):
+            SAG = _newton_system(pa[:, 1:1 + d], select, sample(pa, active))
+            q = SAG[:, :, 0]
             raw = q[:, 1:] / q[:, :1]
-            qu = raw[:, :d]
-            du = qu - u[active]
-            spread = (J.T @ (qu[:, ti] * qu[:, tj])[:, :, None])[:, :, 0]
-            ds = (raw[:, d:] - spread) / count - s[active]
-            done = ((np.abs(q[:, 0] - n[active]) <= tol * n[active])
-                    & (np.sqrt((du * du).sum(axis=1)) <= tol * vscale[active])
-                    & (np.abs(ds).max(axis=1) <= tol * tscale[active]))
-        iters[active] = it
-        stepping = ~done
-        active, pa, q, SAG = (active[stepping], pa[stepping], q[stepping],
-                              SAG[stepping])
-        if not active.size:
-            return p, iters
-        if it == max_iter:
-            break
-        dqdp = SAG @ np.swapaxes(derivs(pa, d), 1, 2)
-        try:
-            step = np.linalg.solve(dqdp, (q - target[active])[:, :, None])
-        except np.linalg.LinAlgError as exc:
-            k = int(active[np.argmax(np.linalg.cond(dqdp))])
-            raise NoConvergenceError(
-                f"singular Jacobian while matching {what(k)}",
-                member=k) from exc
-        shrink = np.ones(len(active))
-        while True:
-            cand = pa - shrink[:, None] * step[:, :, 0]
-            ok = np.isfinite(cand).all(axis=1)
-            S = _symmetric(cand[ok, 1 + d:] @ J.T, d)
-            ok[ok] = (cand[ok, 0] > 0.0) & (np.linalg.eigvalsh(S)[:, 0] > 0.0)
-            if ok.all():
+            qu, res = raw[:, :d], np.empty(limit.shape)
+            np.subtract(q[:, 0], ref[:, 0], res[:, 0])
+            du = qu - ref[:, 1:1 + d]
+            np.sqrt((du * du).sum(1), res[:, 1])
+            spread = J.T @ (qu.take(ti, 1) * qu.take(tj, 1))[:, :, None]
+            np.subtract((raw[:, d:] - spread[:, :, 0]) / count,
+                        ref[:, 1 + d:], res[:, 2:])
+            done = (np.abs(res, res) <= limit).all(1)
+            if done.any():
+                iters[active[done]], p[active[done]] = it, pa[done]
+                if done.all():
+                    return p, iters
+                active, pa, ref, q, SAG, target, limit = (x[~done] for x in (
+                    active, pa, ref, q, SAG, target, limit))
+            if it == max_iter:
                 break
-            shrink[~ok] *= 0.5
-            if shrink.min() < 2.0 ** -20:
-                k = int(active[np.argmin(shrink)])
+            dqdp = SAG @ derivs(pa, d).transpose(0, 2, 1)
+            try:
+                step = np.linalg.solve(dqdp, (q - target)[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError as exc:
+                k = int(active[np.argmax(np.linalg.cond(dqdp))])
                 raise NoConvergenceError(
-                    f"no admissible Newton step while matching {what(k)}",
-                    member=k)
-        p[active] = cand
+                    f"singular Jacobian while matching {what(k)}",
+                    member=k) from exc
+            cand, shrink = pa - step, np.ones(len(pa))
+            while True:
+                ok = np.isfinite(cand).all(axis=1) & (cand[:, 0] > 0.0)
+                s_ok = cand[ok, 1 + d:]  # theta, or S's upper triangle
+                ok[ok] = (s_ok[:, 0] > 0.0 if isotropic else
+                          np.linalg.eigvalsh(_symmetric(s_ok, d))[:, 0] > 0.0)
+                if ok.all():
+                    break
+                shrink[~ok] *= 0.5
+                if shrink.min() < 2.0 ** -20:
+                    k = int(active[np.argmin(shrink)])
+                    raise NoConvergenceError(
+                        f"no admissible Newton step while matching {what(k)}",
+                        member=k)
+                cand = pa - shrink[:, None] * step
+            pa = cand
     k = int(active[0])
     raise NoConvergenceError(
         f"moment matching did not converge in {max_iter} iterations "
@@ -685,15 +691,14 @@ def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
     _require(n > 0.0, n, "targets require n > 0")
     _require(T > 0.0, T, "targets require T > 0")
     _require_mass(mass)
-    d = grid.dim
     factors = np.empty((len(n), len(grid.axis_nodes)))
     p, iters = _newton_match(
-        n, u, (T / mass)[:, None], _spread_map(d, True),
+        n, u, (T / mass)[:, None], True,
         lambda p, rows: _maxwellian_sample(p, grid, factors, rows),
         _maxwellian_derivs, tol, max_iter,
         lambda k: f"member {k}: Maxwellian n={n[k]}, T={T[k]}")
     out = _block(out, len(n), grid)
-    _maxwellian_fill(p[:, 0], p[:, 1 + d], factors, grid, out)
+    _maxwellian_fill(p[:, 0], p[:, -1], factors, grid, out)
     f = out if stacked else out[0]
     return (f, int(iters.max())) if return_info else f
 
@@ -720,7 +725,7 @@ def match_gaussian(n, u, tensor, mass, grid: VelocityGrid, tol: float = 1e-13,
     cov = np.broadcast_to(spd.matrix, (K, d, d)) / mass[:, None, None]
     out = _block(out, K, grid)
     _, iters = _newton_match(
-        n, u, cov[:, ti, tj], _spread_map(d, False),
+        n, u, cov[:, ti, tj], False,
         lambda p, rows: _gaussian_sample(p, grid, out, rows), _gaussian_derivs,
         tol, max_iter, lambda k: f"member {k}: Gaussian n={n[k]}")
     f = out if stacked else out[0]

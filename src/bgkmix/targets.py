@@ -69,7 +69,7 @@ class MixtureState:
             try:
                 mom = gridmod.moments(
                     f[species[0]:species[-1] + 1].reshape(-1, f.shape[-1]),
-                    np.repeat([(m1, m2)[k] for k in species], cells), grid)
+                    np.array((m1, m2))[species].repeat(cells), grid)
                 break
             except DegenerateDensityError as exc:
                 bad = [exc.cells[exc.cells // cells == i] - i * cells
@@ -122,7 +122,7 @@ def mixture_temperatures(state: MixtureState, alpha: float, gamma: float,
     nonnegative, so T21 >= 0 whenever T1, T2 >= 0.
     """
     T1, T2 = state.mom1.T, state.mom2.T
-    du2 = np.sum((state.mom1.u - state.mom2.u) ** 2, axis=-1)
+    du2 = ((state.mom1.u - state.mom2.u) ** 2).sum(axis=-1)
     w12, w21 = _cross_weights(alpha, epsilon)
     T12 = w12 * T1 + (1.0 - w12) * T2 + gamma * du2
     d = np.shape(state.mom1.u)[-1]
@@ -253,7 +253,7 @@ def build_targets(state: MixtureState, params: ModelParams,
         rows[2], rows[3] = (moms[0].n, u12, t12), (moms[1].n, u21, t21)
 
     def stack(values, shape=()):
-        return np.concatenate([np.reshape(x, (C,) + shape) for x in values])
+        return np.array(values, dtype=float).reshape((-1,) + shape)
 
     def family(r):
         return isinstance(rows[r][2], SpdTensor)
@@ -272,7 +272,7 @@ def build_targets(state: MixtureState, params: ModelParams,
         else:
             temperature = stack(temperature)
             fn = match_moments if match else maxwellian_on_grid
-        mass = np.repeat([(state.m1, state.m2)[r % 2] for r in run], C)
+        mass = np.array([(state.m1, state.m2)[r % 2] for r in run]).repeat(C)
         with _located(_NAMES[lo:hi], C):
             fn(stack(n), stack(u, (d,)), temperature, mass, grid,
                out=block[lo:hi].reshape(-1, N))

@@ -6,11 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from bgkmix import cli
+from bgkmix import chapman, cli
 from bgkmix.cli import diagnostics_header, main
 from bgkmix.config import parse_config
-from bgkmix.errors import (MissingKeyError, UnknownVariantError,
-                           ValidationFailureError)
+from bgkmix.errors import (InsufficientWindowError, MissingKeyError,
+                           UnknownVariantError, ValidationFailureError)
 
 
 def base_doc(**overrides):
@@ -399,6 +399,26 @@ class TestCliCommands:
         _, rows = read_rows(tmp_path / "scan.csv")
         for row in rows:
             assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-2)
+
+    def test_scan_fit_failure_names_the_value(self, tmp_path, capsys,
+                                              monkeypatch):
+        """A decay series the rate fit cannot use is a numerical failure
+        of the scan value that produced it, not a traceback."""
+        def fit(times, amplitudes):
+            raise InsufficientWindowError("only 3 samples inside the window")
+
+        monkeypatch.setattr(chapman, "fit_decay_rate", fit)
+        doc = base_doc(
+            mixing={"delta": 0.0, "alpha": 0.5, "gamma": 0.0},
+            scan={"parameter": "delta", "start": 0.2, "stop": 0.4,
+                  "count": 2})
+        rc = main(["scan", "-c", write_config(tmp_path, doc),
+                   "-o", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["numerical failure: scan value delta=0.2: only 3 "
+                       "samples inside the window"]
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_scan_without_second_species_exits_one(self, tmp_path, capsys):
         doc = base_doc(

@@ -7,12 +7,12 @@ import pytest
 from bgkmix import grid as gridmod
 from bgkmix.errors import (DegenerateDensityError, NoConvergenceError,
                            NotSpdError)
-from bgkmix.grid import (VelocityGrid, _gaussian_derivs, _gaussian_fill,
-                         _gaussian_sample, _maxwellian_derivs,
+from bgkmix.grid import (VelocityGrid, _family, _gaussian_derivs,
+                         _gaussian_fill, _gaussian_sample, _maxwellian_derivs,
                          _maxwellian_sample, _monomials, _newton_system,
-                         _spread_map, gaussian_on_grid, h_functional,
-                         match_gaussian, match_moments, maxwellian_on_grid,
-                         moments, spd_factor)
+                         gaussian_on_grid, h_functional, match_gaussian,
+                         match_moments, maxwellian_on_grid, moments,
+                         spd_factor)
 
 
 def uneven_grid(dim):
@@ -240,9 +240,7 @@ class TestSeparableRawMoments:
         grid = uneven_grid(dim)
         u = [0.3, -0.2, 0.15][:dim]
         ones = np.ones((grid.nnodes, 1))
-        J = _spread_map(dim, name == "maxwellian")
-        select = np.eye(1 + dim + J.shape[1], 1 + dim + len(J))
-        select[1 + dim:, 1 + dim:] = J.T
+        select = _family(dim, name == "maxwellian")[1]
         if name == "maxwellian":
             basis = np.column_stack([ones, grid.nodes,
                                      np.sum(grid.nodes ** 2, axis=1)])
@@ -537,16 +535,19 @@ class TestStackedMatching:
         monkeypatch.setattr(gridmod, "_newton_match", spy)
         return counts
 
+    def family(self, name, dim):
+        """The matcher of a family and its stacked spreads."""
+        if name == "maxwellian":
+            return match_moments, self.T
+        return match_gaussian, np.stack([s * SHEARED[:dim, :dim]
+                                         for s in self.SCALES])
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("family", ["maxwellian", "gaussian"])
     def test_stack_equals_solo_calls(self, monkeypatch, family, dim):
         grid = uneven_grid(dim)
         u = self.U[:, :dim]
-        if family == "maxwellian":
-            match, spread = match_moments, self.T
-        else:
-            match = match_gaussian
-            spread = np.stack([s * SHEARED[:dim, :dim] for s in self.SCALES])
+        match, spread = self.family(family, dim)
         counts = self.newton_counts(monkeypatch)
         stack, iters = match(self.N, u, spread, self.MASS, grid,
                              tol=self.TOL, return_info=True)
@@ -560,6 +561,32 @@ class TestStackedMatching:
         assert counts[0] == solo_counts
         assert iters == max(solo_counts)
         assert min(solo_counts) == 0 and max(solo_counts) >= 2
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["maxwellian", "gaussian"])
+    def test_iterations_sample_only_unconverged_members(self, monkeypatch,
+                                                        family, dim):
+        """Each Newton iteration samples exactly the members not yet
+        converged, so a stack that converges at iteration k makes k + 1
+        sample calls."""
+        name = f"_{family}_sample"
+        real, sampled = getattr(gridmod, name), []
+
+        def spy(p, grid, out, rows):
+            assert len(p) == len(rows)
+            sampled.append([int(k) for k in rows])
+            return real(p, grid, out, rows)
+
+        monkeypatch.setattr(gridmod, name, spy)
+        counts = self.newton_counts(monkeypatch)
+        match, spread = self.family(family, dim)
+        match(self.N, self.U[:, :dim], spread, self.MASS, uneven_grid(dim),
+              tol=self.TOL)
+        iters = np.array(counts[0])
+        assert min(iters) == 0 and max(iters) >= 2
+        assert len(sampled) == max(iters) + 1
+        for it, rows in enumerate(sampled):
+            assert rows == np.flatnonzero(iters >= it).tolist(), it
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_maxwellian_rows_sampled_at_converged_parameters(
@@ -630,6 +657,48 @@ class TestStackedMatching:
         for fn in (match_moments, maxwellian_on_grid):
             with pytest.raises(ValueError, match="member 1: got nan"):
                 fn(1.0, (0, 0, 0), [1.0, np.nan], 1.0, small_grid)
+
+
+class TestStepHalving:
+    """Newton steps halved until the iterate is admissible (n > 0 and a
+    positive definite covariance), for the Maxwellian and for the
+    Gaussian, whose test takes the eigenvalues of S, on clipped 8-point
+    1-D lattices."""
+
+    FAMILIES = pytest.mark.parametrize("family", ["maxwellian", "gaussian"])
+
+    @staticmethod
+    def match(family, n, u, T, grid):
+        """Match with unit mass; the Gaussian's tensors are T as 1x1
+        matrices."""
+        if family == "maxwellian":
+            return match_moments(n, u, T, 1.0, grid, return_info=True)
+        tensor = np.reshape(T, np.shape(T) + (1, 1))
+        return match_gaussian(n, u, tensor, 1.0, grid, return_info=True)
+
+    @FAMILIES
+    def test_no_admissible_step_names_the_member(self, family):
+        """T = 3 on [-2, 2] needs a spread the lattice cannot hold: every
+        halving down to 2^-20 leaves the iterate inadmissible."""
+        grid = VelocityGrid(dim=1, vmin=-2.0, vmax=2.0, points=8)
+        with pytest.raises(NoConvergenceError, match=(
+                "no admissible Newton step while matching member 1")) as err:
+            self.match(family, 1.0, np.zeros((2, 1)), [1.0, 3.0], grid)
+        assert err.value.member == 1
+
+    @FAMILIES
+    def test_halved_steps_converge(self, family):
+        """The full steps of iterations 7, 9 and 11 would make n negative,
+        and the step of iteration 12, once halved to keep n positive,
+        still makes theta negative; each is halved until admissible, and
+        the match converges."""
+        grid = VelocityGrid(dim=1, vmin=-1.5, vmax=1.5, points=9)
+        f, iters = self.match(family, 1.0, [0.25], 0.7, grid)
+        assert iters == 20
+        mom = moments(f, 1.0, grid)
+        assert abs(mom.n - 1.0) <= 1e-12
+        assert abs(mom.u[0] - 0.25) <= 1e-12
+        assert abs(mom.T - 0.7) <= 1e-12
 
 
 class TestSpdFactor:
