@@ -76,16 +76,16 @@ class CeConstants:
 
 def ce_constants(m1: float, m2: float, epsilon: float, beta1: float,
                  beta2: float, n1: float, n2: float, delta: float,
-                 alpha: float, nu_scale: float = 1.0) -> CeConstants:
+                 alpha: float) -> CeConstants:
     """Bundle A, (c1, c2) and the relaxation scales for one state.
 
-    nu_scale is the product of reference collision frequency, time,
-    particle count and inverse length entering 1/eps1; callers that only
-    care about ratios leave it at 1.
+    The scales take every reference quantity entering 1/eps1 (collision
+    frequency, time, particle count, inverse length) as 1, so they
+    carry the ratios only.
     """
     A = combination_weight(m1, m2, epsilon, beta1, beta2, n1, n2)
     coeffs = mixing_coefficients(A, n1, n2, m1, m2, beta1, delta, alpha)
-    scales = dimensionless_scales(nu_scale, 1.0, 1.0, 1.0, beta1, beta2,
+    scales = dimensionless_scales(1.0, 1.0, 1.0, 1.0, beta1, beta2,
                                   epsilon, n1, n2)
     return CeConstants(A=A, c1=coeffs.c1, c2=coeffs.c2, scales=scales)
 
@@ -224,14 +224,14 @@ def analytic_rates(nu12: float, delta: float, alpha: float, n1: float,
     return Rates(lambda_u=lam_u, lambda_T=lam_T, lambda_shear=lam_s)
 
 
-def fit_decay_rate(times, amplitudes, lower: float = 1e-6,
-                   upper: float = 1e-1, min_samples: int = 10) -> float:
+def fit_decay_rate(times, amplitudes) -> float:
     """Decay rate from the log-linear part of an amplitude series.
 
     Fits ln(amplitude) against time by least squares over the samples
-    with amplitude in [lower, upper] times the initial amplitude, which
+    with amplitude in [1e-6, 0.1] times the initial amplitude, which
     skips both the early transient and the round-off floor, and returns
-    the sign-flipped slope.  A series that never moves off its initial
+    the sign-flipped slope; fewer than 10 samples there raise
+    InsufficientWindowError.  A series that never moves off its initial
     amplitude has nothing to fit and reports rate zero.
     """
     t = np.asarray(times, dtype=float)
@@ -243,12 +243,12 @@ def fit_decay_rate(times, amplitudes, lower: float = 1e-6,
         raise ValueError(f"initial amplitude must be positive (got {a0})")
     if float(np.max(np.abs(a - a0))) <= 1e-13 * a0:
         return 0.0
-    mask = (a >= lower * a0) & (a <= upper * a0) & (a > 0.0)
+    mask = (a >= 1e-6 * a0) & (a <= 0.1 * a0) & (a > 0.0)
     count = int(np.count_nonzero(mask))
-    if count < min_samples:
+    if count < 10:
         raise InsufficientWindowError(
             f"only {count} samples inside the fit window "
-            f"[{lower:g}, {upper:g}] x initial; need {min_samples}")
+            "[1e-06, 0.1] x initial; need 10")
     slope = np.polyfit(t[mask], np.log(a[mask]), 1)[0]
     return -float(slope)
 
@@ -272,5 +272,7 @@ def heat_flux_check(f, mass: float, grid: VelocityGrid) -> HeatFluxCheck:
     theta = mom.T / mass
     u2 = float(mom.u @ mom.u)
     formula = 2.5 * mom.n * (theta * mom.u + u2 * mom.u)
-    return HeatFluxCheck(quadrature=mom.Q, formula=formula,
-                         discrepancy=formula - mom.Q)
+    v = grid.nodes
+    quadrature = 0.5 * grid.weight * (((v * v).sum(axis=1) * f) @ v)
+    return HeatFluxCheck(quadrature=quadrature, formula=formula,
+                         discrepancy=formula - quadrature)

@@ -92,15 +92,6 @@ def _fields(doc, defaults: dict, parent: str, depth: int = 0) -> dict:
             for key, default in defaults.items()}
 
 
-def _pair(doc: dict, key: str, kind: type, default=None) -> list:
-    """A two-element list, one entry per species, each typed as `kind`;
-    required when there is no default."""
-    value = _require(doc, key) if default is None else doc.get(key, default)
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{key} must be a two-element list")
-    return [_typed(x, kind, f"{key}[{k}]") for k, x in enumerate(value)]
-
-
 def _species_init(entry, key: str, dim: int) -> SpeciesInit | None:
     if entry is None:
         return None
@@ -141,8 +132,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unsupported schema_version {version!r}; "
                           f"this build reads version {SCHEMA_VERSION}")
 
-    masses = _pair(doc, "masses", float)
-    labels = _pair(doc, "labels", str, ["1", "2"])
+    masses = _require(doc, "masses")
+    if not isinstance(masses, list) or len(masses) != 2:
+        raise ConfigError("masses must be a two-element list")
+    masses = [_typed(x, float, f"masses[{k}]") for k, x in enumerate(masses)]
 
     inter_doc = _require(doc, "interaction")
     inter = InteractionSpec(**{
@@ -160,8 +153,7 @@ def parse_config(text: str) -> RunConfig:
     es = EsParams(**es_spec)
 
     params = ModelParams(
-        species1=SpeciesSpec(m=masses[0], label=labels[0]),
-        species2=SpeciesSpec(m=masses[1], label=labels[1]),
+        species1=SpeciesSpec(m=masses[0]), species2=SpeciesSpec(m=masses[1]),
         interaction=inter, mixing=mixing, es=es)
 
     # vmin, vmax and points may be per axis; dim is one integer

@@ -50,6 +50,7 @@ import numpy as np
 from .errors import DegenerateDensityError, NoConvergenceError, NotSpdError
 
 N_FLOOR = 1e-30  # separates "empty cell" from "division blow-up"
+MAX_ITER = 50  # Newton iterations a moment match may take
 
 
 def _per_axis(value, dim: int, name: str) -> np.ndarray:
@@ -119,7 +120,6 @@ class MomentSet:
     u       mean velocity (d,)
     T       temperature, trace(P) / (d n)
     P       pressure tensor m * int (v-u)(x)(v-u) f dv, symmetric (d, d)
-    Q       raw energy flux (1/2) int |v|^2 v f dv (d,)
     Qtilde  peculiar heat flux m * int (v-u) |v-u|^2 f dv (d,)
     """
 
@@ -127,7 +127,6 @@ class MomentSet:
     u: np.ndarray
     T: float
     P: np.ndarray | None = None
-    Q: np.ndarray | None = None
     Qtilde: np.ndarray | None = None
 
     def rows(self, index) -> "MomentSet":
@@ -138,7 +137,7 @@ class MomentSet:
         if np.ndim(n) == 0:
             n, T = float(n), float(T)
         return MomentSet(n=n, u=self.u[index], T=T, P=self.P[index],
-                         Q=self.Q[index], Qtilde=self.Qtilde[index])
+                         Qtilde=self.Qtilde[index])
 
 
 @dataclass
@@ -150,8 +149,7 @@ class SpdTensor:
     chol: np.ndarray
 
 
-def moments(f: np.ndarray, mass, grid: VelocityGrid,
-            n_floor: float = N_FLOOR) -> MomentSet:
+def moments(f: np.ndarray, mass, grid: VelocityGrid) -> MomentSet:
     """Full moment set of a distribution array, (nodes,) or (rows, nodes),
     with `mass` a scalar or one value per row.
 
@@ -160,16 +158,15 @@ def moments(f: np.ndarray, mass, grid: VelocityGrid,
     degree-1 tensor gives s0 = sum f and sum f v_i, so n = w s0 and u.
     With c_i = v_i - u_i, the degree-4 tensor holds the centred Gram
     entries that `_newton_system` reads (`_monomials`): the centred sums
-    S = sum f c(x)c and S3 = sum f c |c|^2.  Then P = m w S,
-    Qtilde = m w S3, and the raw flux is
-    Q = w (S3 + 2 S u + u tr S + s0 |u|^2 u) / 2.  All rows (the cells
-    of a species, or the cells of both species stacked, each row with
-    its own mass) reduce together, and each row's set equals its solo
-    reduction bitwise; a (nodes,) input gives scalar n and T.  A row
-    holding a non-finite value gives NaN moments, with no warning.
+    S = sum f c(x)c and S3 = sum f c |c|^2.  Then P = m w S and
+    Qtilde = m w S3.  All rows (the cells of a species, or the cells of
+    both species stacked, each row with its own mass) reduce together,
+    and each row's set equals its solo reduction bitwise; a (nodes,)
+    input gives scalar n and T.  A row holding a non-finite value gives
+    NaN moments, with no warning.
 
     Raises DegenerateDensityError, listing the rows, when a quadrature
-    density is below n_floor; mean velocity and temperature are
+    density is below N_FLOOR; mean velocity and temperature are
     undefined there.
     """
     f = np.asarray(f, dtype=float)
@@ -182,14 +179,14 @@ def moments(f: np.ndarray, mass, grid: VelocityGrid,
         raise ValueError(f"mass must be a scalar or one value per row "
                          f"({C}), got shape {mw.shape}")
     mw = mw if mw.ndim else mw.repeat(C)
-    d, w, rows = grid.dim, grid.weight, f.reshape(C, -1)
+    d, rows = grid.dim, f.reshape(C, -1)
     with np.errstate(invalid="ignore"):  # inf - inf and 0 inf give NaN
         origin = _lattice_tensor(rows, grid.axis_nodes[None], grid, 1)
         s0 = origin.reshape(C, -1)[:, 0]
-        n = w * s0
-        if (n < n_floor).any():
-            bad = np.flatnonzero(n < n_floor)
-            raise DegenerateDensityError(float(n[bad[0]]), n_floor,
+        n = grid.weight * s0
+        if (n < N_FLOOR).any():
+            bad = np.flatnonzero(n < N_FLOOR)
+            raise DegenerateDensityError(float(n[bad[0]]), N_FLOOR,
                                          bad if f.ndim == 2 else None)
         # entry e_i of the degree-1 tensor holds sum f v_i
         u = origin.reshape(C, -1)[:, 2 ** np.arange(d)[::-1]] / s0[:, None]
@@ -200,11 +197,8 @@ def moments(f: np.ndarray, mass, grid: VelocityGrid,
     gram = _monomials(d)[2]
     S = centred.take(gram[1:1 + d, 1:1 + d], axis=1)
     S3 = centred.take(gram[1:1 + d, 1 + d:1 + 2 * d], axis=1).sum(axis=2)
-    trS = np.einsum("cii->c", S)
-    Q = 0.5 * w * (S3 + 2.0 * (S @ u[:, :, None])[:, :, 0] + trS[:, None] * u
-                   + (s0 * (u * u).sum(axis=1))[:, None] * u)
-    mom = MomentSet(n=n, u=u, T=mw * trS / (d * n), P=mw[:, None, None] * S,
-                    Q=Q, Qtilde=mw[:, None] * S3)
+    mom = MomentSet(n=n, u=u, T=mw * np.einsum("cii->c", S) / (d * n),
+                    P=mw[:, None, None] * S, Qtilde=mw[:, None] * S3)
     return mom.rows(0) if f.ndim == 1 else mom
 
 
@@ -581,7 +575,7 @@ def _gaussian_derivs(p: np.ndarray, d: int) -> np.ndarray:
 
 
 def _newton_match(n, u, s, isotropic: bool, sample, derivs, tol: float,
-                  max_iter: int, what):
+                  what):
     """Newton-correct a stack of K targets of either family until the
     raw moments q of each member's sampled target hit the exact ones.
 
@@ -598,9 +592,10 @@ def _newton_match(n, u, s, isotropic: bool, sample, derivs, tol: float,
     is then frozen; from there on only the members not yet converged are
     sampled and solved (one stacked solve), so each member follows
     exactly its solo iterates.  Each step is halved until n > 0 and S is
-    positive definite (theta > 0 for the Maxwellian), down to 2^-20.
-    Failures name the member through what(k).  Returns (p, per-member
-    iteration counts).
+    positive definite (theta > 0 for the Maxwellian), down to 2^-20,
+    and a member not converged after MAX_ITER steps fails.  Failures
+    name the member through what(k).  Returns (p, per-member iteration
+    counts).
     """
     K, d = u.shape
     ti, tj = _monomials(d)[:2]
@@ -614,9 +609,10 @@ def _newton_match(n, u, s, isotropic: bool, sample, derivs, tol: float,
     limit = tol * np.array([n, vscale] + [tscale] * s.shape[1]).T
     pa = ref = np.concatenate([nk, u, s], axis=1)
     p, iters, active = np.empty_like(pa), np.zeros(K, dtype=int), np.arange(K)
-    # q0 = 0 gives NaN, which fails the tests as n already does
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(max_iter + 1):
+    # q0 = 0 gives NaN, which fails the tests as n already does; a
+    # diverging iterate overflows to inf, which fails them too
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(MAX_ITER + 1):
             SAG = _newton_system(pa[:, 1:1 + d], select, sample(pa, active))
             q = SAG[:, :, 0]
             raw = q[:, 1:] / q[:, :1]
@@ -634,7 +630,7 @@ def _newton_match(n, u, s, isotropic: bool, sample, derivs, tol: float,
                     return p, iters
                 active, pa, ref, q, SAG, target, limit = (x[~done] for x in (
                     active, pa, ref, q, SAG, target, limit))
-            if it == max_iter:
+            if it == MAX_ITER:
                 break
             dqdp = SAG @ derivs(pa, d).transpose(0, 2, 1)
             try:
@@ -662,22 +658,21 @@ def _newton_match(n, u, s, isotropic: bool, sample, derivs, tol: float,
             pa = cand
     k = int(active[0])
     raise NoConvergenceError(
-        f"moment matching did not converge in {max_iter} iterations "
+        f"moment matching did not converge in {MAX_ITER} iterations "
         f"({what(k)}; grid too coarse or support clipped)", member=k)
 
 
 def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
-                  max_iter: int = 50, return_info: bool = False,
-                  out=None) -> np.ndarray:
+                  return_info: bool = False, out=None) -> np.ndarray:
     """Discrete Maxwellian whose quadrature (n, u, T) hit the targets.
 
     The Gaussian problem of `_newton_match` with covariance theta I,
     theta = T/m: Newton on (n, u, theta) so that the discrete moments
-    (1, v, |v|^2) match to `tol` (relative).  The Newton system comes
-    from per-axis sums; f is sampled once, at the converged parameters:
-    `_maxwellian_fill` reuses the per-axis factors of each member's last
-    Newton evaluation and writes the last axis with one einsum outer
-    product.  So f is the plain sampled Maxwellian (`maxwellian_on_grid`)
+    (1, v, |v|^2) match to `tol` (relative) within MAX_ITER steps.  The
+    Newton system comes from per-axis sums; f is sampled once, at the
+    converged parameters: `_maxwellian_fill` reuses the per-axis factors
+    of each member's last Newton evaluation and writes the last axis
+    with one einsum outer product.  So f is the plain sampled Maxwellian (`maxwellian_on_grid`)
     of the converged parameters, or of the targets if they match at
     once.  Stacked arguments (n, T, mass as (K,), u as (K, d)) match K
     targets in one Newton loop and give one row per member (written into
@@ -695,7 +690,7 @@ def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
     p, iters = _newton_match(
         n, u, (T / mass)[:, None], True,
         lambda p, rows: _maxwellian_sample(p, grid, factors, rows),
-        _maxwellian_derivs, tol, max_iter,
+        _maxwellian_derivs, tol,
         lambda k: f"member {k}: Maxwellian n={n[k]}, T={T[k]}")
     out = _block(out, len(n), grid)
     _maxwellian_fill(p[:, 0], p[:, -1], factors, grid, out)
@@ -704,16 +699,15 @@ def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
 
 
 def match_gaussian(n, u, tensor, mass, grid: VelocityGrid, tol: float = 1e-13,
-                   max_iter: int = 50, return_info: bool = False,
-                   out=None) -> np.ndarray:
+                   return_info: bool = False, out=None) -> np.ndarray:
     """Discrete Gaussian whose quadrature (n, u, T-tensor) hit the targets.
 
     The problem of `_newton_match` with the full covariance S = T/m as
     its spread: Newton on (n, u, S) against all raw moments
     (1, v, v(x)v), with the Newton system from the lattice sample of
     each iterate, which is written straight into the member's row of
-    the result.  Stacks as match_moments does; a stacked `tensor` is a
-    (K, d, d) SpdTensor or matrix.
+    the result, to `tol` within MAX_ITER steps.  Stacks as match_moments
+    does; a stacked `tensor` is a (K, d, d) SpdTensor or matrix.
     """
     spd = tensor if isinstance(tensor, SpdTensor) else spd_factor(tensor)
     stacked, u, n, mass = _members(grid, u, n, mass,
@@ -727,7 +721,7 @@ def match_gaussian(n, u, tensor, mass, grid: VelocityGrid, tol: float = 1e-13,
     _, iters = _newton_match(
         n, u, cov[:, ti, tj], False,
         lambda p, rows: _gaussian_sample(p, grid, out, rows), _gaussian_derivs,
-        tol, max_iter, lambda k: f"member {k}: Gaussian n={n[k]}")
+        tol, lambda k: f"member {k}: Gaussian n={n[k]}")
     f = out if stacked else out[0]
     return (f, int(iters.max())) if return_info else f
 

@@ -34,10 +34,9 @@ class Variant(str, Enum):
 
 @dataclass(frozen=True)
 class SpeciesSpec:
-    """One species: particle mass (model units) and a short label."""
+    """One species: particle mass (model units)."""
 
     m: float
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -222,17 +221,13 @@ class DimensionlessScales:
     """Knudsen-like relaxation scales of the dimensionless equations.
 
     eps1 / eps2 scale the intraspecies terms, eps_tilde1 / eps_tilde2
-    the interspecies terms.  Inputs are kept for audit.
+    the interspecies terms.
     """
 
     eps1: float
     eps_tilde1: float
     eps2: float
     eps_tilde2: float
-    nu_bar12: float
-    t_bar: float
-    x_bar: float
-    n_typical: float
 
 
 def dimensionless_scales(nu_bar12: float, t_bar: float, x_bar: float,
@@ -258,6 +253,4 @@ def dimensionless_scales(nu_bar12: float, t_bar: float, x_bar: float,
     inv_t2 = inv1 / beta1 / epsilon
     inv2 = inv1 * beta2 / (beta1 * epsilon) * (n2 / n1)
     return DimensionlessScales(eps1=1.0 / inv1, eps_tilde1=1.0 / inv_t1,
-                               eps2=1.0 / inv2, eps_tilde2=1.0 / inv_t2,
-                               nu_bar12=nu_bar12, t_bar=t_bar, x_bar=x_bar,
-                               n_typical=n_typical)
+                               eps2=1.0 / inv2, eps_tilde2=1.0 / inv_t2)

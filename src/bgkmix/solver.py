@@ -154,7 +154,8 @@ class SpeciesInit:
     """Initial condition of one species.
 
     Either a Maxwellian (n, u, T) or, when `tensor` is set, an
-    anisotropic Gaussian with that temperature tensor.
+    anisotropic Gaussian with that temperature tensor.  A species with
+    n = 0 is absent, as None is (`Scenario` stores it as None).
     """
 
     n: float = 1.0
@@ -179,7 +180,8 @@ def _spd(tensor, dim: int) -> bool:
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one run.  Construction, and so
-    `dataclasses.replace`, checks every run rule (ValueError, CflError)."""
+    `dataclasses.replace`, checks every run rule (ValueError, CflError)
+    and stores a species of zero density as absent (None)."""
 
     params: ModelParams
     grid: VelocityGrid
@@ -219,6 +221,9 @@ class Scenario:
             if not (math.isfinite(init.n) and init.n >= 0.0):
                 raise ValueError(f"species{k}.n must be finite and >= 0 "
                                  f"(got {init.n})")
+            if init.n == 0.0:
+                object.__setattr__(self, f"species{k}", None)
+                continue
             if init.tensor is None and not _positive(init.T):
                 raise ValueError(f"species{k}.T must be finite and positive "
                                  f"(got {init.T})")
@@ -358,8 +363,8 @@ def diagnose(state: KineticState, params: ModelParams, *,
 def _initial_sample(init: SpeciesInit | None, mass: float,
                     grid: VelocityGrid, match: bool) -> np.ndarray:
     """The species' target at density init.n on the nodes; zero for an
-    empty species."""
-    if init is None or init.n == 0.0:
+    absent species."""
+    if init is None:
         return np.zeros(grid.nnodes)
     u = init.u[:grid.dim]
     if init.tensor is not None:

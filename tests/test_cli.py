@@ -11,6 +11,7 @@ from bgkmix.cli import diagnostics_header, main
 from bgkmix.config import parse_config
 from bgkmix.errors import (InsufficientWindowError, MissingKeyError,
                            UnknownVariantError, ValidationFailureError)
+from bgkmix.solver import Diagnostics
 
 
 def base_doc(**overrides):
@@ -280,6 +281,23 @@ class TestCliCommands:
         assert values["A"] == pytest.approx(1.0)
         assert values["c1"] == pytest.approx(0.3)
 
+    def test_coeffs_zero_density_is_single_species(self, tmp_path, capsys):
+        """species2 with n = 0 gives the table of species2 null."""
+        outputs = []
+        for species2 in (None, {"n": 0}):
+            doc = base_doc(
+                masses=[1.0, 2.0],
+                interaction={"nu12": 1.0, "epsilon": 0.5, "beta1": 1.0,
+                             "beta2": 1.0},
+                mixing={"delta": 0.3, "alpha": 0.4, "gamma": 0.05},
+                scenario={"species2": species2})
+            rc = main(["coeffs", "-c", write_config(tmp_path, doc)])
+            captured = capsys.readouterr()
+            assert rc == 0 and captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 2
+
     def test_coeffs_singular_bundle_is_numerical_failure(self, tmp_path):
         doc = base_doc(mixing={"delta": 1.0, "alpha": 0.5, "gamma": 0.0})
         rc = main(["coeffs", "-c", write_config(tmp_path, doc)])
@@ -361,6 +379,22 @@ class TestCliCommands:
         found = re.search(r"\(target g21, cell (\d+)\)$", err[0])
         assert found and 0 <= int(found.group(1)) < 8
 
+    def test_wave_defaults_to_32_cells(self, tmp_path, monkeypatch):
+        """wave runs 32 cells when the config sets none, and the
+        configured count otherwise; relax runs one."""
+        seen = []
+
+        def run(scen):
+            seen.append(scen.cells)
+            return Diagnostics(dim=scen.grid.dim)
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        for subcommand, cells in (("wave", 0), ("wave", 8), ("relax", 8)):
+            doc = self.relax_doc(dt=0.001, t_end=0.002, cells=cells)
+            assert main([subcommand, "-c", write_config(tmp_path, doc),
+                         "-o", str(tmp_path)]) == 0
+        assert seen == [32, 8, 0]
+
     def test_wave_runs(self, tmp_path):
         doc = self.wave_doc(wave_amplitude=0.1)
         rc = main(["wave", "-c", write_config(tmp_path, doc),
@@ -430,6 +464,30 @@ class TestCliCommands:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: scan needs both species"]
+
+    def test_scan_zero_density_is_single_species(self, tmp_path, capsys):
+        """n = 0 is rejected as null is, by validate too, before any
+        scan value runs."""
+        doc = base_doc(
+            scenario={"species2": {"n": 0}},
+            scan={"parameter": "delta", "start": 0.0, "stop": 0.4,
+                  "count": 2})
+        assert self.run_and_validate(tmp_path, capsys, "scan", doc) == (
+            1, ["error: scan needs both species"])
+
+    def test_scan_value_outside_delta_interval(self, tmp_path, capsys):
+        doc = base_doc(scan={"parameter": "delta", "start": 0.0,
+                             "stop": 1.5, "count": 2})
+        assert self.run_and_validate(tmp_path, capsys, "scan", doc) == (
+            1, ["delta=1.5 outside admissible interval [0, 1]"])
+
+    def test_scan_needs_a_scan_section(self, tmp_path, capsys):
+        rc = main(["scan", "-c", write_config(tmp_path, base_doc()),
+                   "-o", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: scan subcommand needs a 'scan' config section"]
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_variant_override(self, tmp_path):
         doc = self.relax_doc()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bgkmix import grid as gridmod
+from bgkmix.chapman import heat_flux_check
 from bgkmix.errors import (DegenerateDensityError, NoConvergenceError,
                            NotSpdError)
 from bgkmix.grid import (VelocityGrid, _family, _gaussian_derivs,
@@ -113,13 +114,14 @@ class TestMoments:
         vth = math.sqrt(float(T) / mass)
         for got, ref, scale in ((mom.n, n, n), (mom.u, u, vth),
                                 (mom.T, T, T), (mom.P, P, n * T),
-                                (mom.Q, Q, n * T * vth),
+                                (heat_flux_check(f, mass, grid).quadrature,
+                                 Q, n * T * vth),
                                 (mom.Qtilde, Qt, n * T * vth)):
             err = np.max(np.abs(np.asarray(got, dtype=np.longdouble) - ref))
             assert err <= 1e-13 * float(scale)
         assert np.array_equal(mom.P, mom.P.T)
 
-    FIELDS = ("n", "u", "T", "P", "Q", "Qtilde")
+    FIELDS = ("n", "u", "T", "P", "Qtilde")
 
     @pytest.mark.parametrize("cells", [1, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -168,7 +170,7 @@ class TestMoments:
         bad = f.copy()
         bad[grid.nnodes // 3] = value
         mom = moments(np.array([f, bad]), 1.0, grid)
-        for name in ("u", "T", "P", "Q", "Qtilde"):
+        for name in ("u", "T", "P", "Qtilde"):
             assert np.all(np.isnan(getattr(mom, name)[1])), name
             assert np.array_equal(getattr(mom, name)[0],
                                   getattr(moments(f, 1.0, grid), name))
@@ -290,9 +292,9 @@ class TestSeparableRawMoments:
         M = _gaussian_sample(p[None], grid, f, [0])[0]
         powers = [np.vander(x - ui, 5, increasing=True)
                   for x, ui in zip(grid.axes, p[1:1 + dim])]
-        labels = "abc"[:dim]
-        spec = (labels + "," + ",".join(f"{a}{a.upper()}" for a in labels)
-                + "->" + labels.upper())
+        axes = "abc"[:dim]
+        spec = (axes + "," + ",".join(f"{a}{a.upper()}" for a in axes)
+                + "->" + axes.upper())
         lattice = f[0].reshape(grid.points)
         ref = grid.weight * np.einsum(spec, lattice, *powers)
         scale = grid.weight * np.einsum(spec, np.abs(lattice),
@@ -699,6 +701,27 @@ class TestStepHalving:
         assert abs(mom.n - 1.0) <= 1e-12
         assert abs(mom.u[0] - 0.25) <= 1e-12
         assert abs(mom.T - 0.7) <= 1e-12
+
+    @FAMILIES
+    def test_iteration_limit_names_the_member(self, family, monkeypatch):
+        """The 20-iteration match above, allowed only 3 iterations."""
+        monkeypatch.setattr(gridmod, "MAX_ITER", 3)
+        grid = VelocityGrid(dim=1, vmin=-1.5, vmax=1.5, points=9)
+        with pytest.raises(NoConvergenceError, match=(
+                "did not converge in 3 iterations")) as err:
+            self.match(family, 1.0, [0.25], 0.7, grid)
+        assert err.value.member == 0
+
+    @FAMILIES
+    def test_diverging_iterate_overflows_silently(self, family):
+        """T = 1.7 at u = 0.5 on 8 points of [-1.5, 1.5] diverges: an
+        iterate's offsets overflow when squared, and the matcher's own
+        error is raised, not an overflow warning (the suite turns
+        warnings into errors)."""
+        grid = VelocityGrid(dim=1, vmin=-1.5, vmax=1.5, points=8)
+        with pytest.raises(NoConvergenceError, match="member 0") as err:
+            self.match(family, 1.0, [0.5], 1.7, grid)
+        assert err.value.member == 0
 
 
 class TestSpdFactor:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -451,6 +452,12 @@ class TestRunScenario:
         scen = self.scenario(grid, self.balanced_params(), t_end=0.1,
                              species2=SpeciesInit(n=1.0, u=(-0.1, 0.0, 0.0)))
         assert len(run_scenario(scen).records) == 3
+
+    def test_zero_density_species_is_absent(self, small_grid):
+        scen = self.scenario(small_grid, self.balanced_params(),
+                             species2=SpeciesInit(n=0.0, T=-1.0))
+        assert scen.species2 is None
+        assert replace(scen, dt=0.1).species2 is None
 
     def test_inadmissible_parameters_rejected(self, small_grid):
         with pytest.raises(ValueError, match="inadmissible"):
