@@ -20,6 +20,6 @@ from .solver import (Diagnostics, KineticState, Scenario, SpeciesInit,
                      relax_step, run_scenario, transport_step)
 from .targets import (MixtureState, TargetSet, build_targets,
                       es_tensor_cross, es_tensor_self, mixture_temperatures,
-                      mixture_velocities)
+                      mixture_velocities, target_moments)
 
 __version__ = "0.1.0"

@@ -143,11 +143,19 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _densities(cfg: RunConfig, command: str) -> tuple[float, float]:
+    """Both species' initial densities; an absent species is an input
+    error of `command`, which describes the pair."""
+    scen = cfg.make_scenario()
+    if scen.species1 is None or scen.species2 is None:
+        raise ConfigError(f"{command} needs both species")
+    return scen.species1.n, scen.species2.n
+
+
 def _cmd_coeffs(cfg: RunConfig, args) -> int:
     p = cfg.params
     inter, mix, es = p.interaction, p.mixing, p.es
-    n1, n2 = (1.0 if sp is None else sp.n for sp in (
-        cfg.make_scenario().species1, cfg.make_scenario().species2))
+    n1, n2 = _densities(cfg, "coeffs")
     m1, m2 = p.species1.m, p.species2.m
     consts = chapman.ce_constants(m1, m2, inter.epsilon, inter.beta1,
                                   inter.beta2, n1, n2, mix.delta, mix.alpha)
@@ -189,10 +197,7 @@ def _scan_scenario(cfg: RunConfig, parameter: str, value: float,
     if violations:
         raise ValidationFailureError(violations)
     m1, m2 = params.species1.m, params.species2.m
-    scen = cfg.make_scenario()
-    if scen.species1 is None or scen.species2 is None:
-        raise ConfigError("scan needs both species")
-    n1, n2 = scen.species1.n, scen.species2.n
+    n1, n2 = _densities(cfg, "scan")
     rates = chapman.analytic_rates(params.interaction.nu12, params.mixing.delta,
                                    params.mixing.alpha, n1, n2, m1, m2)
     lam = rates.lambda_u if parameter == "delta" else rates.lambda_T

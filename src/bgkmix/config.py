@@ -4,8 +4,9 @@ The document is plain JSON with a versioned schema field.  Required keys
 are `masses` and the four entries of `interaction`; everything else has
 documented defaults (EXP integrator, moment matching on, 3-D grid with
 32 points per axis on [-8, 8]); the scenario keys are the fields of
-`solver.Scenario`, typed as their defaults.  `parse_config` builds the
-configured Scenario, which checks the run rules, once.
+`solver.Scenario`, typed as their defaults.  A key the schema does not
+know, at any depth, is an error naming its full path.  `parse_config`
+builds the configured Scenario, which checks the run rules, once.
 """
 
 from __future__ import annotations
@@ -30,6 +31,23 @@ PERSISTENCE_DEFAULTS = {"kappa_min": 1e-3, "kappa_max": 1e3, "count": 200}
 MIXING_DEFAULTS = {"delta": 1.0, "alpha": 1.0, "gamma": 0.0}
 ES_DEFAULTS = {"variant": "bgk", "mu1": 0.0, "mu2": 0.0, "mu12": 0.0,
                "mu21": 0.0}
+_SCENARIO_DEFAULTS = {f.name: f.default for f in fields(Scenario)
+                      if f.default is not MISSING}
+
+# every key a document may hold, each mapped to the keys of its object
+# value (None for a leaf); "species1" and "species2" share theirs
+_SPECIES_KEYS = dict.fromkeys(("n", "u", "T", "tensor"))
+_SCHEMA = {
+    "schema_version": None, "masses": None,
+    "interaction": dict.fromkeys(("nu12", "epsilon", "beta1", "beta2")),
+    "mixing": dict.fromkeys(MIXING_DEFAULTS),
+    "es": dict.fromkeys(ES_DEFAULTS),
+    "grid": dict.fromkeys(GRID_DEFAULTS),
+    "scenario": {**dict.fromkeys(_SCENARIO_DEFAULTS),
+                 "species1": _SPECIES_KEYS, "species2": _SPECIES_KEYS},
+    "scan": dict.fromkeys(("parameter", "start", "stop", "count")),
+    "persistence": dict.fromkeys(PERSISTENCE_DEFAULTS),
+}
 
 
 @dataclass
@@ -58,6 +76,19 @@ def _require(doc: dict, key: str, parent: str = "") -> Any:
 
 _KINDS = {float: "a number", int: "an integer", bool: "true or false",
           str: "a string"}
+
+
+def _reject_unknown(doc, schema: dict, parent: str = "") -> None:
+    """ConfigError naming the full path of the first key, at any depth,
+    that `schema` does not hold.  A value that is not an object is left
+    to the reader of its key, which names the wrong type."""
+    if not isinstance(doc, dict):
+        return
+    for key, value in doc.items():
+        if key not in schema:
+            raise ConfigError(f"unknown config key {parent}{key}")
+        if schema[key] is not None:
+            _reject_unknown(value, schema[key], f"{parent}{key}.")
 
 
 def _typed(value, kind: type, key: str, depth: int = 0):
@@ -117,8 +148,9 @@ def parse_config(text: str) -> RunConfig:
     """Parse a JSON config document into a validated RunConfig.
 
     Raises ConfigError (MissingKeyError, UnknownVariantError) for a bad
-    key; ValidationFailureError with the full violation list for an
-    inadmissible bundle; ValueError or CflError for a broken run rule.
+    or unknown key; ValidationFailureError with the full violation list
+    for an inadmissible bundle; ValueError or CflError for a broken run
+    rule.
     """
     try:
         doc = json.loads(text)
@@ -131,6 +163,7 @@ def parse_config(text: str) -> RunConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}; "
                           f"this build reads version {SCHEMA_VERSION}")
+    _reject_unknown(doc, _SCHEMA)
 
     masses = _require(doc, "masses")
     if not isinstance(masses, list) or len(masses) != 2:
@@ -141,7 +174,7 @@ def parse_config(text: str) -> RunConfig:
     inter = InteractionSpec(**{
         key: _typed(_require(inter_doc, key, "interaction"), float,
                     f"interaction.{key}")
-        for key in ("nu12", "epsilon", "beta1", "beta2")})
+        for key in _SCHEMA["interaction"]})
 
     mixing = MixingParams(**_fields(doc.get("mixing", {}), MIXING_DEFAULTS,
                                     "mixing"))
@@ -161,9 +194,7 @@ def parse_config(text: str) -> RunConfig:
     grid_spec["dim"] = _typed(grid_spec["dim"], int, "grid.dim")
 
     scen_doc = doc.get("scenario", {})
-    scenario_spec = _fields(scen_doc, {
-        f.name: f.default for f in fields(Scenario)
-        if f.default is not MISSING}, "scenario")
+    scenario_spec = _fields(scen_doc, _SCENARIO_DEFAULTS, "scenario")
     for key in ("species1", "species2"):
         scenario_spec[key] = _species_init(
             scen_doc.get(key, {"n": 1.0, "T": 1.0}), f"scenario.{key}",

@@ -20,8 +20,9 @@ deviators D_k = P_k / n_k - T_k I, so its trace is d times that T:
     es-full-b   T12 I + alpha D1,   T21 I + (1 - ea) D2
 
 Every function is pure and works on one cell's moments or, elementwise,
-on moments with a leading cell axis; `build_targets` assembles all
-targets of all cells with one stacked matcher call per target family.
+on moments with a leading cell axis: `target_moments` maps them to each
+target's (n, u, T or tensor), and `build_targets` fills the lattice with
+one Cholesky stack and one stacked call per family over all cells.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import DegenerateDensityError, MemberError
-from .grid import (MomentSet, SpdTensor, VelocityGrid, gaussian_on_grid,
-                   match_gaussian, match_moments, maxwellian_on_grid,
-                   spd_factor)
+from .grid import (MomentSet, VelocityGrid, gaussian_on_grid, match_gaussian,
+                   match_moments, maxwellian_on_grid, spd_factor)
 from .params import ModelParams, Variant, gamma_bound_expression
 
 
@@ -141,28 +141,26 @@ def _deviator(T, P: np.ndarray, n) -> np.ndarray:
     return P / _matrices(n) - _matrices(T) * np.eye(P.shape[-1])
 
 
-def es_tensor_self(T, P: np.ndarray, n, mu: float) -> SpdTensor:
+def es_tensor_self(T, P: np.ndarray, n, mu: float) -> np.ndarray:
     """Self-relaxation tensor T I + mu (P / n - T I), one per cell for
     stacked moments.
 
     Positive definite for any distribution with positive density and
-    mu in [-1/2, 1]; trace equals d T for every mu.
+    mu in [-1/2, 1]; trace equals d T for every mu.  Returned unfactored,
+    as are the cross tensors: `build_targets` factors each family.
     """
-    return spd_factor(_matrices(T) * np.eye(P.shape[-1])
-                      + mu * _deviator(T, P, n))
+    return _matrices(T) * np.eye(P.shape[-1]) + mu * _deviator(T, P, n)
 
 
 def es_tensor_cross(state: MixtureState,
-                    params: ModelParams) -> tuple[SpdTensor, SpdTensor]:
-    """Cross-relaxation tensors for the two full ES variants.
+                    params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-relaxation tensors (12, 21) for the two full ES variants.
 
     Each is the scalar cross temperature times I plus the deviators,
     mixed with the scalar mix's species-1 weights (alpha, ea): variant A
     scales that mix by mu12 / mu21, variant B keeps only the deviator of
     the species the target relaxes.  The traces are d T12 and d T21 for
-    any densities, so the scalar exchange identities still hold.  Both
-    are factored as one stack (12 first), so a failure's member says
-    which tensor and cell broke.
+    any densities, so the scalar exchange identities still hold.
     """
     mix, es, eps = params.mixing, params.es, params.interaction.epsilon
     T12, T21 = mixture_temperatures(state, mix.alpha, mix.gamma, mix.delta,
@@ -178,10 +176,30 @@ def es_tensor_cross(state: MixtureState,
         raise ValueError(f"cross tensors are defined for the full ES "
                          f"variants only (got {es.variant})")
     eye = np.eye(D1.shape[-1])
-    spd = spd_factor(np.stack([_matrices(T12) * eye + dev12,
-                               _matrices(T21) * eye + dev21]))
-    return (SpdTensor(spd.matrix[0], spd.chol[0]),
-            SpdTensor(spd.matrix[1], spd.chol[1]))
+    return _matrices(T12) * eye + dev12, _matrices(T21) * eye + dev21
+
+
+def target_moments(state: MixtureState, params: ModelParams) -> dict:
+    """{row of `TargetSet`: (n, u, temperature)} of every target of the
+    configured variant, a scalar temperature for a Maxwellian and a
+    (d, d) tensor for a Gaussian.  A degenerate species has no rows, and
+    the cross rows (owning species' densities) need both species."""
+    es, moms, rows = params.es, (state.mom1, state.mom2), {}
+    for k, mom in enumerate(moms):
+        if mom is not None:
+            rows[k] = (mom.n, mom.u, mom.T if es.variant == Variant.BGK
+                       else es_tensor_self(mom.T, mom.P, mom.n,
+                                           (es.mu1, es.mu2)[k]))
+    if len(rows) == 2:
+        mix, eps = params.mixing, params.interaction.epsilon
+        u12, u21 = mixture_velocities(state, mix.delta, eps)
+        if es.variant in (Variant.ES_FULL_A, Variant.ES_FULL_B):
+            t12, t21 = es_tensor_cross(state, params)
+        else:
+            t12, t21 = mixture_temperatures(state, mix.alpha, mix.gamma,
+                                            mix.delta, eps)
+        rows[2], rows[3] = (moms[0].n, u12, t12), (moms[1].n, u21, t21)
+    return rows
 
 
 @dataclass
@@ -215,65 +233,42 @@ def _located(names, cells: int):
 
 def build_targets(state: MixtureState, params: ModelParams,
                   grid: VelocityGrid, match: bool = True) -> TargetSet:
-    """Assemble the four targets of every cell for the configured model
-    variant.
+    """Sample the four targets of every cell, as `target_moments`
+    prescribes them, on the lattice.
 
-    A scalar temperature gives a Maxwellian target and an `SpdTensor` a
-    Gaussian.  With `match` the discrete targets are Newton-corrected so
-    their quadrature moments equal the prescribed values, which makes
+    A tensor temperature gives a Gaussian target, a scalar one a
+    Maxwellian.  With `match` the discrete targets are Newton-corrected
+    so their quadrature moments equal the prescribed values, which makes
     the discrete conservation identities machine-tight.  Each family is
     sampled or matched in one stacked call over its targets and all
-    cells, written into one (4, cells, nodes) block; the targets of a
-    degenerate species stay zero (one cell of them when both are).
-    Cross-target densities are the owning species' densities by
-    construction.  A failure names the target and the cell.
+    cells, written into one (4, cells, nodes) block; a Gaussian family's
+    tensors are Cholesky-factored as one stack first.  The targets of a
+    degenerate species stay zero (one cell of them when both are).  A
+    failure names the target and the cell.
     """
-    es, moms = params.es, (state.mom1, state.mom2)
-    present = [k for k in (0, 1) if moms[k] is not None]
-    cells = np.shape(moms[present[0]].n) if present else (1,)
+    rows = target_moments(state, params)
+    cells = np.shape(rows[min(rows)][0]) if rows else (1,)
     C, N, d = math.prod(cells), grid.nnodes, grid.dim
-    rows = {}  # row of the block -> (n, u, temperature) of its target
-    for k in present:
-        mom, mu = moms[k], (es.mu1, es.mu2)[k]
-        if es.variant == Variant.BGK:
-            rows[k] = (mom.n, mom.u, mom.T)
-        else:
-            with _located(_NAMES[k:k + 1], C):
-                rows[k] = (mom.n, mom.u, es_tensor_self(mom.T, mom.P, mom.n,
-                                                        mu))
-    if len(present) == 2:
-        mix, eps = params.mixing, params.interaction.epsilon
-        u12, u21 = mixture_velocities(state, mix.delta, eps)
-        if es.variant in (Variant.ES_FULL_A, Variant.ES_FULL_B):
-            with _located(_NAMES[2:], C):
-                t12, t21 = es_tensor_cross(state, params)
-        else:
-            t12, t21 = mixture_temperatures(state, mix.alpha, mix.gamma,
-                                            mix.delta, eps)
-        rows[2], rows[3] = (moms[0].n, u12, t12), (moms[1].n, u21, t21)
 
     def stack(values, shape=()):
         return np.array(values, dtype=float).reshape((-1,) + shape)
 
-    def family(r):
-        return isinstance(rows[r][2], SpdTensor)
-
     block = (np.empty if len(rows) == 4 else np.zeros)((4, C, N))
-    # present rows are contiguous, so each run of one family is a slice
-    for gaussian, run in itertools.groupby(sorted(rows), key=family):
+    # present rows are contiguous, so each run of one family is a slice;
+    # a Gaussian's temperature is (..., d, d), a Maxwellian's at most (C,)
+    for tensor, run in itertools.groupby(
+            sorted(rows), key=lambda r: np.ndim(rows[r][2]) > 1):
         run = list(run)
         lo, hi = run[0], run[-1] + 1
         n, u, temperature = zip(*(rows[r] for r in run))
-        if gaussian:
-            temperature = SpdTensor(
-                stack([t.matrix for t in temperature], (d, d)),
-                stack([t.chol for t in temperature], (d, d)))
-            fn = match_gaussian if match else gaussian_on_grid
-        else:
-            temperature = stack(temperature)
-            fn = match_moments if match else maxwellian_on_grid
         mass = np.array([(state.m1, state.m2)[r % 2] for r in run]).repeat(C)
         with _located(_NAMES[lo:hi], C):
+            if tensor:
+                temperature = spd_factor(stack(temperature, (d, d)))
+                fn = match_gaussian if match else gaussian_on_grid
+            else:
+                temperature = stack(temperature)
+                fn = match_moments if match else maxwellian_on_grid
             fn(stack(n), stack(u, (d,)), temperature, mass, grid,
                out=block[lo:hi].reshape(-1, N))
     return TargetSet(block.reshape((4,) + cells + (N,)))

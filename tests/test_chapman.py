@@ -6,7 +6,7 @@ import pytest
 from bgkmix import chapman
 from bgkmix.errors import InsufficientWindowError, SingularPrefactorError
 from bgkmix.grid import (MomentSet, VelocityGrid, match_moments,
-                         maxwellian_on_grid, moments)
+                         maxwellian_on_grid, moments, spd_factor)
 from bgkmix.params import (EsParams, InteractionSpec, MixingParams,
                            ModelParams, SpeciesSpec, derive_frequencies)
 from bgkmix.solver import Scenario, SpeciesInit, run_scenario
@@ -319,7 +319,8 @@ class TestAnalyticRates:
 
         def rhs(y):
             P = y.reshape(3, 3)
-            tens = es_tensor_self(np.trace(P) / (3 * n), P, n, mu)
+            tens = spd_factor(es_tensor_self(np.trace(P) / (3 * n), P, n,
+                                             mu))
             return (nu * n * (n * tens.matrix - P)).reshape(-1)
 
         P0 = n * np.diag([1.2 * T, T, 0.8 * T])

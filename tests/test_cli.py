@@ -230,6 +230,32 @@ class TestCliCommands:
         assert len(err) == 1 and err[0].startswith(f"error: {key} must be ")
         assert not (tmp_path / "relax.csv").exists()
 
+    # the full path of a misspelt key, one per section, and its value
+    MISSPELT = {
+        "mixng": {"delta": 0.3},
+        "interaction.nu_12": 1.0,
+        "mixing.dleta": 0.3,
+        "es.mu_1": 0.1,
+        "grid.point": 16,
+        "scenario.dtt": 0.01,
+        "scenario.species1.uu": [0.1, 0.0, 0.0],
+        "scenario.species2.TT": 5.0,
+        "scan.cuont": 3,
+        "persistence.kappa": 1.0,
+    }
+
+    @pytest.mark.parametrize("key", list(MISSPELT))
+    def test_misspelt_key_exits_one_naming_it(self, tmp_path, capsys, key):
+        doc = self.relax_doc()
+        doc.update(es={"variant": "bgk"}, persistence={"count": 20},
+                   scan={"parameter": "delta", "start": 0.0, "stop": 0.4,
+                         "count": 2})
+        *path, name = key.split(".")
+        functools.reduce(lambda d, k: d.setdefault(k, {}), path,
+                         doc)[name] = self.MISSPELT[key]
+        rc, err = self.run_and_validate(tmp_path, capsys, "relax", doc)
+        assert (rc, err) == (1, [f"error: unknown config key {key}"])
+
     def test_relax_on_equilibrium_rows_identical(self, tmp_path):
         path = write_config(tmp_path, self.relax_doc())
         rc = main(["relax", "-c", path, "-o", str(tmp_path)])
@@ -282,8 +308,8 @@ class TestCliCommands:
         assert values["c1"] == pytest.approx(0.3)
 
     def test_coeffs_zero_density_is_single_species(self, tmp_path, capsys):
-        """species2 with n = 0 gives the table of species2 null."""
-        outputs = []
+        """species2 with n = 0 is absent as null is, and the table needs
+        both species: one error line, no partner made up."""
         for species2 in (None, {"n": 0}):
             doc = base_doc(
                 masses=[1.0, 2.0],
@@ -293,10 +319,8 @@ class TestCliCommands:
                 scenario={"species2": species2})
             rc = main(["coeffs", "-c", write_config(tmp_path, doc)])
             captured = capsys.readouterr()
-            assert rc == 0 and captured.err == ""
-            outputs.append(captured.out)
-        assert outputs[0] == outputs[1]
-        assert len(outputs[0].splitlines()) == 2
+            assert (rc, captured.out) == (1, "")
+            assert captured.err == "error: coeffs needs both species\n"
 
     def test_coeffs_singular_bundle_is_numerical_failure(self, tmp_path):
         doc = base_doc(mixing={"delta": 1.0, "alpha": 0.5, "gamma": 0.0})

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from bgkmix import grid as gridmod
-from bgkmix.errors import DegenerateDensityError, NoConvergenceError
-from bgkmix.grid import MomentSet, VelocityGrid, match_moments, moments
+from bgkmix.errors import (DegenerateDensityError, NoConvergenceError,
+                           NotSpdError)
+from bgkmix.grid import (MomentSet, VelocityGrid, match_moments,
+                         maxwellian_on_grid, moments, spd_factor)
 from bgkmix.params import (EsParams, InteractionSpec, MixingParams,
                            ModelParams, SpeciesSpec, Variant, delta_interval,
                            derive_frequencies, gamma_bound_expression)
@@ -143,12 +145,12 @@ class TestExchangeIdentities:
 class TestEsTensorSelf:
     def test_mu_zero_is_isotropic(self):
         P = np.diag([1.2, 1.0, 0.8])
-        spd = es_tensor_self(1.0, P, 1.0, 0.0)
+        spd = spd_factor(es_tensor_self(1.0, P, 1.0, 0.0))
         assert np.allclose(spd.matrix, np.eye(3))
 
     def test_mu_one_is_pressure_over_density(self):
         P = np.diag([1.2, 1.0, 0.8])
-        spd = es_tensor_self(1.0, P, 2.0, 1.0)
+        spd = spd_factor(es_tensor_self(1.0, P, 2.0, 1.0))
         assert np.allclose(spd.matrix, P / 2.0)
 
     def test_trace_identity(self):
@@ -159,7 +161,7 @@ class TestEsTensorSelf:
             n = rng.uniform(0.2, 2.0)
             T = np.trace(P) / (3 * n)
             mu = rng.uniform(-0.5, 1.0)
-            spd = es_tensor_self(T, P, n, mu)
+            spd = spd_factor(es_tensor_self(T, P, n, mu))
             assert np.trace(spd.matrix) == pytest.approx(3 * T, rel=1e-12)
 
 
@@ -170,7 +172,7 @@ class TestEsTensorCross:
         st.mom2.P = st.mom2.n * st.mom2.T * np.eye(3)
         params = make_params(variant=Variant.ES_FULL_A, alpha=0.3,
                              mu12=0.0, mu21=0.0)
-        t12, _ = es_tensor_cross(st, params)
+        t12, _ = map(spd_factor, es_tensor_cross(st, params))
         expected = (0.3 * st.mom1.T + 0.7 * st.mom2.T) * np.eye(3)
         assert np.allclose(t12.matrix, expected)
 
@@ -179,7 +181,7 @@ class TestEsTensorCross:
         st.mom1.P = st.mom1.n * st.mom1.T * np.eye(3)
         st.mom2.P = st.mom2.n * st.mom2.T * np.eye(3)
         params = make_params(variant=Variant.ES_FULL_B, alpha=0.0, gamma=0.0)
-        t12, _ = es_tensor_cross(st, params)
+        t12, _ = map(spd_factor, es_tensor_cross(st, params))
         assert np.allclose(t12.matrix, st.mom2.T * np.eye(3))
 
     def test_traces_recover_scalar_temperatures(self):
@@ -195,7 +197,7 @@ class TestEsTensorCross:
                                      mu12=rng.uniform(-0.5, 1),
                                      mu21=rng.uniform(-0.5, 1))
                 T12, T21 = mixture_temperatures(st, alpha, gamma, delta, eps)
-                t12, t21 = es_tensor_cross(st, params)
+                t12, t21 = map(spd_factor, es_tensor_cross(st, params))
                 assert np.trace(t12.matrix) / d == pytest.approx(T12,
                                                                  rel=1e-12)
                 assert np.trace(t21.matrix) / d == pytest.approx(T21,
@@ -256,7 +258,8 @@ class TestDeviatorForm:
             got = [es_tensor_self(st.mom1.T, st.mom1.P, st.mom1.n, es.mu1),
                    es_tensor_self(st.mom2.T, st.mom2.P, st.mom2.n, es.mu2),
                    *es_tensor_cross(st, params)]
-            for spd, ref in zip(got, written_out_tensors(st, params)):
+            for spd, ref in zip(map(spd_factor, got),
+                                written_out_tensors(st, params)):
                 err = np.max(np.abs(spd.matrix - ref))
                 assert err <= 1e-14 * np.max(np.abs(ref))
 
@@ -376,6 +379,24 @@ class TestBuildTargets:
                            match=r"\(target g1, cell 1\)") as err:
             build_targets(st, make_params(m2=1.0), grid)
         assert err.value.member == 1
+
+    def test_non_spd_tensor_names_target_and_cell(self):
+        """A cell of species 2 with negative temperature fails the one
+        Cholesky stack of the es-self family as target g2, cell 1."""
+        grid = VelocityGrid(dim=1, vmin=-8.0, vmax=8.0, points=64)
+        f = np.empty((2, 2, grid.nnodes))
+        f[0] = maxwellian_on_grid(1.0, [0.0], 1.0, 1.0, grid)
+        f[1, 0] = maxwellian_on_grid(1.0, [0.0], 1.0, 2.0, grid)
+        f[1, 1] = (maxwellian_on_grid(1.0, [0.1], 1.0, 2.0, grid)
+                   - maxwellian_on_grid(0.9, [0.0], 3.0, 2.0, grid))
+        st = MixtureState.from_distributions(f, 1.0, 2.0, grid)
+        assert st.mom2.T[1] < 0.0
+        params = make_params(variant=Variant.ES_SELF_ONLY, mu1=0.5, mu2=0.5)
+        for match in (True, False):
+            with pytest.raises(NotSpdError) as err:
+                build_targets(st, params, grid, match)
+            first = str(err.value).splitlines()[0]
+            assert first.endswith("(target g2, cell 1)")
 
     def test_partly_degenerate_species_names_species_and_cell(self,
                                                               mid_grid):
