@@ -326,10 +326,10 @@ def spd_factor(matrix) -> SpdTensor:
     """Cholesky-factor a symmetric matrix, or a stack of them (..., d, d);
     a failure identifies the pivot, and the member of a stack.
 
-    The matrix must be symmetric to 1e-12 (relative).  Factorization
-    succeeds exactly when all eigenvalues are positive and finite; a
-    NaN or infinite entry (i, j), above the diagonal too, fails pivot
-    max(i, j) at the latest.
+    Each member must be symmetric to 1e-12 max(1, its largest |entry|).
+    Factorization succeeds exactly when all eigenvalues are positive and
+    finite; a NaN or infinite entry (i, j), above the diagonal too, fails
+    pivot max(i, j) at the latest.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
@@ -339,9 +339,11 @@ def spd_factor(matrix) -> SpdTensor:
     low = np.where(np.isfinite(Mt), M, Mt)
     L = np.zeros_like(M)
     with np.errstate(invalid="ignore"):  # non-finite entries fail a pivot
-        scale = max(1.0, float(np.max(np.abs(M))))
-        if float(np.max(np.abs(M - Mt))) > 1e-12 * scale:
-            raise ValueError("matrix is not symmetric within 1e-12")
+        scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))
+        bad = np.ravel(np.max(np.abs(M - Mt), axis=(-2, -1)) > 1e-12 * scale)
+        if bad.any():
+            at = f" (member {np.argmax(bad)})" if M.ndim > 2 else ""
+            raise ValueError(f"matrix is not symmetric within 1e-12{at}")
         for j in range(d):
             s = low[..., j, j] - np.sum(L[..., j, :j] ** 2, axis=-1)
             bad = np.ravel(~(np.isfinite(s) & (s > 0.0)))
@@ -729,12 +731,16 @@ def match_gaussian(n, u, tensor, mass, grid: VelocityGrid, tol: float = 1e-13,
 def _xlogx_sum(f: np.ndarray) -> float:
     """Sum of f log f with the 0 log 0 = 0 convention.
 
-    Nonpositive (and NaN) values contribute exactly zero: log and
-    product are taken only where f > 0, in place in one zeroed array, so
-    no compacted copy of the positive values is made.  Negative
-    excursions of a non-positivity-preserving integrator are clamped
-    here only, never in the state itself.
+    A strictly positive f takes log and product unmasked.  Otherwise
+    nonpositive (and NaN) values contribute exactly zero: log and product
+    are taken only where f > 0, in one zeroed array, giving the same
+    terms and sum.  Negative excursions of a non-positivity-preserving
+    integrator are clamped here only, never in the state itself.
     """
+    if f.min() > 0.0:  # NaN fails this test
+        terms = np.log(f)
+        terms *= f
+        return float(np.sum(terms))
     pos = f > 0.0
     terms = np.log(f, out=np.zeros_like(f), where=pos)
     np.multiply(terms, f, out=terms, where=pos)

@@ -8,7 +8,10 @@ available:
 
 RK4   classical four-stage update with targets rebuilt at every stage;
       accurate but not positivity preserving (negative excursions are
-      flagged in the diagnostics, never clamped in the state).
+      flagged in the diagnostics, never clamped in the state).  A step
+      evaluates its stages in place in one scratch set, allocated once
+      (target, stage-derivative and stage-input blocks), and sums them
+      in the order of f + dt/6 (k1 + 2 k2 + 2 k3 + k4).
 
 EXP   freeze the moments at the step start, build the targets once and
       update f <- g* + (f - g*) exp(-nu_tot dt), where nu_tot is the
@@ -82,25 +85,37 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
     nu_self = np.array([freq.nu11, freq.nu22])[:, None, None]
     nu_cross = np.array([freq.nu12, freq.nu21])[:, None, None]
 
-    def collision(g, st=None):
+    def collision(g, st=None, out=None):
         """Self rate, self targets, cross rate, cross targets."""
         if st is None:
             st = MixtureState.from_distributions(
                 g, params.species1.m, params.species2.m, grid)
         n = st.densities().reshape(2, -1, 1)
-        block = build_targets(st, params, grid, match).block
+        block = build_targets(st, params, grid, match, out=out).block
         return nu_self * n, block[:2], nu_cross * n[::-1], block[2:]
 
-    def rhs(g, st=None):
-        nu_s, g_s, nu_c, g_c = collision(g, st)
-        return nu_s * (g_s - g) + nu_c * (g_c - g)
-
     if integrator == "rk4":
-        k1 = rhs(f, mixture)
-        k2 = rhs(f + 0.5 * dt * k1)
-        k3 = rhs(f + 0.5 * dt * k2)
-        k4 = rhs(f + dt * k3)
-        new = f + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        targets = np.empty((4,) + f.shape[1:])
+        k, stage, new = np.empty_like(f), np.empty_like(f), np.empty_like(f)
+
+        def rhs(g, out, st=None):
+            """nu_s (g_s - g) + nu_c (g_c - g) into `out`, formed in place
+            in the target block."""
+            nu_s, g_s, nu_c, g_c = collision(g, st, targets)
+            np.multiply(np.subtract(g_s, g, out=g_s), nu_s, out=g_s)
+            np.multiply(np.subtract(g_c, g, out=g_c), nu_c, out=g_c)
+            np.add(g_s, g_c, out=out)
+
+        rhs(f, new, mixture)  # new sums k1 + 2 k2 + 2 k3 + k4 in order
+        np.multiply(new, 0.5 * dt, out=stage)
+        for scale in (0.5 * dt, dt):
+            rhs(np.add(stage, f, out=stage), k)
+            np.multiply(k, scale, out=stage)  # next input: f + scale k
+            new += np.multiply(k, 2.0, out=k)
+        rhs(np.add(stage, f, out=stage), k)
+        new += k
+        new *= dt / 6.0
+        new += f
     else:
         nu_s, g_s, nu_c, g_c = collision(f, mixture)
         nu_tot = nu_s + nu_c

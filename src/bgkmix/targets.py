@@ -232,7 +232,8 @@ def _located(names, cells: int):
 
 
 def build_targets(state: MixtureState, params: ModelParams,
-                  grid: VelocityGrid, match: bool = True) -> TargetSet:
+                  grid: VelocityGrid, match: bool = True,
+                  out: np.ndarray | None = None) -> TargetSet:
     """Sample the four targets of every cell, as `target_moments`
     prescribes them, on the lattice.
 
@@ -242,18 +243,26 @@ def build_targets(state: MixtureState, params: ModelParams,
     the discrete conservation identities machine-tight.  Each family is
     sampled or matched in one stacked call over its targets and all
     cells, written into one (4, cells, nodes) block; a Gaussian family's
-    tensors are Cholesky-factored as one stack first.  The targets of a
-    degenerate species stay zero (one cell of them when both are).  A
-    failure names the target and the cell.
+    tensors are Cholesky-factored as one stack first.  `out`, a
+    C-contiguous (4, cells, nodes) array, is refilled in place of a new
+    block.  A degenerate species' targets are zero (one cell of them when
+    both are, or the cells of `out`); a failure names the target and cell.
     """
     rows = target_moments(state, params)
-    cells = np.shape(rows[min(rows)][0]) if rows else (1,)
+    cells = (np.shape(rows[min(rows)][0]) if rows
+             else (1,) if out is None else out.shape[1:-1])
     C, N, d = math.prod(cells), grid.nnodes, grid.dim
 
     def stack(values, shape=()):
         return np.array(values, dtype=float).reshape((-1,) + shape)
 
-    block = (np.empty if len(rows) == 4 else np.zeros)((4, C, N))
+    if out is None:
+        out = (np.empty if len(rows) == 4 else np.zeros)((4, C, N))
+    elif out.shape != (4,) + cells + (N,) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {(4,) + cells + (N,)} "
+                         f"array (got {out.shape})")
+    elif len(rows) < 4:
+        out.fill(0.0)
     # present rows are contiguous, so each run of one family is a slice;
     # a Gaussian's temperature is (..., d, d), a Maxwellian's at most (C,)
     for tensor, run in itertools.groupby(
@@ -270,5 +279,5 @@ def build_targets(state: MixtureState, params: ModelParams,
                 temperature = stack(temperature)
                 fn = match_moments if match else maxwellian_on_grid
             fn(stack(n), stack(u, (d,)), temperature, mass, grid,
-               out=block[lo:hi].reshape(-1, N))
-    return TargetSet(block.reshape((4,) + cells + (N,)))
+               out=out[lo:hi].reshape(-1, N))
+    return TargetSet(out.reshape((4,) + cells + (N,)))

@@ -781,6 +781,13 @@ class TestSpdFactor:
         with pytest.raises(ValueError, match="symmetric"):
             spd_factor(mat)
 
+    def test_symmetry_tolerance_is_per_member(self):
+        skew = np.array([[1.0, 1e-7], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            spd_factor(skew)
+        with pytest.raises(ValueError, match=r"symmetric.*\(member 1\)"):
+            spd_factor(np.stack([1e6 * np.eye(2), skew]))
+
     def test_reconstruction(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -823,6 +830,25 @@ class TestHFunctional:
             [clean, clean[::-1]], mid_grid)
         assert h_functional([np.full_like(f, np.nan), f], mid_grid) == \
             h_functional([np.zeros_like(f), clean], mid_grid)
+
+    def test_unmasked_rows_equal_the_masked_sum(self, mid_grid):
+        """Strictly positive rows, and one holding +inf, skip the mask;
+        H is bitwise the masked sum."""
+        def masked(row):
+            pos = row > 0.0
+            terms = np.log(row, out=np.zeros_like(row), where=pos)
+            np.multiply(terms, row, out=terms, where=pos)
+            return float(np.sum(terms))
+
+        rng = np.random.default_rng(4)
+        f = rng.uniform(1e-300, 2.0, (2, 3, mid_grid.nnodes))
+        f[1, :, ::7] = maxwellian_on_grid(0.8, (0.1, 0, 0), 1.2, 1.0,
+                                          mid_grid)[::7]
+        with_inf = [f[0], np.where(f[1] > 1.9, np.inf, f[1])]
+        for rows in (f, with_inf):
+            expected = mid_grid.weight * sum(map(masked, np.asarray(rows)))
+            assert h_functional(rows, mid_grid) == expected
+        assert h_functional(with_inf, mid_grid) == math.inf
 
     def test_matches_sum_over_positive_values(self, mid_grid):
         rng = np.random.default_rng(9)

@@ -183,6 +183,73 @@ class TestStackedRelaxation:
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
 
 
+def reference_rk4(state, dt, params, match):
+    """The classical RK4 step written out: fresh targets and fresh
+    arrays at every stage."""
+    grid, f = state.grid, state.f
+    freq = derive_frequencies(params.interaction)
+    nu_self = np.array([freq.nu11, freq.nu22])[:, None, None]
+    nu_cross = np.array([freq.nu12, freq.nu21])[:, None, None]
+
+    def rhs(g):
+        st = MixtureState.from_distributions(g, params.species1.m,
+                                             params.species2.m, grid)
+        n = st.densities().reshape(2, -1, 1)
+        block = build_targets(st, params, grid, match).block
+        nu_s, nu_c = nu_self * n, nu_cross * n[::-1]
+        return nu_s * (block[:2] - g) + nu_c * (block[2:] - g)
+
+    k1 = rhs(f)
+    k2 = rhs(f + 0.5 * dt * k1)
+    k3 = rhs(f + 0.5 * dt * k2)
+    k4 = rhs(f + dt * k3)
+    return f + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestInPlaceRk4:
+    """relax_step's RK4 reuses one scratch set for its four stages and
+    equals the written-out step bit for bit."""
+
+    @pytest.mark.parametrize("absent", [(), (0,), (1,), (0, 1)],
+                             ids=["present", "no-1", "no-2", "empty"])
+    @pytest.mark.parametrize("cells", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("match", [True, False],
+                             ids=["matched", "sampled"])
+    def test_equals_reference_step(self, match, variant, dim, cells, absent):
+        grid = TestStackedRelaxation.GRIDS[dim]
+        mus = {} if variant == Variant.BGK else TestStackedRelaxation.MUS
+        params = make_params(epsilon=0.5, variant=variant, **mus)
+        f = np.array([TestStackedRelaxation.cells(grid, 1.0, 1.0),
+                      TestStackedRelaxation.cells(grid, 2.0, -1.0)])[:, :cells]
+        f[list(absent)] = 0.0
+        state = KineticState(f=f, t=0.0, grid=grid)
+        new = relax_step(state, 0.05, params, "rk4", match)
+        assert np.array_equal(new.f, reference_rk4(state, 0.05, params,
+                                                   match))
+
+    @pytest.mark.parametrize("integrator, builds", [("rk4", 4), ("exp", 1)])
+    def test_stages_share_one_target_block(self, monkeypatch, mid_grid,
+                                           integrator, builds):
+        outs = []
+        real = solver.build_targets
+
+        def spy(*args, out=None, **kwargs):
+            outs.append(out)
+            return real(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(solver, "build_targets", spy)
+        relax_step(nonequilibrium_state(mid_grid), 0.05, make_params(),
+                   integrator)
+        assert len(outs) == builds
+        if integrator == "rk4":
+            assert outs[0] is not None
+            assert all(out is outs[0] for out in outs)
+        else:
+            assert outs == [None]
+
+
 class TestTransportStep:
     def grid1d(self):
         return VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=8)

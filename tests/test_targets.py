@@ -454,6 +454,34 @@ class TestBuildTargets:
         assert np.all(ts.g2 == 0.0) and np.all(ts.g21 == 0.0)
         assert np.max(np.abs(ts.g1 - f)) < 1e-12
 
+    def test_out_must_fit_the_block(self, small_grid):
+        f = match_moments(1.0, (0.1, 0, 0), 1.0, 1.0, small_grid)
+        st = MixtureState.from_distributions(np.array([[f, f, f]] * 2),
+                                             1.0, 2.0, small_grid)
+        N = small_grid.nnodes
+        for out in (np.empty((4, 2, N)), np.empty((3, 3, N)),
+                    np.empty((4, 3, N + 1)), np.empty((4, 3 * N)),
+                    np.empty((4, 3, 2 * N))[..., ::2],
+                    np.empty((4, 3, N), order="F")):
+            with pytest.raises(ValueError, match="out must be a C-contig"):
+                build_targets(st, make_params(), small_grid, out=out)
+
+    @pytest.mark.parametrize("variant", [Variant.BGK, Variant.ES_FULL_A],
+                             ids=lambda v: v.value)
+    def test_out_zeroes_an_absent_species(self, mid_grid, variant):
+        f = match_moments(1.0, (0.1, 0, 0), 1.0, 1.0, mid_grid)
+        st = MixtureState.from_distributions(
+            np.array([[f, 0.9 * f], np.zeros((2, mid_grid.nnodes))]), 1.0,
+            2.0, mid_grid)
+        params = make_params(variant=variant, mu1=0.3, mu2=0.2, mu12=0.4,
+                             mu21=0.1)
+        out = np.full((4, 2, mid_grid.nnodes), np.nan)
+        ts = build_targets(st, params, mid_grid, out=out)
+        assert np.shares_memory(ts.block, out)
+        assert np.all(out[1:] == 0.0)
+        assert np.array_equal(out, build_targets(st, params, mid_grid).block)
+
+
 def maxwellian_like(grid, u, T):
     from bgkmix.grid import maxwellian_on_grid
     return maxwellian_on_grid(1.0, u, T, 1.0, grid)
