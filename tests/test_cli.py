@@ -344,6 +344,21 @@ class TestCliCommands:
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("numerical failure: CFL")
 
+    @pytest.mark.parametrize("splitting, dt, code", [
+        ("strang", 0.04, 0), ("lie", 0.04, 2), ("strang", 0.08, 2)])
+    def test_wave_cfl_is_that_of_each_transport_step(self, tmp_path, capsys,
+                                                     splitting, dt, code):
+        # full-step CFL 30 dt; Strang transports in half steps
+        doc = self.wave_doc(dt=dt, t_end=0.16, splitting=splitting,
+                            wave_amplitude=0.1)
+        path = write_config(tmp_path, doc)
+        codes = [main([command, "-c", path, "-o", str(tmp_path)])
+                 for command in ("validate", "wave")]
+        assert codes == [code, code]
+        assert (tmp_path / "wave.csv").exists() == (code == 0)
+        err = capsys.readouterr().err
+        assert ("numerical failure: CFL 1.200" in err) == (code == 2)
+
     def test_wave_input_error_exits_one(self, tmp_path, capsys):
         rc, err = self.run_and_validate(tmp_path, capsys, "wave",
                                         self.wave_doc(wave_amplitude=1.5))

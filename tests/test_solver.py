@@ -250,6 +250,78 @@ class TestInPlaceRk4:
             assert outs == [None]
 
 
+def reference_transport(state, dt):
+    """The donor-cell step written out on the whole block: a rolled copy
+    of f times min(v_x, 0) plus f times max(v_x, 0) is the face flux."""
+    f, vx = state.f, state.grid.nodes[:, 0]
+    flux = np.roll(f, -1, axis=1)
+    flux *= np.minimum(vx, 0.0)
+    out = np.multiply(f, np.maximum(vx, 0.0))
+    flux += out
+    np.subtract(flux[:, 1:], flux[:, :-1], out=out[:, 1:])
+    np.subtract(flux[:, :1], flux[:, -1:], out=out[:, :1])
+    out *= -dt / state.dx
+    out += f
+    return KineticState(f=out, t=state.t + dt, grid=state.grid, dx=state.dx)
+
+
+class TestSplitTransport:
+    """transport_step splits the product v_x f at v_x = 0 and equals the
+    written-out donor-cell step bit for bit, sign of zero included."""
+
+    @pytest.mark.parametrize("cells", [1, 2, 7])
+    @pytest.mark.parametrize("lattice", [(-4.0, 4.0, 8), (-4.5, 4.5, 9),
+                                         (-4.0, 3.0, 9), (0.5, 4.0, 8),
+                                         (-4.0, -0.5, 8)],
+                             ids=["even", "zero-node", "off-centre",
+                                  "positive", "negative"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_reference_step(self, dim, lattice, cells):
+        grid = VelocityGrid(dim, *lattice)
+        rng = np.random.default_rng(41)
+        f = rng.uniform(0.0, 1.0, (2, cells, grid.nnodes))
+        f *= rng.choice([-1.0, 0.0, 1.0], f.shape)
+        assert {-1, 0, 1} <= set(np.sign(f).ravel())
+        state = KineticState(f=f, t=0.0, grid=grid, dx=0.25)
+        dt = 0.9 * 0.25 / np.max(np.abs(grid.nodes[:, 0]))
+        new, want = transport_step(state, dt).f, reference_transport(
+            state, dt).f
+        assert np.array_equal(new, want)
+        assert np.array_equal(np.signbit(new), np.signbit(want))
+
+    @pytest.mark.parametrize("splitting", ["lie", "strang"])
+    @pytest.mark.parametrize("integrator", ["exp", "rk4"])
+    def test_run_equals_reference_transport(self, monkeypatch, tmp_path,
+                                            integrator, splitting):
+        scen = Scenario(
+            params=make_params(epsilon=0.5),
+            grid=VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=16),
+            species1=SpeciesInit(n=1.0, u=(0.3,), T=1.0),
+            species2=SpeciesInit(n=0.8, u=(-0.2,), T=1.5),
+            dt=0.02, t_end=0.1, integrator=integrator, cells=8,
+            splitting=splitting, wave_amplitude=0.2)
+        split, written = tmp_path / "split.csv", tmp_path / "written.csv"
+        write_diagnostics_csv(run_scenario(scen), str(split))
+        monkeypatch.setattr(solver, "transport_step", reference_transport)
+        write_diagnostics_csv(run_scenario(scen), str(written))
+        assert len(split.read_text().splitlines()) == 7
+        assert split.read_bytes() == written.read_bytes()
+
+    @pytest.mark.parametrize("node", [0, 4, 8], ids=["v<0", "v=0", "v>0"])
+    def test_nonfinite_entry_stays_in_its_stencil(self, node):
+        grid = VelocityGrid(dim=1, vmin=-4.5, vmax=4.5, points=9)
+        f = np.ones((2, 7, grid.nnodes))
+        f[1, 3, node] = np.nan
+        state = KineticState(f=f, t=0.0, grid=grid, dx=0.25)
+        new = transport_step(state, 0.05)
+        # the donor cell of cell i is i - 1 for v_x > 0, else i + 1
+        want = np.zeros(f.shape, dtype=bool)
+        want[1, [3, 4] if grid.nodes[node, 0] > 0.0 else [2, 3], node] = True
+        assert np.array_equal(np.isnan(new.f), want)
+        assert np.isfinite(new.f[~want]).all()
+        assert diagnose(new, make_params()).negative
+
+
 class TestTransportStep:
     def grid1d(self):
         return VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=8)
@@ -468,6 +540,31 @@ class TestRunScenario:
         diag = run_scenario(scen)
         assert len(diag.records) == 6
         assert abs(diag.records[-1].mass1 - diag.records[0].mass1) <= 1e-12
+
+    def wave_at_cfl(self, splitting, dt):
+        """A Strang or Lie wave run at dt, on a lattice whose full-step CFL
+        number is 30 dt."""
+        grid = VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=16)
+        return Scenario(
+            params=self.balanced_params(), grid=grid,
+            species1=SpeciesInit(n=1.0, u=(0.0,), T=1.0),
+            species2=SpeciesInit(n=1.0, u=(0.0,), T=1.2),
+            dt=dt, t_end=0.16, cells=8, length=1.0, splitting=splitting,
+            wave_amplitude=0.1)
+
+    def test_strang_cfl_checked_per_half_step(self):
+        # full-step CFL 1.2, so each half-step transport is at 0.6
+        diag = run_scenario(self.wave_at_cfl("strang", 0.04))
+        r0, rN = diag.records[0], diag.records[-1]
+        assert len(diag.records) == 5
+        assert abs(rN.mass1 - r0.mass1) <= 1e-13 * r0.mass1
+        assert abs(rN.mass2 - r0.mass2) <= 1e-13 * r0.mass2
+
+    @pytest.mark.parametrize("splitting, dt", [("lie", 0.04),
+                                               ("strang", 0.08)])
+    def test_transport_cfl_above_one_rejected(self, splitting, dt):
+        with pytest.raises(CflError, match="CFL 1.200 exceeds 1"):
+            self.wave_at_cfl(splitting, dt)
 
     def test_h_nonincreasing_at_large_steps(self, mid_grid):
         # the frozen-target update is a convex combination for any dt
