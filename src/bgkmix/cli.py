@@ -11,8 +11,11 @@ scan         sweep delta or alpha, comparing fitted and analytic rates
 
 Exit codes: 0 success, 1 validation failure or input error, 2 numerical
 failure.
-CSV output is UTF-8, comma-separated, 17 significant digits, one header
-row, and deterministic for a fixed config.
+Every table, the files and the standard output alike, goes through one
+writer: UTF-8, comma-separated, 17 significant digits, one header row,
+every line ending in a newline, and deterministic for a fixed config.
+`--plot X,Y` draws columns X and Y of the table the command has just
+written, from memory, as an SVG beside its CSV.
 """
 
 from __future__ import annotations
@@ -57,57 +60,52 @@ def diagnostics_header(dim: int) -> list[str]:
     return cols
 
 
-def _species_cells(mom: MomentSet | None, dim: int) -> list[str]:
+def _write_table(header: list[str], rows, path: str | None = None) -> None:
+    """Write `header`, then each row of numbers in `_fmt`: comma-separated,
+    every line ending in a newline, to `path` or to standard output."""
+    lines = [header, *([_fmt(v) for v in row] for row in rows)]
+    text = "".join(",".join(line) + "\n" for line in lines)
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _species_values(mom: MomentSet | None, dim: int) -> list:
     if mom is None:
-        return ["0"] * (2 + 2 * dim + len(_tri_index(dim)))
-    cells = [_fmt(mom.n)]
-    cells += [_fmt(mom.u[i]) for i in range(dim)]
-    cells.append(_fmt(mom.T))
-    cells += [_fmt(mom.P[i, j]) for i, j in _tri_index(dim)]
-    cells += [_fmt(mom.Qtilde[i]) for i in range(dim)]
-    return cells
+        return [0.0] * (2 + 2 * dim + len(_tri_index(dim)))
+    P = mom.P.tolist()
+    return [mom.n, *mom.u.tolist(), mom.T,
+            *(P[i][j] for i, j in _tri_index(dim)), *mom.Qtilde.tolist()]
+
+
+def _diagnostics_rows(diag: Diagnostics) -> list[list]:
+    dim = diag.dim
+    return [[r.t, *_species_values(r.mom1, dim), *_species_values(r.mom2, dim),
+             r.mass1, r.mass2, *r.momentum.tolist(),
+             r.energy, r.h, r.aniso1, r.aniso2, int(r.negative)]
+            for r in diag.records]
 
 
 def write_diagnostics_csv(diag: Diagnostics, path: str) -> None:
-    dim = diag.dim
-    lines = [",".join(diagnostics_header(dim))]
-    for r in diag.records:
-        cells = [_fmt(r.t)]
-        cells += _species_cells(r.mom1, dim)
-        cells += _species_cells(r.mom2, dim)
-        cells += [_fmt(r.mass1), _fmt(r.mass2)]
-        cells += [_fmt(r.momentum[i]) for i in range(dim)]
-        cells += [_fmt(r.energy), _fmt(r.h), _fmt(r.aniso1), _fmt(r.aniso2)]
-        cells.append("1" if r.negative else "0")
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(diagnostics_header(diag.dim), _diagnostics_rows(diag), path)
 
 
-def _read_csv_columns(path: str) -> dict[str, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = [line.strip().split(",") for line in fh if line.strip()]
-    cols = {}
-    for i, name in enumerate(header):
-        cols[name] = np.array([float(row[i]) for row in data])
-    return cols
-
-
-def _maybe_plot(args, csv_path: str) -> None:
-    if not args.plot:
-        return
-    names = args.plot.split(",")
+def _plot(names: str, path: str, header: list[str], rows) -> None:
+    """An SVG line plot of the columns `names` ("X,Y") of the table just
+    written to `path`, beside it."""
+    names = names.split(",")
     if len(names) != 2:
         raise ConfigError("--plot expects two comma-separated column names")
-    cols = _read_csv_columns(csv_path)
     for name in names:
-        if name not in cols:
-            raise ConfigError(f"--plot column {name!r} not in {csv_path}")
-    out = os.path.splitext(csv_path)[0] + f".{names[0]}_{names[1]}.svg"
-    line_plot_svg(cols[names[0]], cols[names[1]], out,
-                  xlabel=names[0], ylabel=names[1],
-                  title=os.path.basename(csv_path))
+        if name not in header:
+            raise ConfigError(f"--plot column {name!r} not in {path}")
+    table = np.array(rows, dtype=float)
+    x, y = (table[:, header.index(name)] for name in names)
+    out = os.path.splitext(path)[0] + f".{names[0]}_{names[1]}.svg"
+    line_plot_svg(x, y, out, xlabel=names[0], ylabel=names[1],
+                  title=os.path.basename(path))
     print(out)
 
 
@@ -139,7 +137,9 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     path = os.path.join(args.outdir, f"{args.subcommand}.csv")
     write_diagnostics_csv(diag, path)
     print(path)
-    _maybe_plot(args, path)
+    if args.plot:
+        _plot(args.plot, path, diagnostics_header(diag.dim),
+              _diagnostics_rows(diag))
     return 0
 
 
@@ -163,15 +163,13 @@ def _cmd_coeffs(cfg: RunConfig, args) -> int:
     freq = derive_frequencies(inter)
     rates = chapman.analytic_rates(inter.nu12, mix.delta, mix.alpha, n1, n2,
                                    m1, m2, nu=freq.nu11, n=n1, mu=es.mu1)
-    header = ["A", "c1", "c2", "lambda_u", "lambda_T", "lambda_shear",
-              "Ku11", "Ku12", "Ku21", "Ku22",
-              "KT11", "KT12", "KT21", "KT22"]
-    values = [consts.A, consts.c1, consts.c2,
-              rates.lambda_u, rates.lambda_T, rates.lambda_shear,
-              pref.Ku[0, 0], pref.Ku[0, 1], pref.Ku[1, 0], pref.Ku[1, 1],
-              pref.KT[0, 0], pref.KT[0, 1], pref.KT[1, 0], pref.KT[1, 1]]
-    print(",".join(header))
-    print(",".join(_fmt(v) for v in values))
+    columns = {"A": consts.A, "c1": consts.c1, "c2": consts.c2,
+               "lambda_u": rates.lambda_u, "lambda_T": rates.lambda_T,
+               "lambda_shear": rates.lambda_shear}
+    for name, K in (("Ku", pref.Ku), ("KT", pref.KT)):
+        columns.update({f"{name}{i + 1}{j + 1}": K[i, j]
+                        for i in range(2) for j in range(2)})
+    _write_table(list(columns), [columns.values()])
     return 0
 
 
@@ -181,10 +179,9 @@ def _cmd_persistence(cfg: RunConfig, args) -> int:
                          np.log10(spec["kappa_max"]), spec["count"])
     m1, m2 = cfg.params.species1.m, cfg.params.species2.m
     floor = persistence_lower_bound(m1, m2)
-    print("kappa,ratio,lower_bound")
-    for k in kappas:
-        ratio = persistence_unequal_mass(float(k), m1, m2)
-        print(f"{_fmt(k)},{_fmt(ratio)},{_fmt(floor)}")
+    _write_table(["kappa", "ratio", "lower_bound"],
+                 [(k, persistence_unequal_mass(k, m1, m2), floor)
+                  for k in kappas.tolist()])
     return 0
 
 
@@ -255,12 +252,11 @@ def _cmd_scan(cfg: RunConfig, args) -> int:
                 f"scan value {parameter}={value}: {exc}") from exc
         rows.append((value, measured, analytic))
     path = os.path.join(args.outdir, "scan.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("parameter,lambda_measured,lambda_analytic\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    header = ["parameter", "lambda_measured", "lambda_analytic"]
+    _write_table(header, rows, path)
     print(path)
-    _maybe_plot(args, path)
+    if args.plot:
+        _plot(args.plot, path, header, rows)
     return 0
 
 

@@ -21,7 +21,7 @@ from .errors import (ConfigError, MissingKeyError, UnknownVariantError,
                      ValidationFailureError)
 from .grid import VelocityGrid
 from .params import (EsParams, InteractionSpec, MixingParams, ModelParams,
-                     SpeciesSpec, Variant, validate)
+                     SpeciesSpec, Variant, _positive, validate)
 from .solver import Scenario, SpeciesInit
 
 SCHEMA_VERSION = 1
@@ -216,6 +216,13 @@ def parse_config(text: str) -> RunConfig:
 
     persistence_spec = _fields(doc.get("persistence", {}),
                                PERSISTENCE_DEFAULTS, "persistence")
+    for key in ("kappa_min", "kappa_max"):  # either may be the larger
+        if not _positive(persistence_spec[key]):
+            raise ConfigError(f"persistence.{key} must be finite and "
+                              f"positive (got {persistence_spec[key]})")
+    if persistence_spec["count"] < 1:
+        raise ConfigError(f"persistence.count must be at least 1 "
+                          f"(got {persistence_spec['count']})")
 
     violations = validate(params)
     if violations:

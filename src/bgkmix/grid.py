@@ -59,6 +59,8 @@ def _per_axis(value, dim: int, name: str) -> np.ndarray:
         arr = np.full(dim, float(arr))
     if arr.shape != (dim,):
         raise ValueError(f"{name} must be scalar or length {dim}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite (got {value})")
     return arr
 
 

@@ -22,7 +22,7 @@ def persistence_equal_mass(kappa: float) -> float:
     for k = 1, where the k < 1 branch is evaluated (tie-break).
     The value lies in [1/4, 1] for every positive kappa.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError(f"kappa must be positive (got {kappa})")
     if kappa > 1.0:
         k2 = kappa * kappa
@@ -37,7 +37,7 @@ def persistence_unequal_mass(kappa: float, m1: float, m2: float) -> float:
     (m1 - m2)/(m1 + m2) + (2 m2/(m1 + m2)) * equal-mass ratio.  Reduces
     to the equal-mass value for m1 = m2 and tends to 1 as m2 -> 0.
     """
-    if m1 <= 0.0 or m2 <= 0.0:
+    if not (m1 > 0.0 and m2 > 0.0):
         raise ValueError(f"masses must be positive (got {m1}, {m2})")
     msum = m1 + m2
     return (m1 - m2) / msum + (2.0 * m2 / msum) * persistence_equal_mass(kappa)
@@ -49,6 +49,6 @@ def persistence_lower_bound(m1: float, m2: float) -> float:
     Whether any persistence survives at all therefore depends on the
     mass ratio: the floor crosses zero at m2 = 2 m1.
     """
-    if m1 <= 0.0 or m2 <= 0.0:
+    if not (m1 > 0.0 and m2 > 0.0):
         raise ValueError(f"masses must be positive (got {m1}, {m2})")
     return (m1 - 0.5 * m2) / (m1 + m2)

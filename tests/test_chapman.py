@@ -223,6 +223,12 @@ class TestExpansionPrefactors:
         with pytest.raises(SingularPrefactorError):
             chapman.expansion_prefactors(consts, 1.0, 1.0, 1.0, 1.0)
 
+    def test_singular_temperature_combination(self):
+        consts = self.consts(alpha=1.0)  # c1 = 0, but c2 = 1/2
+        with pytest.raises(SingularPrefactorError, match="^temperature "
+                           "prefactor denominator vanished: "):
+            chapman.expansion_prefactors(consts, 1.0, 1.0, 1.0, 1.0)
+
     def test_prefactors_vary_with_the_free_parameters(self):
         ku = [chapman.expansion_prefactors(self.consts(delta=d), 1, 1, 1, 1)
               .Ku[0, 0] for d in (0.0, 0.3, 0.6)]
@@ -372,6 +378,23 @@ class TestFitDecayRate:
         t = np.linspace(0, 1, 20)
         with pytest.raises(InsufficientWindowError):
             chapman.fit_decay_rate(t, np.exp(-0.1 * t))  # never decays enough
+
+    @pytest.mark.parametrize("times, amplitudes", [
+        (np.linspace(0, 1, 5), np.ones(4)), (np.ones((2, 3)), np.ones((2, 3))),
+        ([], [])], ids=["unequal", "two-dimensional", "empty"])
+    def test_rejects_series_not_equal_length_1d(self, times, amplitudes):
+        with pytest.raises(ValueError, match="^times and amplitudes must be "
+                           "equal-length 1-D$"):
+            chapman.fit_decay_rate(times, amplitudes)
+
+    @pytest.mark.parametrize("a0", [0.0, -1.0, np.nan])
+    def test_rejects_initial_amplitude_not_positive(self, a0):
+        t = np.linspace(0, 8, 200)
+        a = np.exp(-2.0 * t)
+        a[0] = a0
+        with pytest.raises(ValueError, match=rf"^initial amplitude must be "
+                           rf"positive \(got {a0}\)$"):
+            chapman.fit_decay_rate(t, a)
 
 
 class TestHeatFluxCheck:

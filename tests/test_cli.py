@@ -12,6 +12,7 @@ from bgkmix.config import parse_config
 from bgkmix.errors import (InsufficientWindowError, MissingKeyError,
                            UnknownVariantError, ValidationFailureError)
 from bgkmix.solver import Diagnostics
+from bgkmix.svgplot import line_plot_svg
 
 
 def base_doc(**overrides):
@@ -72,6 +73,22 @@ class TestParseConfig:
     def test_rejects_other_schema_version(self):
         with pytest.raises(Exception, match="schema_version"):
             parse_config(json.dumps(base_doc(schema_version=99)))
+
+    def test_integer_field_takes_an_integral_number(self):
+        scen = parse_config(json.dumps(
+            base_doc(scenario={"output_every": 2.0}))).make_scenario()
+        assert scen.output_every == 2 and isinstance(scen.output_every, int)
+
+    def test_scalar_velocity_is_the_x_component(self):
+        scen = parse_config(json.dumps(
+            base_doc(scenario={"species1": {"u": 0.2}}))).make_scenario()
+        assert scen.species1.u == (0.2, 0.0, 0.0)
+
+    def test_descending_persistence_grid_is_allowed(self):
+        spec = parse_config(json.dumps(base_doc(persistence={
+            "kappa_min": 10.0, "kappa_max": 0.1, "count": 1}))
+            ).persistence_spec
+        assert spec == {"kappa_min": 10.0, "kappa_max": 0.1, "count": 1}
 
 
 def read_rows(path):
@@ -230,6 +247,89 @@ class TestCliCommands:
         assert len(err) == 1 and err[0].startswith(f"error: {key} must be ")
         assert not (tmp_path / "relax.csv").exists()
 
+    # a value the config reader refuses: (subcommand, where it sits in
+    # the document, the value, the one stderr line)
+    REFUSED = {
+        "mixing-not-object": ("relax", ("mixing",), 3,
+                              "error: mixing must be an object (got 3)"),
+        "species-not-object": ("relax", ("scenario", "species1"), 3,
+                               "error: species entry must be an object or "
+                               "null: 3"),
+        "tensor-shape": ("relax", ("scenario", "species1", "tensor"),
+                         [[1.0, 0.0], [0.0, 1.0]],
+                         "error: species tensor must be 3x3"),
+        "masses-one": ("relax", ("masses",), [1.0],
+                       "error: masses must be a two-element list"),
+        "masses-scalar": ("relax", ("masses",), 1.0,
+                          "error: masses must be a two-element list"),
+        "non-integral-integer": ("relax", ("scenario", "output_every"), 2.5,
+                                 "error: scenario.output_every must be an "
+                                 "integer (got 2.5)"),
+        "integer-beyond-float": ("relax", ("scenario", "dt"), 10 ** 400,
+                                 "error: scenario.dt is out of range"),
+        "scan-parameter": ("scan", ("scan", "parameter"), "gamma",
+                           "error: scan parameter must be 'delta' or "
+                           "'alpha' (got 'gamma')"),
+        "scan-count": ("scan", ("scan", "count"), 1,
+                       "error: scan count must be at least 2"),
+        "vmin-nan": ("relax", ("grid", "vmin"), float("nan"),
+                     "error: vmin must be finite (got nan)"),
+        "vmax-inf": ("relax", ("grid", "vmax"), float("inf"),
+                     "error: vmax must be finite (got inf)"),
+        "vmin-minus-inf": ("relax", ("grid", "vmin"), -float("inf"),
+                           "error: vmin must be finite (got -inf)"),
+        "kappa_min-zero": ("persistence", ("persistence", "kappa_min"), 0.0,
+                           "error: persistence.kappa_min must be finite and "
+                           "positive (got 0.0)"),
+        "kappa_min-negative": ("persistence", ("persistence", "kappa_min"),
+                               -1, "error: persistence.kappa_min must be "
+                               "finite and positive (got -1.0)"),
+        "kappa_max-nan": ("persistence", ("persistence", "kappa_max"),
+                          float("nan"), "error: persistence.kappa_max must be "
+                          "finite and positive (got nan)"),
+        "kappa_max-inf": ("persistence", ("persistence", "kappa_max"),
+                          float("inf"), "error: persistence.kappa_max must be "
+                          "finite and positive (got inf)"),
+        "count-negative": ("persistence", ("persistence", "count"), -2,
+                           "error: persistence.count must be at least 1 "
+                           "(got -2)"),
+        "count-zero": ("persistence", ("persistence", "count"), 0,
+                       "error: persistence.count must be at least 1 (got 0)"),
+    }
+
+    @pytest.mark.parametrize("case", list(REFUSED))
+    def test_refused_value_exits_one_naming_it(self, tmp_path, capsys, case):
+        """The subcommand and validate alike: exit 1, one error line and
+        nothing on stdout."""
+        subcommand, (*path, name), value, line = self.REFUSED[case]
+        doc = self.relax_doc()
+        doc.update(persistence={"count": 3}, scan={
+            "parameter": "delta", "start": 0.0, "stop": 0.4, "count": 2})
+        functools.reduce(operator.getitem, path, doc)[name] = value
+        config = write_config(tmp_path, doc)
+        for command in (subcommand, "validate"):
+            rc = main([command, "-c", config, "-o", str(tmp_path)])
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == (1, "", line + "\n")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("text, start", [
+        ("{", "error: config is not valid JSON: "),
+        ("[1, 2]", "error: config root must be a JSON object"),
+        (json.dumps(base_doc())[:-1] + ', "persistence": {"kappa_max": 1e400}}',
+         "error: persistence.kappa_max must be finite and positive (got inf)"),
+    ], ids=["not-json", "root-not-object", "kappa-beyond-float"])
+    def test_unreadable_document_exits_one(self, tmp_path, capsys, text,
+                                           start):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        for command in ("persistence", "validate"):
+            rc = main([command, "-c", str(config)])
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (1, "")
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith(start)
+
     # the full path of a misspelt key, one per section, and its value
     MISSPELT = {
         "mixng": {"delta": 0.3},
@@ -289,6 +389,51 @@ class TestCliCommands:
         assert svg.exists()
         assert svg.read_text().startswith("<svg")
 
+    def test_plot_draws_the_table_it_wrote(self, tmp_path):
+        """On a relaxing two-species run H moves, and the SVG drawn from
+        the table in memory is the one drawn from the CSV as written."""
+        doc = self.relax_doc(
+            species2={"n": 0.8, "u": [-0.2, 0.1, 0], "T": 1.2})
+        path = write_config(tmp_path, doc)
+        assert main(["relax", "-c", path, "-o", str(tmp_path),
+                     "--plot", "t,H"]) == 0
+        header, rows = read_rows(tmp_path / "relax.csv")
+        t, h = ([float(row[header.index(name)]) for row in rows]
+                for name in ("t", "H"))
+        assert max(h) - min(h) > 1e-6 * abs(h[0])
+        line_plot_svg(t, h, str(tmp_path / "from_csv.svg"), xlabel="t",
+                      ylabel="H", title="relax.csv")
+        assert (tmp_path / "relax.t_H.svg").read_text() == \
+            (tmp_path / "from_csv.svg").read_text()
+
+    @pytest.mark.parametrize("plot, line", [
+        ("t", "error: --plot expects two comma-separated column names"),
+        ("t,H,n1", "error: --plot expects two comma-separated column names"),
+        ("t,nope", "error: --plot column 'nope' not in {csv}"),
+    ], ids=["one-name", "three-names", "unknown-column"])
+    def test_plot_input_error_exits_one(self, tmp_path, capsys, plot, line):
+        """The table is written first; no SVG follows it."""
+        path = write_config(tmp_path, self.relax_doc())
+        rc = main(["relax", "-c", path, "-o", str(tmp_path), "--plot", plot])
+        captured = capsys.readouterr()
+        csv = tmp_path / "relax.csv"
+        assert rc == 1
+        assert captured.err.splitlines() == [line.format(csv=csv)]
+        assert captured.out.splitlines() == [str(csv)]
+        assert not list(tmp_path.glob("*.svg"))
+
+    def test_absent_species_columns_are_zero(self, tmp_path):
+        path = write_config(tmp_path, self.relax_doc(species2=None))
+        assert main(["relax", "-c", path, "-o", str(tmp_path)]) == 0
+        header, rows = read_rows(tmp_path / "relax.csv")
+        species2 = [i for i, name in enumerate(header)
+                    if name[1:2] == "2" and name[0] in "nuTPq"]
+        assert len(species2) == 14
+        for row in rows:
+            assert {row[i] for i in species2} == {"0"}
+            assert row[header.index("total_mass2")] == "0"
+            assert row[-1] == "0"
+
     def test_plot_of_conserved_column(self, tmp_path):
         # a column that is constant up to round-off must still plot
         path = write_config(tmp_path, self.relax_doc())
@@ -306,6 +451,25 @@ class TestCliCommands:
         values = dict(zip(header, (float(x) for x in out[1].split(","))))
         assert values["A"] == pytest.approx(1.0)
         assert values["c1"] == pytest.approx(0.3)
+
+    def test_coeffs_columns(self, tmp_path, capsys):
+        doc = base_doc(
+            masses=[1.0, 2.0],
+            interaction={"nu12": 1.0, "epsilon": 0.5, "beta1": 1.0,
+                         "beta2": 1.0},
+            mixing={"delta": 0.3, "alpha": 0.4, "gamma": 0.05})
+        assert main(["coeffs", "-c", write_config(tmp_path, doc)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split(",") == [
+            "A", "c1", "c2", "lambda_u", "lambda_T", "lambda_shear",
+            "Ku11", "Ku12", "Ku21", "Ku22", "KT11", "KT12", "KT21", "KT22"]
+        values = dict(zip(header.split(","), map(float, row.split(","))))
+        consts = chapman.ce_constants(1.0, 2.0, 0.5, 1.0, 1.0, 1.0, 1.0,
+                                      0.3, 0.4)
+        pref = chapman.expansion_prefactors(consts, 1.0, 1.0, 1.0, 2.0)
+        for name, K in (("Ku", pref.Ku), ("KT", pref.KT)):
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                assert values[f"{name}{i + 1}{j + 1}"] == K[i, j]
 
     def test_coeffs_zero_density_is_single_species(self, tmp_path, capsys):
         """species2 with n = 0 is absent as null is, and the table needs
@@ -457,6 +621,22 @@ class TestCliCommands:
         for row in rows:
             measured, analytic = float(row[1]), float(row[2])
             assert measured == pytest.approx(analytic, rel=1e-2)
+
+    def test_scan_plot_draws_the_table_it_wrote(self, tmp_path):
+        doc = base_doc(
+            mixing={"delta": 0.0, "alpha": 0.5, "gamma": 0.0},
+            scan={"parameter": "delta", "start": 0.0, "stop": 0.4,
+                  "count": 2})
+        assert main(["scan", "-c", write_config(tmp_path, doc),
+                     "-o", str(tmp_path),
+                     "--plot", "parameter,lambda_measured"]) == 0
+        _, rows = read_rows(tmp_path / "scan.csv")
+        line_plot_svg([float(row[0]) for row in rows],
+                      [float(row[1]) for row in rows],
+                      str(tmp_path / "from_csv.svg"), xlabel="parameter",
+                      ylabel="lambda_measured", title="scan.csv")
+        assert (tmp_path / "scan.parameter_lambda_measured.svg").read_text() \
+            == (tmp_path / "from_csv.svg").read_text()
 
     def test_scan_alpha_with_unequal_masses(self, tmp_path):
         # the scan lattice must resolve the heavier species' narrower

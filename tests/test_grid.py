@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,31 @@ class TestGridConstruction:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             VelocityGrid(dim=1, vmin=2.0, vmax=-2.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("vmin", math.nan), ("vmax", math.inf), ("vmin", -math.inf)])
+    def test_rejects_non_finite_bounds(self, field, value):
+        # NaN passes vmin < vmax, and an infinite bound makes inf spacing
+        with pytest.raises(ValueError,
+                           match=rf"^{field} must be finite \(got {value}\)$"):
+            VelocityGrid(dim=3, points=16, **{field: value})
+        # on one axis only
+        per_axis = {"vmin": (-8.0, value), "vmax": (8.0, value)}[field]
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            VelocityGrid(dim=2, points=16, **{field: per_axis})
+
+    @pytest.mark.parametrize("field, value", [
+        ("vmin", (-8.0, -8.0)), ("vmax", (8.0, 8.0)), ("points", (16, 16))])
+    def test_rejects_per_axis_value_of_wrong_length(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be scalar or length 3$"):
+            VelocityGrid(dim=3, **{field: value})
+
+    @pytest.mark.parametrize("dim", [0, 4])
+    def test_rejects_dimension_outside_one_to_three(self, dim):
+        with pytest.raises(ValueError,
+                           match=rf"^dim must be 1, 2 or 3 \(got {dim}\)$"):
+            VelocityGrid(dim=dim)
 
     def test_node_count(self, small_grid):
         assert small_grid.nnodes == 8 ** 3
@@ -160,6 +186,13 @@ class TestMoments:
             with pytest.raises(ValueError, match="one value per row"):
                 moments(f, mass, mid_grid)
 
+    @pytest.mark.parametrize("shape", [(100,), (2, 3, 512), (2, 511)])
+    def test_rejects_distribution_of_wrong_shape(self, small_grid, shape):
+        with pytest.raises(ValueError, match=rf"^distribution shape "
+                           rf"{re.escape(str(shape))} does not match grid "
+                           rf"\(512 nodes\)$"):
+            moments(np.ones(shape), 1.0, small_grid)
+
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_non_finite_row_gives_nan_moments(self, dim, value):
@@ -210,6 +243,27 @@ class TestMaxwellianOnGrid:
             for u in ((0.1, 0.0), (0.3,), (0.1, 0.0, 0.0, 0.2)):
                 with pytest.raises(ValueError, match="length 3"):
                     call(u)
+
+    def test_rejects_two_member_axes(self, small_grid):
+        """A stack has one member axis, in the scalars or in the tensor
+        stack."""
+        with pytest.raises(ValueError,
+                           match="^stacked arguments take one member axis$"):
+            maxwellian_on_grid(np.ones((2, 2)), (0, 0, 0), 1.0, 1.0,
+                               small_grid)
+        with pytest.raises(ValueError,
+                           match="^stacked arguments take one member axis$"):
+            gaussian_on_grid(1.0, (0, 0, 0), np.broadcast_to(
+                np.eye(3), (2, 2, 3, 3)), 1.0, small_grid)
+
+    def test_out_must_be_a_c_contiguous_block_of_the_stack(self, small_grid):
+        n = small_grid.nnodes
+        for out in (np.empty((1, n + 1)), np.empty((2, n)),
+                    np.empty((1, 2 * n))[:, ::2]):
+            with pytest.raises(ValueError, match=rf"^out must be a "
+                               rf"C-contiguous \(1, {n}\) array \(got "):
+                maxwellian_on_grid(1.0, (0, 0, 0), 1.0, 1.0, small_grid,
+                                   out=out)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_outer_product_matches_direct_formula(self, dim):
@@ -775,6 +829,12 @@ class TestSpdFactor:
         for k in range(5):
             one = spd_factor(stack[k])
             assert np.allclose(spd.chol[k], one.chol, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 3, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match=rf"^expected a square matrix, "
+                           rf"got shape {re.escape(str(shape))}$"):
+            spd_factor(np.ones(shape))
 
     def test_rejects_asymmetric(self):
         mat = np.array([[1.0, 0.5], [0.2, 1.0]])

@@ -61,6 +61,19 @@ class TestDeltaInterval:
         assert got[0] == pytest.approx(lo, abs=1e-15)
         assert got[1] == 1.0
 
+    @pytest.mark.parametrize("m1, m2", [(0.0, 1.0), (1.0, -2.0),
+                                        (np.nan, 1.0), (1.0, np.inf)])
+    def test_rejects_masses_not_finite_and_positive(self, m1, m2):
+        with pytest.raises(ValueError, match=rf"^masses must be finite and "
+                           rf"positive: {m1}, {m2}$"):
+            delta_interval(m1, m2, 1.0)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.5, np.nan])
+    def test_rejects_epsilon_outside_unit_interval(self, eps):
+        with pytest.raises(ValueError,
+                           match=rf"^epsilon out of range \(0, 1\]: {eps}$"):
+            delta_interval(1.0, 2.0, eps)
+
 
 class TestGammaUpperBound:
     def test_vanishes_at_delta_one(self):
@@ -101,6 +114,11 @@ class TestValidate:
     def test_mu_out_of_range(self):
         violations = validate(bundle(mu1=1.2))
         assert any("mu1" in v and "outside" in v for v in violations)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.5, np.nan])
+    def test_epsilon_out_of_range(self, epsilon):
+        violations = validate(bundle(epsilon=epsilon))
+        assert f"epsilon out of range (0, 1] (got {epsilon})" in violations
 
     def test_collects_all_violations(self):
         violations = validate(bundle(delta=2.0, alpha=-0.5, mu2=-0.8))

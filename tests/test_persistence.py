@@ -5,6 +5,9 @@ from bgkmix.persistence import (persistence_equal_mass,
                                 persistence_lower_bound,
                                 persistence_unequal_mass)
 
+# NaN fails `m > 0` as zero and negative masses do
+BAD_MASSES = [(0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.nan)]
+
 
 class TestEqualMass:
     def test_both_branches_agree_at_one(self):
@@ -35,6 +38,9 @@ class TestEqualMass:
             persistence_equal_mass(0.0)
         with pytest.raises(ValueError):
             persistence_equal_mass(-1.0)
+        with pytest.raises(ValueError,
+                           match=r"^kappa must be positive \(got nan\)$"):
+            persistence_equal_mass(np.nan)
 
 
 class TestUnequalMass:
@@ -42,6 +48,12 @@ class TestUnequalMass:
         for kappa in (0.3, 1.0, 2.5):
             assert persistence_unequal_mass(kappa, 1.3, 1.3) == pytest.approx(
                 persistence_equal_mass(kappa), rel=1e-15)
+
+    @pytest.mark.parametrize("m1, m2", BAD_MASSES)
+    def test_rejects_masses_not_positive(self, m1, m2):
+        with pytest.raises(ValueError, match=rf"^masses must be positive "
+                           rf"\(got {m1}, {m2}\)$"):
+            persistence_unequal_mass(2.0, m1, m2)
 
     def test_light_partner_limit(self):
         ratio = persistence_unequal_mass(0.7, 1.0, 1e-6)
@@ -67,3 +79,9 @@ class TestLowerBound:
     def test_values(self, m1, m2, expected):
         assert persistence_lower_bound(m1, m2) == pytest.approx(expected,
                                                                 abs=1e-15)
+
+    @pytest.mark.parametrize("m1, m2", BAD_MASSES)
+    def test_rejects_masses_not_positive(self, m1, m2):
+        with pytest.raises(ValueError, match=rf"^masses must be positive "
+                           rf"\(got {m1}, {m2}\)$"):
+            persistence_lower_bound(m1, m2)

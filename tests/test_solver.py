@@ -106,6 +106,11 @@ class TestRelaxStep:
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             relax_step(state, dt, make_params())
 
+    def test_rejects_unknown_integrator(self, mid_grid):
+        state = nonequilibrium_state(mid_grid)
+        with pytest.raises(ValueError, match="^unknown integrator 'euler'$"):
+            relax_step(state, 0.1, make_params(), integrator="euler")
+
     def test_moments_reduce_a_view_of_the_block(self, monkeypatch,
                                                 mid_grid):
         state = nonequilibrium_state(mid_grid)
@@ -395,6 +400,12 @@ class TestTransportStep:
         with pytest.raises(CflError):
             transport_step(state, 1.0)
 
+    def test_needs_a_cell_width(self):
+        state = self.state(self.grid1d(), dx=None)
+        with pytest.raises(ValueError, match="^transport requires a 1-D "
+                           "state with cell width$"):
+            transport_step(state, 0.05)
+
 
 class TestRunScenario:
     def balanced_params(self, **kw):
@@ -587,6 +598,12 @@ class TestRunScenario:
                              dt=0.9, t_end=4.5, integrator="rk4")
         diag = run_scenario(scen)
         assert any(r.negative for r in diag.records)
+
+    def test_unknown_integrator_rejected(self, small_grid):
+        with pytest.raises(ValueError, match=r"^integrator must be 'exp' or "
+                           r"'rk4' \(got 'euler'\)$"):
+            self.scenario(small_grid, self.balanced_params(),
+                          integrator="euler")
 
     def test_cfl_checked_up_front(self):
         grid = VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=16)

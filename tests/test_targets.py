@@ -176,6 +176,15 @@ class TestEsTensorCross:
         expected = (0.3 * st.mom1.T + 0.7 * st.mom2.T) * np.eye(3)
         assert np.allclose(t12.matrix, expected)
 
+    @pytest.mark.parametrize("variant", [Variant.BGK, Variant.ES_SELF_ONLY])
+    def test_rejects_other_variants(self, variant):
+        st = make_state()
+        st.mom1.P = st.mom1.n * st.mom1.T * np.eye(3)
+        st.mom2.P = st.mom2.n * st.mom2.T * np.eye(3)
+        with pytest.raises(ValueError, match=r"^cross tensors are defined "
+                           r"for the full ES variants only \(got "):
+            es_tensor_cross(st, make_params(variant=variant))
+
     def test_variant_b_alpha_zero(self):
         st = make_state(u1=(0.1, 0, 0), u2=(0.1, 0, 0))
         st.mom1.P = st.mom1.n * st.mom1.T * np.eye(3)
