@@ -127,7 +127,7 @@ def _species_init(entry, key: str, dim: int) -> SpeciesInit | None:
     if entry is None:
         return None
     if not isinstance(entry, dict):
-        raise ConfigError(f"species entry must be an object or null: {entry!r}")
+        raise ConfigError(f"{key} must be an object or null (got {entry!r})")
     u = _typed(entry.get("u", [0.0] * dim), float, f"{key}.u", 1)
     if np.ndim(u) == 0:
         u = [u] + [0.0] * (dim - 1)
@@ -137,7 +137,7 @@ def _species_init(entry, key: str, dim: int) -> SpeciesInit | None:
         tensor = _typed(tensor, float, f"{key}.tensor", 2)
         if not (isinstance(tensor, list) and len(tensor) == dim
                 and all(np.shape(row) == (dim,) for row in tensor)):
-            raise ConfigError(f"species tensor must be {dim}x{dim}")
+            raise ConfigError(f"{key}.tensor must be {dim}x{dim}")
         tensor = np.array(tensor)
     return SpeciesInit(n=_typed(entry.get("n", 1.0), float, f"{key}.n"), u=u,
                        T=_typed(entry.get("T", 1.0), float, f"{key}.T"),

@@ -17,17 +17,17 @@ from __future__ import annotations
 def persistence_equal_mass(kappa: float) -> float:
     """Mean persistence ratio for equal masses.
 
-    (15 k^4 + 1) / (10 k^2 (3 k^2 + 1)) for k > 1 and
-    (3 k^2 + 5) / (5 (k^2 + 3)) for k < 1; both branches meet at 2/5
-    for k = 1, where the k < 1 branch is evaluated (tie-break).
-    The value lies in [1/4, 1] for every positive kappa.
+    (15 k^4 + 1) / (10 k^2 (3 k^2 + 1)) for k > 1, evaluated as
+    (15 + r^2) / (10 (3 + r)) with r = 1/k^2 so that no power overflows,
+    and (3 k^2 + 5) / (5 (k^2 + 3)) for k < 1.  The branches meet at 2/5
+    for k = 1 (the k < 1 branch is evaluated) and lie in [1/4, 1].
     """
     if not kappa > 0.0:
         raise ValueError(f"kappa must be positive (got {kappa})")
-    if kappa > 1.0:
-        k2 = kappa * kappa
-        return (15.0 * k2 * k2 + 1.0) / (10.0 * k2 * (3.0 * k2 + 1.0))
     k2 = kappa * kappa
+    if kappa > 1.0:
+        r = 1.0 / k2
+        return (15.0 + r * r) / (10.0 * (3.0 + r))
     return (3.0 * k2 + 5.0) / (5.0 * (k2 + 3.0))
 
 

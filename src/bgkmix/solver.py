@@ -19,8 +19,10 @@ RK4   classical four-stage update with targets rebuilt at every stage;
 EXP   freeze the moments at the step start, build the targets once and
       update f <- g* + (f - g*) exp(-nu_tot dt), where nu_tot is the
       total collision frequency of the species and g* the
-      frequency-weighted average of its two targets.  First-order
-      accurate and unconditionally positivity preserving.
+      frequency-weighted average of its two targets, as one weighted
+      sum w_f f + w_s g_s + w_c g_c with weights formed once per cell:
+      w_f = exp(-nu_tot dt) and w_s,c = nu_s,c (1 - w_f) / nu_tot, 1 - w_f
+      from expm1.  First-order, and positivity preserving at any dt.
 
 Both integrators work on whole blocks.  A collision evaluation of all
 cells gives the self rates [nu11 n1, nu22 n2] and the cross rates
@@ -123,12 +125,10 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
         nu_s, g_s, nu_c, g_c = collision(f, mixture)
         nu_tot = nu_s + nu_c
         if np.all(nu_tot > 0.0):
-            gstar = np.multiply(g_s, nu_s, out=g_s)  # step-local rows
-            gstar += np.multiply(g_c, nu_c, out=g_c)
-            gstar /= nu_tot
-            new = f - gstar
-            new *= np.exp(-nu_tot * dt)
-            new += gstar
+            gain = -np.expm1(-nu_tot * dt) / nu_tot  # (1 - e^(-nu dt)) / nu
+            new = np.multiply(f, np.exp(-nu_tot * dt))
+            new += np.multiply(g_s, nu_s * gain, out=g_s)  # step-local rows
+            new += np.multiply(g_c, nu_c * gain, out=g_c)
         else:  # both species empty
             new = f.copy()
     return KineticState(f=new, t=state.t + dt, grid=grid, dx=state.dx)

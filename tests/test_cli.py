@@ -253,11 +253,11 @@ class TestCliCommands:
         "mixing-not-object": ("relax", ("mixing",), 3,
                               "error: mixing must be an object (got 3)"),
         "species-not-object": ("relax", ("scenario", "species1"), 3,
-                               "error: species entry must be an object or "
-                               "null: 3"),
+                               "error: scenario.species1 must be an object "
+                               "or null (got 3)"),
         "tensor-shape": ("relax", ("scenario", "species1", "tensor"),
                          [[1.0, 0.0], [0.0, 1.0]],
-                         "error: species tensor must be 3x3"),
+                         "error: scenario.species1.tensor must be 3x3"),
         "masses-one": ("relax", ("masses",), [1.0],
                        "error: masses must be a two-element list"),
         "masses-scalar": ("relax", ("masses",), 1.0,

@@ -21,6 +21,13 @@ class TestEqualMass:
     def test_large_kappa_limit(self):
         assert persistence_equal_mass(1e3) == pytest.approx(0.5, abs=1e-4)
 
+    @pytest.mark.parametrize("kappa", [1e100, 1e300])
+    def test_huge_kappa_is_one_half(self, kappa):
+        # k^4 overflows here; the ratio's limit is 1/2, not inf/inf
+        assert abs(persistence_equal_mass(kappa) - 0.5) <= 1e-15
+        assert abs(persistence_unequal_mass(kappa, 1.3, 1.3) - 0.5) <= 1e-15
+        assert abs(persistence_unequal_mass(kappa, 1.0, 2.0) - 1 / 3) <= 1e-15
+
     def test_bounds_on_log_grid(self):
         for kappa in np.logspace(-3, 3, 200):
             ratio = persistence_equal_mass(float(kappa))

@@ -211,6 +211,53 @@ def reference_rk4(state, dt, params, match):
     return f + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def reference_exp(state, dt, params, match):
+    """The frozen-target EXP step written out on fresh arrays,
+    g* + (f - g*) exp(-nu_tot dt), and its weighted target g*; at least
+    one species must be present."""
+    grid, f = state.grid, state.f
+    freq = derive_frequencies(params.interaction)
+    st = MixtureState.from_distributions(f, params.species1.m,
+                                         params.species2.m, grid)
+    n = st.densities().reshape(2, -1, 1)
+    block = build_targets(st, params, grid, match).block
+    nu_s = np.array([freq.nu11, freq.nu22])[:, None, None] * n
+    nu_c = np.array([freq.nu12, freq.nu21])[:, None, None] * n[::-1]
+    nu_tot = nu_s + nu_c
+    gstar = (nu_s * block[:2] + nu_c * block[2:]) / nu_tot
+    return gstar + (f - gstar) * np.exp(-nu_tot * dt), gstar
+
+
+class TestWeightedSumExp:
+    """relax_step's EXP update, one weighted sum of f and the two
+    targets, is the written-out frozen-target step to round-off."""
+
+    @pytest.mark.parametrize("absent", [(), (0,), (1,), (0, 1)],
+                             ids=["present", "no-1", "no-2", "empty"])
+    @pytest.mark.parametrize("cells", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("match", [True, False],
+                             ids=["matched", "sampled"])
+    @pytest.mark.parametrize("dt", [0.05, 5.0])
+    def test_equals_reference_step(self, dt, match, variant, dim, cells,
+                                   absent):
+        grid = TestStackedRelaxation.GRIDS[dim]
+        mus = {} if variant == Variant.BGK else TestStackedRelaxation.MUS
+        params = make_params(epsilon=0.5, variant=variant, **mus)
+        f = np.array([TestStackedRelaxation.cells(grid, 1.0, 1.0),
+                      TestStackedRelaxation.cells(grid, 2.0, -1.0)])[:, :cells]
+        f[list(absent)] = 0.0
+        state = KineticState(f=f, t=0.0, grid=grid)
+        new = relax_step(state, dt, params, "exp", match)
+        if len(absent) == 2:
+            assert np.array_equal(new.f, f)
+            return
+        ref, gstar = reference_exp(state, dt, params, match)
+        scale = np.maximum(np.abs(f).max(axis=2), np.abs(gstar).max(axis=2))
+        assert np.all(np.abs(new.f - ref).max(axis=2) <= 1e-14 * scale)
+
+
 class TestInPlaceRk4:
     """relax_step's RK4 reuses one scratch set for its four stages and
     equals the written-out step bit for bit."""
