@@ -6,9 +6,10 @@ relaxation rates.
 """
 
 from .errors import (CflError, ConfigError, DegenerateDensityError,
-                     InsufficientWindowError, MissingKeyError,
-                     NoConvergenceError, NotSpdError, SingularPrefactorError,
-                     UnknownVariantError, ValidationFailureError)
+                     InadmissibleTargetError, InsufficientWindowError,
+                     MissingKeyError, NoConvergenceError, NotSpdError,
+                     SingularPrefactorError, UnknownVariantError,
+                     ValidationFailureError)
 from .grid import (MomentSet, SpdTensor, VelocityGrid, gaussian_on_grid,
                    h_functional, match_gaussian, match_moments,
                    maxwellian_on_grid, moments, spd_factor)
@@ -18,8 +19,8 @@ from .params import (DimensionlessScales, EsParams, InteractionSpec,
                      dimensionless_scales, gamma_upper_bound, validate)
 from .solver import (Diagnostics, KineticState, Scenario, SpeciesInit,
                      relax_step, run_scenario, transport_step)
-from .targets import (MixtureState, TargetSet, build_targets,
-                      es_tensor_cross, es_tensor_self, mixture_temperatures,
+from .targets import (MixtureState, build_targets, es_tensor_cross,
+                      es_tensor_self, mixture_temperatures,
                       mixture_velocities, target_moments)
 
 __version__ = "0.1.0"

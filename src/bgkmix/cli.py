@@ -31,8 +31,9 @@ import numpy as np
 from . import chapman
 from .config import RunConfig, parse_config
 from .errors import (CflError, ConfigError, DegenerateDensityError,
-                     InsufficientWindowError, NoConvergenceError, NotSpdError,
-                     SingularPrefactorError, ValidationFailureError)
+                     InadmissibleTargetError, InsufficientWindowError,
+                     NoConvergenceError, NotSpdError, SingularPrefactorError,
+                     ValidationFailureError)
 from .params import Variant, derive_frequencies, validate
 from .persistence import persistence_lower_bound, persistence_unequal_mass
 from .solver import Diagnostics, Scenario, SpeciesInit, run_scenario
@@ -303,8 +304,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotSpdError, NoConvergenceError, CflError, SingularPrefactorError,
-            DegenerateDensityError, InsufficientWindowError) as exc:
+    except (NotSpdError, NoConvergenceError, InadmissibleTargetError, CflError,
+            SingularPrefactorError, DegenerateDensityError,
+            InsufficientWindowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

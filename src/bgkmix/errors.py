@@ -34,6 +34,10 @@ class MemberError(Exception):
 
     where = None
 
+    def __init__(self, message, member=None):
+        super().__init__(message)
+        self.member = member
+
     def __str__(self):
         text = super().__str__()
         if self.where is None:
@@ -49,11 +53,10 @@ class NotSpdError(MemberError):
         at = "" if member is None else f" (member {member})"
         super().__init__(
             f"matrix not positive definite{at}: pivot {pivot} is {value:.6e}"
-            + ("" if matrix is None else f"\n{matrix}"))
+            + ("" if matrix is None else f"\n{matrix}"), member)
         self.pivot = pivot
         self.value = value
         self.matrix = matrix
-        self.member = member
 
 
 class NoConvergenceError(MemberError):
@@ -63,9 +66,10 @@ class NoConvergenceError(MemberError):
     parameters or the distribution's support is clipped by the domain.
     """
 
-    def __init__(self, message, member=None):
-        super().__init__(message)
-        self.member = member
+
+class InadmissibleTargetError(MemberError):
+    """A relaxation target's density or Maxwellian temperature is not
+    finite and positive, as after an unstable integrator step."""
 
 
 class InsufficientWindowError(Exception):

@@ -51,6 +51,7 @@ from .errors import DegenerateDensityError, NoConvergenceError, NotSpdError
 
 N_FLOOR = 1e-30  # separates "empty cell" from "division blow-up"
 MAX_ITER = 50  # Newton iterations a moment match may take
+MATCH_TOL = 1e-13  # relative tolerance to which a moment match converges
 
 
 def _per_axis(value, dim: int, name: str) -> np.ndarray:
@@ -78,14 +79,11 @@ class VelocityGrid:
         self.dim = dim
         lo = _per_axis(vmin, dim, "vmin")
         hi = _per_axis(vmax, dim, "vmax")
-        pts = np.asarray(points)
-        if pts.ndim == 0:
-            pts = np.full(dim, int(pts))
+        pts = _per_axis(points, dim, "points")
+        if np.any(pts % 1.0) or np.any(pts < 8):
+            raise ValueError(f"points must be whole numbers, at least 8 per "
+                             f"axis (got {points})")
         pts = pts.astype(int)
-        if pts.shape != (dim,):
-            raise ValueError(f"points must be scalar or length {dim}")
-        if np.any(pts < 8):
-            raise ValueError(f"need at least 8 points per axis (got {pts})")
         if np.any(lo >= hi):
             raise ValueError(f"vmin must be below vmax per axis: {lo}, {hi}")
         self.vmin = lo
@@ -666,13 +664,13 @@ def _newton_match(n, u, s, isotropic: bool, sample, derivs, tol: float,
         f"({what(k)}; grid too coarse or support clipped)", member=k)
 
 
-def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
+def match_moments(n, u, T, mass, grid: VelocityGrid,
                   return_info: bool = False, out=None) -> np.ndarray:
     """Discrete Maxwellian whose quadrature (n, u, T) hit the targets.
 
     The Gaussian problem of `_newton_match` with covariance theta I,
     theta = T/m: Newton on (n, u, theta) so that the discrete moments
-    (1, v, |v|^2) match to `tol` (relative) within MAX_ITER steps.  The
+    (1, v, |v|^2) match to MATCH_TOL (relative) within MAX_ITER steps.  The
     Newton system comes from per-axis sums; f is sampled once, at the
     converged parameters: `_maxwellian_fill` reuses the per-axis factors
     of each member's last Newton evaluation and writes the last axis
@@ -694,7 +692,7 @@ def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
     p, iters = _newton_match(
         n, u, (T / mass)[:, None], True,
         lambda p, rows: _maxwellian_sample(p, grid, factors, rows),
-        _maxwellian_derivs, tol,
+        _maxwellian_derivs, MATCH_TOL,
         lambda k: f"member {k}: Maxwellian n={n[k]}, T={T[k]}")
     out = _block(out, len(n), grid)
     _maxwellian_fill(p[:, 0], p[:, -1], factors, grid, out)
@@ -702,7 +700,7 @@ def match_moments(n, u, T, mass, grid: VelocityGrid, tol: float = 1e-13,
     return (f, int(iters.max())) if return_info else f
 
 
-def match_gaussian(n, u, tensor, mass, grid: VelocityGrid, tol: float = 1e-13,
+def match_gaussian(n, u, tensor, mass, grid: VelocityGrid,
                    return_info: bool = False, out=None) -> np.ndarray:
     """Discrete Gaussian whose quadrature (n, u, T-tensor) hit the targets.
 
@@ -710,7 +708,7 @@ def match_gaussian(n, u, tensor, mass, grid: VelocityGrid, tol: float = 1e-13,
     its spread: Newton on (n, u, S) against all raw moments
     (1, v, v(x)v), with the Newton system from the lattice sample of
     each iterate, which is written straight into the member's row of
-    the result, to `tol` within MAX_ITER steps.  Stacks as match_moments
+    the result, to MATCH_TOL within MAX_ITER steps.  Stacks as match_moments
     does; a stacked `tensor` is a (K, d, d) SpdTensor or matrix.
     """
     spd = tensor if isinstance(tensor, SpdTensor) else spd_factor(tensor)
@@ -725,7 +723,7 @@ def match_gaussian(n, u, tensor, mass, grid: VelocityGrid, tol: float = 1e-13,
     _, iters = _newton_match(
         n, u, cov[:, ti, tj], False,
         lambda p, rows: _gaussian_sample(p, grid, out, rows), _gaussian_derivs,
-        tol, lambda k: f"member {k}: Gaussian n={n[k]}")
+        MATCH_TOL, lambda k: f"member {k}: Gaussian n={n[k]}")
     f = out if stacked else out[0]
     return (f, int(iters.max())) if return_info else f
 

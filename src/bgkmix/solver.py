@@ -96,7 +96,7 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
             st = MixtureState.from_distributions(
                 g, params.species1.m, params.species2.m, grid)
         n = st.densities().reshape(2, -1, 1)
-        block = build_targets(st, params, grid, match, out=out).block
+        block = build_targets(st, params, grid, match, out=out)
         return nu_self * n, block[:2], nu_cross * n[::-1], block[2:]
 
     if integrator == "rk4":
@@ -231,6 +231,14 @@ class Scenario:
                                  f"(got {value})")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step")
+        steps = self.t_end / self.dt
+        if not math.isfinite(steps):
+            raise ValueError(f"t_end / dt must be a finite number of steps "
+                             f"(got {steps})")
+        for name in ("cells", "output_every", "wave_mode"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer (got {value})")
         if self.output_every < 1:
             raise ValueError("output_every must be >= 1")
         if self.integrator not in ("exp", "rk4"):
@@ -258,6 +266,9 @@ class Scenario:
                     f"species{k}.tensor must be a finite symmetric positive-"
                     f"definite {d}x{d} matrix (got "
                     f"{np.asarray(init.tensor).tolist()})")
+            if len(init.u) < d:
+                raise ValueError(f"species{k}.u must have at least {d} "
+                                 f"components (got {tuple(init.u)})")
             if not np.all(np.isfinite(init.u)):
                 raise ValueError(f"species{k}.u must be finite "
                                  f"(got {tuple(init.u)})")

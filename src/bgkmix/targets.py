@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridmod
-from .errors import DegenerateDensityError, MemberError
+from .errors import (DegenerateDensityError, InadmissibleTargetError,
+                     MemberError)
 from .grid import (MomentSet, VelocityGrid, gaussian_on_grid, match_gaussian,
                    match_moments, maxwellian_on_grid, spd_factor)
 from .params import ModelParams, Variant, gamma_bound_expression
@@ -180,10 +181,11 @@ def es_tensor_cross(state: MixtureState,
 
 
 def target_moments(state: MixtureState, params: ModelParams) -> dict:
-    """{row of `TargetSet`: (n, u, temperature)} of every target of the
-    configured variant, a scalar temperature for a Maxwellian and a
-    (d, d) tensor for a Gaussian.  A degenerate species has no rows, and
-    the cross rows (owning species' densities) need both species."""
+    """{row of the `build_targets` block: (n, u, temperature)} of every
+    target of the configured variant, a scalar temperature for a
+    Maxwellian and a (d, d) tensor for a Gaussian.  A degenerate species
+    has no rows, and the cross rows (owning species' densities) need
+    both species."""
     es, moms, rows = params.es, (state.mom1, state.mom2), {}
     for k, mom in enumerate(moms):
         if mom is not None:
@@ -202,21 +204,20 @@ def target_moments(state: MixtureState, params: ModelParams) -> dict:
     return rows
 
 
-@dataclass
-class TargetSet:
-    """The (4, cells, nodes) block [g1, g2, g12, g21] of the self and
-    cross targets of species 1 / 2: rows 0:2 and 2:4 align with the
-    species axis of a state."""
-
-    block: np.ndarray
-
-    g1 = property(lambda self: self.block[0])
-    g2 = property(lambda self: self.block[1])
-    g12 = property(lambda self: self.block[2])
-    g21 = property(lambda self: self.block[3])
-
-
 _NAMES = ("g1", "g2", "g12", "g21")
+
+
+def _admissible(values: np.ndarray, what: str) -> np.ndarray:
+    """`values`, or InadmissibleTargetError naming the first member
+    whose target `what` is not finite and positive (NaN fails)."""
+    # plain floats: cheaper than numpy calls on the small stacks of a
+    # homogeneous run
+    for k, value in enumerate(values.tolist()):
+        if not 0.0 < value < math.inf:
+            raise InadmissibleTargetError(
+                f"target {what} must be finite and positive (member {k}: "
+                f"got {value})", member=k)
+    return values
 
 
 @contextlib.contextmanager
@@ -233,9 +234,12 @@ def _located(names, cells: int):
 
 def build_targets(state: MixtureState, params: ModelParams,
                   grid: VelocityGrid, match: bool = True,
-                  out: np.ndarray | None = None) -> TargetSet:
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Sample the four targets of every cell, as `target_moments`
-    prescribes them, on the lattice.
+    prescribes them, on the lattice: the (4, cells, nodes) block
+    [g1, g2, g12, g21] of the self and cross targets of species 1 / 2,
+    whose rows 0:2 and 2:4 align with the species axis of a state
+    ((4, nodes) for moments without a cell axis).
 
     A tensor temperature gives a Gaussian target, a scalar one a
     Maxwellian.  With `match` the discrete targets are Newton-corrected
@@ -246,7 +250,10 @@ def build_targets(state: MixtureState, params: ModelParams,
     tensors are Cholesky-factored as one stack first.  `out`, a
     C-contiguous (4, cells, nodes) array, is refilled in place of a new
     block.  A degenerate species' targets are zero (one cell of them when
-    both are, or the cells of `out`); a failure names the target and cell.
+    both are, or the cells of `out`).  A density, or a Maxwellian's
+    temperature, that is not finite and positive, as after an unstable
+    step, raises InadmissibleTargetError; every failure names the target
+    and cell.
     """
     rows = target_moments(state, params)
     cells = (np.shape(rows[min(rows)][0]) if rows
@@ -272,12 +279,13 @@ def build_targets(state: MixtureState, params: ModelParams,
         n, u, temperature = zip(*(rows[r] for r in run))
         mass = np.array([(state.m1, state.m2)[r % 2] for r in run]).repeat(C)
         with _located(_NAMES[lo:hi], C):
+            n = _admissible(stack(n), "density")
             if tensor:
                 temperature = spd_factor(stack(temperature, (d, d)))
                 fn = match_gaussian if match else gaussian_on_grid
             else:
-                temperature = stack(temperature)
+                temperature = _admissible(stack(temperature), "temperature")
                 fn = match_moments if match else maxwellian_on_grid
-            fn(stack(n), stack(u, (d,)), temperature, mass, grid,
+            fn(n, stack(u, (d,)), temperature, mass, grid,
                out=out[lo:hi].reshape(-1, N))
-    return TargetSet(out.reshape((4,) + cells + (N,)))
+    return out.reshape((4,) + cells + (N,))

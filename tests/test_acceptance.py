@@ -222,8 +222,7 @@ def test_07_bgk_reduction(ref_grid):
         bgk = build_targets(st, model(m2=2.0, variant=Variant.BGK), ref_grid)
         es = build_targets(st, model(m2=2.0, variant=Variant.ES_SELF_ONLY,
                                      mu1=0.0, mu2=0.0), ref_grid)
-        for a, b in zip((bgk.g1, bgk.g2, bgk.g12, bgk.g21),
-                        (es.g1, es.g2, es.g12, es.g21)):
+        for a, b in zip(bgk, es):
             assert np.max(np.abs(a - b)) < 1e-12
 
 

@@ -203,6 +203,9 @@ class TestCliCommands:
             "finite symmetric positive-definite 1x1 matrix (got [[nan]])"),
         "u-nan": ("relax", dict(cells=0, species1={"u": [float("nan")]}),
                   "error: species1.u must be finite (got (nan,))"),
+        "steps-overflow": ("relax", dict(dt=1e-10, t_end=1e300),
+                           "error: t_end / dt must be a finite number of "
+                           "steps (got inf)"),
     }
 
     @pytest.mark.parametrize("case", list(RULES))
@@ -538,6 +541,28 @@ class TestCliCommands:
         assert rc == 1
         assert len(err) == 1
         assert err[0].startswith("error:") and "1-D lattice" in err[0]
+
+    def test_unstable_rk4_exits_two_naming_target_and_cell(self, tmp_path,
+                                                           capsys):
+        # nu_tot dt is 8 and 16, past RK4's stability bound of about 2.8:
+        # the run drives a target temperature negative, which validate
+        # cannot foresee
+        doc = self.relax_doc(dt=0.2, t_end=2.0, integrator="rk4")
+        doc.update(masses=[1.0, 2.0], mixing={"delta": 0.3, "alpha": 0.4,
+                                              "gamma": 0.05})
+        doc["interaction"].update(nu12=20.0, epsilon=0.5)
+        doc["scenario"]["species1"] = {"u": [0.3, 0, 0]}
+        doc["scenario"]["species2"] = {}
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "-c", path]) == 0
+        capsys.readouterr()
+        rc = main(["relax", "-c", path, "-o", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert re.match(r"^numerical failure: .*\(target g\d+, cell \d+\)$",
+                        err.splitlines()[0])
+        assert not (tmp_path / "relax.csv").exists()
 
     def test_unresolvable_grid_exits_two(self, tmp_path):
         doc = self.relax_doc()

@@ -52,6 +52,15 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             VelocityGrid(dim=2, points=16, **{field: per_axis})
 
+    @pytest.mark.parametrize("dim, points, message", [
+        (1, 8.9, r"whole numbers, at least 8 per axis \(got 8.9\)"),
+        (2, (16, 16.5), r"whole numbers, at least 8 per axis"),
+        (3, math.nan, r"finite \(got nan\)$")],
+        ids=["fraction", "fraction-on-one-axis", "nan"])
+    def test_rejects_points_that_are_not_whole(self, dim, points, message):
+        with pytest.raises(ValueError, match=f"^points must be {message}"):
+            VelocityGrid(dim=dim, points=points)
+
     @pytest.mark.parametrize("field, value", [
         ("vmin", (-8.0, -8.0)), ("vmax", (8.0, 8.0)), ("points", (16, 16))])
     def test_rejects_per_axis_value_of_wrong_length(self, field, value):
@@ -467,9 +476,10 @@ class TestGaussianOnGrid:
 
 
 class TestMatchMoments:
-    def test_already_matching_returns_unchanged(self, ref_grid):
+    def test_already_matching_returns_unchanged(self, ref_grid, monkeypatch):
+        monkeypatch.setattr(gridmod, "MATCH_TOL", 1e-12)
         f, iters = match_moments(1.0, (0.0, 0, 0), 1.0, 1.0, ref_grid,
-                                 tol=1e-12, return_info=True)
+                                 return_info=True)
         assert iters == 0
         ref = maxwellian_on_grid(1.0, (0.0, 0, 0), 1.0, 1.0, ref_grid)
         assert np.array_equal(f, ref)
@@ -605,12 +615,12 @@ class TestStackedMatching:
         u = self.U[:, :dim]
         match, spread = self.family(family, dim)
         counts = self.newton_counts(monkeypatch)
+        monkeypatch.setattr(gridmod, "MATCH_TOL", self.TOL)
         stack, iters = match(self.N, u, spread, self.MASS, grid,
-                             tol=self.TOL, return_info=True)
+                             return_info=True)
         assert stack.shape == (4, grid.nnodes)
         for k in range(4):
-            solo = match(self.N[k], u[k], spread[k], self.MASS[k], grid,
-                         tol=self.TOL)
+            solo = match(self.N[k], u[k], spread[k], self.MASS[k], grid)
             assert solo.shape == (grid.nnodes,)
             assert np.array_equal(stack[k], solo), k
         solo_counts = [c[0] for c in counts[1:]]
@@ -636,8 +646,8 @@ class TestStackedMatching:
         monkeypatch.setattr(gridmod, name, spy)
         counts = self.newton_counts(monkeypatch)
         match, spread = self.family(family, dim)
-        match(self.N, self.U[:, :dim], spread, self.MASS, uneven_grid(dim),
-              tol=self.TOL)
+        monkeypatch.setattr(gridmod, "MATCH_TOL", self.TOL)
+        match(self.N, self.U[:, :dim], spread, self.MASS, uneven_grid(dim))
         iters = np.array(counts[0])
         assert min(iters) == 0 and max(iters) >= 2
         assert len(sampled) == max(iters) + 1
@@ -657,8 +667,9 @@ class TestStackedMatching:
             return found[-1]
 
         monkeypatch.setattr(gridmod, "_newton_match", spy)
+        monkeypatch.setattr(gridmod, "MATCH_TOL", self.TOL)
         stack = match_moments(self.N, self.U[:, :dim], self.T, self.MASS,
-                              grid, tol=self.TOL)
+                              grid)
         (p, iters), = found
         assert min(iters) == 0 and max(iters) >= 2
         ref = maxwellian_on_grid(p[:, 0], p[:, 1:1 + dim], p[:, 1 + dim],

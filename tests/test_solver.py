@@ -59,7 +59,7 @@ class TestRelaxStep:
         freq = derive_frequencies(params.interaction)
         n1, n2 = st.mom1.n, st.mom2.n
         nu1 = freq.nu11 * n1 + freq.nu12 * n2
-        gstar1 = (freq.nu11 * n1 * ts.g1 + freq.nu12 * n2 * ts.g12) / nu1
+        gstar1 = (freq.nu11 * n1 * ts[0] + freq.nu12 * n2 * ts[2]) / nu1
         dt = 50.0 / nu1
         new = relax_step(state, dt, params, "exp")
         assert np.max(np.abs(new.f1 - gstar1)) < 1e-12
@@ -200,7 +200,7 @@ def reference_rk4(state, dt, params, match):
         st = MixtureState.from_distributions(g, params.species1.m,
                                              params.species2.m, grid)
         n = st.densities().reshape(2, -1, 1)
-        block = build_targets(st, params, grid, match).block
+        block = build_targets(st, params, grid, match)
         nu_s, nu_c = nu_self * n, nu_cross * n[::-1]
         return nu_s * (block[:2] - g) + nu_c * (block[2:] - g)
 
@@ -220,7 +220,7 @@ def reference_exp(state, dt, params, match):
     st = MixtureState.from_distributions(f, params.species1.m,
                                          params.species2.m, grid)
     n = st.densities().reshape(2, -1, 1)
-    block = build_targets(st, params, grid, match).block
+    block = build_targets(st, params, grid, match)
     nu_s = np.array([freq.nu11, freq.nu22])[:, None, None] * n
     nu_c = np.array([freq.nu12, freq.nu21])[:, None, None] * n[::-1]
     nu_tot = nu_s + nu_c
@@ -700,6 +700,29 @@ class TestRunScenario:
                            match=f"^{field} must be finite and positive"):
             self.scenario(small_grid, self.balanced_params(),
                           **{field: value})
+
+    def test_step_count_must_be_finite(self, small_grid):
+        # int(round(t_end / dt)) would overflow at the start of the run
+        with pytest.raises(ValueError, match=r"^t_end / dt must be a finite "
+                           r"number of steps \(got inf\)$"):
+            self.scenario(small_grid, self.balanced_params(), dt=1e-10,
+                          t_end=1e300)
+
+    @pytest.mark.parametrize("field", ["cells", "output_every", "wave_mode"])
+    def test_count_fields_must_be_integers(self, small_grid, field):
+        with pytest.raises(ValueError,
+                           match=rf"^{field} must be an integer \(got 1.5\)$"):
+            self.scenario(small_grid, self.balanced_params(),
+                          **{field: 1.5})
+        # an integral float is a count
+        assert getattr(self.scenario(small_grid, self.balanced_params(),
+                                     **{field: 2.0}), field) == 2
+
+    def test_velocity_shorter_than_lattice_rejected(self, small_grid):
+        with pytest.raises(ValueError, match=r"^species1.u must have at "
+                           r"least 3 components \(got \(0.1,\)\)$"):
+            self.scenario(small_grid, self.balanced_params(),
+                          species1=SpeciesInit(n=1.0, u=(0.1,)))
 
 
 class TestSharedReduction:

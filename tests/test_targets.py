@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bgkmix import grid as gridmod
-from bgkmix.errors import (DegenerateDensityError, NoConvergenceError,
-                           NotSpdError)
+from bgkmix.errors import (DegenerateDensityError, InadmissibleTargetError,
+                           NoConvergenceError, NotSpdError)
 from bgkmix.grid import (MomentSet, VelocityGrid, match_moments,
                          maxwellian_on_grid, moments, spd_factor)
 from bgkmix.params import (EsParams, InteractionSpec, MixingParams,
@@ -281,10 +281,10 @@ class TestBuildTargets:
         st = MixtureState.from_distributions(np.array([f1, f2]), 1.0,
                                              2.0, mid_grid)
         ts = build_targets(st, params, mid_grid)
-        assert np.max(np.abs(ts.g1 - f1)) < 1e-12
-        assert np.max(np.abs(ts.g2 - f2)) < 1e-12
-        assert np.max(np.abs(ts.g12 - f1)) < 1e-12
-        assert np.max(np.abs(ts.g21 - f2)) < 1e-12
+        assert np.max(np.abs(ts[0] - f1)) < 1e-12
+        assert np.max(np.abs(ts[1] - f2)) < 1e-12
+        assert np.max(np.abs(ts[2] - f1)) < 1e-12
+        assert np.max(np.abs(ts[3] - f2)) < 1e-12
 
     def test_momentum_exchange_identity_by_quadrature(self, mid_grid):
         rng = np.random.default_rng(15)
@@ -296,8 +296,8 @@ class TestBuildTargets:
         st = MixtureState.from_distributions(np.array([f1, f2]), 1.0,
                                              1.6, mid_grid)
         ts = build_targets(st, params, mid_grid)
-        q12 = moments(ts.g12, 1.0, mid_grid)
-        q21 = moments(ts.g21, 1.6, mid_grid)
+        q12 = moments(ts[2], 1.0, mid_grid)
+        q21 = moments(ts[3], 1.6, mid_grid)
         n1, n2 = st.mom1.n, st.mom2.n
         ex = freq.nu12 * n2 * n1 * 1.0 * (q12.u - st.mom1.u) \
             + freq.nu21 * n1 * n2 * 1.6 * (q21.u - st.mom2.u)
@@ -312,10 +312,10 @@ class TestBuildTargets:
         st = MixtureState.from_distributions(np.array([f1, f2]), 1.0,
                                              2.0, mid_grid)
         ts = build_targets(st, params, mid_grid)
-        assert mid_grid.density(ts.g12) == pytest.approx(st.mom1.n,
-                                                         rel=1e-12)
-        assert mid_grid.density(ts.g21) == pytest.approx(st.mom2.n,
-                                                         rel=1e-12)
+        assert mid_grid.density(ts[2]) == pytest.approx(st.mom1.n,
+                                                        rel=1e-12)
+        assert mid_grid.density(ts[3]) == pytest.approx(st.mom2.n,
+                                                        rel=1e-12)
 
     def test_es_self_with_zero_mu_reduces_to_bgk(self, ref_grid):
         mid_grid = ref_grid  # resolution-limited comparison, see test_grid
@@ -326,8 +326,7 @@ class TestBuildTargets:
         bgk = build_targets(st, make_params(variant=Variant.BGK), mid_grid)
         es = build_targets(st, make_params(variant=Variant.ES_SELF_ONLY,
                                            mu1=0.0, mu2=0.0), mid_grid)
-        for a, b in zip((bgk.g1, bgk.g2, bgk.g12, bgk.g21),
-                        (es.g1, es.g2, es.g12, es.g21)):
+        for a, b in zip(bgk, es):
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_self_targets_conserve_species_moments(self, mid_grid):
@@ -340,7 +339,7 @@ class TestBuildTargets:
         st = MixtureState.from_distributions(np.array([f1, f2]), 1.0,
                                              2.0, mid_grid)
         ts = build_targets(st, params, mid_grid)
-        for g, mom, mass in ((ts.g1, st.mom1, 1.0), (ts.g2, st.mom2, 2.0)):
+        for g, mom, mass in ((ts[0], st.mom1, 1.0), (ts[1], st.mom2, 2.0)):
             q = moments(g, mass, mid_grid)
             assert q.n == pytest.approx(mom.n, rel=1e-12)
             assert np.linalg.norm(q.u - mom.u) < 1e-12
@@ -352,8 +351,8 @@ class TestBuildTargets:
         st = MixtureState.from_distributions(
             np.array([f1, np.zeros(mid_grid.nnodes)]), 1.0, 2.0, mid_grid)
         ts = build_targets(st, params, mid_grid)
-        assert np.all(ts.g2 == 0.0)
-        assert np.all(ts.g21 == 0.0)
+        assert np.all(ts[1] == 0.0)
+        assert np.all(ts[3] == 0.0)
 
 
     def test_cells_are_stacked(self, mid_grid):
@@ -366,16 +365,15 @@ class TestBuildTargets:
             MixtureState.from_distributions(np.array([f1, f2]), 1.0, 2.0,
                                             mid_grid),
             params, mid_grid)
-        block = ts.g1.base
+        block = ts[0].base
         assert block is not None and block.shape == (4, 2, mid_grid.nnodes)
         for c in range(2):
             one = build_targets(MixtureState.from_distributions(
                 np.array([f1[c], f2[c]]), 1.0, 2.0, mid_grid), params,
                 mid_grid)
-            for name in ("g1", "g2", "g12", "g21"):
-                got = getattr(ts, name)
-                assert got.base is block
-                assert np.max(np.abs(got[c] - getattr(one, name))) <= 1e-15
+            for k in range(4):
+                assert ts[k].base is block
+                assert np.max(np.abs(ts[k, c] - one[k])) <= 1e-15
 
     def test_failure_names_target_and_cell(self):
         grid = VelocityGrid(dim=1, vmin=-2.0, vmax=2.0, points=8)
@@ -406,6 +404,29 @@ class TestBuildTargets:
                 build_targets(st, params, grid, match)
             first = str(err.value).splitlines()[0]
             assert first.endswith("(target g2, cell 1)")
+
+    @pytest.mark.parametrize("what", ["temperature", "density"])
+    def test_inadmissible_target_names_target_and_cell(self, what):
+        """A cell of species 1 with T < 0 (f1 = M(n=1, T=0.5) - 0.9
+        M(n=1, T=1), so n = 0.1 and T is about -4), or with NaN moments,
+        fails target g1 in that cell, matched or sampled."""
+        grid = VelocityGrid(dim=1, vmin=-8.0, vmax=8.0, points=64)
+        f = np.empty((2, 2, grid.nnodes))
+        f[0, 0] = maxwellian_on_grid(1.0, [0.0], 1.0, 1.0, grid)
+        f[0, 1] = (maxwellian_on_grid(1.0, [0.0], 0.5, 1.0, grid)
+                   - 0.9 * maxwellian_on_grid(1.0, [0.0], 1.0, 1.0, grid)
+                   if what == "temperature" else np.nan)
+        f[1] = maxwellian_on_grid(1.0, [0.0], 1.0, 2.0, grid)
+        st = MixtureState.from_distributions(f, 1.0, 2.0, grid)
+        if what == "temperature":
+            assert st.mom1.n[1] == pytest.approx(0.1)
+            assert st.mom1.T[1] < -3.0
+        for match in (True, False):
+            with pytest.raises(InadmissibleTargetError, match=(
+                    rf"^target {what} must be finite and positive "
+                    rf".*\(target g1, cell 1\)$")) as err:
+                build_targets(st, make_params(), grid, match)
+            assert err.value.member == 1
 
     def test_partly_degenerate_species_names_species_and_cell(self,
                                                               mid_grid):
@@ -459,9 +480,9 @@ class TestBuildTargets:
             mid_grid)
         assert st.mom2 is None and st.mom1.n.shape == (2,)
         ts = build_targets(st, make_params(), mid_grid)
-        assert ts.g1.shape == (2, mid_grid.nnodes)
-        assert np.all(ts.g2 == 0.0) and np.all(ts.g21 == 0.0)
-        assert np.max(np.abs(ts.g1 - f)) < 1e-12
+        assert ts[0].shape == (2, mid_grid.nnodes)
+        assert np.all(ts[1] == 0.0) and np.all(ts[3] == 0.0)
+        assert np.max(np.abs(ts[0] - f)) < 1e-12
 
     def test_out_must_fit_the_block(self, small_grid):
         f = match_moments(1.0, (0.1, 0, 0), 1.0, 1.0, small_grid)
@@ -486,9 +507,9 @@ class TestBuildTargets:
                              mu21=0.1)
         out = np.full((4, 2, mid_grid.nnodes), np.nan)
         ts = build_targets(st, params, mid_grid, out=out)
-        assert np.shares_memory(ts.block, out)
+        assert np.shares_memory(ts, out)
         assert np.all(out[1:] == 0.0)
-        assert np.array_equal(out, build_targets(st, params, mid_grid).block)
+        assert np.array_equal(out, build_targets(st, params, mid_grid))
 
 
 def maxwellian_like(grid, u, T):
