@@ -304,6 +304,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})" if str(exc) else
+              "error: out of memory", file=sys.stderr)
+        return 1
     except (NotSpdError, NoConvergenceError, InadmissibleTargetError, CflError,
             SingularPrefactorError, DegenerateDensityError,
             InsufficientWindowError) as exc:

@@ -15,9 +15,11 @@ The lattice is the tensor product of its per-axis node vectors
 varies fastest).  A drifting Maxwellian is sampled as the outer product
 of d one-dimensional Gaussians, an anisotropic Gaussian in place as a
 one-dimensional Gaussian along the last axis, its log-height and centre
-conditioned on the leading axes.  Every lattice moment, of a
-distribution or of a Gaussian sample, is read from its tensor
-sum f prod_i c_i^a_i of per-axis offset powers (`_lattice_tensor`).
+conditioned on the leading axes; a stack of Gaussians is factored by
+one LAPACK Cholesky call and written by one fill.  Every lattice
+moment, of a distribution or of a Gaussian sample, is read from its
+tensor sum f prod_i c_i^a_i of per-axis offset powers
+(`_lattice_tensor`).
 
 Moment matching is one Newton problem for both target families.  A
 Maxwellian is the Gaussian whose covariance S = T/m is theta I, so each
@@ -83,6 +85,11 @@ class VelocityGrid:
         if np.any(pts % 1.0) or np.any(pts < 8):
             raise ValueError(f"points must be whole numbers, at least 8 per "
                              f"axis (got {points})")
+        # checked before the integer cast, which wraps past int64
+        most = np.iinfo(np.intp).max
+        if math.prod(int(p) for p in pts) > most:
+            raise ValueError(f"points must give at most {most} lattice nodes "
+                             f"(got {points})")
         pts = pts.astype(int)
         if np.any(lo >= hi):
             raise ValueError(f"vmin must be below vmax per axis: {lo}, {hi}")
@@ -329,7 +336,10 @@ def spd_factor(matrix) -> SpdTensor:
     Each member must be symmetric to 1e-12 max(1, its largest |entry|).
     Factorization succeeds exactly when all eigenvalues are positive and
     finite; a NaN or infinite entry (i, j), above the diagonal too, fails
-    pivot max(i, j) at the latest.
+    pivot max(i, j) at the latest.  The whole stack is factored by one
+    LAPACK call; LAPACK cannot name the pivot that fails, so only when it
+    fails, or returns a non-finite factor, does the column recurrence run
+    to find it.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
@@ -337,13 +347,19 @@ def spd_factor(matrix) -> SpdTensor:
     d, Mt = M.shape[-1], np.swapaxes(M, -1, -2)
     # a non-finite entry above the diagonal fails via its mirror below
     low = np.where(np.isfinite(Mt), M, Mt)
-    L = np.zeros_like(M)
     with np.errstate(invalid="ignore"):  # non-finite entries fail a pivot
         scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))
         bad = np.ravel(np.max(np.abs(M - Mt), axis=(-2, -1)) > 1e-12 * scale)
         if bad.any():
             at = f" (member {np.argmax(bad)})" if M.ndim > 2 else ""
             raise ValueError(f"matrix is not symmetric within 1e-12{at}")
+        try:
+            L = np.linalg.cholesky(low)  # reads the lower triangle only
+            if np.isfinite(L).all():  # a NaN entry comes back as NaN
+                return SpdTensor(matrix=M.copy(), chol=L)
+        except np.linalg.LinAlgError:
+            pass
+        L = np.zeros_like(M)
         for j in range(d):
             s = low[..., j, j] - np.sum(L[..., j, :j] ** 2, axis=-1)
             bad = np.ravel(~(np.isfinite(s) & (s > 0.0)))
@@ -359,42 +375,50 @@ def spd_factor(matrix) -> SpdTensor:
     return SpdTensor(matrix=M.copy(), chol=L)
 
 
-def _gaussian_fill(n: float, u: np.ndarray, L: np.ndarray,
+def _gaussian_fill(n: np.ndarray, u: np.ndarray, L: np.ndarray,
                    grid: VelocityGrid, out: np.ndarray) -> None:
-    """Write n / ((2 pi)^(d/2) det L) exp(-|w|^2 / 2), L w = v - u, into
-    the (nodes,) row out.
+    """Write n_k / ((2 pi)^(d/2) det L_k) exp(-|w|^2 / 2), L_k w = v - u_k,
+    into row k of the C-contiguous (K, nodes) block out, for the stack
+    n (K,), u (K, d), L (K, d, d).
 
     The Gaussian factors as p(v_<d) p(v_d | v_<d): the exponent is
     head - (v_d - centre)^2 / (2 L_dd^2) with head = log(n / ((2 pi)^(d/2)
     det L)) - sum_k<d w_k^2 / 2 and centre = u_d + sum_k<d L_dk w_k, both
-    on the leading d - 1 axes only (w_k lives on the leading k + 1).  So
-    the row is written in place in four passes, with no lattice-sized
-    temporary: the scaled difference v_d - centre, a square, head minus
-    that, and exp.  n = 0 gives head = -inf and so an exactly zero row.
+    on the leading d - 1 axes only (w_k lives on the leading k + 1), built
+    once for the whole stack.  So the block is written in place in four
+    passes over the stack, with no lattice-sized temporary: the scaled
+    difference v_d - centre, a square, head minus that, and exp.  Each
+    entry is the one its member's solo fill gives.  n = 0 gives head =
+    -inf and so an exactly zero row.
     """
-    d, ws = grid.dim, []
+    K, d = len(n), grid.dim
+    col = (K,) + (1,) * (d - 1)  # one value per member, on the lattice axes
+    ws = []
     for i, x in enumerate(grid.axes[:-1]):
-        acc = (x - u[i]).reshape((-1,) + (1,) * (d - 2 - i))
+        acc = (x - u[:, i, None]).reshape(col[:i + 1] + (-1,) + col[i + 2:])
         for k in range(i):
-            acc = acc - L[i, k] * ws[k]
-        ws.append(acc / L[i, i])
-    norm = n / ((2.0 * math.pi) ** (d / 2.0) * math.prod(np.diag(L)))
-    head = math.log(norm) if norm > 0.0 else -math.inf  # exp(-inf) = 0
-    head = np.asarray(head - 0.5 * sum(w * w for w in ws))
-    centre = np.asarray(u[-1] + sum(L[-1, k] * w for k, w in enumerate(ws)))
-    scale = 1.0 / (math.sqrt(2.0) * L[-1, -1])
+            acc = acc - L[:, i, k].reshape(col) * ws[k]
+        ws.append(acc / L[:, i, i].reshape(col))
+    # the log-heights as Python floats, member by member (exp(-inf) = 0)
+    head = np.array([math.log(x) if x > 0.0 else -math.inf for x in (
+        nk / ((2.0 * math.pi) ** (d / 2.0) * math.prod(np.diag(Lk)))
+        for nk, Lk in zip(n, L))])
+    head = head.reshape(col) - 0.5 * sum(w * w for w in ws)
+    centre = u[:, -1].reshape(col) + sum(L[:, -1, k].reshape(col) * w
+                                         for k, w in enumerate(ws))
+    scale = 1.0 / (math.sqrt(2.0) * L[:, -1, -1])
     # (v_d - centre) scale as the rank-2 product (-centre, 1) (1, v_d)^T:
     # each entry is the one exactly rounded difference a broadcast
-    # subtract gives, but in one GEMM pass (the broadcast runs one short
-    # inner loop per lattice row, several times slower)
-    lead = np.ones((head.size, 2))
-    lead[:, 0] = -scale * centre.ravel()
-    last = np.ones((2, len(grid.axes[-1])))
-    last[1] = scale * grid.axes[-1]
-    lattice = out.reshape(head.size, -1)
+    # subtract gives, but in one GEMM pass per member (the broadcast runs
+    # one short inner loop per lattice row, several times slower)
+    lead = np.ones((K, head[0].size, 2))
+    lead[:, :, 0] = -scale[:, None] * centre.reshape(K, -1)
+    last = np.ones((K, 2, len(grid.axes[-1])))
+    last[:, 1] = scale[:, None] * grid.axes[-1]
+    lattice = out.reshape(K, head[0].size, -1)
     np.matmul(lead, last, out=lattice)
     np.square(lattice, out=lattice)
-    np.subtract(head.reshape(-1, 1), lattice, out=lattice)
+    np.subtract(head.reshape(K, -1, 1), lattice, out=lattice)
     np.exp(lattice, out=lattice)
 
 
@@ -409,7 +433,7 @@ def gaussian_on_grid(n, u, tensor, mass, grid: VelocityGrid,
     log-height and centre depend on the leading axes (`_gaussian_fill`).
     n = 0 gives an exactly zero row.  A plain matrix is factored first;
     factorization failure propagates.  Stacked arguments give one row
-    per member, sampled member by member.
+    per member, all sampled by one stacked fill.
     """
     spd = tensor if isinstance(tensor, SpdTensor) else spd_factor(tensor)
     stacked, u, n, mass = _members(grid, u, n, mass,
@@ -418,8 +442,7 @@ def gaussian_on_grid(n, u, tensor, mass, grid: VelocityGrid,
     _require_mass(mass)
     chol = np.broadcast_to(spd.chol, (len(n), grid.dim, grid.dim))
     out = _block(out, len(n), grid)
-    for k, row in enumerate(out):
-        _gaussian_fill(n[k], u[k], chol[k] / math.sqrt(mass[k]), grid, row)
+    _gaussian_fill(n, u, chol / np.sqrt(mass)[:, None, None], grid, out)
     return out if stacked else out[0]
 
 
@@ -540,21 +563,31 @@ def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
                      rows) -> np.ndarray:
     """Centred moment tensors (K, 5, ..., 5) of the Gaussians with
     p = (n, u, upper triangle of the covariance S = T/m) per row: the
-    sample of p[k] is written into row rows[k] of `out`, then all are
-    reduced about their own u in one `_lattice_tensor` call."""
+    covariances are factored by one stacked Cholesky call and sampled by
+    one stacked fill, the sample of p[k] landing in row rows[k] of
+    `out`, and all are reduced about their own u in one
+    `_lattice_tensor` call."""
     d = grid.dim
     cov = _symmetric(p[:, 1 + d:], d)
-    for k, row in enumerate(rows):
-        try:
-            L = np.linalg.cholesky(cov[k])
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(
-                f"covariance left the positive-definite cone (member {row})",
-                member=row) from exc
-        _gaussian_fill(p[k, 0], p[k, 1:1 + d], L, grid, out[row])
+    try:
+        L = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        for k, row in enumerate(rows):  # LAPACK names no member
+            try:
+                np.linalg.cholesky(cov[k])
+            except np.linalg.LinAlgError:
+                raise NoConvergenceError(
+                    f"covariance left the positive-definite cone "
+                    f"(member {row})", member=row) from exc
+        raise
+    whole = len(rows) == len(out)
+    block = out if whole else np.empty((len(rows), grid.nnodes))
+    _gaussian_fill(p[:, 0], p[:, 1:1 + d], L, grid, block)
     c = grid.axis_nodes - p.take(1 + grid.axis_of, 1)
-    block = out if len(rows) == len(out) else out[rows]
-    return grid.weight * _lattice_tensor(block, c, grid, 4)
+    M = grid.weight * _lattice_tensor(block, c, grid, 4)
+    if not whole:
+        out[rows] = block
+    return M
 
 
 def _gaussian_derivs(p: np.ndarray, d: int) -> np.ndarray:

@@ -353,6 +353,9 @@ class Diagnostics:
         return self._gap(lambda a, b: abs(a.T - b.T))
 
     def anisotropy(self, species: int = 1) -> np.ndarray:
+        """|P - n T I| of species 1 or 2 per record."""
+        if species not in (1, 2):
+            raise ValueError(f"species must be 1 or 2 (got {species})")
         return np.array([r.aniso1 if species == 1 else r.aniso2
                          for r in self.records])
 

@@ -542,6 +542,30 @@ class TestCliCommands:
         assert len(err) == 1
         assert err[0].startswith("error:") and "1-D lattice" in err[0]
 
+    def test_lattice_beyond_index_range_exits_one(self, tmp_path, capsys):
+        """1e30 points per axis is a whole number, but no array can index
+        that many nodes: an input error naming points, before any cast."""
+        doc = self.relax_doc()
+        doc["grid"] = {"points": 1e30}
+        rc, err = self.run_and_validate(tmp_path, capsys, "relax", doc)
+        assert rc == 1
+        assert len(err) == 1
+        assert err[0].startswith("error: points must give at most")
+
+    def test_lattice_out_of_memory_exits_one(self, tmp_path, capsys,
+                                             monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB")
+
+        monkeypatch.setattr(np, "meshgrid", exhausted)
+        for command in ("relax", "validate"):
+            rc = main([command, "-c", write_config(tmp_path, self.relax_doc()),
+                       "-o", str(tmp_path)])
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (1, "")
+            assert captured.err == ("error: out of memory (Unable to "
+                                    "allocate 7.11 PiB)\n")
+
     def test_unstable_rk4_exits_two_naming_target_and_cell(self, tmp_path,
                                                            capsys):
         # nu_tot dt is 8 and 16, past RK4's stability bound of about 2.8:

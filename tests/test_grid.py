@@ -61,6 +61,13 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match=f"^points must be {message}"):
             VelocityGrid(dim=dim, points=points)
 
+    @pytest.mark.parametrize("points", [1e30, (8, 2.0 ** 32, 2.0 ** 32)])
+    def test_rejects_more_nodes_than_an_array_can_index(self, points):
+        most = np.iinfo(np.intp).max
+        with pytest.raises(ValueError, match=(
+                rf"^points must give at most {most} lattice nodes")):
+            VelocityGrid(dim=3, points=points)
+
     @pytest.mark.parametrize("field, value", [
         ("vmin", (-8.0, -8.0)), ("vmax", (8.0, 8.0)), ("points", (16, 16))])
     def test_rejects_per_axis_value_of_wrong_length(self, field, value):
@@ -453,12 +460,15 @@ class TestGaussianOnGrid:
             solo = gaussian_on_grid([0.9, 0.0, 1.1][k], u, tensor, 1.3, grid)
             assert np.array_equal(stack[k], solo)
 
-    def test_fill_allocates_no_row_sized_block(self, ref_grid):
-        """The row is written in place: while `_gaussian_fill` runs on
-        the 32^3 lattice, traced memory never grows by one row's bytes."""
-        out = np.empty(ref_grid.nnodes)
-        args = (0.9, np.array([0.3, -0.2, 0.1]), np.linalg.cholesky(SHEARED),
-                ref_grid, out)
+    @staticmethod
+    def traced_fill_growth(grid, members):
+        """How far traced memory grows while `_gaussian_fill` writes a
+        stack of `members` rows in place."""
+        out = np.empty((members, grid.nnodes))
+        args = (np.full(members, 0.9),
+                np.tile([0.3, -0.2, 0.1], (members, 1)),
+                np.tile(np.linalg.cholesky(SHEARED), (members, 1, 1)),
+                grid, out)
         _gaussian_fill(*args)  # warm any lazily built state
         tracemalloc.start()
         try:
@@ -467,7 +477,71 @@ class TestGaussianOnGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - base < ref_grid.nnodes * out.itemsize
+        return peak - base
+
+    def test_fill_allocates_no_row_sized_block(self, ref_grid):
+        """The row is written in place: while `_gaussian_fill` runs on
+        the 32^3 lattice, traced memory never grows by one row's bytes."""
+        row_bytes = ref_grid.nnodes * np.dtype(float).itemsize
+        assert self.traced_fill_growth(ref_grid, 1) < row_bytes
+
+    def test_stacked_fill_allocates_less_than_a_row_per_member(self,
+                                                               ref_grid):
+        row_bytes = ref_grid.nnodes * np.dtype(float).itemsize
+        assert self.traced_fill_growth(ref_grid, 4) < 4 * row_bytes
+
+    @staticmethod
+    def member_fill(n, u, L, grid, out):
+        """The fill one member at a time, each row in four passes: the
+        reference the stacked fill must equal bitwise."""
+        d = grid.dim
+        for k, row in enumerate(out):
+            ws = []
+            for i, x in enumerate(grid.axes[:-1]):
+                acc = (x - u[k, i]).reshape((-1,) + (1,) * (d - 2 - i))
+                for j in range(i):
+                    acc = acc - L[k, i, j] * ws[j]
+                ws.append(acc / L[k, i, i])
+            norm = n[k] / ((2.0 * math.pi) ** (d / 2.0)
+                           * math.prod(np.diag(L[k])))
+            head = math.log(norm) if norm > 0.0 else -math.inf
+            head = np.asarray(head - 0.5 * sum(w * w for w in ws))
+            centre = np.asarray(u[k, -1] + sum(L[k, -1, j] * w
+                                               for j, w in enumerate(ws)))
+            scale = 1.0 / (math.sqrt(2.0) * L[k, -1, -1])
+            lead = np.ones((head.size, 2))
+            lead[:, 0] = -scale * centre.ravel()
+            last = np.ones((2, len(grid.axes[-1])))
+            last[1] = scale * grid.axes[-1]
+            lattice = row.reshape(head.size, -1)
+            np.matmul(lead, last, out=lattice)
+            np.square(lattice, out=lattice)
+            np.subtract(head.reshape(-1, 1), lattice, out=lattice)
+            np.exp(lattice, out=lattice)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stacked_fill_equals_member_fill(self, dim, members):
+        """Every entry of the stacked fill is the per-member fill's, for
+        a zero-density member and a near-singular one (correlation 0.999
+        between every pair of axes) among sheared ones."""
+        grid = uneven_grid(dim)
+        near = 0.8 * np.full((dim, dim), 0.999)
+        np.fill_diagonal(near, 0.8)
+        pick = slice(1, 2) if members == 1 else slice(None)
+        tensors = np.stack([SHEARED[:dim, :dim], near,
+                            1.3 * SHEARED[:dim, :dim]])[pick]
+        n = np.array([0.9, 1.1, 0.0])[pick]
+        u = np.array([[0.3, -0.2, 0.15], [-0.1, 0.25, 0.0],
+                      [0.2, 0.1, -0.3]])[pick, :dim]
+        mass = np.array([1.3, 0.7, 2.0])[pick]
+        L = np.linalg.cholesky(tensors) / np.sqrt(mass)[:, None, None]
+        stacked, ref = np.empty((2, members, grid.nnodes))
+        _gaussian_fill(n, u, L, grid, stacked)
+        self.member_fill(n, u, L, grid, ref)
+        assert np.array_equal(stacked, ref)
+        if members == 3:
+            assert np.array_equal(stacked[2], np.zeros(grid.nnodes))
 
     def test_not_spd_propagates(self, small_grid):
         with pytest.raises(NotSpdError):
@@ -676,6 +750,23 @@ class TestStackedMatching:
                                  1.0, grid)
         assert np.array_equal(stack, ref)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sampler_names_the_member_that_leaves_the_cone(self, dim):
+        """Of the active members rows [0, 2, 3], the second has a
+        covariance that is not positive definite: the stacked Cholesky
+        call fails, and the member named is row 2."""
+        grid = uneven_grid(dim)
+        ti, tj = _monomials(dim)[:2]
+        bad = np.diag([1.0] * (dim - 1) + [-0.5])
+        cov = np.stack([SHEARED[:dim, :dim], bad, SHEARED[:dim, :dim]])
+        p = np.concatenate([np.ones((3, 1)), np.zeros((3, dim)),
+                            cov[:, ti, tj]], axis=1)
+        out = np.zeros((4, grid.nnodes))
+        with pytest.raises(NoConvergenceError, match=(
+                r"positive-definite cone \(member 2\)")) as err:
+            _gaussian_sample(p, grid, out, np.array([0, 2, 3]))
+        assert err.value.member == 2
+
     def test_arguments_broadcast_over_the_stack(self, mid_grid):
         u = np.array([[0.1, 0.0, 0.0], [-0.2, 0.1, 0.0]])
         f = maxwellian_on_grid(1.0, u, [0.8, 1.1], 1.3, mid_grid)
@@ -840,6 +931,29 @@ class TestSpdFactor:
         for k in range(5):
             one = spd_factor(stack[k])
             assert np.allclose(spd.chol[k], one.chol, rtol=1e-14, atol=0)
+
+    @staticmethod
+    def column_recurrence(stack):
+        """The Cholesky factors of an SPD stack, column by column."""
+        L = np.zeros_like(stack)
+        for j in range(stack.shape[-1]):
+            L[:, j, j] = np.sqrt(stack[:, j, j]
+                                 - np.sum(L[:, j, :j] ** 2, axis=-1))
+            for i in range(j + 1, stack.shape[-1]):
+                L[:, i, j] = (stack[:, i, j] - np.sum(
+                    L[:, i, :j] * L[:, j, :j], axis=-1)) / L[:, j, j]
+        return L
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_factor_matches_column_recurrence(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        for _ in range(30):
+            a = rng.normal(size=(4, dim, dim))
+            stack = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(dim)
+            chol, ref = spd_factor(stack).chol, self.column_recurrence(stack)
+            for k in range(4):
+                assert np.max(np.abs(chol[k] - ref[k])) <= (
+                    1e-14 * np.max(np.abs(ref[k]))), k
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 3, 2)])
     def test_rejects_non_square(self, shape):

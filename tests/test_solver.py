@@ -889,3 +889,14 @@ class TestDiagnostics:
         f1 = maxwellian_on_grid(1.0, (0.2, 0, 0), 1.0, 1.0, ref_grid)
         rec = diagnose(one_cell(f1, f1, ref_grid), make_params(m2=1.0))
         assert rec.aniso1 < 1e-10
+
+    @pytest.mark.parametrize("species", [0, 3])
+    def test_anisotropy_of_unknown_species_rejected(self, small_grid,
+                                                    species):
+        f1 = maxwellian_on_grid(1.0, (0, 0, 0), 1.0, 1.0, small_grid)
+        diag = Diagnostics(3)
+        diag.append(diagnose(one_cell(f1, f1, small_grid), make_params()))
+        assert diag.anisotropy(2).shape == (1,)
+        with pytest.raises(ValueError, match=(
+                rf"^species must be 1 or 2 \(got {species}\)$")):
+            diag.anisotropy(species)
