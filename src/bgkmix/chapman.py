@@ -263,6 +263,9 @@ def heat_flux_check(f, mass: float, grid: VelocityGrid) -> HeatFluxCheck:
     formula     = (5/2) n ((T/m) u + |u|^2 u)
     discrepancy = formula - quadrature
 
+    The quadrature is read from the distribution's moment set: with
+    v = u + c the sum is (1/2) [(Qtilde + 2 P u + tr(P) u) / m + n |u|^2 u].
+
     For an exact Maxwellian the quadrature equals
     (5/2) n (T/m) u + (1/2) n |u|^2 u, so the discrepancy against the
     stated closed form is 2 n |u|^2 u: the |u|^2 u prefactors disagree.
@@ -272,7 +275,7 @@ def heat_flux_check(f, mass: float, grid: VelocityGrid) -> HeatFluxCheck:
     theta = mom.T / mass
     u2 = float(mom.u @ mom.u)
     formula = 2.5 * mom.n * (theta * mom.u + u2 * mom.u)
-    v = grid.nodes
-    quadrature = 0.5 * grid.weight * (((v * v).sum(axis=1) * f) @ v)
+    quadrature = 0.5 * ((mom.Qtilde + 2.0 * mom.P @ mom.u + np.trace(mom.P)
+                         * mom.u) / mass + mom.n * u2 * mom.u)
     return HeatFluxCheck(quadrature=quadrature, formula=formula,
                          discrepancy=formula - quadrature)

@@ -211,6 +211,10 @@ def parse_config(text: str) -> RunConfig:
             key: _typed(_require(sdoc, key, "scan"), kind, f"scan.{key}")
             for key, kind in (("start", float), ("stop", float),
                               ("count", int))}}
+        for key in ("start", "stop"):
+            if not np.isfinite(scan_spec[key]):
+                raise ConfigError(f"scan.{key} must be finite "
+                                  f"(got {scan_spec[key]})")
         if scan_spec["count"] < 2:
             raise ConfigError("scan count must be at least 2")
 

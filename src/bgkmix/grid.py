@@ -12,11 +12,12 @@ factor 3 convention, and lower grid dimensions scale the factor with d.
 
 The lattice is the tensor product of its per-axis node vectors
 `grid.axes`, flattened in `meshgrid(indexing="ij")` order (the last axis
-varies fastest).  A drifting Maxwellian is sampled as the outer product
-of d one-dimensional Gaussians, an anisotropic Gaussian in place as a
-one-dimensional Gaussian along the last axis, its log-height and centre
-conditioned on the leading axes; a stack of Gaussians is factored by
-one LAPACK Cholesky call and written by one fill.  Every lattice
+varies fastest); only those vectors are stored, never a (nodes, d)
+array of node coordinates.  A drifting Maxwellian is sampled as the
+outer product of d one-dimensional Gaussians, an anisotropic Gaussian in
+place as a one-dimensional Gaussian along the last axis, its log-height
+and centre conditioned on the leading axes; a stack of Gaussians is
+factored by one LAPACK Cholesky call and written by one fill.  Every lattice
 moment, of a distribution or of a Gaussian sample, is read from its
 tensor sum f prod_i c_i^a_i of per-axis offset powers
 (`_lattice_tensor`).
@@ -72,7 +73,9 @@ class VelocityGrid:
 
     Nodes sit at cell centers, so a grid symmetric about the origin has
     exactly paired +/-v nodes and odd moments of even functions cancel
-    to round-off.
+    to round-off.  The grid holds its per-axis node vectors `axes` (and
+    `axis_nodes`, the same end to end), O(sum of points) floats; the
+    nnodes = prod(points) nodes are their tensor product in `ij` order.
     """
 
     def __init__(self, dim: int = 3, vmin=-8.0, vmax=8.0, points=32):
@@ -86,8 +89,8 @@ class VelocityGrid:
             raise ValueError(f"points must be whole numbers, at least 8 per "
                              f"axis (got {points})")
         # checked before the integer cast, which wraps past int64
-        most = np.iinfo(np.intp).max
-        if math.prod(int(p) for p in pts) > most:
+        most, self.nnodes = np.iinfo(np.intp).max, math.prod(map(int, pts))
+        if self.nnodes > most:
             raise ValueError(f"points must give at most {most} lattice nodes "
                              f"(got {points})")
         pts = pts.astype(int)
@@ -104,9 +107,6 @@ class VelocityGrid:
         self.axis_nodes = np.concatenate(self.axes)
         self.axis_of = np.repeat(np.arange(dim), pts)
         self.axis_start = np.cumsum(pts) - pts
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        self.nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        self.nnodes = self.nodes.shape[0]
 
     @classmethod
     def reference(cls) -> "VelocityGrid":

@@ -43,6 +43,7 @@ construction is the one place a run's rules are checked.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +137,7 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
 
 def _check_cfl(grid: VelocityGrid, dt: float, dx: float) -> None:
     """Raise CflError when max|v_x| dt / dx exceeds one."""
-    cfl = float(np.max(np.abs(grid.nodes[:, 0]))) * dt / dx
+    cfl = float(np.max(np.abs(grid.axes[0]))) * dt / dx
     if cfl > 1.0 + 1e-12:
         raise CflError(f"CFL {cfl:.3f} exceeds 1 "
                        f"(max|v| dt/dx with dt={dt}, dx={dx:.6g})")
@@ -149,21 +150,23 @@ def transport_step(state: KineticState, dt: float) -> KineticState:
     independently, in flux form: the donor-cell flux through the right
     face of cell i is F_i = v+ f_i + v- f_(i+1), and f_i - dt/dx
     (F_i - F_(i-1)) is the new value.  The product P = v_x f is formed
-    once and split at v_x = 0: the nodes are in `ij` order with v_x
-    slowest, so those with v_x <= 0 are a prefix, whose difference is
-    P_(i+1) - P_i, and the rest take P_i - P_(i-1); the term of F_i that
-    vanishes is never formed.  The flux sum telescopes, so total mass
-    per node is conserved to round-off, and a non-finite entry reaches
-    only its own node's donor stencil.  A CFL number above one is a hard
-    error.
+    once, on the (points[0], rest) view of the nodes with v_x from
+    `grid.axes[0]`, and split at v_x = 0: the nodes are in `ij` order
+    with v_x slowest, so those with v_x <= 0 are a prefix, whose
+    difference is P_(i+1) - P_i, and the rest take P_i - P_(i-1); the
+    term of F_i that vanishes is never formed.  The flux sum telescopes,
+    so total mass per node is conserved to round-off, and a non-finite
+    entry reaches only its own node's donor stencil.  A CFL number above
+    one is a hard error.
     """
     if state.dx is None:
         raise ValueError("transport requires a 1-D state with cell width")
     _check_cfl(state.grid, dt, state.dx)
-    f, grid = state.f, state.grid
+    f, grid, out = state.f, state.grid, np.empty_like(state.f)
     h = int(np.searchsorted(grid.axes[0], 0.0, "right")
             * np.prod(grid.points[1:]))  # nodes with v_x <= 0
-    flux, out = f * grid.nodes[:, 0], np.empty_like(f)
+    flux = (f.reshape(*f.shape[:2], grid.points[0], -1)
+            * grid.axes[0][:, None]).reshape(f.shape)  # v_x f per node
     neg, pos = flux[..., :h], flux[..., h:]
     np.subtract(neg[:, 1:], neg[:, :-1], out=out[:, :-1, :h])
     np.subtract(neg[:, :1], neg[:, -1:], out=out[:, -1:, :h])
@@ -248,6 +251,18 @@ class Scenario:
             raise ValueError(f"unknown splitting {self.splitting!r}")
         if self.cells < 0:
             raise ValueError(f"cells must be >= 0 (got {self.cells})")
+        # the (2, cells, nodes) float64 state block, from the counts alone
+        # and before any allocation; unchecked where memory is unreported
+        try:
+            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        except (AttributeError, ValueError, OSError):
+            memory = math.inf
+        block = 2 * max(1, int(self.cells)) * self.grid.nnodes * 8
+        if block > memory:
+            raise ValueError(f"points {self.grid.points.tolist()} with cells "
+                             f"{self.cells} give a state block of {block} "
+                             f"bytes, beyond the {memory} bytes of physical "
+                             f"memory")
         for k, init in enumerate((self.species1, self.species2), start=1):
             if init is None:
                 continue
@@ -439,6 +454,7 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
     profile = scenario.density_profile()[:, None]
     state = KineticState(f=samples[:, None, :] * profile, t=0.0, grid=grid,
                          dx=dx)
+    del samples  # a run holds only the blocks it steps
     diag = Diagnostics(dim=grid.dim)
 
     def record(state):

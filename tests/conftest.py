@@ -1,6 +1,14 @@
+import numpy as np
 import pytest
 
 from bgkmix import VelocityGrid
+
+
+def node_coordinates(grid):
+    """The (nnodes, d) node coordinates in `ij` order (the last axis
+    fastest), formed from `grid.axes`, for node-level references."""
+    mesh = np.meshgrid(*grid.axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,8 @@ from bgkmix.targets import (MixtureState, build_targets, es_tensor_self,
                             mixture_temperatures)
 from bgkmix.grid import MomentSet
 
+from conftest import node_coordinates
+
 
 @contextmanager
 def criterion(num, name):
@@ -300,8 +302,8 @@ def test_10_combination_moments(mid_grid):
             comb = A * f1 + f2
             w = mid_grid.weight
             n0 = w * comb.sum()
-            u0 = w * (comb @ mid_grid.nodes) / n0
-            c = mid_grid.nodes - u0
+            u0 = w * (comb @ node_coordinates(mid_grid)) / n0
+            c = node_coordinates(mid_grid) - u0
             T0 = w * float(np.sum(np.einsum("ni,ni->n", c, c) * comb)) \
                 / (3.0 * n0)
             assert abs(n0 - zm.n0) < 1e-8 * zm.n0

@@ -13,6 +13,8 @@ from bgkmix.solver import Scenario, SpeciesInit, run_scenario
 from bgkmix.targets import (MixtureState, es_tensor_self,
                             mixture_temperatures, mixture_velocities)
 
+from conftest import node_coordinates
+
 
 def make_state(n1, u1, T1, n2, u2, T2, m1=1.0, m2=1.0):
     return MixtureState(
@@ -100,8 +102,8 @@ class TestZerothMoments:
             comb = A * f1 + f2
             w = grid.weight
             n0q = w * comb.sum()
-            u0q = w * (comb @ grid.nodes) / n0q
-            c = grid.nodes - u0q
+            u0q = w * (comb @ node_coordinates(grid)) / n0q
+            c = node_coordinates(grid) - u0q
             T0q = w * float(np.sum(np.einsum("ni,ni->n", c, c) * comb)) \
                 / (d * n0q)
             assert abs(n0q - zm.n0) < 1e-8 * zm.n0
@@ -137,10 +139,10 @@ class TestCommonEquilibrium:
         f2 = match_moments(n2, u, T, m2, mid_grid)
         w = mid_grid.weight
         comb_u = (n2 / n1) * f1 - f2
-        vel_num = w * (comb_u @ mid_grid.nodes)
+        vel_num = w * (comb_u @ node_coordinates(mid_grid))
         assert np.max(np.abs(vel_num)) < 1e-10
         comb_T = (n2 / n1) * (m1 / m2) * f1 - f2
-        c = mid_grid.nodes - u
+        c = node_coordinates(mid_grid) - u
         temp_num = w * float(np.sum(np.einsum("ni,ni->n", c, c) * comb_T))
         assert abs(temp_num) < 1e-10
 

@@ -1,12 +1,14 @@
 import functools
 import json
 import operator
+import os
 import re
 
 import numpy as np
 import pytest
 
 from bgkmix import chapman, cli
+from bgkmix import config as configmod
 from bgkmix.cli import diagnostics_header, main
 from bgkmix.config import parse_config
 from bgkmix.errors import (InsufficientWindowError, MissingKeyError,
@@ -557,7 +559,7 @@ class TestCliCommands:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.11 PiB")
 
-        monkeypatch.setattr(np, "meshgrid", exhausted)
+        monkeypatch.setattr(configmod, "VelocityGrid", exhausted)
         for command in ("relax", "validate"):
             rc = main([command, "-c", write_config(tmp_path, self.relax_doc()),
                        "-o", str(tmp_path)])
@@ -565,6 +567,49 @@ class TestCliCommands:
             assert (rc, captured.out) == (1, "")
             assert captured.err == ("error: out of memory (Unable to "
                                     "allocate 7.11 PiB)\n")
+
+    def test_lattice_beyond_physical_memory_exits_one(self, tmp_path,
+                                                       capsys):
+        """10^15 nodes can be indexed but not held: the state block is
+        judged from the counts, before any lattice-sized allocation."""
+        doc = self.relax_doc()
+        doc["grid"] = {"points": 100000}
+        rc, err = self.run_and_validate(tmp_path, capsys, "relax", doc)
+        assert rc == 1
+        assert len(err) == 1
+        assert err[0].startswith("error: points [100000, 100000, 100000] "
+                                 "with cells 0 give a state block of ")
+        assert "physical memory" in err[0]
+
+    def test_scan_lattice_beyond_physical_memory_exits_one(self, tmp_path,
+                                                            capsys):
+        """Masses 1 and 1e6 size the scan's lattice at 12000 points per
+        axis."""
+        doc = base_doc(masses=[1.0, 1e6], grid={"points": 16},
+                       scan={"parameter": "delta", "start": 0.0,
+                             "stop": 0.6, "count": 3})
+        rc, err = self.run_and_validate(tmp_path, capsys, "scan", doc)
+        assert rc == 1
+        assert len(err) == 1
+        assert err[0].startswith("error: points [12000, 12000, 12000]")
+
+    @pytest.mark.parametrize("memory, rc", [(32 * 1024, 1), (1024 ** 2, 0)],
+                             ids=["32KiB", "1MiB"])
+    def test_state_block_is_checked_against_physical_memory(
+            self, tmp_path, capsys, monkeypatch, memory, rc):
+        """A 16^3 relax run's state block is 2 x 4096 doubles, 64 KiB."""
+        sysconf = os.sysconf
+        pages = {"SC_PHYS_PAGES": memory // 4096, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name]
+                            if name in pages else sysconf(name))
+        path = write_config(tmp_path, self.relax_doc())
+        assert main(["relax", "-c", path, "-o", str(tmp_path)]) == rc
+        err = capsys.readouterr().err
+        assert (tmp_path / "relax.csv").exists() == (rc == 0)
+        assert err == ("" if rc == 0 else
+                       "error: points [16, 16, 16] with cells 0 give a "
+                       "state block of 65536 bytes, beyond the 32768 "
+                       "bytes of physical memory\n")
 
     def test_unstable_rk4_exits_two_naming_target_and_cell(self, tmp_path,
                                                            capsys):
@@ -748,6 +793,26 @@ class TestCliCommands:
                              "stop": 1.5, "count": 2})
         assert self.run_and_validate(tmp_path, capsys, "scan", doc) == (
             1, ["delta=1.5 outside admissible interval [0, 1]"])
+
+    @pytest.mark.parametrize("parameter, key, text, shown", [
+        ("delta", "stop", "1e400", "inf"), ("alpha", "start", "-1e400",
+                                            "-inf")])
+    def test_non_finite_scan_bound_exits_one(self, tmp_path, capsys,
+                                             parameter, key, text, shown):
+        """JSON reads 1e400 as inf: an input error naming the bound, not
+        a NaN scan value."""
+        scan = {"parameter": parameter, "start": 0.0, "stop": 0.5,
+                "count": 3, key: "BOUND"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_doc(scan=scan)).replace('"BOUND"',
+                                                                text))
+        for command in ("scan", "validate"):
+            rc = main([command, "-c", str(path), "-o", str(tmp_path)])
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (1, "")
+            assert captured.err == (f"error: scan.{key} must be finite "
+                                    f"(got {shown})\n")
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_scan_needs_a_scan_section(self, tmp_path, capsys):
         rc = main(["scan", "-c", write_config(tmp_path, base_doc()),

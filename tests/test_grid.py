@@ -16,6 +16,8 @@ from bgkmix.grid import (VelocityGrid, _family, _gaussian_derivs,
                          match_moments, maxwellian_on_grid, moments,
                          spd_factor)
 
+from conftest import node_coordinates
+
 
 def uneven_grid(dim):
     """A different point count and range per axis, so a transposed
@@ -68,6 +70,20 @@ class TestGridConstruction:
                 rf"^points must give at most {most} lattice nodes")):
             VelocityGrid(dim=3, points=points)
 
+    def test_grid_holds_only_its_axes(self):
+        """A 64^3 grid keeps three 64-point axes and no (nodes, d) array:
+        building one grows traced memory by less than 64 kB at its peak,
+        where a node array alone is 6.3 MB."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grid = VelocityGrid(dim=3, points=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.nnodes == 64 ** 3
+        assert peak - base < 64_000
+
     @pytest.mark.parametrize("field, value", [
         ("vmin", (-8.0, -8.0)), ("vmax", (8.0, 8.0)), ("points", (16, 16))])
     def test_rejects_per_axis_value_of_wrong_length(self, field, value):
@@ -85,7 +101,7 @@ class TestGridConstruction:
         assert small_grid.nnodes == 8 ** 3
 
     def test_symmetric_nodes_pair_up(self, small_grid):
-        total = np.sum(small_grid.nodes, axis=0)
+        total = np.sum(node_coordinates(small_grid), axis=0)
         assert np.max(np.abs(total)) < 1e-12
 
 
@@ -135,7 +151,8 @@ class TestMoments:
         """Node-level reference in extended precision: (n, u, T, P, Q,
         Qtilde) by their defining sums over all nodes."""
         ld = np.longdouble
-        f, v, w = f.astype(ld), grid.nodes.astype(ld), ld(grid.weight)
+        v = node_coordinates(grid).astype(ld)
+        f, w = f.astype(ld), ld(grid.weight)
         n = w * np.sum(f)
         u = w * (f @ v) / n
         c = v - u
@@ -229,14 +246,15 @@ class TestMaxwellianOnGrid:
     def test_peak_value(self):
         grid = VelocityGrid(dim=3, vmin=-8.0, vmax=8.0, points=32)
         n, T, m = 1.3, 0.9, 1.1
-        u = grid.nodes[grid.nnodes // 2 + 5]  # a node, so the peak is sampled
+        # a node, so the peak is sampled
+        u = node_coordinates(grid)[grid.nnodes // 2 + 5]
         f = maxwellian_on_grid(n, u, T, m, grid)
         assert f.max() == pytest.approx(n / (2 * math.pi * T / m) ** 1.5,
                                         rel=1e-14)
 
     def test_odd_moments_vanish(self, ref_grid):
         f = maxwellian_on_grid(1.0, (0.0, 0.0, 0.0), 1.0, 1.0, ref_grid)
-        odd = ref_grid.weight * (f @ ref_grid.nodes)
+        odd = ref_grid.weight * (f @ node_coordinates(ref_grid))
         assert np.max(np.abs(odd)) < 1e-14
 
     def test_quadrature_mass(self, ref_grid):
@@ -286,7 +304,7 @@ class TestMaxwellianOnGrid:
         grid = uneven_grid(dim)
         n, u, T, m = 0.9, np.array([0.3, -0.2, 0.15])[:dim], 0.8, 1.3
         theta = T / m
-        c = grid.nodes - u
+        c = node_coordinates(grid) - u
         direct = (n / (2 * math.pi * theta) ** (dim / 2)
                   * np.exp(-np.sum(c * c, axis=1) / (2 * theta)))
         f = maxwellian_on_grid(n, u, T, m, grid)
@@ -311,11 +329,10 @@ class TestSeparableRawMoments:
         (M, B, f), each for a stack of one."""
         grid = uneven_grid(dim)
         u = [0.3, -0.2, 0.15][:dim]
-        ones = np.ones((grid.nnodes, 1))
+        ones, v = np.ones((grid.nnodes, 1)), node_coordinates(grid)
         select = _family(dim, name == "maxwellian")[1]
         if name == "maxwellian":
-            basis = np.column_stack([ones, grid.nodes,
-                                     np.sum(grid.nodes ** 2, axis=1)])
+            basis = np.column_stack([ones, v, np.sum(v ** 2, axis=1)])
 
             def sample(p):
                 factors = np.empty((1, len(grid.axis_nodes)))
@@ -328,8 +345,7 @@ class TestSeparableRawMoments:
                     sample, select, basis)
         ti, tj = _monomials(dim)[:2]
         cov = SHEARED[:dim, :dim] / self.MASS
-        basis = np.column_stack([ones, grid.nodes,
-                                 grid.nodes[:, ti] * grid.nodes[:, tj]])
+        basis = np.column_stack([ones, v, v[:, ti] * v[:, tj]])
 
         def sample(p):
             f = np.empty((1, grid.nnodes))
@@ -411,7 +427,7 @@ class TestGaussianOnGrid:
         grid = uneven_grid(dim)
         n, u, m = 0.9, np.array([0.3, -0.2, 0.15])[:dim], 1.3
         cov = SHEARED[:dim, :dim] / m
-        c = grid.nodes - u
+        c = node_coordinates(grid) - u
         direct = (n / math.sqrt(np.linalg.det(2 * math.pi * cov))
                   * np.exp(-0.5 * np.einsum("ni,ij,nj->n", c,
                                             np.linalg.inv(cov), c)))
@@ -429,7 +445,8 @@ class TestGaussianOnGrid:
             L[j, j] = np.sqrt(S[j, j] - np.sum(L[j, :j] ** 2))
             for i in range(j + 1, d):
                 L[i, j] = (S[i, j] - np.sum(L[i, :j] * L[j, :j])) / L[j, j]
-        c, w = grid.nodes.astype(ld) - np.asarray(u, dtype=ld), []
+        c = node_coordinates(grid).astype(ld) - np.asarray(u, dtype=ld)
+        w = []
         for i in range(d):
             w.append((c[:, i] - sum(L[i, k] * w[k] for k in range(i)))
                      / L[i, i])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,8 @@ from bgkmix.params import (EsParams, InteractionSpec, MixingParams,
 from bgkmix.solver import (Diagnostics, KineticState, Scenario, SpeciesInit,
                            diagnose, relax_step, run_scenario, transport_step)
 from bgkmix.targets import MixtureState, build_targets
+
+from conftest import node_coordinates
 
 
 def make_params(m1=1.0, m2=2.0, nu12=1.0, epsilon=1.0, beta1=1.0, beta2=1.0,
@@ -305,7 +308,7 @@ class TestInPlaceRk4:
 def reference_transport(state, dt):
     """The donor-cell step written out on the whole block: a rolled copy
     of f times min(v_x, 0) plus f times max(v_x, 0) is the face flux."""
-    f, vx = state.f, state.grid.nodes[:, 0]
+    f, vx = state.f, node_coordinates(state.grid)[:, 0]
     flux = np.roll(f, -1, axis=1)
     flux *= np.minimum(vx, 0.0)
     out = np.multiply(f, np.maximum(vx, 0.0))
@@ -322,20 +325,23 @@ class TestSplitTransport:
     written-out donor-cell step bit for bit, sign of zero included."""
 
     @pytest.mark.parametrize("cells", [1, 2, 7])
-    @pytest.mark.parametrize("lattice", [(-4.0, 4.0, 8), (-4.5, 4.5, 9),
-                                         (-4.0, 3.0, 9), (0.5, 4.0, 8),
-                                         (-4.0, -0.5, 8)],
-                             ids=["even", "zero-node", "off-centre",
-                                  "positive", "negative"])
+    @pytest.mark.parametrize("lattice", [
+        (-4.0, 4.0, 8), (-4.5, 4.5, 9), (-4.0, 3.0, 9), (0.5, 4.0, 8),
+        (-4.0, -0.5, 8),
+        ((-7.0, -6.0, -8.0), (6.5, 7.5, 8.0), (12, 16, 20))],
+        ids=["even", "zero-node", "off-centre", "positive", "negative",
+             "uneven"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_equals_reference_step(self, dim, lattice, cells):
-        grid = VelocityGrid(dim, *lattice)
+        # per-axis entries are cut to the grid's dimension
+        grid = VelocityGrid(dim, *(x[:dim] if isinstance(x, tuple) else x
+                                   for x in lattice))
         rng = np.random.default_rng(41)
         f = rng.uniform(0.0, 1.0, (2, cells, grid.nnodes))
         f *= rng.choice([-1.0, 0.0, 1.0], f.shape)
         assert {-1, 0, 1} <= set(np.sign(f).ravel())
         state = KineticState(f=f, t=0.0, grid=grid, dx=0.25)
-        dt = 0.9 * 0.25 / np.max(np.abs(grid.nodes[:, 0]))
+        dt = 0.9 * 0.25 / np.max(np.abs(node_coordinates(grid)[:, 0]))
         new, want = transport_step(state, dt).f, reference_transport(
             state, dt).f
         assert np.array_equal(new, want)
@@ -368,7 +374,8 @@ class TestSplitTransport:
         new = transport_step(state, 0.05)
         # the donor cell of cell i is i - 1 for v_x > 0, else i + 1
         want = np.zeros(f.shape, dtype=bool)
-        want[1, [3, 4] if grid.nodes[node, 0] > 0.0 else [2, 3], node] = True
+        rightward = node_coordinates(grid)[node, 0] > 0.0
+        want[1, [3, 4] if rightward else [2, 3], node] = True
         assert np.array_equal(np.isnan(new.f), want)
         assert np.isfinite(new.f[~want]).all()
         assert diagnose(new, make_params()).negative
@@ -393,8 +400,9 @@ class TestTransportStep:
 
     def test_single_node_bump_upwind_update(self):
         grid = self.grid1d()
-        node = int(np.argmax(grid.nodes[:, 0]))  # fastest rightward node
-        v = grid.nodes[node, 0]
+        vx = node_coordinates(grid)[:, 0]
+        node = int(np.argmax(vx))  # fastest rightward node
+        v = vx[node]
         dx = 0.5
         dt = 0.5 * dx / v  # CFL exactly 0.5
         state = self.state(grid, nx=16, dx=dx)
@@ -428,13 +436,13 @@ class TestTransportStep:
         state = self.state(grid, nx=12, dx=0.25)
         state.f1[:] = rng.uniform(0, 1, state.f1.shape)
         state.f2[:] = rng.uniform(0, 2, state.f2.shape)
-        dt = 0.9 * 0.25 / np.max(np.abs(grid.nodes[:, 0]))
+        dt = 0.9 * 0.25 / np.max(np.abs(node_coordinates(grid)[:, 0]))
         new = transport_step(state, dt)
         lam = dt / 0.25
         for f, got in ((state.f1, new.f1), (state.f2, new.f2)):
             want = np.empty_like(f)
             for i in range(12):
-                for k, v in enumerate(grid.nodes[:, 0]):
+                for k, v in enumerate(node_coordinates(grid)[:, 0]):
                     left, right = f[i - 1, k], f[(i + 1) % 12, k]
                     want[i, k] = f[i, k] - lam * (max(v, 0.0) * (f[i, k] - left)
                                                   + min(v, 0.0)
@@ -469,6 +477,21 @@ class TestRunScenario:
             dt=0.05, t_end=2.0, output_every=1)
         defaults.update(kw)
         return Scenario(**defaults)
+
+    def test_exp_run_holds_only_the_blocks_it_steps(self, ref_grid):
+        """Once its scenario is built, a two-step homogeneous EXP run on
+        the 32^3 lattice grows traced memory by at most 9 doubles per
+        node: the state, the next one and the (4, cells, nodes) target
+        block are 8, and the initial samples are not kept beside them."""
+        scen = self.scenario(ref_grid, make_params(epsilon=0.5), t_end=0.1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_scenario(scen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 9 * ref_grid.nnodes * np.dtype(float).itemsize
 
     def test_record_count(self, mid_grid):
         scen = self.scenario(mid_grid, self.balanced_params(),
