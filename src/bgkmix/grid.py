@@ -111,7 +111,7 @@ class VelocityGrid:
     @classmethod
     def reference(cls) -> "VelocityGrid":
         """32 points per axis on [-8, 8]^3."""
-        return cls(dim=3, vmin=-8.0, vmax=8.0, points=32)
+        return cls()
 
     def density(self, f: np.ndarray) -> float:
         """Quadrature number density of one distribution array."""
@@ -559,6 +559,18 @@ def _maxwellian_derivs(p: np.ndarray, d: int) -> np.ndarray:
     return B
 
 
+def _failing_member(solve, *stacks) -> int | None:
+    """The first member k on which solve(*(s[k] for s in stacks)) alone
+    raises LinAlgError, or None: a stacked LAPACK call that fails names
+    no member."""
+    for k, member in enumerate(zip(*stacks)):
+        try:
+            solve(*member)
+        except np.linalg.LinAlgError:
+            return k
+    return None
+
+
 def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
                      rows) -> np.ndarray:
     """Centred moment tensors (K, 5, ..., 5) of the Gaussians with
@@ -572,14 +584,12 @@ def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
     try:
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
-        for k, row in enumerate(rows):  # LAPACK names no member
-            try:
-                np.linalg.cholesky(cov[k])
-            except np.linalg.LinAlgError:
-                raise NoConvergenceError(
-                    f"covariance left the positive-definite cone "
-                    f"(member {row})", member=row) from exc
-        raise
+        k = _failing_member(np.linalg.cholesky, cov)
+        if k is None:
+            raise
+        raise NoConvergenceError(f"covariance left the positive-definite "
+                                 f"cone (member {rows[k]})",
+                                 member=rows[k]) from exc
     whole = len(rows) == len(out)
     block = out if whole else np.empty((len(rows), grid.nnodes))
     _gaussian_fill(p[:, 0], p[:, 1:1 + d], L, grid, block)
@@ -668,10 +678,14 @@ def _newton_match(n, u, s, isotropic: bool, sample, derivs, tol: float,
             if it == MAX_ITER:
                 break
             dqdp = SAG @ derivs(pa, d).transpose(0, 2, 1)
+            rhs = (q - target)[:, :, None]
             try:
-                step = np.linalg.solve(dqdp, (q - target)[:, :, None])[:, :, 0]
+                step = np.linalg.solve(dqdp, rhs)[:, :, 0]
             except np.linalg.LinAlgError as exc:
-                k = int(active[np.argmax(np.linalg.cond(dqdp))])
+                k = _failing_member(np.linalg.solve, dqdp, rhs)
+                if k is None:
+                    raise
+                k = int(active[k])
                 raise NoConvergenceError(
                     f"singular Jacobian while matching {what(k)}",
                     member=k) from exc

@@ -205,6 +205,14 @@ def _spd(tensor, dim: int) -> bool:
     return True
 
 
+# the most (2, cells, nodes) blocks a run holds at once: the state, its
+# (4, cells, nodes) target block and the next state, RK4's stage and
+# derivative blocks, and one block (EXP) or two (RK4) for the transients
+# of sampling, reduction and transport; traced runs peak at 4.0-4.4
+# (EXP) and 6.2-7.4 (RK4)
+_PEAK_BLOCKS = {"exp": 5, "rk4": 8}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one run.  Construction, and so
@@ -251,18 +259,21 @@ class Scenario:
             raise ValueError(f"unknown splitting {self.splitting!r}")
         if self.cells < 0:
             raise ValueError(f"cells must be >= 0 (got {self.cells})")
-        # the (2, cells, nodes) float64 state block, from the counts alone
-        # and before any allocation; unchecked where memory is unreported
+        # the run's peak, in (2, cells, nodes) float64 state blocks, from
+        # the counts alone and before any allocation; unchecked where
+        # memory is unreported
         try:
             memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         except (AttributeError, ValueError, OSError):
             memory = math.inf
         block = 2 * max(1, int(self.cells)) * self.grid.nnodes * 8
-        if block > memory:
+        peak = _PEAK_BLOCKS[self.integrator] * block
+        if peak > memory:
             raise ValueError(f"points {self.grid.points.tolist()} with cells "
                              f"{self.cells} give a state block of {block} "
-                             f"bytes, beyond the {memory} bytes of physical "
-                             f"memory")
+                             f"bytes, and an {self.integrator} run holds "
+                             f"{peak} bytes at its peak, beyond the {memory} "
+                             f"bytes of physical memory")
         for k, init in enumerate((self.species1, self.species2), start=1):
             if init is None:
                 continue
@@ -294,6 +305,9 @@ class Scenario:
         if violations:
             raise ValueError("inadmissible parameters: "
                              + "; ".join(violations))
+        if self.cells == 0 and not math.isfinite(self.wave_amplitude):
+            raise ValueError(f"wave_amplitude must be finite "
+                             f"(got {self.wave_amplitude})")
         if self.cells > 0:
             _check_cfl(self.grid, self.dt_transport, self.length / self.cells)
             if not min(self.density_profile()) > 0.0:  # NaN fails too

@@ -196,6 +196,8 @@ class TestCliCommands:
         "amplitude-nan": ("wave", dict(wave_amplitude=float("nan")),
                           "error: wave_amplitude nan gives a cell density "
                           "<= 0"),
+        "amplitude-nan-homogeneous": ("relax", dict(wave_amplitude=float(
+            "nan")), "error: wave_amplitude must be finite (got nan)"),
         # a scenario that sets cells gets the 1-D document of wave_doc
         "tensor-negative": ("relax", dict(cells=0, species1={
             "tensor": [[-1.0]]}), "error: species1.tensor must be a finite "
@@ -300,6 +302,9 @@ class TestCliCommands:
                            "(got -2)"),
         "count-zero": ("persistence", ("persistence", "count"), 0,
                        "error: persistence.count must be at least 1 (got 0)"),
+        "dim-beyond-index": ("relax", ("grid", "dim"), 1e300,
+                             f"error: dim must be 1, 2 or 3 (got "
+                             f"{int(1e300)})"),
     }
 
     @pytest.mark.parametrize("case", list(REFUSED))
@@ -593,23 +598,27 @@ class TestCliCommands:
         assert len(err) == 1
         assert err[0].startswith("error: points [12000, 12000, 12000]")
 
-    @pytest.mark.parametrize("memory, rc", [(32 * 1024, 1), (1024 ** 2, 0)],
-                             ids=["32KiB", "1MiB"])
+    @pytest.mark.parametrize("memory, integrator, rc", [
+        (32 * 1024, "exp", 1), (1024 ** 2, "exp", 0), (384 * 1024, "rk4", 1)],
+        ids=["32KiB", "1MiB", "rk4-384KiB"])
     def test_state_block_is_checked_against_physical_memory(
-            self, tmp_path, capsys, monkeypatch, memory, rc):
-        """A 16^3 relax run's state block is 2 x 4096 doubles, 64 KiB."""
+            self, tmp_path, capsys, monkeypatch, memory, integrator, rc):
+        """A 16^3 relax run's state block is 2 x 4096 doubles, 64 KiB; an
+        EXP run holds 5 such blocks at its peak, an RK4 run 8."""
         sysconf = os.sysconf
         pages = {"SC_PHYS_PAGES": memory // 4096, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", lambda name: pages[name]
                             if name in pages else sysconf(name))
-        path = write_config(tmp_path, self.relax_doc())
+        path = write_config(tmp_path, self.relax_doc(integrator=integrator))
         assert main(["relax", "-c", path, "-o", str(tmp_path)]) == rc
         err = capsys.readouterr().err
         assert (tmp_path / "relax.csv").exists() == (rc == 0)
+        peak = {"exp": 327680, "rk4": 524288}[integrator]
         assert err == ("" if rc == 0 else
-                       "error: points [16, 16, 16] with cells 0 give a "
-                       "state block of 65536 bytes, beyond the 32768 "
-                       "bytes of physical memory\n")
+                       f"error: points [16, 16, 16] with cells 0 give a "
+                       f"state block of 65536 bytes, and an {integrator} run "
+                       f"holds {peak} bytes at its peak, beyond the {memory} "
+                       f"bytes of physical memory\n")
 
     def test_unstable_rk4_exits_two_naming_target_and_cell(self, tmp_path,
                                                            capsys):
@@ -640,6 +649,21 @@ class TestCliCommands:
         rc = main(["relax", "-c", write_config(tmp_path, doc),
                    "-o", str(tmp_path)])
         assert rc == 2
+
+    def test_singular_jacobian_exits_two_naming_the_maxwellian(self, tmp_path,
+                                                               capsys):
+        """At T = 1e-300 Newton's Jacobian is singular and not finite: the
+        member is found by solving it alone, not by a condition number
+        that fails on the same matrix."""
+        doc = base_doc(masses=[1.0, 2.0], grid={"dim": 1, "points": 16},
+                       scenario={"species1": {"T": 1e-300}})
+        rc = main(["relax", "-c", write_config(tmp_path, doc),
+                   "-o", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == ("numerical failure: singular Jacobian while "
+                                "matching member 0: Maxwellian n=1.0, "
+                                "T=1e-300\n")
 
     def test_wave_partly_empty_species_exits_two(self, tmp_path, capsys):
         # n2 * (1 + 0.5 sin) falls below the 1e-30 density floor in some
@@ -840,3 +864,62 @@ class TestCliCommands:
         header, rows = read_rows(tmp_path / "relax.csv")
         assert header == diagnostics_header(2)
         assert all(len(r) == len(header) for r in rows)
+
+
+# the hostile-value sweep's base: 1-D, 16 points, both species and a
+# scan section, every leaf that takes a list given as one; a tensor,
+# which would make T count for nothing, is left out and swept in the
+# form [[x]]
+SWEEP_BASE = base_doc(
+    masses=[1.0, 2.0],
+    interaction={"nu12": 1.0, "epsilon": 0.5, "beta1": 1.0, "beta2": 1.0},
+    grid={"dim": 1, "vmin": [-8.0], "vmax": [8.0], "points": [16]},
+    scenario={"species1": {"u": [0.1]}, "species2": {"u": [-0.1], "T": 1.2}},
+    scan={"parameter": "delta", "start": 0.0, "stop": 0.6, "count": 3})
+HOSTILE = [float("nan"), float("inf"), -float("inf"), 0, -1, 1e300, -1e300,
+           2.5, 1e-300, 1e6]
+
+
+def schema_leaves(schema, path=""):
+    """The full path of every leaf of a config schema."""
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from schema_leaves(spec, f"{path}{key}.")
+        else:
+            yield path + key
+
+
+def first_replaced(form, value):
+    """`form` with its first scalar, at any depth, replaced by `value`."""
+    if isinstance(form, list):
+        return [first_replaced(form[0], value)] + form[1:]
+    return value
+
+
+class TestHostileValues:
+    @pytest.mark.parametrize("leaf", list(schema_leaves(configmod._SCHEMA)))
+    def test_validate_ends_in_one_line(self, tmp_path, capsys, leaf):
+        """Every leaf of the schema, as a scalar and as the first element
+        of a list leaf: `validate` exits 0 or 1, or 2 on the CFL bound,
+        with at most one line on stderr, and 1 on a non-finite value."""
+        *path, name = leaf.split(".")
+        base = functools.reduce(lambda d, k: d.get(k, {}), path, SWEEP_BASE)
+        form = base.get(name, [[1.0]] if name == "tensor" else None)
+        for value in HOSTILE:
+            if leaf == "scan.count" and value == 1e6:
+                # validate builds every scan run, about 0.3 ms each: 1e6
+                # runs is a long request rather than a hostile one
+                value = 1e3
+            forms = [value] + ([first_replaced(form, value)]
+                               if isinstance(form, list) else [])
+            for given in forms:
+                doc = json.loads(json.dumps(SWEEP_BASE))
+                functools.reduce(lambda d, k: d.setdefault(k, {}), path,
+                                 doc)[name] = given
+                rc = main(["validate", "-c", write_config(tmp_path, doc)])
+                err = capsys.readouterr().err.splitlines()
+                case = f"{leaf} = {given!r}: exit {rc}, {err}"
+                assert len(err) <= 1, case
+                assert rc in (0, 1) or (rc == 2 and err[0].startswith(
+                    "numerical failure: CFL")), case
+                assert np.isfinite(value) or rc == 1, case

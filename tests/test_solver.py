@@ -493,6 +493,26 @@ class TestRunScenario:
             tracemalloc.stop()
         assert peak - base <= 9 * ref_grid.nnodes * np.dtype(float).itemsize
 
+    @pytest.mark.parametrize("variant", [Variant.BGK, Variant.ES_FULL_A])
+    @pytest.mark.parametrize("integrator", ["exp", "rk4"])
+    def test_run_peak_is_within_the_admitted_blocks(self, ref_grid,
+                                                    integrator, variant):
+        """The physical-memory admission counts 5 state blocks for an EXP
+        run and 8 for RK4: a two-step run on the 32^3 lattice, its
+        scenario built, grows traced memory by no more at its peak."""
+        scen = self.scenario(ref_grid, make_params(epsilon=0.5,
+                                                   variant=variant),
+                             t_end=0.1, integrator=integrator)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_scenario(scen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 2 * ref_grid.nnodes * np.dtype(float).itemsize
+        assert peak - base <= solver._PEAK_BLOCKS[integrator] * block
+
     def test_record_count(self, mid_grid):
         scen = self.scenario(mid_grid, self.balanced_params(),
                              dt=0.1, t_end=1.0)
