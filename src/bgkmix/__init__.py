@@ -21,6 +21,6 @@ from .solver import (Diagnostics, KineticState, Scenario, SpeciesInit,
                      relax_step, run_scenario, transport_step)
 from .targets import (MixtureState, build_targets, es_tensor_cross,
                       es_tensor_self, mixture_temperatures,
-                      mixture_velocities, target_moments)
+                      mixture_velocities, target_moments, weighted_targets)
 
 __version__ = "0.1.0"

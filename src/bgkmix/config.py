@@ -23,7 +23,7 @@ from .errors import (ConfigError, MissingKeyError, UnknownVariantError,
 from .grid import VelocityGrid
 from .params import (EsParams, InteractionSpec, MixingParams, ModelParams,
                      SpeciesSpec, Variant, _positive, validate)
-from .solver import Scenario, SpeciesInit
+from .solver import Scenario, SpeciesInit, physical_memory
 
 SCHEMA_VERSION = 1
 
@@ -90,6 +90,8 @@ def _typed(value, kind: type, key: str, depth: int = 0):
     if not ok:
         raise ConfigError(f"{key} must be {_KINDS[kind]} (got {value!r})")
     try:
+        if kind is int:  # counts are used as floats downstream
+            float(value)
         return kind(value)
     except OverflowError:  # an integer beyond the float range
         raise ConfigError(f"{key} is out of range") from None
@@ -145,6 +147,17 @@ def _species_init(entry, key: str, dim: int) -> SpeciesInit | None:
                        T=entry["T"], tensor=tensor)
 
 
+def _check_table(key: str, count: int) -> None:
+    """ConfigError naming `key` when a table of `count` rows of three
+    float64 columns (the scan's and the persistence table's) would not
+    fit in physical memory."""
+    table, memory = 3 * 8 * count, physical_memory()
+    if table > memory:
+        raise ConfigError(f"{key} {count:.3g} gives a table of {table:.3g} "
+                          f"bytes, beyond the {memory} bytes of physical "
+                          f"memory")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON config document into a validated RunConfig.
 
@@ -189,6 +202,7 @@ def parse_config(text: str) -> RunConfig:
                                   f"(got {scan[key]})")
         if scan["count"] < 2:
             raise ConfigError("scan count must be at least 2")
+        _check_table("scan.count", scan["count"])
 
     persistence = cfg["persistence"]
     for key in ("kappa_min", "kappa_max"):  # either may be the larger
@@ -198,6 +212,7 @@ def parse_config(text: str) -> RunConfig:
     if persistence["count"] < 1:
         raise ConfigError(f"persistence.count must be at least 1 "
                           f"(got {persistence['count']})")
+    _check_table("persistence.count", persistence["count"])
 
     params = ModelParams(
         species1=SpeciesSpec(m=masses[0]), species2=SpeciesSpec(m=masses[1]),

@@ -14,12 +14,13 @@ The lattice is the tensor product of its per-axis node vectors
 `grid.axes`, flattened in `meshgrid(indexing="ij")` order (the last axis
 varies fastest); only those vectors are stored, never a (nodes, d)
 array of node coordinates.  A drifting Maxwellian is sampled as the
-outer product of d one-dimensional Gaussians, an anisotropic Gaussian in
-place as a one-dimensional Gaussian along the last axis, its log-height
-and centre conditioned on the leading axes; a stack of Gaussians is
-factored by one LAPACK Cholesky call and written by one fill.  Every lattice
-moment, of a distribution or of a Gaussian sample, is read from its
-tensor sum f prod_i c_i^a_i of per-axis offset powers
+outer product of d one-dimensional Gaussians (a row may sum several
+Maxwellians, one matrix product of their factors), an anisotropic
+Gaussian in place as a one-dimensional Gaussian along the last axis,
+its log-height and centre conditioned on the leading axes; a stack of
+Gaussians is factored by one LAPACK Cholesky call and written by one
+fill.  Every lattice moment, of a distribution or of a Gaussian sample,
+is read from its tensor sum f prod_i c_i^a_i of per-axis offset powers
 (`_lattice_tensor`).
 
 Moment matching is one Newton problem for both target families.  A
@@ -293,21 +294,31 @@ def _lattice_tensor(rows: np.ndarray, c: np.ndarray, grid: VelocityGrid,
 
 
 def _maxwellian_fill(n, theta, g, grid: VelocityGrid, out) -> None:
-    """Write the Maxwellians n / (2 pi theta)^(d/2) exp(-|v-u|^2 / (2
-    theta)) of a stack into the rows of out from their per-axis factors
-    g (`_axis_factors`, one row per member; `match_moments` passes the
-    ones its last Newton evaluation formed): the prefactor times the
-    outer product of the factors in the nodes' ij order, the last axis'
-    product written by one einsum outer product straight into out (a
-    broadcast multiply there runs one short inner loop per lattice row,
-    and is slower).  Each entry is the one rounded product either
-    gives."""
-    f = (n / (2.0 * math.pi * theta) ** (grid.dim / 2.0))[:, None]
+    """Write into each row of out the sum of its T Maxwellians n / (2 pi
+    theta)^(d/2) exp(-|v-u|^2 / (2 theta)), for n and theta (R, T) and
+    the per-axis factors g (R, T, axis nodes) of each term
+    (`_axis_factors`; the matchers pass the ones their last Newton
+    evaluation formed).  Each term's leading axes are its prefactor
+    times the outer product of their factors, in the nodes' ij order;
+    the row is then the product of those (R, L, T) with the last axis'
+    factors (R, T, P_last), written straight into out.  One term is an
+    einsum outer product, each entry the one rounded product of a
+    leading and a last-axis value (a broadcast multiply runs one short
+    inner loop per lattice row, and a matmul with an inner size of one
+    is slower still); more terms are one stacked matrix product.  A term
+    with n = 0 and zero factors adds exactly zero."""
+    R, T = np.shape(n)
+    lead = (n / (2.0 * math.pi * theta) ** (grid.dim / 2.0)).reshape(-1, 1)
+    g = np.reshape(g, (R * T, -1))
     factors = [g[:, a:a + p] for a, p in zip(grid.axis_start, grid.points)]
     for h in factors[:-1]:
-        f = (f[:, :, None] * h[:, None, :]).reshape(len(f), -1)
-    np.einsum("ka,kb->kab", f, factors[-1],
-              out=out.reshape(len(f), f.shape[1], -1))
+        lead = (lead[:, :, None] * h[:, None, :]).reshape(R * T, -1)
+    rows = out.reshape(R, lead.shape[1], -1)
+    if T == 1:
+        np.einsum("ka,kb->kab", lead, factors[-1], out=rows)
+    else:
+        np.matmul(lead.reshape(R, T, -1).transpose(0, 2, 1),
+                  factors[-1].reshape(R, T, -1), out=rows)
 
 
 def maxwellian_on_grid(n, u, T, mass, grid: VelocityGrid,
@@ -319,14 +330,9 @@ def maxwellian_on_grid(n, u, T, mass, grid: VelocityGrid,
     Stacked arguments give one row per member (written into `out` if
     given).
     """
-    stacked, u, n, T, mass = _members(grid, u, n, T, mass)
-    _require(T > 0.0, T, "temperature must be positive")
-    _require(n >= 0.0, n, "density must be nonnegative")
-    _require_mass(mass)
-    theta = T / mass
-    out = _block(out, len(n), grid)
-    _maxwellian_fill(n, theta, _axis_factors(u, theta, grid)[1], grid, out)
-    return out if stacked else out[0]
+    stacked, n, theta, factors, _ = _maxwellian_factors(n, u, T, mass, grid,
+                                                        match=False)
+    return _maxwellian_rows(stacked, n, theta, factors, grid, out)
 
 
 def spd_factor(matrix) -> SpdTensor:
@@ -575,10 +581,12 @@ def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
                      rows) -> np.ndarray:
     """Centred moment tensors (K, 5, ..., 5) of the Gaussians with
     p = (n, u, upper triangle of the covariance S = T/m) per row: the
-    covariances are factored by one stacked Cholesky call and sampled by
-    one stacked fill, the sample of p[k] landing in row rows[k] of
-    `out`, and all are reduced about their own u in one
-    `_lattice_tensor` call."""
+    covariances are factored by one stacked Cholesky call, and the
+    sample of p[k], written straight into row rows[k] of `out`, is
+    reduced about its own u by `_lattice_tensor`.  When every row is
+    sampled that is one stacked fill and one reduction; otherwise one of
+    each per member, so that no block is formed beside `out` (each
+    member's row and tensor are the ones the stacked calls give)."""
     d = grid.dim
     cov = _symmetric(p[:, 1 + d:], d)
     try:
@@ -590,14 +598,14 @@ def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
         raise NoConvergenceError(f"covariance left the positive-definite "
                                  f"cone (member {rows[k]})",
                                  member=rows[k]) from exc
-    whole = len(rows) == len(out)
-    block = out if whole else np.empty((len(rows), grid.nnodes))
-    _gaussian_fill(p[:, 0], p[:, 1:1 + d], L, grid, block)
-    c = grid.axis_nodes - p.take(1 + grid.axis_of, 1)
-    M = grid.weight * _lattice_tensor(block, c, grid, 4)
-    if not whole:
-        out[rows] = block
-    return M
+    parts = ([(slice(None), out)] if len(rows) == len(out) else
+             [(slice(k, k + 1), out[r:r + 1]) for k, r in enumerate(rows)])
+    M = []
+    for k, block in parts:
+        _gaussian_fill(p[k, 0], p[k, 1:1 + d], L[k], grid, block)
+        c = grid.axis_nodes - p[k].take(1 + grid.axis_of, 1)
+        M.append(_lattice_tensor(block, c, grid, 4))
+    return grid.weight * np.concatenate(M)
 
 
 def _gaussian_derivs(p: np.ndarray, d: int) -> np.ndarray:
@@ -711,39 +719,70 @@ def _newton_match(n, u, s, isotropic: bool, sample, derivs, tol: float,
         f"({what(k)}; grid too coarse or support clipped)", member=k)
 
 
+def _maxwellian_factors(n, u, T, mass, grid: VelocityGrid, match: bool):
+    """A stack of Maxwellians in factored form, checked: (stacked, n,
+    theta, per-axis factors (K, axis nodes), Newton iterations (K,)).
+
+    Without `match` they are the plain factors of (n, u, T/m)
+    (`_axis_factors`), with no iterations (None).  With it, the Newton
+    problem of `_newton_match` with covariance theta I, theta = T/m:
+    Newton on (n, u, theta) so that the discrete moments (1, v, |v|^2)
+    match to MATCH_TOL (relative) within MAX_ITER steps, the system from
+    per-axis sums; the factors are those of each member's last Newton
+    evaluation, so its row is the plain Maxwellian of the converged
+    parameters, or of the targets if they match at once.  Raises
+    NoConvergenceError, naming the member, when the grid cannot
+    represent a target (too coarse, or support clipped by the domain).
+    """
+    stacked, u, n, T, mass = _members(grid, u, n, T, mass)
+    if match:
+        _require(n > 0.0, n, "targets require n > 0")
+        _require(T > 0.0, T, "targets require T > 0")
+    else:
+        _require(T > 0.0, T, "temperature must be positive")
+        _require(n >= 0.0, n, "density must be nonnegative")
+    _require_mass(mass)
+    theta = T / mass
+    if not match:
+        return stacked, n, theta, _axis_factors(u, theta, grid)[1], None
+    factors = np.empty((len(n), len(grid.axis_nodes)))
+    p, iters = _newton_match(
+        n, u, theta[:, None], True,
+        lambda p, rows: _maxwellian_sample(p, grid, factors, rows),
+        _maxwellian_derivs, MATCH_TOL,
+        lambda k: f"member {k}: Maxwellian n={n[k]}, T={T[k]}")
+    return stacked, p[:, 0], p[:, -1], factors, iters
+
+
+def _maxwellian_rows(stacked: bool, n, theta, factors, grid: VelocityGrid,
+                     out) -> np.ndarray:
+    """One row per member of a factored stack, written into `out` if
+    given; the stack's one row when it was not stacked."""
+    out = _block(out, len(n), grid)
+    _maxwellian_fill(n[:, None], theta[:, None], factors[:, None], grid, out)
+    return out if stacked else out[0]
+
+
 def match_moments(n, u, T, mass, grid: VelocityGrid,
                   return_info: bool = False, out=None) -> np.ndarray:
     """Discrete Maxwellian whose quadrature (n, u, T) hit the targets.
 
-    The Gaussian problem of `_newton_match` with covariance theta I,
-    theta = T/m: Newton on (n, u, theta) so that the discrete moments
-    (1, v, |v|^2) match to MATCH_TOL (relative) within MAX_ITER steps.  The
-    Newton system comes from per-axis sums; f is sampled once, at the
-    converged parameters: `_maxwellian_fill` reuses the per-axis factors
-    of each member's last Newton evaluation and writes the last axis
-    with one einsum outer product.  So f is the plain sampled Maxwellian (`maxwellian_on_grid`)
-    of the converged parameters, or of the targets if they match at
-    once.  Stacked arguments (n, T, mass as (K,), u as (K, d)) match K
-    targets in one Newton loop and give one row per member (written into
-    `out` if given); `return_info` then reports the largest iteration
-    count.
+    The factored match (`_maxwellian_factors`) and the one Maxwellian
+    writer, `_maxwellian_fill`: f is sampled once, at the converged
+    parameters, from the per-axis factors of each member's last Newton
+    evaluation.  So f is the plain sampled Maxwellian
+    (`maxwellian_on_grid`) of the converged parameters, or of the
+    targets if they match at once.  Stacked arguments (n, T, mass as
+    (K,), u as (K, d)) match K targets in one Newton loop and give one
+    row per member (written into `out` if given); `return_info` then
+    reports the largest iteration count.
 
     Raises NoConvergenceError, naming the member, when the grid cannot
     represent a target (too coarse, or support clipped by the domain).
     """
-    stacked, u, n, T, mass = _members(grid, u, n, T, mass)
-    _require(n > 0.0, n, "targets require n > 0")
-    _require(T > 0.0, T, "targets require T > 0")
-    _require_mass(mass)
-    factors = np.empty((len(n), len(grid.axis_nodes)))
-    p, iters = _newton_match(
-        n, u, (T / mass)[:, None], True,
-        lambda p, rows: _maxwellian_sample(p, grid, factors, rows),
-        _maxwellian_derivs, MATCH_TOL,
-        lambda k: f"member {k}: Maxwellian n={n[k]}, T={T[k]}")
-    out = _block(out, len(n), grid)
-    _maxwellian_fill(p[:, 0], p[:, -1], factors, grid, out)
-    f = out if stacked else out[0]
+    stacked, n, theta, factors, iters = _maxwellian_factors(n, u, T, mass,
+                                                            grid, match=True)
+    f = _maxwellian_rows(stacked, n, theta, factors, grid, out)
     return (f, int(iters.max())) if return_info else f
 
 

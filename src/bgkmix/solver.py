@@ -12,32 +12,44 @@ slices.  Two integrators are available:
 RK4   classical four-stage update with targets rebuilt at every stage;
       accurate but not positivity preserving (negative excursions are
       flagged in the diagnostics, never clamped in the state).  A step
-      evaluates its stages in place in one scratch set, allocated once
-      (target, stage-derivative and stage-input blocks), and sums them
-      in the order of f + dt/6 (k1 + 2 k2 + 2 k3 + k4).
+      evaluates its stages in place in one scratch block, allocated once
+      (the target, stage-derivative and stage-input blocks), and sums
+      them in the order of f + dt/6 (k1 + 2 k2 + 2 k3 + k4).
 
-EXP   freeze the moments at the step start, build the targets once and
+EXP   freeze the moments at the step start, match the targets once and
       update f <- g* + (f - g*) exp(-nu_tot dt), where nu_tot is the
       total collision frequency of the species and g* the
       frequency-weighted average of its two targets, as one weighted
       sum w_f f + w_s g_s + w_c g_c with weights formed once per cell:
       w_f = exp(-nu_tot dt) and w_s,c = nu_s,c (1 - w_f) / nu_tot, 1 - w_f
-      from expm1.  First-order, and positivity preserving at any dt.
+      from expm1.  For BGK, whose targets are all Maxwellians, the
+      target pair Gamma = w_s g_s + w_c g_c of each species and cell is
+      written straight into the next state as one rank-2 product of the
+      matched per-axis factors (`targets.weighted_targets`), and w_f f
+      is added in place: no target block is formed.  The ES variants
+      sum the rows of the target block.  First-order, and positivity
+      preserving at any dt.
+
+A step writes the next state into a block it is given (`out`), or a
+new one.  `run_scenario` allocates one block beside the state, once per
+run: each relaxation or transport step writes into it, and the block
+the step read is the next one written.
 
 Both integrators work on whole blocks.  A collision evaluation of all
 cells gives the self rates [nu11 n1, nu22 n2] and the cross rates
-[nu12 n2, nu21 n1] as (2, cells, 1) columns, and the target block
-[g1, g2, g12, g21], whose rows 0:2 (self) and 2:4 (cross) align with
-the species axis.  Each evaluation, and each diagnostics record, reduces
-a view of the block in one `moments` call.  The initial block is each
-species' target, sampled once, times the cells' density profile.
-Diagnostics take the totals from the moment sets of the cell averages
-(momentum m n u, energy m n |u|^2 / 2 + tr(P) / 2 per species).  A
-homogeneous state is its own cell average, so `run_scenario` reduces
-each recorded one-cell state once and passes the result to `diagnose`
-and to the next `relax_step`.  Every reduction has a fixed summation
-order, so runs are reproducible.  A run is a frozen `Scenario`, whose
-construction is the one place a run's rules are checked.
+[nu12 n2, nu21 n1] as (2, cells, 1) columns, and the targets in the
+rows of the block [g1, g2, g12, g21], whose rows 0:2 (self) and 2:4
+(cross) align with the species axis.  Each evaluation, and each
+diagnostics record, reduces a view of the block in one `moments` call.
+The initial block is each species' target, sampled once, times the
+cells' density profile.  Diagnostics take the totals from the moment
+sets of the cell averages (momentum m n u, energy m n |u|^2 / 2 +
+tr(P) / 2 per species).  A homogeneous state is its own cell average,
+so `run_scenario` reduces each recorded one-cell state once and passes
+the result to `diagnose` and to the next `relax_step`.  Every reduction
+has a fixed summation order, so runs are reproducible.  A run is a
+frozen `Scenario`, whose construction is the one place a run's rules
+are checked.
 """
 
 from __future__ import annotations
@@ -51,8 +63,9 @@ import numpy as np
 from .errors import CflError, NotSpdError
 from .grid import MomentSet, VelocityGrid, h_functional, match_gaussian, \
     match_moments, gaussian_on_grid, maxwellian_on_grid, spd_factor
-from .params import ModelParams, _positive, derive_frequencies, validate
-from .targets import MixtureState, build_targets
+from .params import ModelParams, Variant, _positive, derive_frequencies, \
+    validate
+from .targets import MixtureState, build_targets, weighted_targets
 
 
 @dataclass
@@ -76,41 +89,61 @@ class KineticState:
                              f"block (got shape {f.shape})")
 
 
+def _block_out(f: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """`out`, checked to be a C-contiguous float block of f's shape that
+    shares no memory with f, or a new block."""
+    if out is None:
+        return np.empty_like(f)
+    if (out.shape != f.shape or out.dtype != f.dtype
+            or not out.flags.c_contiguous or np.may_share_memory(out, f)):
+        raise ValueError(f"out must be a C-contiguous float {f.shape} block "
+                         f"apart from the state (got {out.shape})")
+    return out
+
+
 def relax_step(state: KineticState, dt: float, params: ModelParams,
                integrator: str = "exp", match: bool = True, *,
-               mixture: MixtureState | None = None) -> KineticState:
+               mixture: MixtureState | None = None,
+               out: np.ndarray | None = None) -> KineticState:
     """One relaxation step of all cells at once, on the whole
-    (2, cells, nodes) block.  `mixture`, when given, is the
-    `MixtureState` of the state's own block and serves the first
-    collision evaluation in place of reducing the state again."""
+    (2, cells, nodes) block, written into `out` (a C-contiguous block
+    of the state's shape apart from it) or a new block.  `mixture`,
+    when given, is the `MixtureState` of the state's own block and
+    serves the first collision evaluation in place of reducing the
+    state again."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive (got {dt})")
     if integrator not in ("rk4", "exp"):
         raise ValueError(f"unknown integrator {integrator!r}")
     grid, freq, f = state.grid, derive_frequencies(params.interaction), state.f
+    new = _block_out(f, out)
     nu_self = np.array([freq.nu11, freq.nu22])[:, None, None]
     nu_cross = np.array([freq.nu12, freq.nu21])[:, None, None]
 
-    def collision(g, st=None, out=None):
-        """Self rate, self targets, cross rate, cross targets."""
+    def rates(g, st=None):
+        """The moments of g, the self rate and the cross rate."""
         if st is None:
             st = MixtureState.from_distributions(
                 g, params.species1.m, params.species2.m, grid)
         n = st.densities().reshape(2, -1, 1)
-        block = build_targets(st, params, grid, match, out=out)
-        return nu_self * n, block[:2], nu_cross * n[::-1], block[2:]
+        return st, nu_self * n, nu_cross * n[::-1]
 
     if integrator == "rk4":
-        targets = np.empty((4,) + f.shape[1:])
-        k, stage, new = np.empty_like(f), np.empty_like(f), np.empty_like(f)
+        # one block: freed and allocated again at the next step as one
+        # piece, which the allocator reuses rather than returns to the
+        # system and faults in again
+        scratch = np.empty((8,) + f.shape[1:])
+        targets, k, stage = scratch[:4], scratch[4:6], scratch[6:]
 
-        def rhs(g, out, st=None):
-            """nu_s (g_s - g) + nu_c (g_c - g) into `out`, formed in place
-            in the target block."""
-            nu_s, g_s, nu_c, g_c = collision(g, st, targets)
+        def rhs(g, into, st=None):
+            """nu_s (g_s - g) + nu_c (g_c - g) into `into`, formed in
+            place in the target block."""
+            st, nu_s, nu_c = rates(g, st)
+            block = build_targets(st, params, grid, match, out=targets)
+            g_s, g_c = block[:2], block[2:]
             np.multiply(np.subtract(g_s, g, out=g_s), nu_s, out=g_s)
             np.multiply(np.subtract(g_c, g, out=g_c), nu_c, out=g_c)
-            np.add(g_s, g_c, out=out)
+            np.add(g_s, g_c, out=into)
 
         rhs(f, new, mixture)  # new sums k1 + 2 k2 + 2 k3 + k4 in order
         np.multiply(new, 0.5 * dt, out=stage)
@@ -123,15 +156,26 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
         new *= dt / 6.0
         new += f
     else:
-        nu_s, g_s, nu_c, g_c = collision(f, mixture)
+        st, nu_s, nu_c = rates(f, mixture)
         nu_tot = nu_s + nu_c
-        if np.all(nu_tot > 0.0):
+        if not np.all(nu_tot > 0.0):  # both species empty
+            np.copyto(new, f)
+        else:
+            decay = np.exp(-nu_tot * dt)
             gain = -np.expm1(-nu_tot * dt) / nu_tot  # (1 - e^(-nu dt)) / nu
-            new = np.multiply(f, np.exp(-nu_tot * dt))
-            new += np.multiply(g_s, nu_s * gain, out=g_s)  # step-local rows
-            new += np.multiply(g_c, nu_c * gain, out=g_c)
-        else:  # both species empty
-            new = f.copy()
+            w_s, w_c = nu_s * gain, nu_c * gain
+            if params.es.variant == Variant.BGK:
+                # w_s g_s + w_c g_c straight into new, then w_f f added
+                # one species at a time, so a temporary is one species
+                weighted_targets(st, params, grid,
+                                 np.concatenate([w_s, w_c]), new, match)
+                for k in range(2):
+                    new[k] += np.multiply(f[k], decay[k])
+            else:
+                g_s, g_c = np.split(build_targets(st, params, grid, match), 2)
+                np.multiply(f, decay, out=new)
+                new += np.multiply(g_s, w_s, out=g_s)  # step-local rows
+                new += np.multiply(g_c, w_c, out=g_c)
     return KineticState(f=new, t=state.t + dt, grid=grid, dx=state.dx)
 
 
@@ -143,8 +187,11 @@ def _check_cfl(grid: VelocityGrid, dt: float, dx: float) -> None:
                        f"(max|v| dt/dx with dt={dt}, dx={dx:.6g})")
 
 
-def transport_step(state: KineticState, dt: float) -> KineticState:
-    """First-order upwind advection step on the periodic 1-D domain.
+def transport_step(state: KineticState, dt: float, *,
+                   out: np.ndarray | None = None) -> KineticState:
+    """First-order upwind advection step on the periodic 1-D domain,
+    written into `out` (a C-contiguous block of the state's shape apart
+    from it) or a new block.
 
     Advects the whole block along its cell axis, every velocity node
     independently, in flux form: the donor-cell flux through the right
@@ -162,7 +209,7 @@ def transport_step(state: KineticState, dt: float) -> KineticState:
     if state.dx is None:
         raise ValueError("transport requires a 1-D state with cell width")
     _check_cfl(state.grid, dt, state.dx)
-    f, grid, out = state.f, state.grid, np.empty_like(state.f)
+    f, grid, out = state.f, state.grid, _block_out(state.f, out)
     h = int(np.searchsorted(grid.axes[0], 0.0, "right")
             * np.prod(grid.points[1:]))  # nodes with v_x <= 0
     flux = (f.reshape(*f.shape[:2], grid.points[0], -1)
@@ -205,11 +252,20 @@ def _spd(tensor, dim: int) -> bool:
     return True
 
 
-# the most (2, cells, nodes) blocks a run holds at once: the state, its
-# (4, cells, nodes) target block and the next state, RK4's stage and
-# derivative blocks, and one block (EXP) or two (RK4) for the transients
-# of sampling, reduction and transport; traced runs peak at 4.0-4.4
-# (EXP) and 6.2-7.4 (RK4)
+def physical_memory() -> float:
+    """The host's physical memory in bytes, inf where it is unreported."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+# the most (2, cells, nodes) blocks a run holds at once: the state and
+# the run's block for the next one, the (4, cells, nodes) target block
+# (RK4 and the ES variants' EXP step; BGK's EXP step forms none), RK4's
+# stage and derivative blocks, and one block (EXP) or two (RK4) for the
+# transients of sampling, reduction and transport; traced runs peak at
+# 2.6-3.1 (BGK EXP), 4.6 (ES EXP) and 6.2-6.6 (RK4)
 _PEAK_BLOCKS = {"exp": 5, "rk4": 8}
 
 
@@ -260,12 +316,8 @@ class Scenario:
         if self.cells < 0:
             raise ValueError(f"cells must be >= 0 (got {self.cells})")
         # the run's peak, in (2, cells, nodes) float64 state blocks, from
-        # the counts alone and before any allocation; unchecked where
-        # memory is unreported
-        try:
-            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        except (AttributeError, ValueError, OSError):
-            memory = math.inf
+        # the counts alone and before any allocation
+        memory = physical_memory()
         block = 2 * max(1, int(self.cells)) * self.grid.nnodes * 8
         peak = _PEAK_BLOCKS[self.integrator] * block
         if peak > memory:
@@ -457,7 +509,9 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
     at the final step.  A homogeneous run reduces each recorded state
     once: its `MixtureState` goes to `diagnose` and to the next
     `relax_step`.  A 1-D run shares nothing, as transport runs between
-    the two.
+    the two.  The run allocates one block beside the state: every step
+    writes the next state into it, and the block the step read is the
+    one the next step writes.
     """
     grid, dt, cells = scenario.grid, scenario.dt, scenario.cells
     dx = scenario.length / cells if cells > 0 else None
@@ -469,6 +523,7 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
     state = KineticState(f=samples[:, None, :] * profile, t=0.0, grid=grid,
                          dx=dx)
     del samples  # a run holds only the blocks it steps
+    free = np.empty_like(state.f)  # the block the next step writes
     diag = Diagnostics(dim=grid.dim)
 
     def record(state):
@@ -485,14 +540,19 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
     strang = scenario.splitting == "strang"
     dt_transport = scenario.dt_transport
     nsteps = int(round(scenario.t_end / dt))
+    # each step writes into the free block, and the block it read is
+    # free after it (a step that returns a new block leaves it unused)
     for step in range(1, nsteps + 1):
         if dx is not None:
-            state = transport_step(state, dt_transport)
-        state = relax_step(state, dt, params, scenario.integrator,
-                           scenario.moment_matching, mixture=mixture)
+            state, free = transport_step(state, dt_transport, out=free), \
+                state.f
+        state, free = relax_step(state, dt, params, scenario.integrator,
+                                 scenario.moment_matching, mixture=mixture,
+                                 out=free), state.f
         mixture = None
         if dx is not None and strang:
-            state = transport_step(state, dt_transport)
+            state, free = transport_step(state, dt_transport, out=free), \
+                state.f
         state.t = step * dt
         if step % scenario.output_every == 0 or step == nsteps:
             mixture = record(state)

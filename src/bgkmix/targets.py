@@ -232,6 +232,23 @@ def _located(names, cells: int):
         raise
 
 
+def _stack(rows: dict, run, masses, cells: int, d: int):
+    """The targets `run` of `rows` (`target_moments`), one family, as one
+    stack over their cells, target-major: n (K,), u (K, d), the
+    temperatures (K,) or (K, d, d) and the masses (K,).  A density, or a
+    Maxwellian's temperature, that is not finite and positive raises
+    InadmissibleTargetError."""
+    n, u, temperature = zip(*(rows[r] for r in run))
+    tensor = np.ndim(temperature[0]) > 1
+    n = _admissible(np.array(n, dtype=float).reshape(-1), "density")
+    temperature = np.array(temperature, dtype=float).reshape(
+        (-1,) + ((d, d) if tensor else ()))
+    if not tensor:
+        _admissible(temperature, "temperature")
+    mass = np.array([masses[r % 2] for r in run]).repeat(cells)
+    return n, np.array(u, dtype=float).reshape(-1, d), temperature, mass
+
+
 def build_targets(state: MixtureState, params: ModelParams,
                   grid: VelocityGrid, match: bool = True,
                   out: np.ndarray | None = None) -> np.ndarray:
@@ -258,11 +275,7 @@ def build_targets(state: MixtureState, params: ModelParams,
     rows = target_moments(state, params)
     cells = (np.shape(rows[min(rows)][0]) if rows
              else (1,) if out is None else out.shape[1:-1])
-    C, N, d = math.prod(cells), grid.nnodes, grid.dim
-
-    def stack(values, shape=()):
-        return np.array(values, dtype=float).reshape((-1,) + shape)
-
+    C, N = math.prod(cells), grid.nnodes
     if out is None:
         out = (np.empty if len(rows) == 4 else np.zeros)((4, C, N))
     elif out.shape != (4,) + cells + (N,) or not out.flags.c_contiguous:
@@ -276,16 +289,53 @@ def build_targets(state: MixtureState, params: ModelParams,
             sorted(rows), key=lambda r: np.ndim(rows[r][2]) > 1):
         run = list(run)
         lo, hi = run[0], run[-1] + 1
-        n, u, temperature = zip(*(rows[r] for r in run))
-        mass = np.array([(state.m1, state.m2)[r % 2] for r in run]).repeat(C)
         with _located(_NAMES[lo:hi], C):
-            n = _admissible(stack(n), "density")
+            n, u, temperature, mass = _stack(rows, run, (state.m1, state.m2),
+                                             C, grid.dim)
             if tensor:
-                temperature = spd_factor(stack(temperature, (d, d)))
+                temperature = spd_factor(temperature)
                 fn = match_gaussian if match else gaussian_on_grid
             else:
-                temperature = _admissible(stack(temperature), "temperature")
                 fn = match_moments if match else maxwellian_on_grid
-            fn(n, stack(u, (d,)), temperature, mass, grid,
-               out=out[lo:hi].reshape(-1, N))
+            fn(n, u, temperature, mass, grid, out=out[lo:hi].reshape(-1, N))
     return out.reshape((4,) + cells + (N,))
+
+
+def weighted_targets(state: MixtureState, params: ModelParams,
+                     grid: VelocityGrid, weights: np.ndarray,
+                     out: np.ndarray, match: bool = True) -> np.ndarray:
+    """Write w_s g_s + w_c g_c, each species' self and cross target
+    weighted, of every cell into the C-contiguous (2, cells, nodes)
+    block `out` and return it, for a variant whose targets are all
+    Maxwellians (BGK); `weights` (4, cells, 1) gives w_s and w_c in the
+    rows of the `build_targets` block, [w_s1, w_s2, w_c1, w_c2].
+
+    The targets are matched, or sampled, in factored form in one stacked
+    call over the targets and cells, as `build_targets` matches them
+    (the same members in the same order, with the same checks and the
+    same failures, named by target and cell).  Each (species, cell) row
+    is then its two weighted Maxwellians written as one rank-2 product
+    of their per-axis factors (`grid._maxwellian_fill`); no target is
+    sampled on its own.  A degenerate species has no targets: its row
+    is zero, as is the other species' cross term.
+    """
+    rows = target_moments(state, params)
+    if any(np.ndim(t) > 1 for _, _, t in rows.values()):
+        raise ValueError(f"weighted targets are Maxwellians only "
+                         f"(got {params.es.variant})")
+    C, A = weights.shape[1], len(grid.axis_nodes)
+    # absent targets keep n = 0 and zero factors, so they add exactly 0
+    n, theta, factors = np.zeros(4 * C), np.ones(4 * C), np.zeros((4 * C, A))
+    if rows:
+        lo, hi = min(rows), max(rows) + 1
+        with _located(_NAMES[lo:hi], C):
+            members = _stack(rows, range(lo, hi), (state.m1, state.m2), C,
+                             grid.dim)
+            matched = gridmod._maxwellian_factors(*members, grid, match)
+        at = slice(lo * C, hi * C)
+        n[at], theta[at], factors[at] = matched[1:4]
+    # the terms (self, cross) of each (species, cell) row side by side
+    terms = (weights.reshape(-1) * n, theta, factors)
+    gridmod._maxwellian_fill(*(x.reshape((2, 2 * C) + x.shape[1:]).swapaxes(
+        0, 1) for x in terms), grid, out.reshape(2 * C, -1))
+    return out

@@ -620,6 +620,47 @@ class TestCliCommands:
                        f"holds {peak} bytes at its peak, beyond the {memory} "
                        f"bytes of physical memory\n")
 
+    @pytest.mark.parametrize("section, command, count, shown", [
+        ("persistence", "persistence", 1e300, "1e+300"),
+        ("scan", "scan", 10 ** 11, "1e+11")], ids=["persistence", "scan"])
+    def test_count_beyond_physical_memory_exits_one(
+            self, tmp_path, capsys, section, command, count, shown):
+        """A count whose table of three float64 columns cannot be held
+        is an input error naming the key, before any table is built."""
+        spec = {"count": count}
+        if section == "scan":
+            spec.update(parameter="delta", start=0.0, stop=0.6)
+        doc = base_doc(grid={"points": 16}, **{section: spec})
+        path = write_config(tmp_path, doc)
+        for name in (command, "validate"):
+            rc = main([name, "-c", path, "-o", str(tmp_path)])
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (1, "")
+            err = captured.err.splitlines()
+            assert len(err) == 1
+            assert re.fullmatch(rf"error: {section}\.count {re.escape(shown)} "
+                                rf"gives a table of \S+ bytes, beyond the "
+                                rf"\d+ bytes of physical memory", err[0])
+
+    @pytest.mark.parametrize("count, rc", [(16384, 0), (16385, 1)])
+    def test_persistence_table_is_checked_against_physical_memory(
+            self, tmp_path, capsys, monkeypatch, count, rc):
+        """384 KiB of physical memory hold a table of 16384 rows of three
+        float64 columns, and the 16^3 run's 320 KiB peak."""
+        sysconf = os.sysconf
+        pages = {"SC_PHYS_PAGES": 96, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name]
+                            if name in pages else sysconf(name))
+        path = write_config(tmp_path, base_doc(grid={"points": 16},
+                                               persistence={"count": count}))
+        assert main(["persistence", "-c", path]) == rc
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == (count + 1 if rc == 0 else 0)
+        assert captured.err == ("" if rc == 0 else
+                                "error: persistence.count 1.64e+04 gives a "
+                                "table of 3.93e+05 bytes, beyond the 393216 "
+                                "bytes of physical memory\n")
+
     def test_unstable_rk4_exits_two_naming_target_and_cell(self, tmp_path,
                                                            capsys):
         # nu_tot dt is 8 and 16, past RK4's stability bound of about 2.8:
@@ -876,8 +917,9 @@ SWEEP_BASE = base_doc(
     grid={"dim": 1, "vmin": [-8.0], "vmax": [8.0], "points": [16]},
     scenario={"species1": {"u": [0.1]}, "species2": {"u": [-0.1], "T": 1.2}},
     scan={"parameter": "delta", "start": 0.0, "stop": 0.6, "count": 3})
+# 10**400 is an integer beyond the float range, finite but out of range
 HOSTILE = [float("nan"), float("inf"), -float("inf"), 0, -1, 1e300, -1e300,
-           2.5, 1e-300, 1e6]
+           2.5, 1e-300, 1e6, 10 ** 400]
 
 
 def schema_leaves(schema, path=""):
@@ -901,7 +943,8 @@ class TestHostileValues:
     def test_validate_ends_in_one_line(self, tmp_path, capsys, leaf):
         """Every leaf of the schema, as a scalar and as the first element
         of a list leaf: `validate` exits 0 or 1, or 2 on the CFL bound,
-        with at most one line on stderr, and 1 on a non-finite value."""
+        with at most one line on stderr, and 1 on a non-finite value or
+        an integer beyond the float range."""
         *path, name = leaf.split(".")
         base = functools.reduce(lambda d, k: d.get(k, {}), path, SWEEP_BASE)
         form = base.get(name, [[1.0]] if name == "tensor" else None)
@@ -922,4 +965,5 @@ class TestHostileValues:
                 assert len(err) <= 1, case
                 assert rc in (0, 1) or (rc == 2 and err[0].startswith(
                     "numerical failure: CFL")), case
-                assert np.isfinite(value) or rc == 1, case
+                refused = value == 10 ** 400 or not np.isfinite(value)
+                assert rc == 1 or not refused, case

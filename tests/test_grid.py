@@ -9,8 +9,9 @@ from bgkmix import grid as gridmod
 from bgkmix.chapman import heat_flux_check
 from bgkmix.errors import (DegenerateDensityError, NoConvergenceError,
                            NotSpdError)
-from bgkmix.grid import (VelocityGrid, _family, _gaussian_derivs,
-                         _gaussian_fill, _gaussian_sample, _maxwellian_derivs,
+from bgkmix.grid import (VelocityGrid, _axis_factors, _family,
+                         _gaussian_derivs, _gaussian_fill, _gaussian_sample,
+                         _maxwellian_derivs, _maxwellian_fill,
                          _maxwellian_sample, _monomials, _newton_system,
                          gaussian_on_grid, h_functional, match_gaussian,
                          match_moments, maxwellian_on_grid, moments,
@@ -309,6 +310,29 @@ class TestMaxwellianOnGrid:
                   * np.exp(-np.sum(c * c, axis=1) / (2 * theta)))
         f = maxwellian_on_grid(n, u, T, m, grid)
         assert np.max(np.abs(f - direct)) <= 1e-14 * np.max(direct)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_two_terms_per_row_sum_their_maxwellians(self, dim):
+        """Each row of a two-term fill is the sum of its terms' one-term
+        fills to round-off; a term with n = 0 and zero factors adds
+        exactly nothing."""
+        grid = uneven_grid(dim)
+        n = np.array([[0.9, 0.4], [1.2, 0.0]])
+        theta = np.array([[0.8, 1.3], [0.6, 1.0]])
+        u = np.array([[[0.3, -0.2, 0.15], [-0.1, 0.2, 0.0]],
+                      [[0.0, 0.1, -0.3], [0.0, 0.0, 0.0]]])[..., :dim]
+        g = _axis_factors(u.reshape(4, dim), theta.reshape(4), grid)[1]
+        g = g.reshape(2, 2, -1)
+        g[1, 1] = 0.0
+        both = np.empty((2, grid.nnodes))
+        _maxwellian_fill(n, theta, g, grid, both)
+        terms = np.empty((4, grid.nnodes))
+        _maxwellian_fill(n.reshape(4, 1), theta.reshape(4, 1),
+                         g.reshape(4, 1, -1), grid, terms)
+        terms = terms.reshape(2, 2, -1)
+        assert np.max(np.abs(both[0] - terms[0].sum(axis=0))) <= \
+            1e-15 * np.max(both[0])
+        assert np.array_equal(both[1], terms[1, 0])
 
 
 class TestSeparableRawMoments:

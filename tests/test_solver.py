@@ -284,9 +284,14 @@ class TestInPlaceRk4:
         assert np.array_equal(new.f, reference_rk4(state, 0.05, params,
                                                    match))
 
-    @pytest.mark.parametrize("integrator, builds", [("rk4", 4), ("exp", 1)])
+    @pytest.mark.parametrize("integrator, variant, builds", [
+        ("rk4", Variant.BGK, 4), ("exp", Variant.ES_FULL_A, 1),
+        ("exp", Variant.BGK, 0)], ids=["rk4-4", "exp-1", "exp-0"])
     def test_stages_share_one_target_block(self, monkeypatch, mid_grid,
-                                           integrator, builds):
+                                           integrator, variant, builds):
+        """RK4's stages refill one target block; an ES EXP step builds
+        one block, and a BGK EXP step none (it writes the weighted
+        targets straight into the next state)."""
         outs = []
         real = solver.build_targets
 
@@ -295,19 +300,21 @@ class TestInPlaceRk4:
             return real(*args, out=out, **kwargs)
 
         monkeypatch.setattr(solver, "build_targets", spy)
-        relax_step(nonequilibrium_state(mid_grid), 0.05, make_params(),
-                   integrator)
+        relax_step(nonequilibrium_state(mid_grid), 0.05,
+                   make_params(variant=variant), integrator)
         assert len(outs) == builds
         if integrator == "rk4":
             assert outs[0] is not None
             assert all(out is outs[0] for out in outs)
         else:
-            assert outs == [None]
+            assert outs == [None] * builds
 
 
-def reference_transport(state, dt):
+def reference_transport(state, dt, out=None):
     """The donor-cell step written out on the whole block: a rolled copy
-    of f times min(v_x, 0) plus f times max(v_x, 0) is the face flux."""
+    of f times min(v_x, 0) plus f times max(v_x, 0) is the face flux.
+    `out`, a run's block for the step, is ignored: the step returns a
+    new block."""
     f, vx = state.f, node_coordinates(state.grid)[:, 0]
     flux = np.roll(f, -1, axis=1)
     flux *= np.minimum(vx, 0.0)
@@ -379,6 +386,51 @@ class TestSplitTransport:
         assert np.array_equal(np.isnan(new.f), want)
         assert np.isfinite(new.f[~want]).all()
         assert diagnose(new, make_params()).negative
+
+
+class TestStepOut:
+    """A step given a block writes the next state into it, bit for bit
+    the state a step that allocates gives; a block that is not a
+    C-contiguous float block of the state's shape, apart from the
+    state, is refused."""
+
+    @pytest.mark.parametrize("integrator, variant", [
+        ("exp", Variant.BGK), ("exp", Variant.ES_FULL_A), ("rk4", Variant.BGK)],
+        ids=["exp-bgk", "exp-es", "rk4-bgk"])
+    def test_relax_step_writes_into_out(self, mid_grid, integrator, variant):
+        mus = {} if variant == Variant.BGK else TestStackedRelaxation.MUS
+        params = make_params(epsilon=0.5, variant=variant, **mus)
+        state = nonequilibrium_state(mid_grid)
+        out = np.full_like(state.f, np.nan)
+        new = relax_step(state, 0.05, params, integrator, out=out)
+        assert new.f is out
+        assert np.array_equal(out, relax_step(state, 0.05, params,
+                                              integrator).f)
+
+    def test_transport_step_writes_into_out(self):
+        grid = VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=8)
+        f = np.random.default_rng(7).uniform(0.0, 1.0, (2, 5, grid.nnodes))
+        state = KineticState(f=f, t=0.0, grid=grid, dx=0.25)
+        out = np.full_like(f, np.nan)
+        new = transport_step(state, 0.05, out=out)
+        assert new.f is out
+        assert np.array_equal(out, transport_step(state, 0.05).f)
+
+    @pytest.mark.parametrize("bad", ["state", "shape", "strided", "float32"])
+    def test_out_is_checked(self, bad):
+        grid = VelocityGrid(dim=1, vmin=-4.0, vmax=4.0, points=8)
+        f = np.ones((2, 3, grid.nnodes))
+        state = KineticState(f=f, t=0.0, grid=grid, dx=0.25)
+        out = {"state": state.f, "shape": np.empty((2, 2, 8)),
+               "strided": np.empty((2, 3, 16))[..., ::2],
+               "float32": np.empty(f.shape, dtype=np.float32)}[bad]
+        for step in (lambda: relax_step(state, 0.05, make_params(), out=out),
+                     lambda: transport_step(state, 0.05, out=out)):
+            with pytest.raises(ValueError, match=r"^out must be a "
+                               r"C-contiguous float \(2, 3, 8\) block apart "
+                               r"from the state \(got "):
+                step()
+        assert np.all(state.f == 1.0)
 
 
 class TestTransportStep:
@@ -479,10 +531,11 @@ class TestRunScenario:
         return Scenario(**defaults)
 
     def test_exp_run_holds_only_the_blocks_it_steps(self, ref_grid):
-        """Once its scenario is built, a two-step homogeneous EXP run on
-        the 32^3 lattice grows traced memory by at most 9 doubles per
-        node: the state, the next one and the (4, cells, nodes) target
-        block are 8, and the initial samples are not kept beside them."""
+        """Once its scenario is built, a two-step homogeneous BGK EXP run
+        on the 32^3 lattice grows traced memory by at most 6 doubles per
+        node: the state and the run's one other block are 4, no target
+        block is formed, and the initial samples are not kept beside
+        them."""
         scen = self.scenario(ref_grid, make_params(epsilon=0.5), t_end=0.1)
         tracemalloc.start()
         try:
@@ -491,7 +544,7 @@ class TestRunScenario:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - base <= 9 * ref_grid.nnodes * np.dtype(float).itemsize
+        assert peak - base <= 6 * ref_grid.nnodes * np.dtype(float).itemsize
 
     @pytest.mark.parametrize("variant", [Variant.BGK, Variant.ES_FULL_A])
     @pytest.mark.parametrize("integrator", ["exp", "rk4"])
@@ -775,13 +828,14 @@ class TestSharedReduction:
 
     GRID = VelocityGrid(dim=2, vmin=-7.0, vmax=7.0, points=20)
 
-    def scenario(self, integrator, every, cells):
+    def scenario(self, integrator, every, cells, splitting="lie"):
         return Scenario(
             params=make_params(epsilon=0.5), grid=self.GRID,
             species1=SpeciesInit(n=1.0, u=(0.4, 0.1, 0.0), T=1.0),
             species2=SpeciesInit(n=0.7, u=(-0.3, 0.0, 0.0), T=1.3),
             dt=0.02, t_end=0.14, output_every=every, integrator=integrator,
-            cells=cells, wave_amplitude=0.2 if cells else 0.0)
+            cells=cells, splitting=splitting,
+            wave_amplitude=0.2 if cells else 0.0)
 
     @staticmethod
     def unshared_run(scen):
@@ -802,21 +856,26 @@ class TestSharedReduction:
         diag = Diagnostics(dim=grid.dim)
         diag.append(diagnose(state, params))
         nsteps = int(round(scen.t_end / dt))
+        strang = scen.splitting == "strang"
         for step in range(1, nsteps + 1):
             if dx is not None:
-                state = transport_step(state, dt)
+                state = transport_step(state, dt / 2 if strang else dt)
             state = relax_step(state, dt, params, scen.integrator)
+            if dx is not None and strang:
+                state = transport_step(state, dt / 2)
             state.t = step * dt
             if step % scen.output_every == 0 or step == nsteps:
                 diag.append(diagnose(state, params))
         return diag
 
-    @pytest.mark.parametrize("cells", [0, 4], ids=["homogeneous", "wave"])
+    @pytest.mark.parametrize("cells, splitting", [
+        (0, "lie"), (4, "lie"), (4, "strang")],
+        ids=["homogeneous", "wave", "wave-strang"])
     @pytest.mark.parametrize("every", [1, 3])
     @pytest.mark.parametrize("integrator", ["rk4", "exp"])
     def test_diagnostics_equal_unshared_loop(self, tmp_path, integrator,
-                                             every, cells):
-        scen = self.scenario(integrator, every, cells)
+                                             every, cells, splitting):
+        scen = self.scenario(integrator, every, cells, splitting)
         shared, unshared = tmp_path / "shared.csv", tmp_path / "unshared.csv"
         write_diagnostics_csv(run_scenario(scen), str(shared))
         write_diagnostics_csv(self.unshared_run(scen), str(unshared))

@@ -13,7 +13,7 @@ from bgkmix.params import (EsParams, InteractionSpec, MixingParams,
                            derive_frequencies, gamma_bound_expression)
 from bgkmix.targets import (MixtureState, build_targets, es_tensor_cross,
                             es_tensor_self, mixture_temperatures,
-                            mixture_velocities)
+                            mixture_velocities, weighted_targets)
 
 
 def make_state(n1=1.0, u1=(0.3, 0, 0), T1=1.0, n2=0.8, u2=(-0.2, 0.1, 0),
@@ -510,6 +510,82 @@ class TestBuildTargets:
         assert np.shares_memory(ts, out)
         assert np.all(out[1:] == 0.0)
         assert np.array_equal(out, build_targets(st, params, mid_grid))
+
+
+class TestWeightedTargets:
+    """weighted_targets writes w_s g_s + w_c g_c of each species and cell
+    without a target block: the weighted rows of `build_targets` to
+    round-off, with its failures."""
+
+    WEIGHTS = np.array([0.3, 0.7, 0.45, 0.25])
+
+    @staticmethod
+    def state(grid, absent=()):
+        """Three cells of both species, with different n, u and T;
+        species in `absent` empty."""
+        f = np.array([[match_moments(n, (s * du, 0.1, 0), T, m, grid)
+                       for n, du, T in ((1.0, 0.2, 1.0), (0.6, -0.1, 1.4),
+                                        (1.3, 0.3, 0.8))]
+                      for m, s in ((1.0, 1.0), (2.0, -1.0))])
+        f[list(absent)] = 0.0
+        return MixtureState.from_distributions(f, 1.0, 2.0, grid)
+
+    @pytest.mark.parametrize("absent", [(), (0,), (1,)],
+                             ids=["both", "no-1", "no-2"])
+    @pytest.mark.parametrize("match", [True, False],
+                             ids=["matched", "sampled"])
+    def test_equals_weighted_target_rows(self, mid_grid, match, absent):
+        st, params = self.state(mid_grid, absent), make_params(epsilon=0.5)
+        weights = (self.WEIGHTS[:, None] * np.array([1.0, 2.0, 0.5]))[
+            :, :, None]
+        out = np.full((2, 3, mid_grid.nnodes), np.nan)
+        got = weighted_targets(st, params, mid_grid, weights, out, match)
+        assert got is out
+        block = build_targets(st, params, mid_grid, match)
+        want = weights[:2] * block[:2] + weights[2:] * block[2:]
+        scale = np.abs(block).max()
+        assert np.abs(got - want).max() <= 4e-16 * scale
+        for k in absent:
+            assert np.all(got[k] == 0.0)
+
+    def test_refuses_gaussian_targets(self, mid_grid):
+        params = make_params(variant=Variant.ES_SELF_ONLY, mu1=0.5, mu2=0.5)
+        with pytest.raises(ValueError, match="^weighted targets are "
+                           "Maxwellians only"):
+            weighted_targets(self.state(mid_grid), params, mid_grid,
+                             np.ones((4, 3, 1)),
+                             np.empty((2, 3, mid_grid.nnodes)))
+
+    def test_failure_names_target_and_cell(self):
+        """The unmatchable cell of TestBuildTargets fails as it does
+        there: target g1, cell 1."""
+        grid = VelocityGrid(dim=1, vmin=-2.0, vmax=2.0, points=8)
+        cold, hot = np.array([0.3, 0.3]), np.array([0.3, 4.0])
+        st = MixtureState(
+            m1=1.0, m2=1.0,
+            mom1=MomentSet(n=np.ones(2), u=np.zeros((2, 1)), T=hot),
+            mom2=MomentSet(n=np.ones(2), u=np.zeros((2, 1)), T=cold))
+        with pytest.raises(NoConvergenceError,
+                           match=r"\(target g1, cell 1\)") as err:
+            weighted_targets(st, make_params(m2=1.0), grid,
+                             np.ones((4, 2, 1)), np.empty((2, 2, 8)))
+        assert err.value.member == 1
+
+    def test_inadmissible_temperature_names_target_and_cell(self):
+        grid = VelocityGrid(dim=1, vmin=-8.0, vmax=8.0, points=64)
+        st = MixtureState(
+            m1=1.0, m2=2.0,
+            mom1=MomentSet(n=np.ones(2), u=np.zeros((2, 1)),
+                           T=np.array([1.0, 1.0])),
+            mom2=MomentSet(n=np.ones(2), u=np.zeros((2, 1)),
+                           T=np.array([1.0, -4.0])))
+        for match in (True, False):
+            with pytest.raises(InadmissibleTargetError, match=(
+                    r"^target temperature must be finite and positive "
+                    r".*\(target g2, cell 1\)$")) as err:
+                weighted_targets(st, make_params(), grid, np.ones((4, 2, 1)),
+                                 np.empty((2, 2, 64)), match)
+            assert err.value.member == 3  # g1 cells 0, 1, then g2's
 
 
 def maxwellian_like(grid, u, T):
