@@ -4,10 +4,14 @@ A state is one (2, cells, nodes) block, species 1 in row 0; a space-
 homogeneous run is one cell and integrates the pure relaxation
 equations, while 1-D runs add first-order upwind transport on a
 periodic domain via Lie or Strang splitting (Strang transports in two
-half steps, and the CFL bound applies to each).  A transport step forms
-the product v_x f once and differences it from the upwind side: the
-nodes with v_x <= 0 are a prefix of the node order, so the split is two
-slices.  Two integrators are available:
+half steps, and the CFL bound applies to each).  A transport step
+writes the upwind difference of f into the next state's block, scales
+it there by -v_x dt/dx per node and adds f: three passes over the
+block and no temporary of its size.  The nodes with v_x <= 0 are a
+prefix of the node order, so the upwind split is two slices.  The
+differences telescope, so each node's mass is conserved to round-off,
+and a non-finite entry reaches only its own node's donor stencil.  Two
+integrators are available:
 
 RK4   classical four-stage update with targets rebuilt at every stage;
       accurate but not positivity preserving (negative excursions are
@@ -194,17 +198,18 @@ def transport_step(state: KineticState, dt: float, *,
     from it) or a new block.
 
     Advects the whole block along its cell axis, every velocity node
-    independently, in flux form: the donor-cell flux through the right
-    face of cell i is F_i = v+ f_i + v- f_(i+1), and f_i - dt/dx
-    (F_i - F_(i-1)) is the new value.  The product P = v_x f is formed
-    once, on the (points[0], rest) view of the nodes with v_x from
-    `grid.axes[0]`, and split at v_x = 0: the nodes are in `ij` order
-    with v_x slowest, so those with v_x <= 0 are a prefix, whose
-    difference is P_(i+1) - P_i, and the rest take P_i - P_(i-1); the
-    term of F_i that vanishes is never formed.  The flux sum telescopes,
-    so total mass per node is conserved to round-off, and a non-finite
-    entry reaches only its own node's donor stencil.  A CFL number above
-    one is a hard error.
+    independently, with the donor-cell update f_i - v_x dt/dx D_i, where
+    D_i is the upwind difference of f: f_(i+1) - f_i where v_x <= 0 and
+    f_i - f_(i-1) where v_x > 0.  The nodes are in `ij` order with v_x
+    slowest, so those with v_x <= 0 are a prefix of the node order and
+    the split is two slices: D is written straight into `out`, scaled
+    in place by the column -v_x dt/dx (from `grid.axes[0]`) on the
+    (points[0], rest) view of the nodes, and f is added.  Three passes
+    over the block, and no temporary of its size.  The differences
+    telescope around the periodic domain, so each node's total mass is
+    conserved to round-off, and a non-finite entry reaches only its own
+    node's donor stencil: the cell it sits in and the neighbour it is
+    the donor of.  A CFL number above one is a hard error.
     """
     if state.dx is None:
         raise ValueError("transport requires a 1-D state with cell width")
@@ -212,14 +217,13 @@ def transport_step(state: KineticState, dt: float, *,
     f, grid, out = state.f, state.grid, _block_out(state.f, out)
     h = int(np.searchsorted(grid.axes[0], 0.0, "right")
             * np.prod(grid.points[1:]))  # nodes with v_x <= 0
-    flux = (f.reshape(*f.shape[:2], grid.points[0], -1)
-            * grid.axes[0][:, None]).reshape(f.shape)  # v_x f per node
-    neg, pos = flux[..., :h], flux[..., h:]
+    neg, pos = f[..., :h], f[..., h:]
     np.subtract(neg[:, 1:], neg[:, :-1], out=out[:, :-1, :h])
     np.subtract(neg[:, :1], neg[:, -1:], out=out[:, -1:, :h])
     np.subtract(pos[:, 1:], pos[:, :-1], out=out[:, 1:, h:])
     np.subtract(pos[:, :1], pos[:, -1:], out=out[:, :1, h:])
-    out *= -dt / state.dx
+    rows = out.reshape(*f.shape[:2], grid.points[0], -1)  # one per v_x
+    rows *= (grid.axes[0] * (-dt / state.dx))[:, None]
     out += f
     return KineticState(f=out, t=state.t + dt, grid=state.grid, dx=state.dx)
 
@@ -264,9 +268,16 @@ def physical_memory() -> float:
 # the run's block for the next one, the (4, cells, nodes) target block
 # (RK4 and the ES variants' EXP step; BGK's EXP step forms none), RK4's
 # stage and derivative blocks, and one block (EXP) or two (RK4) for the
-# transients of sampling, reduction and transport; traced runs peak at
-# 2.6-3.1 (BGK EXP), 4.6 (ES EXP) and 6.2-6.6 (RK4)
+# transients of sampling and reduction (transport forms none); traced
+# runs peak at 2.6 (BGK EXP; 2.5 for a 1-D run of 32 cells of a 16^3
+# lattice), 4.6 (ES EXP) and 6.2-6.6 (RK4)
 _PEAK_BLOCKS = {"exp": 5, "rk4": 8}
+
+# bytes per diagnostics record: a run holds 2.0-2.1 kB a record, and a
+# `relax` command that writes them as its CSV table peaks at 3.9, 6.0
+# and 8.0 kB a record in dims 1, 2 and 3 (traced, as the growth from
+# 1000 to 3000 records)
+_RECORD_BYTES = 8192
 
 
 @dataclass(frozen=True)
@@ -325,6 +336,13 @@ class Scenario:
                              f"{self.cells} give a state block of {block} "
                              f"bytes, and an {self.integrator} run holds "
                              f"{peak} bytes at its peak, beyond the {memory} "
+                             f"bytes of physical memory")
+        records = round(steps) // self.output_every + 2
+        if records * _RECORD_BYTES > memory:
+            raise ValueError(f"dt {self.dt}, t_end {self.t_end} and "
+                             f"output_every {self.output_every} give "
+                             f"{records:.3g} diagnostics records of "
+                             f"{_RECORD_BYTES} bytes, beyond the {memory} "
                              f"bytes of physical memory")
         for k, init in enumerate((self.species1, self.species2), start=1):
             if init is None:

@@ -661,6 +661,48 @@ class TestCliCommands:
                                 "table of 3.93e+05 bytes, beyond the 393216 "
                                 "bytes of physical memory\n")
 
+    def test_step_count_beyond_physical_memory_exits_one(self, tmp_path,
+                                                          capsys):
+        """dt = 1e-300 over t_end = 0.1 asks for 1e299 steps: `validate`
+        and `relax` refuse the run's diagnostics records before a step
+        is taken, naming the keys that set their count."""
+        path = write_config(tmp_path, self.relax_doc(dt=1e-300, t_end=0.1))
+        for command in ("validate", "relax"):
+            rc = main([command, "-c", path, "-o", str(tmp_path)])
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (1, "")
+            err = captured.err.splitlines()
+            assert len(err) == 1
+            assert re.fullmatch(r"error: dt 1e-300, t_end 0\.1 and "
+                                r"output_every 1 give 1e\+299 diagnostics "
+                                r"records of \d+ bytes, beyond the \d+ "
+                                r"bytes of physical memory", err[0])
+        assert not (tmp_path / "relax.csv").exists()
+
+    @pytest.mark.parametrize("t_end, rc", [(0.93, 0), (0.94, 1)])
+    def test_records_are_checked_against_physical_memory(
+            self, tmp_path, capsys, monkeypatch, t_end, rc):
+        """384 KiB of physical memory hold 48 records of 8 KiB, and the
+        16^3 run's 320 KiB peak: 93 steps recorded every second step
+        give 93 // 2 + 2 = 48 records, and 94 steps give 49."""
+        sysconf = os.sysconf
+        pages = {"SC_PHYS_PAGES": 96, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name]
+                            if name in pages else sysconf(name))
+        path = write_config(tmp_path, self.relax_doc(dt=0.01, t_end=t_end,
+                                                     output_every=2))
+        assert main(["validate", "-c", path]) == rc
+        assert main(["relax", "-c", path, "-o", str(tmp_path)]) == rc
+        captured = capsys.readouterr()
+        csv = tmp_path / "relax.csv"
+        assert csv.exists() == (rc == 0)
+        if rc == 0:  # the header and 48 records
+            assert len(csv.read_text().splitlines()) == 49
+        assert captured.err == ("" if rc == 0 else 2 * (
+            "error: dt 0.01, t_end 0.94 and output_every 2 give 49 "
+            "diagnostics records of 8192 bytes, beyond the 393216 bytes "
+            "of physical memory\n"))
+
     def test_unstable_rk4_exits_two_naming_target_and_cell(self, tmp_path,
                                                            capsys):
         # nu_tot dt is 8 and 16, past RK4's stability bound of about 2.8:
