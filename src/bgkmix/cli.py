@@ -21,6 +21,7 @@ written, from memory, as an SVG beside its CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -63,14 +64,14 @@ def diagnostics_header(dim: int) -> list[str]:
 
 def _write_table(header: list[str], rows, path: str | None = None) -> None:
     """Write `header`, then each row of numbers in `_fmt`: comma-separated,
-    every line ending in a newline, to `path` or to standard output."""
-    lines = [header, *([_fmt(v) for v in row] for row in rows)]
-    text = "".join(",".join(line) + "\n" for line in lines)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    every line ending in a newline, to `path` or to standard output.
+    Each line is written as it is formatted, so a table is never held
+    as text; `rows` may be a generator."""
+    with (open(path, "w", encoding="utf-8") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _species_values(mom: MomentSet | None, dim: int) -> list:
@@ -81,12 +82,14 @@ def _species_values(mom: MomentSet | None, dim: int) -> list:
             *(P[i][j] for i, j in _tri_index(dim)), *mom.Qtilde.tolist()]
 
 
-def _diagnostics_rows(diag: Diagnostics) -> list[list]:
+def _diagnostics_rows(diag: Diagnostics):
+    """Yield the table row of each diagnostics record."""
     dim = diag.dim
-    return [[r.t, *_species_values(r.mom1, dim), *_species_values(r.mom2, dim),
-             r.mass1, r.mass2, *r.momentum.tolist(),
-             r.energy, r.h, r.aniso1, r.aniso2, int(r.negative)]
-            for r in diag.records]
+    for r in diag.records:
+        yield [r.t, *_species_values(r.mom1, dim),
+               *_species_values(r.mom2, dim), r.mass1, r.mass2,
+               *r.momentum.tolist(), r.energy, r.h, r.aniso1, r.aniso2,
+               int(r.negative)]
 
 
 def write_diagnostics_csv(diag: Diagnostics, path: str) -> None:
@@ -140,7 +143,7 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     print(path)
     if args.plot:
         _plot(args.plot, path, diagnostics_header(diag.dim),
-              _diagnostics_rows(diag))
+              list(_diagnostics_rows(diag)))
     return 0
 
 

@@ -19,9 +19,10 @@ Maxwellians, one matrix product of their factors), an anisotropic
 Gaussian in place as a one-dimensional Gaussian along the last axis,
 its log-height and centre conditioned on the leading axes; a stack of
 Gaussians is factored by one LAPACK Cholesky call and written by one
-fill.  Every lattice moment, of a distribution or of a Gaussian sample,
-is read from its tensor sum f prod_i c_i^a_i of per-axis offset powers
-(`_lattice_tensor`).
+fill, or by one per run of rows at a constant stride when only some of
+its members are sampled.  Every lattice moment, of a distribution or of
+a Gaussian sample, is read from its tensor sum f prod_i c_i^a_i of
+per-axis offset powers (`_lattice_tensor`).
 
 Moment matching is one Newton problem for both target families.  A
 Maxwellian is the Gaussian whose covariance S = T/m is theta I, so each
@@ -384,34 +385,40 @@ def spd_factor(matrix) -> SpdTensor:
 def _gaussian_fill(n: np.ndarray, u: np.ndarray, L: np.ndarray,
                    grid: VelocityGrid, out: np.ndarray) -> None:
     """Write n_k / ((2 pi)^(d/2) det L_k) exp(-|w|^2 / 2), L_k w = v - u_k,
-    into row k of the C-contiguous (K, nodes) block out, for the stack
-    n (K,), u (K, d), L (K, d, d).
+    into row k of the (K, nodes) array out, for the stack n (K,),
+    u (K, d), L (K, d, d).  Each row of out is contiguous; the rows may
+    be a strided view of a larger block's (`out[0:3:2]`).
 
     The Gaussian factors as p(v_<d) p(v_d | v_<d): the exponent is
     head - (v_d - centre)^2 / (2 L_dd^2) with head = log(n / ((2 pi)^(d/2)
     det L)) - sum_k<d w_k^2 / 2 and centre = u_d + sum_k<d L_dk w_k, both
     on the leading d - 1 axes only (w_k lives on the leading k + 1), built
-    once for the whole stack.  So the block is written in place in four
-    passes over the stack, with no lattice-sized temporary: the scaled
-    difference v_d - centre, a square, head minus that, and exp.  Each
-    entry is the one its member's solo fill gives.  n = 0 gives head =
-    -inf and so an exactly zero row.
+    once for the whole stack: the w_k, their squares and the L_dk w_k
+    terms in one loop over the leading axes, and the determinants as one
+    product of the stack's diagonals.  So the block is written in place
+    in four passes over the stack, with no lattice-sized temporary: the
+    scaled difference v_d - centre, a square, head minus that, and exp.
+    Each entry is the one its member's solo fill gives.  n = 0 gives
+    head = -inf and so an exactly zero row.
     """
     K, d = len(n), grid.dim
     col = (K,) + (1,) * (d - 1)  # one value per member, on the lattice axes
-    ws = []
+    ws, square, shift = [], 0.0, 0.0
     for i, x in enumerate(grid.axes[:-1]):
         acc = (x - u[:, i, None]).reshape(col[:i + 1] + (-1,) + col[i + 2:])
         for k in range(i):
             acc = acc - L[:, i, k].reshape(col) * ws[k]
         ws.append(acc / L[:, i, i].reshape(col))
-    # the log-heights as Python floats, member by member (exp(-inf) = 0)
-    head = np.array([math.log(x) if x > 0.0 else -math.inf for x in (
-        nk / ((2.0 * math.pi) ** (d / 2.0) * math.prod(np.diag(Lk)))
-        for nk, Lk in zip(n, L))])
-    head = head.reshape(col) - 0.5 * sum(w * w for w in ws)
-    centre = u[:, -1].reshape(col) + sum(L[:, -1, k].reshape(col) * w
-                                         for k, w in enumerate(ws))
+        square = square + ws[i] * ws[i]
+        shift = shift + L[:, -1, i].reshape(col) * ws[i]
+    # the log-heights member by member, as Python floats: np.log may
+    # round differently from math.log (exp(-inf) = 0)
+    norm = n / ((2.0 * math.pi) ** (d / 2.0)
+                * np.prod(np.diagonal(L, 0, 1, 2), axis=1))
+    head = np.array([math.log(x) if x > 0.0 else -math.inf
+                     for x in norm.tolist()])
+    head = head.reshape(col) - 0.5 * square
+    centre = u[:, -1].reshape(col) + shift
     scale = 1.0 / (math.sqrt(2.0) * L[:, -1, -1])
     # (v_d - centre) scale as the rank-2 product (-centre, 1) (1, v_d)^T:
     # each entry is the one exactly rounded difference a broadcast
@@ -421,7 +428,7 @@ def _gaussian_fill(n: np.ndarray, u: np.ndarray, L: np.ndarray,
     lead[:, :, 0] = -scale[:, None] * centre.reshape(K, -1)
     last = np.ones((K, 2, len(grid.axes[-1])))
     last[:, 1] = scale[:, None] * grid.axes[-1]
-    lattice = out.reshape(K, head[0].size, -1)
+    lattice = out.reshape(K, head[0].size, -1)  # a view: rows contiguous
     np.matmul(lead, last, out=lattice)
     np.square(lattice, out=lattice)
     np.subtract(head.reshape(K, -1, 1), lattice, out=lattice)
@@ -577,16 +584,34 @@ def _failing_member(solve, *stacks) -> int | None:
     return None
 
 
+def _stride_runs(rows) -> list[tuple[int, int, int]]:
+    """Cut the increasing `rows` into runs at a constant stride, each as
+    long as it can be from its first row, as (start, stop, stride) with
+    start:stop indexing `rows`: [0, 2, 4, 5, 9] gives (0, 3, 2) and
+    (3, 5, 4), and a run of one row has stride 1."""
+    runs, a = [], 0
+    while a < len(rows):
+        b = min(a + 2, len(rows))
+        stride = int(rows[b - 1] - rows[a]) or 1
+        while b < len(rows) and rows[b] - rows[b - 1] == stride:
+            b += 1
+        runs.append((a, b, stride))
+        a = b
+    return runs
+
+
 def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
                      rows) -> np.ndarray:
     """Centred moment tensors (K, 5, ..., 5) of the Gaussians with
     p = (n, u, upper triangle of the covariance S = T/m) per row: the
     covariances are factored by one stacked Cholesky call, and the
     sample of p[k], written straight into row rows[k] of `out`, is
-    reduced about its own u by `_lattice_tensor`.  When every row is
-    sampled that is one stacked fill and one reduction; otherwise one of
-    each per member, so that no block is formed beside `out` (each
-    member's row and tensor are the ones the stacked calls give)."""
+    reduced about its own u by `_lattice_tensor`.  The rows are sampled
+    one run at a constant stride at a time (`_stride_runs`), each run
+    by one stacked fill into its strided view of `out` (rows 0 and 2
+    are `out[0:3:2]`) and one reduction of that view: all rows are one
+    run, and no block is formed beside `out`.  Each member's row and
+    tensor are the ones its solo call gives."""
     d = grid.dim
     cov = _symmetric(p[:, 1 + d:], d)
     try:
@@ -598,12 +623,11 @@ def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
         raise NoConvergenceError(f"covariance left the positive-definite "
                                  f"cone (member {rows[k]})",
                                  member=rows[k]) from exc
-    parts = ([(slice(None), out)] if len(rows) == len(out) else
-             [(slice(k, k + 1), out[r:r + 1]) for k, r in enumerate(rows)])
     M = []
-    for k, block in parts:
-        _gaussian_fill(p[k, 0], p[k, 1:1 + d], L[k], grid, block)
-        c = grid.axis_nodes - p[k].take(1 + grid.axis_of, 1)
+    for a, b, stride in _stride_runs(rows):
+        block = out[rows[a]:rows[b - 1] + 1:stride]
+        _gaussian_fill(p[a:b, 0], p[a:b, 1:1 + d], L[a:b], grid, block)
+        c = grid.axis_nodes - p[a:b].take(1 + grid.axis_of, 1)
         M.append(_lattice_tensor(block, c, grid, 4))
     return grid.weight * np.concatenate(M)
 

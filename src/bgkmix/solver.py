@@ -17,8 +17,10 @@ RK4   classical four-stage update with targets rebuilt at every stage;
       accurate but not positivity preserving (negative excursions are
       flagged in the diagnostics, never clamped in the state).  A step
       evaluates its stages in place in one scratch block, allocated once
-      (the target, stage-derivative and stage-input blocks), and sums
-      them in the order of f + dt/6 (k1 + 2 k2 + 2 k3 + k4).
+      (the target block and the stage-input block): each stage
+      derivative k is formed in the self rows of the target block and
+      read from there, and the stages are summed in the order of
+      f + dt/6 (k1 + 2 k2 + 2 k3 + k4).
 
 EXP   freeze the moments at the step start, match the targets once and
       update f <- g* + (f - g*) exp(-nu_tot dt), where nu_tot is the
@@ -136,27 +138,27 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
         # one block: freed and allocated again at the next step as one
         # piece, which the allocator reuses rather than returns to the
         # system and faults in again
-        scratch = np.empty((8,) + f.shape[1:])
-        targets, k, stage = scratch[:4], scratch[4:6], scratch[6:]
+        scratch = np.empty((6,) + f.shape[1:])
+        targets, stage = scratch[:4], scratch[4:]
 
-        def rhs(g, into, st=None):
-            """nu_s (g_s - g) + nu_c (g_c - g) into `into`, formed in
-            place in the target block."""
+        def rhs(g, into=None, st=None):
+            """k = nu_s (g_s - g) + nu_c (g_c - g), formed in place in the
+            target block and summed into `into`, or into the block's self
+            rows, which then hold k until the next evaluation."""
             st, nu_s, nu_c = rates(g, st)
             block = build_targets(st, params, grid, match, out=targets)
             g_s, g_c = block[:2], block[2:]
             np.multiply(np.subtract(g_s, g, out=g_s), nu_s, out=g_s)
             np.multiply(np.subtract(g_c, g, out=g_c), nu_c, out=g_c)
-            np.add(g_s, g_c, out=into)
+            return np.add(g_s, g_c, out=g_s if into is None else into)
 
         rhs(f, new, mixture)  # new sums k1 + 2 k2 + 2 k3 + k4 in order
         np.multiply(new, 0.5 * dt, out=stage)
         for scale in (0.5 * dt, dt):
-            rhs(np.add(stage, f, out=stage), k)
+            k = rhs(np.add(stage, f, out=stage))
             np.multiply(k, scale, out=stage)  # next input: f + scale k
             new += np.multiply(k, 2.0, out=k)
-        rhs(np.add(stage, f, out=stage), k)
-        new += k
+        new += rhs(np.add(stage, f, out=stage))
         new *= dt / 6.0
         new += f
     else:
@@ -267,16 +269,19 @@ def physical_memory() -> float:
 # the most (2, cells, nodes) blocks a run holds at once: the state and
 # the run's block for the next one, the (4, cells, nodes) target block
 # (RK4 and the ES variants' EXP step; BGK's EXP step forms none), RK4's
-# stage and derivative blocks, and one block (EXP) or two (RK4) for the
-# transients of sampling and reduction (transport forms none); traced
-# runs peak at 2.6 (BGK EXP; 2.5 for a 1-D run of 32 cells of a 16^3
-# lattice), 4.6 (ES EXP) and 6.2-6.6 (RK4)
-_PEAK_BLOCKS = {"exp": 5, "rk4": 8}
+# stage-input block (its stage derivatives live in the target block),
+# and up to two blocks for the transients of sampling and reduction
+# (transport forms none).  Traced two-step runs, homogeneous on the
+# 32^3 lattice / 1-D with 32 cells of a 16^3 lattice, peak at 2.5 / 2.5
+# (BGK EXP), 4.7 / 5.4 (ES EXP), 5.2 / 5.5 (BGK RK4) and 5.7 / 6.4
+# (ES RK4)
+_PEAK_BLOCKS = {"exp": 6, "rk4": 7}
 
 # bytes per diagnostics record: a run holds 2.0-2.1 kB a record, and a
-# `relax` command that writes them as its CSV table peaks at 3.9, 6.0
-# and 8.0 kB a record in dims 1, 2 and 3 (traced, as the growth from
-# 1000 to 3000 records)
+# `relax` command, which writes them as its CSV table line by line,
+# peaks at 1.8, 2.0 and 2.1 kB a record in dims 1, 2 and 3 (traced, as
+# the growth from 1000 to 3000 records; 3.8-4.3, 5.3-5.8 and 7.5-7.9
+# kB while the table was formed as one text)
 _RECORD_BYTES = 8192
 
 

@@ -770,6 +770,52 @@ class TestStackedMatching:
             assert rows == np.flatnonzero(iters >= it).tolist(), it
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_partly_converged_stack_is_filled_per_stride_run(
+            self, monkeypatch, dim):
+        """Rows 1 and 3 are resolved and converge at once; rows 0, 2, 4
+        and 5 are clipped and take Newton steps.  The first evaluation
+        fills all six rows at once; each later one fills the active rows
+        as one fill per run at a constant stride: rows 0, 2, 4 (stride
+        2), then row 5 alone, the last row.  Every row equals its solo
+        call bitwise."""
+        grid, fills = uneven_grid(dim), []
+        real = gridmod._gaussian_fill
+
+        def spy(n, u, L, grid, out):
+            fills.append(out)
+            return real(n, u, L, grid, out)
+
+        clipped = [0, 2, 4, 5]
+        member = [0 if k in clipped else 3 for k in range(6)]
+        n, u, mass = self.N[member], self.U[member, :dim], self.MASS[member]
+        tensor = np.stack([self.SCALES[k] * SHEARED[:dim, :dim]
+                           for k in member])
+        counts = self.newton_counts(monkeypatch)
+        monkeypatch.setattr(gridmod, "MATCH_TOL", self.TOL)
+        monkeypatch.setattr(gridmod, "_gaussian_fill", spy)
+        stack = match_gaussian(n, u, tensor, mass, grid,
+                               out=np.empty((6, grid.nnodes)))
+        monkeypatch.setattr(gridmod, "_gaussian_fill", real)
+        iters = counts[0]
+        assert [k for k in range(6) if iters[k]] == clipped
+        assert len(set(iters[k] for k in clipped)) == 1
+        row = stack.strides[0]
+
+        def rows(out):
+            """The rows of `stack` that the view `out` covers."""
+            assert np.shares_memory(out, stack)
+            first = (out.__array_interface__["data"][0]
+                     - stack.__array_interface__["data"][0]) // row
+            return list(range(first, first + len(out) * out.strides[0] // row,
+                              out.strides[0] // row))
+
+        runs = [[0, 2, 4], [5]]  # per Newton step of the clipped rows
+        assert [rows(out) for out in fills] == [[*range(6)]] + runs * iters[0]
+        for k in range(6):
+            solo = match_gaussian(n[k], u[k], tensor[k], mass[k], grid)
+            assert np.array_equal(stack[k], solo), k
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_maxwellian_rows_sampled_at_converged_parameters(
             self, monkeypatch, dim):
         """Each row is the plain Maxwellian of its own converged p, for
