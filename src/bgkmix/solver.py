@@ -5,12 +5,15 @@ homogeneous run is one cell and integrates the pure relaxation
 equations, while 1-D runs add first-order upwind transport on a
 periodic domain via Lie or Strang splitting (Strang transports in two
 half steps, and the CFL bound applies to each).  A transport step
-writes the upwind difference of f into the next state's block, scales
-it there by -v_x dt/dx per node and adds f: three passes over the
-block and no temporary of its size.  The nodes with v_x <= 0 are a
-prefix of the node order, so the upwind split is two slices.  The
-differences telescope, so each node's mass is conserved to round-off,
-and a non-finite entry reaches only its own node's donor stencil.  Two
+forms the upwind difference of f a chunk of cells at a time, in a
+temporary of at most _CHUNK_BYTES, scales it by -v_x dt/dx per node
+and adds f into the next state's block, which may be the state's own:
+the chunks run with the cells ascending, and the old rows a later
+chunk reads (the wrap cells', and the last of each chunk) are copied
+before they are overwritten.  The nodes with v_x <= 0 are a prefix of
+the node order, so the upwind split is two slices.  The differences
+telescope, so each node's mass is conserved to round-off, and a
+non-finite entry reaches only its own node's donor stencil.  Two
 integrators are available:
 
 RK4   classical four-stage update with targets rebuilt at every stage;
@@ -28,18 +31,22 @@ EXP   freeze the moments at the step start, match the targets once and
       frequency-weighted average of its two targets, as one weighted
       sum w_f f + w_s g_s + w_c g_c with weights formed once per cell:
       w_f = exp(-nu_tot dt) and w_s,c = nu_s,c (1 - w_f) / nu_tot, 1 - w_f
-      from expm1.  For BGK, whose targets are all Maxwellians, the
-      target pair Gamma = w_s g_s + w_c g_c of each species and cell is
-      written straight into the next state as one rank-2 product of the
-      matched per-axis factors (`targets.weighted_targets`), and w_f f
-      is added in place: no target block is formed.  The ES variants
-      sum the rows of the target block.  First-order, and positivity
-      preserving at any dt.
+      from expm1.  The step writes w_f f first, after which it reads
+      the state only through its moments.  For BGK, whose targets are
+      all Maxwellians, the target pair Gamma = w_s g_s + w_c g_c of each
+      species and cell is then added as one rank-2 product of the
+      matched per-axis factors, a bounded run of rows at a time
+      (`targets.weighted_targets`): no target block is formed.  The ES
+      variants add the weighted rows of the target block.  First-order,
+      and positivity preserving at any dt.
 
-A step writes the next state into a block it is given (`out`), or a
-new one.  `run_scenario` allocates one block beside the state, once per
-run: each relaxation or transport step writes into it, and the block
-the step read is the next one written.
+A step writes the next state into a block it is given (`out`), which
+may be the state's own block, or a new one; the bits are the same.
+`run_scenario` hands every transport and EXP step the state's own
+block, so an EXP run holds one state block.  An RK4 step reads the
+state until its last stage, so an RK4 run allocates one block beside
+the state, once: each RK4 step writes into it, and the block the step
+read is the next one written.
 
 Both integrators work on whole blocks.  A collision evaluation of all
 cells gives the self rates [nu11 n1, nu22 n2] and the cross rates
@@ -71,7 +78,8 @@ from .grid import MomentSet, VelocityGrid, h_functional, match_gaussian, \
     match_moments, gaussian_on_grid, maxwellian_on_grid, spd_factor
 from .params import ModelParams, Variant, _positive, derive_frequencies, \
     validate
-from .targets import MixtureState, build_targets, weighted_targets
+from .targets import _CHUNK_BYTES, MixtureState, build_targets, \
+    weighted_targets
 
 
 @dataclass
@@ -95,13 +103,23 @@ class KineticState:
                              f"block (got shape {f.shape})")
 
 
+def _same_block(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b are one block: the same data pointer, shape and
+    strides."""
+    # `ctypes.data`: each `__array_interface__` call keeps a few bytes
+    # (numpy 2.4)
+    return (a.ctypes.data == b.ctypes.data and a.shape == b.shape
+            and a.strides == b.strides)
+
+
 def _block_out(f: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """`out`, checked to be a C-contiguous float block of f's shape that
-    shares no memory with f, or a new block."""
+    """`out`, checked to be f's own block or a C-contiguous float block
+    of f's shape that shares no memory with f, or a new block."""
     if out is None:
         return np.empty_like(f)
     if (out.shape != f.shape or out.dtype != f.dtype
-            or not out.flags.c_contiguous or np.may_share_memory(out, f)):
+            or not out.flags.c_contiguous
+            or np.may_share_memory(out, f) and not _same_block(out, f)):
         raise ValueError(f"out must be a C-contiguous float {f.shape} block "
                          f"apart from the state (got {out.shape})")
     return out
@@ -112,11 +130,15 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
                mixture: MixtureState | None = None,
                out: np.ndarray | None = None) -> KineticState:
     """One relaxation step of all cells at once, on the whole
-    (2, cells, nodes) block, written into `out` (a C-contiguous block
-    of the state's shape apart from it) or a new block.  `mixture`,
-    when given, is the `MixtureState` of the state's own block and
-    serves the first collision evaluation in place of reducing the
-    state again."""
+    (2, cells, nodes) block, written into `out` (the state's own block,
+    or a C-contiguous block of its shape apart from it) or a new block;
+    the result is the same bit for bit.  The EXP step reads the state
+    only through its moments once it has written w_f f, so in place it
+    forms nothing of the block's size for BGK.  RK4 reads the state
+    until its last stage, so in place it sums its stages in a block of
+    its own.  `mixture`, when given, is the `MixtureState` of the
+    state's own block and serves the first collision evaluation in
+    place of reducing the state again."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive (got {dt})")
     if integrator not in ("rk4", "exp"):
@@ -152,15 +174,18 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
             np.multiply(np.subtract(g_c, g, out=g_c), nu_c, out=g_c)
             return np.add(g_s, g_c, out=g_s if into is None else into)
 
-        rhs(f, new, mixture)  # new sums k1 + 2 k2 + 2 k3 + k4 in order
-        np.multiply(new, 0.5 * dt, out=stage)
+        # k1 + 2 k2 + 2 k3 + k4, summed in order, apart from f (new is
+        # f's own block or shares no memory with it)
+        total = np.empty_like(f) if np.may_share_memory(new, f) else new
+        rhs(f, total, mixture)
+        np.multiply(total, 0.5 * dt, out=stage)
         for scale in (0.5 * dt, dt):
             k = rhs(np.add(stage, f, out=stage))
             np.multiply(k, scale, out=stage)  # next input: f + scale k
-            new += np.multiply(k, 2.0, out=k)
-        new += rhs(np.add(stage, f, out=stage))
-        new *= dt / 6.0
-        new += f
+            total += np.multiply(k, 2.0, out=k)
+        total += rhs(np.add(stage, f, out=stage))
+        total *= dt / 6.0
+        np.add(total, f, out=new)
     else:
         st, nu_s, nu_c = rates(f, mixture)
         nu_tot = nu_s + nu_c
@@ -170,16 +195,14 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
             decay = np.exp(-nu_tot * dt)
             gain = -np.expm1(-nu_tot * dt) / nu_tot  # (1 - e^(-nu dt)) / nu
             w_s, w_c = nu_s * gain, nu_c * gain
+            # w_f f first: from here on the step reads f only through st
+            np.multiply(f, decay, out=new)
             if params.es.variant == Variant.BGK:
-                # w_s g_s + w_c g_c straight into new, then w_f f added
-                # one species at a time, so a temporary is one species
+                # w_s g_s + w_c g_c added a bounded run of rows at a time
                 weighted_targets(st, params, grid,
                                  np.concatenate([w_s, w_c]), new, match)
-                for k in range(2):
-                    new[k] += np.multiply(f[k], decay[k])
             else:
                 g_s, g_c = np.split(build_targets(st, params, grid, match), 2)
-                np.multiply(f, decay, out=new)
                 new += np.multiply(g_s, w_s, out=g_s)  # step-local rows
                 new += np.multiply(g_c, w_c, out=g_c)
     return KineticState(f=new, t=state.t + dt, grid=grid, dx=state.dx)
@@ -193,40 +216,73 @@ def _check_cfl(grid: VelocityGrid, dt: float, dx: float) -> None:
                        f"(max|v| dt/dx with dt={dt}, dx={dx:.6g})")
 
 
+def _upwind(f: np.ndarray, out: np.ndarray, scale: np.ndarray,
+            h: int) -> None:
+    """The donor-cell update of the (2, cells, nodes) view f into out,
+    which is f itself or apart from it: D_i scale + f_i, where D_i is
+    f_(i+1) - f_i on the first h nodes (v_x <= 0) and f_i - f_(i-1) on
+    the rest.  Chunks of cells of at most _CHUNK_BYTES run ascending:
+    f_(i+1) is read before its chunk is written, and f_(i-1) of a
+    chunk's first cell from the old row of the previous chunk's last,
+    copied before that chunk was written; both wrap rows, cell 0's
+    first h nodes and the last cell's rest, are copied first."""
+    S, C, N = f.shape
+    step = max(1, _CHUNK_BYTES // (S * N * f.itemsize))
+    diff = np.empty((S, min(step, C), N))
+    first, prev = f[:, :1, :h].copy(), f[:, -1:, h:].copy()
+    for a in range(0, C, step):
+        b = min(a + step, C)
+        # the first m cells of the chunk have their next cell in the view
+        d, m = diff[:, :b - a], min(b, C - 1) - a
+        np.subtract(f[:, a + 1:a + m + 1, :h], f[:, a:a + m, :h],
+                    out=d[:, :m, :h])
+        if b == C:
+            np.subtract(first, f[:, -1:, :h], out=d[:, m:, :h])
+        np.subtract(f[:, a:a + 1, h:], prev, out=d[:, :1, h:])
+        np.subtract(f[:, a + 1:b, h:], f[:, a:b - 1, h:], out=d[:, 1:, h:])
+        np.copyto(prev, f[:, b - 1:b, h:])
+        d *= scale
+        np.add(d, f[:, a:b], out=out[:, a:b])
+
+
 def transport_step(state: KineticState, dt: float, *,
                    out: np.ndarray | None = None) -> KineticState:
     """First-order upwind advection step on the periodic 1-D domain,
-    written into `out` (a C-contiguous block of the state's shape apart
-    from it) or a new block.
+    written into `out` (the state's own block, or a C-contiguous block
+    of its shape apart from it) or a new block.
 
     Advects the whole block along its cell axis, every velocity node
     independently, with the donor-cell update f_i - v_x dt/dx D_i, where
     D_i is the upwind difference of f: f_(i+1) - f_i where v_x <= 0 and
     f_i - f_(i-1) where v_x > 0.  The nodes are in `ij` order with v_x
     slowest, so those with v_x <= 0 are a prefix of the node order and
-    the split is two slices: D is written straight into `out`, scaled
-    in place by the column -v_x dt/dx (from `grid.axes[0]`) on the
-    (points[0], rest) view of the nodes, and f is added.  Three passes
-    over the block, and no temporary of its size.  The differences
-    telescope around the periodic domain, so each node's total mass is
-    conserved to round-off, and a non-finite entry reaches only its own
-    node's donor stencil: the cell it sits in and the neighbour it is
-    the donor of.  A CFL number above one is a hard error.
+    the split is two slices.  The block is updated a chunk of cells at
+    a time, ascending (`_upwind`; a lattice whose one cell exceeds the
+    chunk is taken a run of nodes at a time): D is formed in a
+    temporary of at most _CHUNK_BYTES, scaled there by -v_x dt/dx per
+    node (from `grid.axes[0]`), and added to f into `out`.  A chunk
+    reads f_(i+1) before the next chunk writes it, f_(i-1) of its first
+    cell from a copy of that cell's old row, and the wrap cells' old
+    rows are copied first, so the update is the same in place and into
+    another block, bit for bit: each entry is the difference, the scale
+    and the sum.  The differences telescope around the periodic
+    domain, so each node's total mass is conserved to round-off, and a
+    non-finite entry reaches only its own node's donor stencil: the
+    cell it sits in and the neighbour it is the donor of.  A CFL number
+    above one is a hard error.
     """
     if state.dx is None:
         raise ValueError("transport requires a 1-D state with cell width")
     _check_cfl(state.grid, dt, state.dx)
     f, grid, out = state.f, state.grid, _block_out(state.f, out)
-    h = int(np.searchsorted(grid.axes[0], 0.0, "right")
-            * np.prod(grid.points[1:]))  # nodes with v_x <= 0
-    neg, pos = f[..., :h], f[..., h:]
-    np.subtract(neg[:, 1:], neg[:, :-1], out=out[:, :-1, :h])
-    np.subtract(neg[:, :1], neg[:, -1:], out=out[:, -1:, :h])
-    np.subtract(pos[:, 1:], pos[:, :-1], out=out[:, 1:, h:])
-    np.subtract(pos[:, :1], pos[:, -1:], out=out[:, :1, h:])
-    rows = out.reshape(*f.shape[:2], grid.points[0], -1)  # one per v_x
-    rows *= (grid.axes[0] * (-dt / state.dx))[:, None]
-    out += f
+    rest = f.shape[-1] // grid.points[0]
+    h = int(np.searchsorted(grid.axes[0], 0.0, "right")) * rest  # v_x <= 0
+    scale = np.repeat(grid.axes[0] * (-dt / state.dx), rest)  # per node
+    width = max(1, _CHUNK_BYTES // (len(f) * f.itemsize))  # nodes a chunk
+    for lo in range(0, f.shape[-1], width):
+        nodes = slice(lo, lo + width)
+        _upwind(f[..., nodes], out[..., nodes], scale[nodes],
+                min(max(h - lo, 0), width))
     return KineticState(f=out, t=state.t + dt, grid=state.grid, dx=state.dx)
 
 
@@ -266,16 +322,18 @@ def physical_memory() -> float:
         return math.inf
 
 
-# the most (2, cells, nodes) blocks a run holds at once: the state and
-# the run's block for the next one, the (4, cells, nodes) target block
+# the most (2, cells, nodes) blocks a run holds at once: the state
+# (transport and EXP steps update it in place; an RK4 run holds a
+# second block for the next state), the (4, cells, nodes) target block
 # (RK4 and the ES variants' EXP step; BGK's EXP step forms none), RK4's
 # stage-input block (its stage derivatives live in the target block),
 # and up to two blocks for the transients of sampling and reduction
-# (transport forms none).  Traced two-step runs, homogeneous on the
-# 32^3 lattice / 1-D with 32 cells of a 16^3 lattice, peak at 2.5 / 2.5
-# (BGK EXP), 4.7 / 5.4 (ES EXP), 5.2 / 5.5 (BGK RK4) and 5.7 / 6.4
-# (ES RK4)
-_PEAK_BLOCKS = {"exp": 6, "rk4": 7}
+# (transport and BGK's EXP step form chunks of at most _CHUNK_BYTES).
+# Traced two-step runs, homogeneous on the 32^3 lattice / 1-D with 32
+# cells of a 16^3 lattice, peak at 2.0 / 1.5 (BGK EXP; the homogeneous
+# peak is the initial samples beside the state), 3.7 / 4.4 (ES EXP),
+# 5.2 / 5.5 (BGK RK4) and 5.7 / 6.4 (ES RK4)
+_PEAK_BLOCKS = {"exp": 5, "rk4": 7}
 
 # bytes per diagnostics record: a run holds 2.0-2.1 kB a record, and a
 # `relax` command, which writes them as its CSV table line by line,
@@ -532,9 +590,11 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
     at the final step.  A homogeneous run reduces each recorded state
     once: its `MixtureState` goes to `diagnose` and to the next
     `relax_step`.  A 1-D run shares nothing, as transport runs between
-    the two.  The run allocates one block beside the state: every step
-    writes the next state into it, and the block the step read is the
-    one the next step writes.
+    the two.  Every transport step and every EXP step updates the
+    state's block in place, so an EXP run holds one state block.  An
+    RK4 run allocates one block beside the state: each RK4 step writes
+    the next state into it, and the block the step read is the one the
+    next RK4 step writes.
     """
     grid, dt, cells = scenario.grid, scenario.dt, scenario.cells
     dx = scenario.length / cells if cells > 0 else None
@@ -546,7 +606,9 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
     state = KineticState(f=samples[:, None, :] * profile, t=0.0, grid=grid,
                          dx=dx)
     del samples  # a run holds only the blocks it steps
-    free = np.empty_like(state.f)  # the block the next step writes
+    # the block an RK4 step writes, as it reads the state until its last
+    # stage; every other step writes into the state's own block
+    free = np.empty_like(state.f) if scenario.integrator == "rk4" else None
     diag = Diagnostics(dim=grid.dim)
 
     def record(state):
@@ -563,19 +625,17 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
     strang = scenario.splitting == "strang"
     dt_transport = scenario.dt_transport
     nsteps = int(round(scenario.t_end / dt))
-    # each step writes into the free block, and the block it read is
-    # free after it (a step that returns a new block leaves it unused)
     for step in range(1, nsteps + 1):
         if dx is not None:
-            state, free = transport_step(state, dt_transport, out=free), \
-                state.f
-        state, free = relax_step(state, dt, params, scenario.integrator,
-                                 scenario.moment_matching, mixture=mixture,
-                                 out=free), state.f
-        mixture = None
+            state = transport_step(state, dt_transport, out=state.f)
+        new = relax_step(state, dt, params, scenario.integrator,
+                         scenario.moment_matching, mixture=mixture,
+                         out=state.f if free is None else free)
+        if free is not None:  # the block the RK4 step read is free after it
+            free = state.f
+        state, mixture = new, None
         if dx is not None and strang:
-            state, free = transport_step(state, dt_transport, out=free), \
-                state.f
+            state = transport_step(state, dt_transport, out=state.f)
         state.t = step * dt
         if step % scenario.output_every == 0 or step == nsteps:
             mixture = record(state)

@@ -206,6 +206,11 @@ def target_moments(state: MixtureState, params: ModelParams) -> dict:
 
 _NAMES = ("g1", "g2", "g12", "g21")
 
+# the most bytes of lattice rows a step forms at a time beside the
+# state: a run of weighted target pairs here, a chunk of upwind
+# differences in `solver.transport_step`
+_CHUNK_BYTES = 128 * 1024
+
 
 def _admissible(values: np.ndarray, what: str) -> np.ndarray:
     """`values`, or InadmissibleTargetError naming the first member
@@ -304,7 +309,7 @@ def build_targets(state: MixtureState, params: ModelParams,
 def weighted_targets(state: MixtureState, params: ModelParams,
                      grid: VelocityGrid, weights: np.ndarray,
                      out: np.ndarray, match: bool = True) -> np.ndarray:
-    """Write w_s g_s + w_c g_c, each species' self and cross target
+    """Add w_s g_s + w_c g_c, each species' self and cross target
     weighted, of every cell into the C-contiguous (2, cells, nodes)
     block `out` and return it, for a variant whose targets are all
     Maxwellians (BGK); `weights` (4, cells, 1) gives w_s and w_c in the
@@ -314,10 +319,12 @@ def weighted_targets(state: MixtureState, params: ModelParams,
     call over the targets and cells, as `build_targets` matches them
     (the same members in the same order, with the same checks and the
     same failures, named by target and cell).  Each (species, cell) row
-    is then its two weighted Maxwellians written as one rank-2 product
-    of their per-axis factors (`grid._maxwellian_fill`); no target is
-    sampled on its own.  A degenerate species has no targets: its row
-    is zero, as is the other species' cross term.
+    is then its two weighted Maxwellians formed as one rank-2 product
+    of their per-axis factors (`grid._maxwellian_fill`), a run of rows
+    of at most _CHUNK_BYTES at a time, and added into its row of `out`;
+    no target is sampled on its own.  A degenerate species has no
+    targets: it adds zero to its row, as does the other species' cross
+    term.
     """
     rows = target_moments(state, params)
     if any(np.ndim(t) > 1 for _, _, t in rows.values()):
@@ -335,7 +342,13 @@ def weighted_targets(state: MixtureState, params: ModelParams,
         at = slice(lo * C, hi * C)
         n[at], theta[at], factors[at] = matched[1:4]
     # the terms (self, cross) of each (species, cell) row side by side
-    terms = (weights.reshape(-1) * n, theta, factors)
-    gridmod._maxwellian_fill(*(x.reshape((2, 2 * C) + x.shape[1:]).swapaxes(
-        0, 1) for x in terms), grid, out.reshape(2 * C, -1))
+    terms = [x.reshape((2, 2 * C) + x.shape[1:]).swapaxes(0, 1)
+             for x in (weights.reshape(-1) * n, theta, factors)]
+    lines = out.reshape(2 * C, -1)
+    step = max(1, _CHUNK_BYTES // lines[0].nbytes)
+    pair = np.empty((min(step, 2 * C), lines.shape[1]))
+    for a in range(0, 2 * C, step):
+        into = pair[:min(step, 2 * C - a)]
+        gridmod._maxwellian_fill(*(x[a:a + step] for x in terms), grid, into)
+        lines[a:a + step] += into
     return out

@@ -605,7 +605,7 @@ class TestCliCommands:
     def test_state_block_is_checked_against_physical_memory(
             self, tmp_path, capsys, monkeypatch, memory, integrator, rc):
         """A 16^3 relax run's state block is 2 x 4096 doubles, 64 KiB; an
-        EXP run holds 6 such blocks at its peak, an RK4 run 7."""
+        EXP run holds 5 such blocks at its peak, an RK4 run 7."""
         sysconf = os.sysconf
         pages = {"SC_PHYS_PAGES": memory // 4096, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", lambda name: pages[name]
@@ -614,7 +614,7 @@ class TestCliCommands:
         assert main(["relax", "-c", path, "-o", str(tmp_path)]) == rc
         err = capsys.readouterr().err
         assert (tmp_path / "relax.csv").exists() == (rc == 0)
-        peak = {"exp": 393216, "rk4": 458752}[integrator]
+        peak = {"exp": 327680, "rk4": 458752}[integrator]
         assert err == ("" if rc == 0 else
                        f"error: points [16, 16, 16] with cells 0 give a "
                        f"state block of 65536 bytes, and an {integrator} run "
@@ -647,7 +647,7 @@ class TestCliCommands:
     def test_persistence_table_is_checked_against_physical_memory(
             self, tmp_path, capsys, monkeypatch, count, rc):
         """384 KiB of physical memory hold a table of 16384 rows of three
-        float64 columns, and the 16^3 run's 384 KiB peak."""
+        float64 columns, and the 16^3 run's 320 KiB peak."""
         sysconf = os.sysconf
         pages = {"SC_PHYS_PAGES": 96, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", lambda name: pages[name]
@@ -684,7 +684,7 @@ class TestCliCommands:
     def test_records_are_checked_against_physical_memory(
             self, tmp_path, capsys, monkeypatch, t_end, rc):
         """384 KiB of physical memory hold 48 records of 8 KiB, and the
-        16^3 run's 384 KiB peak: 93 steps recorded every second step
+        16^3 run's 320 KiB peak: 93 steps recorded every second step
         give 93 // 2 + 2 = 48 records, and 94 steps give 49."""
         sysconf = os.sysconf
         pages = {"SC_PHYS_PAGES": 96, "SC_PAGE_SIZE": 4096}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bgkmix import grid as gridmod
+from bgkmix import targets
 from bgkmix.errors import (DegenerateDensityError, InadmissibleTargetError,
                            NoConvergenceError, NotSpdError)
 from bgkmix.grid import (MomentSet, VelocityGrid, match_moments,
@@ -513,9 +514,10 @@ class TestBuildTargets:
 
 
 class TestWeightedTargets:
-    """weighted_targets writes w_s g_s + w_c g_c of each species and cell
-    without a target block: the weighted rows of `build_targets` to
-    round-off, with its failures."""
+    """weighted_targets adds w_s g_s + w_c g_c of each species and cell
+    into a block without a target block: the weighted rows of
+    `build_targets` to round-off, a run of rows at a time, with the
+    failures of `build_targets`."""
 
     WEIGHTS = np.array([0.3, 0.7, 0.45, 0.25])
 
@@ -530,23 +532,48 @@ class TestWeightedTargets:
         f[list(absent)] = 0.0
         return MixtureState.from_distributions(f, 1.0, 2.0, grid)
 
+    def weights(self):
+        return (self.WEIGHTS[:, None] * np.array([1.0, 2.0, 0.5]))[:, :, None]
+
     @pytest.mark.parametrize("absent", [(), (0,), (1,)],
                              ids=["both", "no-1", "no-2"])
     @pytest.mark.parametrize("match", [True, False],
                              ids=["matched", "sampled"])
     def test_equals_weighted_target_rows(self, mid_grid, match, absent):
+        """A finite block plus the weighted pair is that block plus the
+        weighted rows of `build_targets`; a degenerate species adds
+        nothing to its row."""
         st, params = self.state(mid_grid, absent), make_params(epsilon=0.5)
-        weights = (self.WEIGHTS[:, None] * np.array([1.0, 2.0, 0.5]))[
-            :, :, None]
-        out = np.full((2, 3, mid_grid.nnodes), np.nan)
+        weights = self.weights()
+        block = build_targets(st, params, mid_grid, match)
+        scale = np.abs(block).max()
+        base = np.random.default_rng(17).uniform(0.0, scale,
+                                                 (2, 3, mid_grid.nnodes))
+        out = base.copy()
         got = weighted_targets(st, params, mid_grid, weights, out, match)
         assert got is out
-        block = build_targets(st, params, mid_grid, match)
-        want = weights[:2] * block[:2] + weights[2:] * block[2:]
-        scale = np.abs(block).max()
+        want = base + (weights[:2] * block[:2] + weights[2:] * block[2:])
         assert np.abs(got - want).max() <= 4e-16 * scale
         for k in absent:
-            assert np.all(got[k] == 0.0)
+            assert np.array_equal(got[k], base[k])
+
+    @pytest.mark.parametrize("chunk", [1, 4 * 32768], ids=["row", "4-rows"])
+    @pytest.mark.parametrize("match", [True, False],
+                             ids=["matched", "sampled"])
+    def test_zero_block_gets_the_pair_of_one_fill(self, monkeypatch,
+                                                  mid_grid, match, chunk):
+        """Added into zeros, the pair filled a row at a time, or four
+        rows and then two, is bit for bit the pair written by one fill
+        of all six rows."""
+        st, params = self.state(mid_grid), make_params(epsilon=0.5)
+        monkeypatch.setattr(targets, "_CHUNK_BYTES", 2 ** 40)
+        one = weighted_targets(st, params, mid_grid, self.weights(),
+                               np.zeros((2, 3, mid_grid.nnodes)), match)
+        monkeypatch.setattr(targets, "_CHUNK_BYTES", chunk)
+        got = weighted_targets(st, params, mid_grid, self.weights(),
+                               np.zeros((2, 3, mid_grid.nnodes)), match)
+        assert np.array_equal(got, one)
+        assert np.all(one > 0.0)
 
     def test_refuses_gaussian_targets(self, mid_grid):
         params = make_params(variant=Variant.ES_SELF_ONLY, mu1=0.5, mu2=0.5)
