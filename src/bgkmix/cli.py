@@ -37,29 +37,14 @@ from .errors import (CflError, ConfigError, DegenerateDensityError,
                      ValidationFailureError)
 from .params import Variant, derive_frequencies, validate
 from .persistence import persistence_lower_bound, persistence_unequal_mass
-from .solver import Diagnostics, Scenario, SpeciesInit, run_scenario
+from .diagnostics import Diagnostics, diagnostics_header
+from .solver import Scenario, SpeciesInit, run_scenario
 from .svgplot import line_plot_svg
-from .grid import MomentSet, VelocityGrid, _tri_index
-
-_AXES = "xyz"
+from .grid import VelocityGrid
 
 
 def _fmt(value) -> str:
     return f"{float(value):.17g}"
-
-
-def diagnostics_header(dim: int) -> list[str]:
-    cols = ["t"]
-    for k in (1, 2):
-        cols.append(f"n{k}")
-        cols += [f"u{k}{_AXES[i]}" for i in range(dim)]
-        cols.append(f"T{k}")
-        cols += [f"P{k}{_AXES[i]}{_AXES[j]}" for i, j in _tri_index(dim)]
-        cols += [f"q{k}{_AXES[i]}" for i in range(dim)]
-    cols += ["total_mass1", "total_mass2"]
-    cols += [f"total_momentum_{_AXES[i]}" for i in range(dim)]
-    cols += ["total_energy", "H", "aniso1", "aniso2", "negativity_flag"]
-    return cols
 
 
 def _write_table(header: list[str], rows, path: str | None = None) -> None:
@@ -74,38 +59,23 @@ def _write_table(header: list[str], rows, path: str | None = None) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _species_values(mom: MomentSet | None, dim: int) -> list:
-    if mom is None:
-        return [0.0] * (2 + 2 * dim + len(_tri_index(dim)))
-    P = mom.P.tolist()
-    return [mom.n, *mom.u.tolist(), mom.T,
-            *(P[i][j] for i, j in _tri_index(dim)), *mom.Qtilde.tolist()]
-
-
-def _diagnostics_rows(diag: Diagnostics):
-    """Yield the table row of each diagnostics record."""
-    dim = diag.dim
-    for r in diag.records:
-        yield [r.t, *_species_values(r.mom1, dim),
-               *_species_values(r.mom2, dim), r.mass1, r.mass2,
-               *r.momentum.tolist(), r.energy, r.h, r.aniso1, r.aniso2,
-               int(r.negative)]
-
-
 def write_diagnostics_csv(diag: Diagnostics, path: str) -> None:
-    _write_table(diagnostics_header(diag.dim), _diagnostics_rows(diag), path)
+    """The diagnostics table as CSV: its rows under its columns' names."""
+    _write_table(diagnostics_header(diag.dim),
+                 (row.tolist() for row in diag.table), path)
 
 
 def _plot(names: str, path: str, header: list[str], rows) -> None:
     """An SVG line plot of the columns `names` ("X,Y") of the table just
-    written to `path`, beside it."""
+    written to `path`, its rows (a float array is read in place), beside
+    it."""
     names = names.split(",")
     if len(names) != 2:
         raise ConfigError("--plot expects two comma-separated column names")
     for name in names:
         if name not in header:
             raise ConfigError(f"--plot column {name!r} not in {path}")
-    table = np.array(rows, dtype=float)
+    table = np.asarray(rows, dtype=float)
     x, y = (table[:, header.index(name)] for name in names)
     out = os.path.splitext(path)[0] + f".{names[0]}_{names[1]}.svg"
     line_plot_svg(x, y, out, xlabel=names[0], ylabel=names[1],
@@ -142,8 +112,7 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     write_diagnostics_csv(diag, path)
     print(path)
     if args.plot:
-        _plot(args.plot, path, diagnostics_header(diag.dim),
-              list(_diagnostics_rows(diag)))
+        _plot(args.plot, path, diagnostics_header(diag.dim), diag.table)
     return 0
 
 

@@ -59,10 +59,12 @@ cells' density profile.  Diagnostics take the totals from the moment
 sets of the cell averages (momentum m n u, energy m n |u|^2 / 2 +
 tr(P) / 2 per species).  A homogeneous state is its own cell average,
 so `run_scenario` reduces each recorded one-cell state once and passes
-the result to `diagnose` and to the next `relax_step`.  Every reduction
-has a fixed summation order, so runs are reproducible.  A run is a
-frozen `Scenario`, whose construction is the one place a run's rules
-are checked.
+the result to `diagnose` and to the next `relax_step`.  A run keeps its
+records as the rows of one float64 table whose columns are the
+diagnostics CSV's (`diagnostics.Diagnostics`), reserved once for the
+scenario's record count.  Every reduction has a fixed summation order,
+so runs are reproducible.  A run is a frozen `Scenario`, whose
+construction is the one place a run's rules are checked.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import DiagRecord, Diagnostics
 from .errors import CflError, NotSpdError
 from .grid import MomentSet, VelocityGrid, h_functional, match_gaussian, \
     match_moments, gaussian_on_grid, maxwellian_on_grid, spd_factor
@@ -332,15 +335,30 @@ def physical_memory() -> float:
 # Traced two-step runs, homogeneous on the 32^3 lattice / 1-D with 32
 # cells of a 16^3 lattice, peak at 2.0 / 1.5 (BGK EXP; the homogeneous
 # peak is the initial samples beside the state), 3.7 / 4.4 (ES EXP),
-# 5.2 / 5.5 (BGK RK4) and 5.7 / 6.4 (ES RK4)
+# 5.2 / 5.5 (BGK RK4) and 5.7 / 6.4 (ES RK4).  The per-member tables
+# beside them are counted apart (_MEMBER_DOUBLES)
 _PEAK_BLOCKS = {"exp": 5, "rk4": 7}
 
-# bytes per diagnostics record: a run holds 2.0-2.1 kB a record, and a
-# `relax` command, which writes them as its CSV table line by line,
-# peaks at 1.8, 2.0 and 2.1 kB a record in dims 1, 2 and 3 (traced, as
-# the growth from 1000 to 3000 records; 3.8-4.3, 5.3-5.8 and 7.5-7.9
-# kB while the table was formed as one text)
-_RECORD_BYTES = 8192
+# doubles beside the blocks per target member (4 a cell), a + b sum of
+# points: the matchers' and the moment reduction's per-member tables
+# (powers to degree 4 over every axis' nodes, the offsets and factors,
+# the Newton matrices) grow with the members, not with the nodes, and
+# outweigh the blocks on coarse lattices.  Traced two-step runs with
+# cells, on [-6, 6]^d, hold at most 80 + 7.2 sum(points) doubles a
+# member beyond the blocks in 1-D (8 to 128 points), 291 in 2-D (8^2 to
+# 16^2) and 593 in 3-D (8^3 to 14^3), and peak at 0.96 of the admitted
+# bytes at most (es-full-a RK4, 8^3 with 16 cells).  A one-cell run's
+# fixed overhead, some tens of kB of objects, is not counted: it takes
+# such a run on 8 points per axis to 1.4 times its admitted bytes.
+_MEMBER_DOUBLES = (512, 8)
+
+# bytes per diagnostics record: a record is a row of the diagnostics
+# table, 19, 28 and 39 doubles in dims 1, 2 and 3, which `run_scenario`
+# reserves once, and a `relax` command, which writes its rows as CSV line
+# by line, peaks at 0.32, 0.22 and 0.32 kB a record in dims 1, 2 and 3
+# (traced, as the growth from 100 to 500 records; 1.8-2.2 kB while each
+# record was held as objects)
+_RECORD_BYTES = 768
 
 
 @dataclass(frozen=True)
@@ -389,18 +407,22 @@ class Scenario:
             raise ValueError(f"unknown splitting {self.splitting!r}")
         if self.cells < 0:
             raise ValueError(f"cells must be >= 0 (got {self.cells})")
-        # the run's peak, in (2, cells, nodes) float64 state blocks, from
-        # the counts alone and before any allocation
+        # the run's peak, in (2, cells, nodes) float64 state blocks and
+        # per-member tables, from the counts alone and before any
+        # allocation
         memory = physical_memory()
         block = 2 * max(1, int(self.cells)) * self.grid.nnodes * 8
-        peak = _PEAK_BLOCKS[self.integrator] * block
+        a, b = _MEMBER_DOUBLES
+        members = 4 * max(1, int(self.cells))
+        peak = (_PEAK_BLOCKS[self.integrator] * block
+                + members * (a + b * int(sum(self.grid.points))) * 8)
         if peak > memory:
             raise ValueError(f"points {self.grid.points.tolist()} with cells "
                              f"{self.cells} give a state block of {block} "
                              f"bytes, and an {self.integrator} run holds "
                              f"{peak} bytes at its peak, beyond the {memory} "
                              f"bytes of physical memory")
-        records = round(steps) // self.output_every + 2
+        records = self.records
         if records * _RECORD_BYTES > memory:
             raise ValueError(f"dt {self.dt}, t_end {self.t_end} and "
                              f"output_every {self.output_every} give "
@@ -448,6 +470,12 @@ class Scenario:
                                  f"gives a cell density <= 0")
 
     @property
+    def records(self) -> int:
+        """The diagnostics records a run keeps, at most: step 0, every
+        `output_every`-th step and the last."""
+        return round(self.t_end / self.dt) // self.output_every + 2
+
+    @property
     def dt_transport(self) -> float:
         """The step of each transport call: dt/2 under Strang splitting,
         which transports twice per step, and dt under Lie."""
@@ -462,64 +490,6 @@ class Scenario:
         return np.array([1.0 + self.wave_amplitude * math.sin(
             2.0 * math.pi * self.wave_mode * x / self.length)
             for x in (np.arange(self.cells) + 0.5) * dx])
-
-
-@dataclass
-class DiagRecord:
-    """One diagnostics sample.
-
-    The moment sets describe the cell-averaged distributions, whose
-    linear moments are exactly the domain totals per unit length; H is
-    likewise the per-unit-length entropy.  `negative` flags any negative
-    or non-finite value in the state.
-    """
-
-    t: float
-    mom1: MomentSet | None
-    mom2: MomentSet | None
-    mass1: float
-    mass2: float
-    momentum: np.ndarray
-    energy: float
-    h: float
-    aniso1: float
-    aniso2: float
-    negative: bool
-
-
-class Diagnostics:
-    """Time series of diagnostics records."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.records: list[DiagRecord] = []
-
-    def append(self, rec: DiagRecord):
-        self.records.append(rec)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
-
-    def _gap(self, between) -> np.ndarray:
-        return np.array([between(r.mom1, r.mom2)
-                         if r.mom1 is not None and r.mom2 is not None
-                         else np.nan for r in self.records])
-
-    def velocity_gap(self) -> np.ndarray:
-        """|u1 - u2| per record (nan where a species is degenerate)."""
-        return self._gap(lambda a, b: float(np.linalg.norm(a.u - b.u)))
-
-    def temperature_gap(self) -> np.ndarray:
-        """|T1 - T2| per record (nan where a species is degenerate)."""
-        return self._gap(lambda a, b: abs(a.T - b.T))
-
-    def anisotropy(self, species: int = 1) -> np.ndarray:
-        """|P - n T I| of species 1 or 2 per record."""
-        if species not in (1, 2):
-            raise ValueError(f"species must be 1 or 2 (got {species})")
-        return np.array([r.aniso1 if species == 1 else r.aniso2
-                         for r in self.records])
 
 
 def _anisotropy(mom: MomentSet | None) -> float:
@@ -610,6 +580,7 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
     # stage; every other step writes into the state's own block
     free = np.empty_like(state.f) if scenario.integrator == "rk4" else None
     diag = Diagnostics(dim=grid.dim)
+    diag.reserve(scenario.records)
 
     def record(state):
         """Append the state's diagnostics; return its MixtureState when

@@ -605,7 +605,9 @@ class TestCliCommands:
     def test_state_block_is_checked_against_physical_memory(
             self, tmp_path, capsys, monkeypatch, memory, integrator, rc):
         """A 16^3 relax run's state block is 2 x 4096 doubles, 64 KiB; an
-        EXP run holds 5 such blocks at its peak, an RK4 run 7."""
+        EXP run holds 5 such blocks at its peak, an RK4 run 7, and both
+        the tables of the cell's 4 target members, 512 + 8 x 48 doubles
+        each, 28 KiB."""
         sysconf = os.sysconf
         pages = {"SC_PHYS_PAGES": memory // 4096, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", lambda name: pages[name]
@@ -614,7 +616,7 @@ class TestCliCommands:
         assert main(["relax", "-c", path, "-o", str(tmp_path)]) == rc
         err = capsys.readouterr().err
         assert (tmp_path / "relax.csv").exists() == (rc == 0)
-        peak = {"exp": 327680, "rk4": 458752}[integrator]
+        peak = {"exp": 356352, "rk4": 487424}[integrator]
         assert err == ("" if rc == 0 else
                        f"error: points [16, 16, 16] with cells 0 give a "
                        f"state block of 65536 bytes, and an {integrator} run "
@@ -683,25 +685,25 @@ class TestCliCommands:
     @pytest.mark.parametrize("t_end, rc", [(0.93, 0), (0.94, 1)])
     def test_records_are_checked_against_physical_memory(
             self, tmp_path, capsys, monkeypatch, t_end, rc):
-        """384 KiB of physical memory hold 48 records of 8 KiB, and the
-        16^3 run's 320 KiB peak: 93 steps recorded every second step
-        give 93 // 2 + 2 = 48 records, and 94 steps give 49."""
+        """352 KiB of physical memory hold 469 records of 768 bytes, and
+        the 16^3 run's 348 KiB peak: 465 steps recorded at every step are
+        admitted as 465 // 1 + 2 = 467 records, and 470 steps as 472."""
         sysconf = os.sysconf
-        pages = {"SC_PHYS_PAGES": 96, "SC_PAGE_SIZE": 4096}
+        pages = {"SC_PHYS_PAGES": 88, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", lambda name: pages[name]
                             if name in pages else sysconf(name))
-        path = write_config(tmp_path, self.relax_doc(dt=0.01, t_end=t_end,
-                                                     output_every=2))
+        path = write_config(tmp_path, self.relax_doc(dt=0.002, t_end=t_end,
+                                                     output_every=1))
         assert main(["validate", "-c", path]) == rc
         assert main(["relax", "-c", path, "-o", str(tmp_path)]) == rc
         captured = capsys.readouterr()
         csv = tmp_path / "relax.csv"
         assert csv.exists() == (rc == 0)
-        if rc == 0:  # the header and 48 records
-            assert len(csv.read_text().splitlines()) == 49
+        if rc == 0:  # the header and step 0's record and 465 more
+            assert len(csv.read_text().splitlines()) == 467
         assert captured.err == ("" if rc == 0 else 2 * (
-            "error: dt 0.01, t_end 0.94 and output_every 2 give 49 "
-            "diagnostics records of 8192 bytes, beyond the 393216 bytes "
+            "error: dt 0.002, t_end 0.94 and output_every 1 give 472 "
+            "diagnostics records of 768 bytes, beyond the 360448 bytes "
             "of physical memory\n"))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -709,8 +711,10 @@ class TestCliCommands:
                                                    dim):
         """The table is written line by line, never held as text: from
         100 to 500 diagnostics records, a 16-point relax command's traced
-        peak grows by at most 2.5 kB a record (the records hold about
-        2.0 kB each; `solver._RECORD_BYTES` budgets 8 kB)."""
+        peak grows by at most 0.4 kB a record (the records are rows of
+        152, 224 and 312 bytes in dims 1, 2 and 3, and the command peaks
+        at 0.32, 0.22 and 0.32 kB a record; `solver._RECORD_BYTES`
+        budgets 768 bytes)."""
         def peak(records):
             doc = self.relax_doc(dt=0.001, t_end=0.001 * (records - 1))
             doc["grid"]["dim"] = dim
@@ -728,7 +732,7 @@ class TestCliCommands:
         fewer = peak(100)
         more = peak(500)
         assert len((tmp_path / "relax.csv").read_text().splitlines()) == 501
-        assert (more - fewer) / 400 <= 2500
+        assert (more - fewer) / 400 <= 400
 
     def test_unstable_rk4_exits_two_naming_target_and_cell(self, tmp_path,
                                                            capsys):

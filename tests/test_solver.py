@@ -15,6 +15,7 @@ from bgkmix.grid import (VelocityGrid, gaussian_on_grid, match_moments,
 from bgkmix.params import (EsParams, InteractionSpec, MixingParams,
                            ModelParams, SpeciesSpec, Variant,
                            derive_frequencies)
+from bgkmix.diagnostics import diagnostics_header
 from bgkmix.solver import (Diagnostics, KineticState, Scenario, SpeciesInit,
                            diagnose, relax_step, run_scenario, transport_step)
 from bgkmix.targets import MixtureState, build_targets
@@ -749,25 +750,40 @@ class TestRunScenario:
         block = 2 * ref_grid.nnodes * np.dtype(float).itemsize
         assert peak - base <= 4 * block
 
-    @pytest.mark.parametrize("integrator, variant, cells", [
-        pytest.param(integrator, variant, cells, id=f"{integrator}-"
-                     f"{variant.value}" + ("-1d" if cells else ""))
-        for cells in (0, 32) for integrator in ("exp", "rk4")
+    # (dim, points per axis, vmax, cells, dt) by id suffix: the reference
+    # lattices, and coarse ones whose per-member tables outweigh their
+    # blocks (each above its integrator's block count alone)
+    LATTICES = {"": (3, 32, 8.0, 0, 0.05), "-1d": (3, 16, 8.0, 32, 0.002),
+                "-1d-24x256": (1, 24, 6.0, 256, 0.0005),
+                "-1d-8x256": (1, 8, 6.0, 256, 0.0005),
+                "-2d-8x64": (2, 8, 6.0, 64, 0.002),
+                "-2d-16x64": (2, 16, 6.0, 64, 0.002),
+                "-3d-8x16": (3, 8, 6.0, 16, 0.002)}
+
+    @pytest.mark.parametrize("integrator, variant, lattice", [
+        pytest.param(integrator, variant, lattice, id=f"{integrator}-"
+                     f"{variant.value}{lattice}")
+        for lattice in LATTICES for integrator in ("exp", "rk4")
         for variant in (Variant.BGK, Variant.ES_FULL_A)])
-    def test_run_peak_is_within_the_admitted_blocks(self, ref_grid, mid_grid,
-                                                    integrator, variant,
-                                                    cells):
+    def test_run_peak_is_within_the_admitted_blocks(self, integrator,
+                                                    variant, lattice):
         """The physical-memory admission counts 5 state blocks for an EXP
-        run and 7 for RK4: a two-step run, homogeneous on the 32^3
-        lattice or 1-D with 32 cells of a 16^3 lattice, its scenario
-        built, grows traced memory by no more at its peak."""
-        params = make_params(epsilon=0.5, variant=variant)
-        if cells:
-            grid, steps = mid_grid, dict(dt=0.002, t_end=0.004, cells=cells,
-                                         wave_amplitude=0.1)
-        else:
-            grid, steps = ref_grid, dict(t_end=0.1)
-        scen = self.scenario(grid, params, integrator=integrator, **steps)
+        run and 7 for RK4, and a + b sum(points) doubles for each of the
+        4 target members of a cell (`solver._MEMBER_DOUBLES`): a two-step
+        run, its scenario built, grows traced memory by no more at its
+        peak, homogeneous on the 32^3 lattice, 1-D with 32 cells of a
+        16^3 lattice, and 1-D on coarse 1-, 2- and 3-D lattices."""
+        dim, points, vmax, cells, dt = self.LATTICES[lattice]
+        grid = VelocityGrid(dim, -vmax, vmax, points)
+        steps = dict(dt=dt, t_end=2 * dt, cells=cells,
+                     wave_amplitude=0.1 if cells else 0.0)
+        if dim < 3:
+            steps.update(species1=SpeciesInit(n=1.0, u=(0.2, 0.0, 0.0),
+                                              T=1.0),
+                         species2=SpeciesInit(n=1.0, u=(-0.1, 0.05, 0.0)[
+                             :dim] + (0.0,) * (3 - dim), T=1.2))
+        scen = self.scenario(grid, make_params(epsilon=0.5, variant=variant),
+                             integrator=integrator, **steps)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -775,8 +791,11 @@ class TestRunScenario:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        members = 4 * max(1, cells)
         block = 2 * max(1, cells) * grid.nnodes * np.dtype(float).itemsize
-        assert peak - base <= solver._PEAK_BLOCKS[integrator] * block
+        a, b = solver._MEMBER_DOUBLES
+        tables = members * (a + b * sum(grid.points)) * 8
+        assert peak - base <= solver._PEAK_BLOCKS[integrator] * block + tables
 
     @pytest.mark.parametrize("variant", [Variant.BGK, Variant.ES_FULL_A],
                              ids=lambda v: v.value)
@@ -1237,3 +1256,127 @@ class TestDiagnostics:
         with pytest.raises(ValueError, match=(
                 rf"^species must be 1 or 2 \(got {species}\)$")):
             diag.anisotropy(species)
+
+
+def bits(value):
+    """The shape and float64 bytes of a scalar or array: equal exactly
+    when every entry is the same bit for bit, NaNs included."""
+    array = np.asarray(value, dtype=float)
+    return array.shape, array.tobytes()
+
+
+class TestDiagnosticsTable:
+    """Records as rows of one float64 table, read back through `records`
+    and the series bit for bit."""
+
+    TENSOR = np.array([[1.1, 0.2, -0.1], [0.2, 0.9, 0.15],
+                       [-0.1, 0.15, 1.3]])
+
+    def records(self, dim):
+        """`diagnose` records on a dim-D lattice, t = 0.1 apart: both
+        species (species 2 sheared), each species absent, a negative
+        entry, a negative and an infinite entry, a NaN entry, and a
+        two-cell state."""
+        grid = VelocityGrid(dim, -6.0, 6.0, {1: 32, 2: 16, 3: 10}[dim])
+        u = np.array([0.3, -0.1, 0.2][:dim])
+        f1 = maxwellian_on_grid(1.0, u, 1.1, 1.0, grid)
+        f2 = gaussian_on_grid(0.7, -u, self.TENSOR[:dim, :dim], 2.0, grid)
+        zero = np.zeros_like(f1)
+        negative, infinite, nan = f2.copy(), f2.copy(), f2.copy()
+        negative[3] = infinite[3] = -1e-3
+        infinite[5], nan[5] = np.inf, np.nan
+        blocks = [np.array([a, b])[:, None] for a, b in (
+            (f1, f2), (f1, zero), (zero, f2), (f1, negative),
+            (f1, infinite), (nan, f2))]
+        blocks.append(np.array([[f1, 0.5 * f1], [f2, 1.5 * f2]]))
+        return [diagnose(KineticState(f=f, t=0.1 * i, grid=grid),
+                         make_params()) for i, f in enumerate(blocks)]
+
+    def diagnostics(self, dim, recs):
+        diag = Diagnostics(dim)
+        for rec in recs:
+            diag.append(rec)
+        return diag
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_records_read_back_bitwise(self, dim):
+        recs = self.records(dim)
+        rows = self.diagnostics(dim, recs).records
+        assert len(rows) == len(recs)
+        assert recs[1].mom2 is None and recs[2].mom1 is None
+        assert [r.negative for r in recs] == [False] * 3 + [True] * 3 + [
+            False]
+        for rec, row in zip(recs, rows):
+            for field in ("t", "mass1", "mass2", "momentum", "energy", "h",
+                          "aniso1", "aniso2"):
+                assert bits(getattr(row, field)) == bits(
+                    getattr(rec, field)), field
+            assert isinstance(row.t, float) and row.negative is rec.negative
+            for k in (1, 2):
+                want, got = getattr(rec, f"mom{k}"), getattr(row, f"mom{k}")
+                assert (got is None) == (want is None)
+                if want is None:
+                    continue
+                for name in ("n", "u", "T", "P", "Qtilde"):
+                    assert bits(getattr(got, name)) == bits(
+                        getattr(want, name)), (k, name)
+                assert bits(got.P.T) == bits(got.P)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_series_equal_the_per_record_expressions(self, dim):
+        recs = self.records(dim)
+        diag = self.diagnostics(dim, recs)
+        both = [r.mom1 is not None and r.mom2 is not None for r in recs]
+        assert bits(diag.times) == bits([r.t for r in recs])
+        assert bits(diag.velocity_gap()) == bits([
+            float(np.linalg.norm(r.mom1.u - r.mom2.u)) if ok else np.nan
+            for r, ok in zip(recs, both)])
+        assert bits(diag.temperature_gap()) == bits([
+            abs(r.mom1.T - r.mom2.T) if ok else np.nan
+            for r, ok in zip(recs, both)])
+        for k in (1, 2):
+            assert bits(diag.anisotropy(k)) == bits([
+                getattr(r, f"aniso{k}") for r in recs])
+
+    def test_table_is_the_csv_layout_and_keeps_its_rows_as_it_grows(self):
+        recs = self.records(2)
+        once, often = (self.diagnostics(2, recs * n) for n in (1, 5))
+        header = diagnostics_header(2)
+        assert once.table.shape == (len(recs), len(header))
+        assert not once.table.flags.writeable
+        assert once.table[0, header.index("P2xy")] == recs[0].mom2.P[0, 1]
+        assert once.table[1, header.index("P2xy")] == 0.0  # absent
+        assert bits(often.table) == bits(np.tile(once.table, (5, 1)))
+        often.reserve(0)  # keeps the rows appended
+        assert bits(often.table) == bits(np.tile(once.table, (5, 1)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_finished_run_holds_under_a_kilobyte_a_record(self, dim,
+                                                          monkeypatch):
+        """From 100 to 500 records, the Diagnostics a finished homogeneous
+        run returns grows traced memory by at most 0.75 kB a record (its
+        table's rows: 152, 224 and 312 bytes in dims 1, 2 and 3).  The
+        steps leave the state as it is, as only the records count."""
+        monkeypatch.setattr(solver, "relax_step",
+                            lambda state, *args, **kwargs: state)
+        grid = VelocityGrid(dim, -6.0, 6.0, 12)
+        u2 = (-0.1, 0.05, 0.0)[:dim] + (0.0,) * (3 - dim)
+
+        def held(records):
+            scen = Scenario(
+                params=make_params(), grid=grid,
+                species1=SpeciesInit(n=1.0, u=(0.2, 0.0, 0.0), T=1.0),
+                species2=SpeciesInit(n=1.0, u=u2, T=1.2), dt=0.001,
+                t_end=0.001 * (records - 1))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                diag = run_scenario(scen)
+                size = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert len(diag.records) == records
+            return size
+
+        held(10)  # the lattice's caches
+        assert (held(500) - held(100)) / 400 <= 750
