@@ -142,6 +142,11 @@ def _cmd_coeffs(cfg: RunConfig, args) -> int:
     for name, K in (("Ku", pref.Ku), ("KT", pref.KT)):
         columns.update({f"{name}{i + 1}{j + 1}": K[i, j]
                         for i in range(2) for j in range(2)})
+    for name, value in columns.items():
+        if not math.isfinite(value):  # extreme densities overflow them
+            raise SingularPrefactorError(
+                f"coeffs column {name} is not finite ({value}) for "
+                f"densities n1={n1}, n2={n2}")
     _write_table(list(columns), [columns.values()])
     return 0
 

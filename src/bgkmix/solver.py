@@ -5,16 +5,10 @@ homogeneous run is one cell and integrates the pure relaxation
 equations, while 1-D runs add first-order upwind transport on a
 periodic domain via Lie or Strang splitting (Strang transports in two
 half steps, and the CFL bound applies to each).  A transport step
-forms the upwind difference of f a chunk of cells at a time, in a
-temporary of at most _CHUNK_BYTES, scales it by -v_x dt/dx per node
-and adds f into the next state's block, which may be the state's own:
-the chunks run with the cells ascending, and the old rows a later
-chunk reads (the wrap cells', and the last of each chunk) are copied
-before they are overwritten.  The nodes with v_x <= 0 are a prefix of
-the node order, so the upwind split is two slices.  The differences
-telescope, so each node's mass is conserved to round-off, and a
-non-finite entry reaches only its own node's donor stencil.  Two
-integrators are available:
+(`transport_step`) adds the upwind difference of f, scaled by
+-v_x dt/dx per node, a chunk of cells of at most _CHUNK_BYTES at a
+time, so each node's mass is conserved to round-off.  Two integrators
+are available:
 
 RK4   classical four-stage update with targets rebuilt at every stage;
       accurate but not positivity preserving (negative excursions are
@@ -32,21 +26,15 @@ EXP   freeze the moments at the step start, match the targets once and
       sum w_f f + w_s g_s + w_c g_c with weights formed once per cell:
       w_f = exp(-nu_tot dt) and w_s,c = nu_s,c (1 - w_f) / nu_tot, 1 - w_f
       from expm1.  The step writes w_f f first, after which it reads
-      the state only through its moments.  For BGK, whose targets are
-      all Maxwellians, the target pair Gamma = w_s g_s + w_c g_c of each
-      species and cell is then added as one rank-2 product of the
-      matched per-axis factors, a bounded run of rows at a time
-      (`targets.weighted_targets`): no target block is formed.  The ES
-      variants add the weighted rows of the target block.  First-order,
-      and positivity preserving at any dt.
+      the state only through its moments, and then adds w_s g_s +
+      w_c g_c in one `targets.weighted_targets` call for every variant:
+      Maxwellians in factored form a bounded run of rows at a time,
+      Gaussians from a block of their rows only.  First-order, and
+      positivity preserving at any dt.
 
 A step writes the next state into a block it is given (`out`), which
-may be the state's own block, or a new one; the bits are the same.
-`run_scenario` hands every transport and EXP step the state's own
-block, so an EXP run holds one state block.  An RK4 step reads the
-state until its last stage, so an RK4 run allocates one block beside
-the state, once: each RK4 step writes into it, and the block the step
-read is the next one written.
+may be the state's own block, or a new one; the bits are the same.  An
+EXP run holds one state block, and an RK4 run one more (`run_scenario`).
 
 Both integrators work on whole blocks.  A collision evaluation of all
 cells gives the self rates [nu11 n1, nu22 n2] and the cross rates
@@ -59,12 +47,11 @@ cells' density profile.  Diagnostics take the totals from the moment
 sets of the cell averages (momentum m n u, energy m n |u|^2 / 2 +
 tr(P) / 2 per species).  A homogeneous state is its own cell average,
 so `run_scenario` reduces each recorded one-cell state once and passes
-the result to `diagnose` and to the next `relax_step`.  A run keeps its
-records as the rows of one float64 table whose columns are the
-diagnostics CSV's (`diagnostics.Diagnostics`), reserved once for the
-scenario's record count.  Every reduction has a fixed summation order,
-so runs are reproducible.  A run is a frozen `Scenario`, whose
-construction is the one place a run's rules are checked.
+the result to `diagnose` and to the next `relax_step`; its records are
+the rows of one table (`diagnostics.Diagnostics`).  Every reduction has
+a fixed summation order, so runs are reproducible.  A run is a frozen
+`Scenario`, whose construction is the one place a run's rules are
+checked.
 """
 
 from __future__ import annotations
@@ -79,7 +66,7 @@ from .diagnostics import DiagRecord, Diagnostics
 from .errors import CflError, NotSpdError
 from .grid import MomentSet, VelocityGrid, h_functional, match_gaussian, \
     match_moments, gaussian_on_grid, maxwellian_on_grid, spd_factor
-from .params import ModelParams, Variant, _positive, derive_frequencies, \
+from .params import ModelParams, _positive, derive_frequencies, \
     validate
 from .targets import _CHUNK_BYTES, MixtureState, build_targets, \
     weighted_targets
@@ -137,11 +124,11 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
     or a C-contiguous block of its shape apart from it) or a new block;
     the result is the same bit for bit.  The EXP step reads the state
     only through its moments once it has written w_f f, so in place it
-    forms nothing of the block's size for BGK.  RK4 reads the state
-    until its last stage, so in place it sums its stages in a block of
-    its own.  `mixture`, when given, is the `MixtureState` of the
-    state's own block and serves the first collision evaluation in
-    place of reducing the state again."""
+    forms no target block.  RK4 reads the state until its last stage,
+    so in place it sums its stages in a block of its own.  `mixture`,
+    when given, is the `MixtureState` of the state's own block and
+    serves the first collision evaluation in place of reducing the
+    state again."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive (got {dt})")
     if integrator not in ("rk4", "exp"):
@@ -200,14 +187,8 @@ def relax_step(state: KineticState, dt: float, params: ModelParams,
             w_s, w_c = nu_s * gain, nu_c * gain
             # w_f f first: from here on the step reads f only through st
             np.multiply(f, decay, out=new)
-            if params.es.variant == Variant.BGK:
-                # w_s g_s + w_c g_c added a bounded run of rows at a time
-                weighted_targets(st, params, grid,
-                                 np.concatenate([w_s, w_c]), new, match)
-            else:
-                g_s, g_c = np.split(build_targets(st, params, grid, match), 2)
-                new += np.multiply(g_s, w_s, out=g_s)  # step-local rows
-                new += np.multiply(g_c, w_c, out=g_c)
+            weighted_targets(st, params, grid, np.concatenate([w_s, w_c]),
+                             new, match)
     return KineticState(f=new, t=state.t + dt, grid=grid, dx=state.dx)
 
 
@@ -327,16 +308,15 @@ def physical_memory() -> float:
 
 # the most (2, cells, nodes) blocks a run holds at once: the state
 # (transport and EXP steps update it in place; an RK4 run holds a
-# second block for the next state), the (4, cells, nodes) target block
-# (RK4 and the ES variants' EXP step; BGK's EXP step forms none), RK4's
-# stage-input block (its stage derivatives live in the target block),
-# and up to two blocks for the transients of sampling and reduction
-# (transport and BGK's EXP step form chunks of at most _CHUNK_BYTES).
-# Traced two-step runs, homogeneous on the 32^3 lattice / 1-D with 32
-# cells of a 16^3 lattice, peak at 2.0 / 1.5 (BGK EXP; the homogeneous
-# peak is the initial samples beside the state), 3.7 / 4.4 (ES EXP),
-# 5.2 / 5.5 (BGK RK4) and 5.7 / 6.4 (ES RK4).  The per-member tables
-# beside them are counted apart (_MEMBER_DOUBLES)
+# second block for the next state), RK4's (4, cells, nodes) target
+# block and its stage-input block, an EXP step's Gaussian rows (one
+# block for es-self, two for the full ES variants), and up to two
+# blocks for the transients of sampling and reduction (transport and
+# Maxwellian terms form chunks of at most _CHUNK_BYTES).  Traced
+# two-step runs, homogeneous on the 32^3 lattice / 1-D with 32 cells of
+# a 16^3 lattice, peak at 2.0 / 1.5 (BGK EXP; the homogeneous peak is
+# the initial samples beside the state), 2.4 / 2.7 (es-self EXP),
+# 3.7 / 4.4 (es-full-a EXP), 5.2 / 5.5 (BGK RK4) and 5.7 / 6.4 (ES RK4)
 _PEAK_BLOCKS = {"exp": 5, "rk4": 7}
 
 # doubles beside the blocks per target member (4 a cell), a + b sum of
@@ -346,11 +326,14 @@ _PEAK_BLOCKS = {"exp": 5, "rk4": 7}
 # outweigh the blocks on coarse lattices.  Traced two-step runs with
 # cells, on [-6, 6]^d, hold at most 80 + 7.2 sum(points) doubles a
 # member beyond the blocks in 1-D (8 to 128 points), 291 in 2-D (8^2 to
-# 16^2) and 593 in 3-D (8^3 to 14^3), and peak at 0.96 of the admitted
-# bytes at most (es-full-a RK4, 8^3 with 16 cells).  A one-cell run's
-# fixed overhead, some tens of kB of objects, is not counted: it takes
-# such a run on 8 points per axis to 1.4 times its admitted bytes.
+# 16^2) and 593 in 3-D (8^3 to 14^3), and peak at 0.96 of the blocks
+# and tables at most (es-full-a RK4, 8^3 with 16 cells)
 _MEMBER_DOUBLES = (512, 8)
+
+# a run's fixed bytes beyond its blocks and tables: traced two-step
+# one-cell runs on [-6, 6]^d (8 to 24 points, 8 to 16 in 3-D) hold up to
+# 52 kB more (es-full-a, 12^3), 1.46 times those alone on 8^3
+_RUN_BYTES = 64 * 1024
 
 # bytes per diagnostics record: a record is a row of the diagnostics
 # table, 19, 28 and 39 doubles in dims 1, 2 and 3, which `run_scenario`
@@ -414,7 +397,7 @@ class Scenario:
         block = 2 * max(1, int(self.cells)) * self.grid.nnodes * 8
         a, b = _MEMBER_DOUBLES
         members = 4 * max(1, int(self.cells))
-        peak = (_PEAK_BLOCKS[self.integrator] * block
+        peak = (_PEAK_BLOCKS[self.integrator] * block + _RUN_BYTES
                 + members * (a + b * int(sum(self.grid.points))) * 8)
         if peak > memory:
             raise ValueError(f"points {self.grid.points.tolist()} with cells "

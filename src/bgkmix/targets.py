@@ -21,8 +21,9 @@ deviators D_k = P_k / n_k - T_k I, so its trace is d times that T:
 
 Every function is pure and works on one cell's moments or, elementwise,
 on moments with a leading cell axis: `target_moments` maps them to each
-target's (n, u, T or tensor), and `build_targets` fills the lattice with
-one Cholesky stack and one stacked call per family over all cells.
+target's (n, u, T or tensor), and one walk stacks each family over all
+cells (`_families`) for `build_targets`, which fills the lattice, and
+`weighted_targets`, which adds the weighted targets into a state block.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def target_moments(state: MixtureState, params: ModelParams) -> dict:
 _NAMES = ("g1", "g2", "g12", "g21")
 
 # the most bytes of lattice rows a step forms at a time beside the
-# state: a run of weighted target pairs here, a chunk of upwind
+# state: a run of weighted Maxwellian terms here, a chunk of upwind
 # differences in `solver.transport_step`
 _CHUNK_BYTES = 128 * 1024
 
@@ -243,7 +244,7 @@ def _stack(rows: dict, run, masses, cells: int, d: int):
     temperatures (K,) or (K, d, d) and the masses (K,).  A density, or a
     Maxwellian's temperature, that is not finite and positive raises
     InadmissibleTargetError."""
-    n, u, temperature = zip(*(rows[r] for r in run))
+    n, u, temperature = zip(*[rows[r] for r in run])
     tensor = np.ndim(temperature[0]) > 1
     n = _admissible(np.array(n, dtype=float).reshape(-1), "density")
     temperature = np.array(temperature, dtype=float).reshape(
@@ -252,6 +253,35 @@ def _stack(rows: dict, run, masses, cells: int, d: int):
         _admissible(temperature, "temperature")
     mass = np.array([masses[r % 2] for r in run]).repeat(cells)
     return n, np.array(u, dtype=float).reshape(-1, d), temperature, mass
+
+
+def _families(state: MixtureState, params: ModelParams, grid: VelocityGrid,
+              cells: int, visit) -> None:
+    """The one walk over the targets of `target_moments`: for each run
+    lo:hi of rows of one family, in row order, visit(lo, hi, tensor,
+    members) with the run's stack over `cells` cells (`_stack`), a
+    Gaussian's tensors Cholesky-factored as one stack.  A failure of the
+    stack or of the visit names its target and cell."""
+    rows = target_moments(state, params)
+    # present rows are contiguous, so each run of one family is a slice;
+    # a Gaussian's temperature is (..., d, d), a Maxwellian's at most (C,)
+    for tensor, run in itertools.groupby(
+            sorted(rows), key=lambda r: np.ndim(rows[r][2]) > 1):
+        run = list(run)
+        lo, hi = run[0], run[-1] + 1
+        with _located(_NAMES[lo:hi], cells):
+            n, u, temperature, mass = _stack(rows, run, (state.m1, state.m2),
+                                             cells, grid.dim)
+            if tensor:
+                temperature = spd_factor(temperature)
+            visit(lo, hi, tensor, (n, u, temperature, mass))
+
+
+def _sampler(tensor: bool, match: bool):
+    """The stacked matcher, or sampler, of a family."""
+    if tensor:
+        return match_gaussian if match else gaussian_on_grid
+    return match_moments if match else maxwellian_on_grid
 
 
 def build_targets(state: MixtureState, params: ModelParams,
@@ -268,41 +298,26 @@ def build_targets(state: MixtureState, params: ModelParams,
     so their quadrature moments equal the prescribed values, which makes
     the discrete conservation identities machine-tight.  Each family is
     sampled or matched in one stacked call over its targets and all
-    cells, written into one (4, cells, nodes) block; a Gaussian family's
-    tensors are Cholesky-factored as one stack first.  `out`, a
-    C-contiguous (4, cells, nodes) array, is refilled in place of a new
-    block.  A degenerate species' targets are zero (one cell of them when
-    both are, or the cells of `out`).  A density, or a Maxwellian's
-    temperature, that is not finite and positive, as after an unstable
-    step, raises InadmissibleTargetError; every failure names the target
-    and cell.
+    cells (`_families`), written into one (4, cells, nodes) block.
+    `out`, a C-contiguous (4, cells, nodes) array, is refilled in place
+    of a new block.  A degenerate species' targets are zero (one cell of
+    them when both are, or the cells of `out`).  A failure, as after an
+    unstable step, names the target and cell (`_families`).
     """
-    rows = target_moments(state, params)
-    cells = (np.shape(rows[min(rows)][0]) if rows
+    present = [m for m in (state.mom1, state.mom2) if m is not None]
+    cells = (np.shape(present[0].n) if present
              else (1,) if out is None else out.shape[1:-1])
     C, N = math.prod(cells), grid.nnodes
     if out is None:
-        out = (np.empty if len(rows) == 4 else np.zeros)((4, C, N))
+        out = (np.empty if len(present) == 2 else np.zeros)((4, C, N))
     elif out.shape != (4,) + cells + (N,) or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous {(4,) + cells + (N,)} "
                          f"array (got {out.shape})")
-    elif len(rows) < 4:
+    elif len(present) < 2:
         out.fill(0.0)
-    # present rows are contiguous, so each run of one family is a slice;
-    # a Gaussian's temperature is (..., d, d), a Maxwellian's at most (C,)
-    for tensor, run in itertools.groupby(
-            sorted(rows), key=lambda r: np.ndim(rows[r][2]) > 1):
-        run = list(run)
-        lo, hi = run[0], run[-1] + 1
-        with _located(_NAMES[lo:hi], C):
-            n, u, temperature, mass = _stack(rows, run, (state.m1, state.m2),
-                                             C, grid.dim)
-            if tensor:
-                temperature = spd_factor(temperature)
-                fn = match_gaussian if match else gaussian_on_grid
-            else:
-                fn = match_moments if match else maxwellian_on_grid
-            fn(n, u, temperature, mass, grid, out=out[lo:hi].reshape(-1, N))
+    _families(state, params, grid, C, lambda lo, hi, tensor, members: (
+        _sampler(tensor, match)(*members, grid,
+                                out=out[lo:hi].reshape(-1, N))))
     return out.reshape((4,) + cells + (N,))
 
 
@@ -311,44 +326,44 @@ def weighted_targets(state: MixtureState, params: ModelParams,
                      out: np.ndarray, match: bool = True) -> np.ndarray:
     """Add w_s g_s + w_c g_c, each species' self and cross target
     weighted, of every cell into the C-contiguous (2, cells, nodes)
-    block `out` and return it, for a variant whose targets are all
-    Maxwellians (BGK); `weights` (4, cells, 1) gives w_s and w_c in the
-    rows of the `build_targets` block, [w_s1, w_s2, w_c1, w_c2].
+    block `out` and return it, for every variant; `weights` (4, cells, 1)
+    gives w_s and w_c in the rows of the `build_targets` block,
+    [w_s1, w_s2, w_c1, w_c2].
 
-    The targets are matched, or sampled, in factored form in one stacked
-    call over the targets and cells, as `build_targets` matches them
-    (the same members in the same order, with the same checks and the
-    same failures, named by target and cell).  Each (species, cell) row
-    is then its two weighted Maxwellians formed as one rank-2 product
-    of their per-axis factors (`grid._maxwellian_fill`), a run of rows
-    of at most _CHUNK_BYTES at a time, and added into its row of `out`;
-    no target is sampled on its own.  A degenerate species has no
-    targets: it adds zero to its row, as does the other species' cross
-    term.
+    Each family is matched, or sampled, as `build_targets` matches it
+    (`_families`: the same members, checks and failures).  A Gaussian
+    family is written into a step-local block of its rows only, which
+    are added weighted in row order, self rows first.  A Maxwellian
+    family stays in factored form: the weighted terms of each (species,
+    cell) row, the self and cross pair for BGK or the cross term alone
+    for es-self, are formed as one rank-2 (rank-1) product of their
+    per-axis factors (`grid._maxwellian_fill`), a run of rows of at most
+    _CHUNK_BYTES at a time, and added into the row.  A degenerate
+    species adds nothing to its row, nor to the other's cross term.
     """
-    rows = target_moments(state, params)
-    if any(np.ndim(t) > 1 for _, _, t in rows.values()):
-        raise ValueError(f"weighted targets are Maxwellians only "
-                         f"(got {params.es.variant})")
-    C, A = weights.shape[1], len(grid.axis_nodes)
-    # absent targets keep n = 0 and zero factors, so they add exactly 0
-    n, theta, factors = np.zeros(4 * C), np.ones(4 * C), np.zeros((4 * C, A))
-    if rows:
-        lo, hi = min(rows), max(rows) + 1
-        with _located(_NAMES[lo:hi], C):
-            members = _stack(rows, range(lo, hi), (state.m1, state.m2), C,
-                             grid.dim)
-            matched = gridmod._maxwellian_factors(*members, grid, match)
-        at = slice(lo * C, hi * C)
-        n[at], theta[at], factors[at] = matched[1:4]
-    # the terms (self, cross) of each (species, cell) row side by side
-    terms = [x.reshape((2, 2 * C) + x.shape[1:]).swapaxes(0, 1)
-             for x in (weights.reshape(-1) * n, theta, factors)]
-    lines = out.reshape(2 * C, -1)
-    step = max(1, _CHUNK_BYTES // lines[0].nbytes)
-    pair = np.empty((min(step, 2 * C), lines.shape[1]))
-    for a in range(0, 2 * C, step):
-        into = pair[:min(step, 2 * C - a)]
-        gridmod._maxwellian_fill(*(x[a:a + step] for x in terms), grid, into)
-        lines[a:a + step] += into
+    C, N = weights.shape[1], grid.nnodes
+
+    def add(lo, hi, tensor, members):
+        if tensor:
+            block = np.empty((hi - lo, C, N))
+            _sampler(tensor, match)(*members, grid, out=block.reshape(-1, N))
+            for r, rows in enumerate(block, lo):
+                out[r % 2] += np.multiply(rows, weights[r], out=rows)
+            return
+        # the rows lo:hi are T terms (self, cross) of one or both species:
+        # each (species, cell) row's terms side by side
+        T = (hi + 1) // 2 - lo // 2
+        n, theta, g = gridmod._maxwellian_factors(*members, grid, match)[1:4]
+        terms = [x.reshape((T, -1) + x.shape[1:]).swapaxes(0, 1)
+                 for x in (weights[lo:hi].reshape(-1) * n, theta, g)]
+        lines = out[lo % 2:].reshape(-1, N)[:len(terms[0])]
+        step = max(1, _CHUNK_BYTES // lines[0].nbytes)
+        pair = np.empty((min(step, len(lines)), N))
+        for a in range(0, len(lines), step):
+            into = pair[:min(step, len(lines) - a)]
+            gridmod._maxwellian_fill(*(x[a:a + step] for x in terms), grid,
+                                     into)
+            lines[a:a + step] += into
+
+    _families(state, params, grid, C, add)
     return out

@@ -497,6 +497,24 @@ class TestCliCommands:
             assert (rc, captured.out) == (1, "")
             assert captured.err == "error: coeffs needs both species\n"
 
+    def test_coeffs_non_finite_value_is_numerical_failure(self, tmp_path,
+                                                           capsys):
+        """A density of 1e300 makes c1, c2 and the prefactors NaN: the
+        table is refused with one line naming the first such column and
+        the densities, and nothing is written."""
+        doc = base_doc(
+            masses=[1.0, 2.0],
+            interaction={"nu12": 1.0, "epsilon": 0.5, "beta1": 1.0,
+                         "beta2": 1.0},
+            grid={"dim": 1, "points": 16},
+            scenario={"species1": {"n": 1e300}})
+        rc = main(["coeffs", "-c", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == ("numerical failure: coeffs column c1 is not "
+                                "finite (nan) for densities n1=1e+300, "
+                                "n2=1.0\n")
+
     def test_coeffs_singular_bundle_is_numerical_failure(self, tmp_path):
         doc = base_doc(mixing={"delta": 1.0, "alpha": 0.5, "gamma": 0.0})
         rc = main(["coeffs", "-c", write_config(tmp_path, doc)])
@@ -607,7 +625,7 @@ class TestCliCommands:
         """A 16^3 relax run's state block is 2 x 4096 doubles, 64 KiB; an
         EXP run holds 5 such blocks at its peak, an RK4 run 7, and both
         the tables of the cell's 4 target members, 512 + 8 x 48 doubles
-        each, 28 KiB."""
+        each, 28 KiB, and a run's fixed 64 KiB."""
         sysconf = os.sysconf
         pages = {"SC_PHYS_PAGES": memory // 4096, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", lambda name: pages[name]
@@ -616,7 +634,7 @@ class TestCliCommands:
         assert main(["relax", "-c", path, "-o", str(tmp_path)]) == rc
         err = capsys.readouterr().err
         assert (tmp_path / "relax.csv").exists() == (rc == 0)
-        peak = {"exp": 356352, "rk4": 487424}[integrator]
+        peak = {"exp": 421888, "rk4": 552960}[integrator]
         assert err == ("" if rc == 0 else
                        f"error: points [16, 16, 16] with cells 0 give a "
                        f"state block of 65536 bytes, and an {integrator} run "
@@ -649,12 +667,12 @@ class TestCliCommands:
     def test_persistence_table_is_checked_against_physical_memory(
             self, tmp_path, capsys, monkeypatch, count, rc):
         """384 KiB of physical memory hold a table of 16384 rows of three
-        float64 columns, and the 16^3 run's 320 KiB peak."""
+        float64 columns, and the 12^3 run's 224 KiB peak."""
         sysconf = os.sysconf
         pages = {"SC_PHYS_PAGES": 96, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", lambda name: pages[name]
                             if name in pages else sysconf(name))
-        path = write_config(tmp_path, base_doc(grid={"points": 16},
+        path = write_config(tmp_path, base_doc(grid={"points": 12},
                                                persistence={"count": count}))
         assert main(["persistence", "-c", path]) == rc
         captured = capsys.readouterr()
@@ -686,14 +704,18 @@ class TestCliCommands:
     def test_records_are_checked_against_physical_memory(
             self, tmp_path, capsys, monkeypatch, t_end, rc):
         """352 KiB of physical memory hold 469 records of 768 bytes, and
-        the 16^3 run's 348 KiB peak: 465 steps recorded at every step are
-        admitted as 465 // 1 + 2 = 467 records, and 470 steps as 472."""
+        a 1-D 16-point run's 85 KiB peak: 465 steps recorded at every
+        step are admitted as 465 // 1 + 2 = 467 records, and 470 steps
+        as 472."""
         sysconf = os.sysconf
         pages = {"SC_PHYS_PAGES": 88, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", lambda name: pages[name]
                             if name in pages else sysconf(name))
-        path = write_config(tmp_path, self.relax_doc(dt=0.002, t_end=t_end,
-                                                     output_every=1))
+        doc = self.relax_doc(dt=0.002, t_end=t_end, output_every=1)
+        doc["grid"]["dim"] = 1
+        for species in ("species1", "species2"):
+            doc["scenario"][species]["u"] = [0.1]
+        path = write_config(tmp_path, doc)
         assert main(["validate", "-c", path]) == rc
         assert main(["relax", "-c", path, "-o", str(tmp_path)]) == rc
         captured = capsys.readouterr()

@@ -286,13 +286,13 @@ class TestInPlaceRk4:
                                                    match))
 
     @pytest.mark.parametrize("integrator, variant, builds", [
-        ("rk4", Variant.BGK, 4), ("exp", Variant.ES_FULL_A, 1),
-        ("exp", Variant.BGK, 0)], ids=["rk4-4", "exp-1", "exp-0"])
+        ("rk4", Variant.BGK, 4), ("exp", Variant.ES_FULL_A, 0),
+        ("exp", Variant.BGK, 0)], ids=["rk4-4", "exp-es-0", "exp-0"])
     def test_stages_share_one_target_block(self, monkeypatch, mid_grid,
                                            integrator, variant, builds):
-        """RK4's stages refill one target block; an ES EXP step builds
-        one block, and a BGK EXP step none (it writes the weighted
-        targets straight into the next state)."""
+        """RK4's stages refill one target block; an EXP step, BGK or ES,
+        builds none (it adds the weighted targets straight into the next
+        state)."""
         outs = []
         real = solver.build_targets
 
@@ -735,9 +735,9 @@ class TestRunScenario:
     def test_es_exp_run_updates_the_state_in_place(self, ref_grid):
         """A two-step homogeneous es-full-a EXP run on the 32^3 lattice,
         its scenario built, grows traced memory by at most 4 state
-        blocks at its peak (3.69 here: the state, the target block and
-        the transients of sampling; 4.69 with a second block for the
-        next state)."""
+        blocks at its peak (3.68 here: the state, the block of its four
+        Gaussian rows and the transients of sampling; 4.69 with a second
+        block for the next state)."""
         scen = self.scenario(ref_grid, make_params(
             epsilon=0.5, variant=Variant.ES_FULL_A), t_end=0.1)
         tracemalloc.start()
@@ -750,15 +750,43 @@ class TestRunScenario:
         block = 2 * ref_grid.nnodes * np.dtype(float).itemsize
         assert peak - base <= 4 * block
 
+    @pytest.mark.parametrize("cells", [0, 32], ids=["homogeneous", "1d"])
+    def test_es_self_exp_run_holds_only_its_gaussian_rows(
+            self, ref_grid, mid_grid, cells):
+        """An es-self EXP step samples its two Gaussian self rows into a
+        block of their own and adds its Maxwellian cross terms a bounded
+        run of rows at a time: a two-step run, homogeneous on the 32^3
+        lattice or 1-D with 32 cells of a 16^3 lattice, its scenario
+        built, grows traced memory by at most 3 state blocks at its peak
+        (about 2.4 and 2.7; 3.4 and 3.7 with a four-row target block)."""
+        grid = mid_grid if cells else ref_grid
+        dt = 0.002 if cells else 0.05
+        scen = self.scenario(grid, make_params(
+            epsilon=0.5, variant=Variant.ES_SELF_ONLY, mu1=0.5, mu2=-0.3),
+            dt=dt, t_end=2 * dt, cells=cells,
+            wave_amplitude=0.1 if cells else 0.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_scenario(scen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 2 * max(1, cells) * grid.nnodes * np.dtype(float).itemsize
+        assert peak - base <= 3 * block
+
     # (dim, points per axis, vmax, cells, dt) by id suffix: the reference
-    # lattices, and coarse ones whose per-member tables outweigh their
-    # blocks (each above its integrator's block count alone)
+    # lattices, coarse ones whose per-member tables outweigh their
+    # blocks (each above its integrator's block count alone), and
+    # one-cell ones whose fixed overhead outweighs both
     LATTICES = {"": (3, 32, 8.0, 0, 0.05), "-1d": (3, 16, 8.0, 32, 0.002),
                 "-1d-24x256": (1, 24, 6.0, 256, 0.0005),
                 "-1d-8x256": (1, 8, 6.0, 256, 0.0005),
                 "-2d-8x64": (2, 8, 6.0, 64, 0.002),
                 "-2d-16x64": (2, 16, 6.0, 64, 0.002),
-                "-3d-8x16": (3, 8, 6.0, 16, 0.002)}
+                "-3d-8x16": (3, 8, 6.0, 16, 0.002),
+                **{f"-{dim}d-{points}x1": (dim, points, 6.0, 0, 0.05)
+                   for dim in (1, 2, 3) for points in (8, 12)}}
 
     @pytest.mark.parametrize("integrator, variant, lattice", [
         pytest.param(integrator, variant, lattice, id=f"{integrator}-"
@@ -768,11 +796,13 @@ class TestRunScenario:
     def test_run_peak_is_within_the_admitted_blocks(self, integrator,
                                                     variant, lattice):
         """The physical-memory admission counts 5 state blocks for an EXP
-        run and 7 for RK4, and a + b sum(points) doubles for each of the
-        4 target members of a cell (`solver._MEMBER_DOUBLES`): a two-step
-        run, its scenario built, grows traced memory by no more at its
-        peak, homogeneous on the 32^3 lattice, 1-D with 32 cells of a
-        16^3 lattice, and 1-D on coarse 1-, 2- and 3-D lattices."""
+        run and 7 for RK4, a + b sum(points) doubles for each of the 4
+        target members of a cell (`solver._MEMBER_DOUBLES`) and a run's
+        fixed bytes (`solver._RUN_BYTES`): a two-step run, its scenario
+        built, grows traced memory by no more at its peak, homogeneous
+        on the 32^3 lattice, 1-D with 32 cells of a 16^3 lattice, 1-D on
+        coarse 1-, 2- and 3-D lattices, and homogeneous on 8- and
+        12-point 1-, 2- and 3-D lattices."""
         dim, points, vmax, cells, dt = self.LATTICES[lattice]
         grid = VelocityGrid(dim, -vmax, vmax, points)
         steps = dict(dt=dt, t_end=2 * dt, cells=cells,
@@ -795,7 +825,8 @@ class TestRunScenario:
         block = 2 * max(1, cells) * grid.nnodes * np.dtype(float).itemsize
         a, b = solver._MEMBER_DOUBLES
         tables = members * (a + b * sum(grid.points)) * 8
-        assert peak - base <= solver._PEAK_BLOCKS[integrator] * block + tables
+        assert peak - base <= (solver._PEAK_BLOCKS[integrator] * block
+                               + tables + solver._RUN_BYTES)
 
     @pytest.mark.parametrize("variant", [Variant.BGK, Variant.ES_FULL_A],
                              ids=lambda v: v.value)

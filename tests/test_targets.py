@@ -535,15 +535,26 @@ class TestWeightedTargets:
     def weights(self):
         return (self.WEIGHTS[:, None] * np.array([1.0, 2.0, 0.5]))[:, :, None]
 
-    @pytest.mark.parametrize("absent", [(), (0,), (1,)],
-                             ids=["both", "no-1", "no-2"])
+    MUS = dict(mu1=0.5, mu2=-0.3, mu12=0.4, mu21=0.2)
+
+    # BGK's cases keep the ids they had before the ES variants joined
+    @pytest.mark.parametrize("variant, absent", [
+        pytest.param(variant, absent, id=("" if variant == Variant.BGK else
+                                          f"{variant.value}-") + name)
+        for variant in Variant
+        for absent, name in (((), "both"), ((0,), "no-1"), ((1,), "no-2"))])
     @pytest.mark.parametrize("match", [True, False],
                              ids=["matched", "sampled"])
-    def test_equals_weighted_target_rows(self, mid_grid, match, absent):
+    def test_equals_weighted_target_rows(self, mid_grid, match, variant,
+                                         absent):
         """A finite block plus the weighted pair is that block plus the
-        weighted rows of `build_targets`; a degenerate species adds
-        nothing to its row."""
-        st, params = self.state(mid_grid, absent), make_params(epsilon=0.5)
+        weighted rows of `build_targets`, self rows first: bit for bit
+        for the full ES variants, whose targets are all Gaussians, and
+        to round-off where Maxwellians are added in factored form; a
+        degenerate species adds nothing to its row."""
+        st = self.state(mid_grid, absent)
+        params = make_params(epsilon=0.5, variant=variant,
+                             **({} if variant == Variant.BGK else self.MUS))
         weights = self.weights()
         block = build_targets(st, params, mid_grid, match)
         scale = np.abs(block).max()
@@ -552,8 +563,12 @@ class TestWeightedTargets:
         out = base.copy()
         got = weighted_targets(st, params, mid_grid, weights, out, match)
         assert got is out
-        want = base + (weights[:2] * block[:2] + weights[2:] * block[2:])
-        assert np.abs(got - want).max() <= 4e-16 * scale
+        want = base + weights[:2] * block[:2]
+        want += weights[2:] * block[2:]
+        if variant in (Variant.ES_FULL_A, Variant.ES_FULL_B):
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 4e-16 * scale
         for k in absent:
             assert np.array_equal(got[k], base[k])
 
@@ -575,14 +590,6 @@ class TestWeightedTargets:
         assert np.array_equal(got, one)
         assert np.all(one > 0.0)
 
-    def test_refuses_gaussian_targets(self, mid_grid):
-        params = make_params(variant=Variant.ES_SELF_ONLY, mu1=0.5, mu2=0.5)
-        with pytest.raises(ValueError, match="^weighted targets are "
-                           "Maxwellians only"):
-            weighted_targets(self.state(mid_grid), params, mid_grid,
-                             np.ones((4, 3, 1)),
-                             np.empty((2, 3, mid_grid.nnodes)))
-
     def test_failure_names_target_and_cell(self):
         """The unmatchable cell of TestBuildTargets fails as it does
         there: target g1, cell 1."""
@@ -597,6 +604,25 @@ class TestWeightedTargets:
             weighted_targets(st, make_params(m2=1.0), grid,
                              np.ones((4, 2, 1)), np.empty((2, 2, 8)))
         assert err.value.member == 1
+
+    def test_non_spd_tensor_names_target_and_cell(self):
+        """The es-self state of TestBuildTargets whose species 2 has a
+        negative temperature in cell 1 fails its Gaussian family's one
+        Cholesky stack as it does there: target g2, cell 1."""
+        grid = VelocityGrid(dim=1, vmin=-8.0, vmax=8.0, points=64)
+        f = np.empty((2, 2, grid.nnodes))
+        f[0] = maxwellian_on_grid(1.0, [0.0], 1.0, 1.0, grid)
+        f[1, 0] = maxwellian_on_grid(1.0, [0.0], 1.0, 2.0, grid)
+        f[1, 1] = (maxwellian_on_grid(1.0, [0.1], 1.0, 2.0, grid)
+                   - maxwellian_on_grid(0.9, [0.0], 3.0, 2.0, grid))
+        st = MixtureState.from_distributions(f, 1.0, 2.0, grid)
+        params = make_params(variant=Variant.ES_SELF_ONLY, mu1=0.5, mu2=0.5)
+        for match in (True, False):
+            with pytest.raises(NotSpdError) as err:
+                weighted_targets(st, params, grid, np.ones((4, 2, 1)),
+                                 np.zeros((2, 2, grid.nnodes)), match)
+            first = str(err.value).splitlines()[0]
+            assert first.endswith("(target g2, cell 1)")
 
     def test_inadmissible_temperature_names_target_and_cell(self):
         grid = VelocityGrid(dim=1, vmin=-8.0, vmax=8.0, points=64)
