@@ -1,9 +1,11 @@
 """Diagnostics records as the rows of one float64 table.
 
-A record (`DiagRecord`, as `solver.diagnose` returns it) is 19, 28 or
-39 numbers in dims 1, 2 and 3.  `Diagnostics` packs each into a row of
-one float64 table whose columns are the diagnostics CSV's, in the order
-`_layout` states, and reads them back as row views (`DiagRow`) and as
+A record is the moments, conserved totals, entropy H, anisotropies and
+negativity flag of one state: 19, 28 or 39 numbers in dims 1, 2 and 3,
+one row whose columns are the diagnostics CSV's, in the order `_layout`
+states.  `DiagRow.pack` reduces a state's moment sets into a fresh row
+(`solver.diagnose` returns it), `Diagnostics` holds a run's rows in one
+table sized once, and reads them back as row views (`DiagRow`) and as
 column series.  The table is the CSV: `cli` writes it line by line and
 plots its columns.
 """
@@ -11,34 +13,10 @@ plots its columns.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import MomentSet, _tri_index
-
-
-@dataclass
-class DiagRecord:
-    """One diagnostics sample.
-
-    The moment sets describe the cell-averaged distributions, whose
-    linear moments are exactly the domain totals per unit length; H is
-    likewise the per-unit-length entropy.  `negative` flags any negative
-    or non-finite value in the state.
-    """
-
-    t: float
-    mom1: MomentSet | None
-    mom2: MomentSet | None
-    mass1: float
-    mass2: float
-    momentum: np.ndarray
-    energy: float
-    h: float
-    aniso1: float
-    aniso2: float
-    negative: bool
 
 
 _AXES = "xyz"
@@ -46,8 +24,8 @@ _AXES = "xyz"
 
 def _layout(dim: int) -> dict[str, list[str]]:
     """The columns of the diagnostics table, and so of its CSV, by the
-    `DiagRecord` field each run of them holds (a moment set's as n1, u1,
-    T1, P1 and q1, P's upper triangle in `_tri_index` order), in table
+    record field each run of them holds (a moment set's as n1, u1, T1,
+    P1 and q1, P's upper triangle in `_tri_index` order), in table
     order: the one statement of the layout."""
     axes = _AXES[:dim]
     tri = [_AXES[i] + _AXES[j] for i, j in _tri_index(dim)]
@@ -78,14 +56,28 @@ def _columns(dim: int) -> dict[str, slice]:
     return columns
 
 
+def _width(dim: int) -> int:
+    """The number of table columns: the end of the last field's run."""
+    return _columns(dim)["negative"].stop
+
+
+@functools.lru_cache(maxsize=None)
+def _triangle(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, columns) of P's upper triangle in `_tri_index` order,
+    read-only."""
+    i, j = np.array(_tri_index(dim)).T
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _scalar_field(field: str) -> property:
     """A `DiagRow` attribute: the field's one column, as a float."""
     return property(lambda self: float(self._get(field)[0]))
 
 
 class DiagRow:
-    """A `DiagRecord` read from one row of a `Diagnostics` table: the
-    scalars as floats, `momentum` and the moment sets' vectors as
+    """One diagnostics record as a row of the table's layout: the
+    scalars read as floats, `momentum` and the moment sets' vectors as
     copies, and each moment set built on access, its `P` filled from
     the upper triangle (so bitwise symmetric, as reduced), or None for
     a species whose mass column is 0 (absent)."""
@@ -94,6 +86,33 @@ class DiagRow:
 
     def __init__(self, row: np.ndarray, dim: int):
         self._row, self._at = row, _columns(dim)
+
+    @classmethod
+    def pack(cls, dim: int, t: float,
+             species: list[tuple[float, MomentSet | None]], h: float,
+             negative: bool) -> DiagRow:
+        """The record of one state in a fresh row, from each species'
+        (mass, moment set of its cell average, or None if absent), the
+        entropy `h` and the negativity flag.  The moment sets give the
+        totals: momentum m n u and energy m n |u|^2 / 2 + tr(P) / 2 per
+        species, summed from 0 in species order, and the anisotropy
+        |P - n T I|.  An absent species' columns hold 0, and the flag 0
+        or 1."""
+        row, at = np.zeros(_width(dim)), _columns(dim)
+        i, j = _triangle(dim)
+        for k, (m, mom) in zip("12", species):
+            if mom is None:
+                continue
+            row[at["n" + k]], row[at["u" + k]] = mom.n, mom.u
+            row[at["T" + k]], row[at["q" + k]] = mom.T, mom.Qtilde
+            row[at["P" + k]], row[at["mass" + k]] = mom.P[i, j], mom.n
+            row[at["aniso" + k]] = np.linalg.norm(
+                mom.P - mom.n * mom.T * np.eye(dim))
+            row[at["momentum"]] += m * mom.n * mom.u
+            row[at["energy"]] += (0.5 * m * mom.n * float(mom.u @ mom.u)
+                                  + 0.5 * float(np.trace(mom.P)))
+        row[at["t"]], row[at["h"]], row[at["negative"]] = t, h, negative
+        return cls(row, dim)
 
     def _get(self, field: str) -> np.ndarray:
         return self._row[self._at[field]]
@@ -111,7 +130,7 @@ class DiagRow:
             return None
         u = self._get("u" + k).copy()
         P = np.empty((len(u), len(u)))
-        i, j = np.transpose(_tri_index(len(u)))
+        i, j = _triangle(len(u))
         P[i, j] = P[j, i] = self._get("P" + k)
         return MomentSet(n=float(self._get("n" + k)[0]), u=u,
                          T=float(self._get("T" + k)[0]), P=P,
@@ -121,39 +140,19 @@ class DiagRow:
 class Diagnostics:
     """Time series of diagnostics records, each one row of a float64
     table whose columns are those of the diagnostics CSV
-    (`diagnostics_header`): an absent species' columns hold 0 and the
-    negativity flag 0 or 1.  `append` packs a `DiagRecord` into the next
-    row; the table doubles when it is full, and `reserve` sizes it ahead
-    (`run_scenario` reserves the records its scenario admits, once).
+    (`diagnostics_header`).  The table is sized once, for the `rows`
+    records a run may keep (`run_scenario` sizes it for its scenario's
+    count), and `append` copies a `DiagRow` into its next row.
     `records` reads the rows back as `DiagRow`s, and the series read the
     columns, each value as the record's own arithmetic gives it."""
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, rows: int):
         self.dim = dim
-        self._table = np.empty((0, len(diagnostics_header(dim))))
+        self._table = np.empty((rows, _width(dim)))
         self._count = 0
 
-    def reserve(self, rows: int) -> None:
-        """Make room for `rows` records in all, keeping the ones
-        appended (never fewer rows than those)."""
-        grown = np.empty((max(rows, self._count), self._table.shape[1]))
-        grown[:self._count] = self._table[:self._count]
-        self._table = grown
-
-    def append(self, rec: DiagRecord):
-        if self._count == len(self._table):
-            self.reserve(max(16, 2 * self._count))
-        row, at = self._table[self._count], _columns(self.dim)
-        for k, mom in (("1", rec.mom1), ("2", rec.mom2)):
-            if mom is None:
-                row[at["n" + k].start:at["q" + k].stop] = 0.0
-                continue
-            row[at["n" + k]], row[at["u" + k]] = mom.n, mom.u
-            row[at["T" + k]], row[at["q" + k]] = mom.T, mom.Qtilde
-            row[at["P" + k]] = mom.P[tuple(np.transpose(_tri_index(self.dim)))]
-        for field in ("t", "mass1", "mass2", "momentum", "energy", "h",
-                      "aniso1", "aniso2", "negative"):
-            row[at[field]] = getattr(rec, field)
+    def append(self, row: DiagRow):
+        self._table[self._count] = row._row
         self._count += 1
 
     @property

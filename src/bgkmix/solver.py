@@ -43,12 +43,13 @@ rows of the block [g1, g2, g12, g21], whose rows 0:2 (self) and 2:4
 (cross) align with the species axis.  Each evaluation, and each
 diagnostics record, reduces a view of the block in one `moments` call.
 The initial block is each species' target, sampled once, times the
-cells' density profile.  Diagnostics take the totals from the moment
-sets of the cell averages (momentum m n u, energy m n |u|^2 / 2 +
-tr(P) / 2 per species).  A homogeneous state is its own cell average,
-so `run_scenario` reduces each recorded one-cell state once and passes
-the result to `diagnose` and to the next `relax_step`; its records are
-the rows of one table (`diagnostics.Diagnostics`).  Every reduction has
+cells' density profile.  `diagnose` reduces the cell averages to
+moment sets and H, and `diagnostics.DiagRow.pack` forms the totals from
+those sets in the record's table row.  A homogeneous state is its own
+cell average, so `run_scenario` reduces each recorded one-cell state
+once and passes the result to `diagnose` and to the next `relax_step`;
+its records are the rows of one table (`diagnostics.Diagnostics`),
+sized once for the scenario's record count.  Every reduction has
 a fixed summation order, so runs are reproducible.  A run is a frozen
 `Scenario`, whose construction is the one place a run's rules are
 checked.
@@ -62,9 +63,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DiagRecord, Diagnostics
+from .diagnostics import DiagRow, Diagnostics
 from .errors import CflError, NotSpdError
-from .grid import MomentSet, VelocityGrid, h_functional, match_gaussian, \
+from .grid import VelocityGrid, h_functional, match_gaussian, \
     match_moments, gaussian_on_grid, maxwellian_on_grid, spd_factor
 from .params import ModelParams, _positive, derive_frequencies, \
     validate
@@ -337,10 +338,9 @@ _RUN_BYTES = 64 * 1024
 
 # bytes per diagnostics record: a record is a row of the diagnostics
 # table, 19, 28 and 39 doubles in dims 1, 2 and 3, which `run_scenario`
-# reserves once, and a `relax` command, which writes its rows as CSV line
+# sizes once, and a `relax` command, which writes its rows as CSV line
 # by line, peaks at 0.32, 0.22 and 0.32 kB a record in dims 1, 2 and 3
-# (traced, as the growth from 100 to 500 records; 1.8-2.2 kB while each
-# record was held as objects)
+# (traced, as the growth from 100 to 500 records)
 _RECORD_BYTES = 768
 
 
@@ -475,16 +475,10 @@ class Scenario:
             for x in (np.arange(self.cells) + 0.5) * dx])
 
 
-def _anisotropy(mom: MomentSet | None) -> float:
-    if mom is None or mom.P is None:
-        return 0.0
-    dev = mom.P - mom.n * mom.T * np.eye(mom.P.shape[0])
-    return float(np.linalg.norm(dev))
-
-
 def diagnose(state: KineticState, params: ModelParams, *,
-             mixture: MixtureState | None = None) -> DiagRecord:
-    """Moments, conserved totals, entropy and anisotropy of one state.
+             mixture: MixtureState | None = None) -> DiagRow:
+    """Moments, conserved totals, entropy and anisotropy of one state,
+    as one diagnostics row (`DiagRow.pack`).
 
     The moments are those of the cell averages, reduced as one row per
     species.  A one-cell state is its own cell average, so `mixture`,
@@ -499,25 +493,12 @@ def diagnose(state: KineticState, params: ModelParams, *,
     elif cells != 1:
         raise ValueError(f"a given mixture state needs a one-cell state "
                          f"(got {cells} cells)")
-    mom1, mom2 = (None if mom is None else mom.rows(0)
-                  for mom in (mixture.mom1, mixture.mom2))
-    species = [(m, mom) for m, mom in ((mixture.m1, mom1), (mixture.m2, mom2))
-               if mom is not None]
-    momentum = sum((m * mom.n * mom.u for m, mom in species),
-                   np.zeros(grid.dim))
-    energy = sum(0.5 * m * mom.n * float(mom.u @ mom.u)
-                 + 0.5 * float(np.trace(mom.P)) for m, mom in species)
+    species = [(m, None if mom is None else mom.rows(0)) for m, mom in (
+        (mixture.m1, mixture.mom1), (mixture.m2, mixture.mom2))]
     # NaN fails the first test and +inf the second
     negative = not (f.min() >= 0.0 and f.max() < math.inf)
-    return DiagRecord(
-        t=state.t,
-        mom1=mom1, mom2=mom2,
-        mass1=mom1.n if mom1 is not None else 0.0,
-        mass2=mom2.n if mom2 is not None else 0.0,
-        momentum=momentum, energy=float(energy),
-        h=h_functional(f, grid) / cells,
-        aniso1=_anisotropy(mom1), aniso2=_anisotropy(mom2),
-        negative=negative)
+    return DiagRow.pack(grid.dim, state.t, species,
+                        h_functional(f, grid) / cells, negative)
 
 
 def _initial_sample(init: SpeciesInit | None, mass: float,
@@ -562,8 +543,7 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
     # the block an RK4 step writes, as it reads the state until its last
     # stage; every other step writes into the state's own block
     free = np.empty_like(state.f) if scenario.integrator == "rk4" else None
-    diag = Diagnostics(dim=grid.dim)
-    diag.reserve(scenario.records)
+    diag = Diagnostics(grid.dim, scenario.records)
 
     def record(state):
         """Append the state's diagnostics; return its MixtureState when

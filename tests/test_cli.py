@@ -843,7 +843,7 @@ class TestCliCommands:
 
         def run(scen):
             seen.append(scen.cells)
-            return Diagnostics(dim=scen.grid.dim)
+            return Diagnostics(scen.grid.dim, 0)
 
         monkeypatch.setattr(cli, "run_scenario", run)
         for subcommand, cells in (("wave", 0), ("wave", 8), ("relax", 8)):

@@ -10,8 +10,8 @@ from bgkmix import grid as gridmod
 from bgkmix import solver
 from bgkmix.cli import write_diagnostics_csv
 from bgkmix.errors import CflError
-from bgkmix.grid import (VelocityGrid, gaussian_on_grid, match_moments,
-                         maxwellian_on_grid)
+from bgkmix.grid import (VelocityGrid, gaussian_on_grid, h_functional,
+                         match_moments, maxwellian_on_grid)
 from bgkmix.params import (EsParams, InteractionSpec, MixingParams,
                            ModelParams, SpeciesSpec, Variant,
                            derive_frequencies)
@@ -1138,7 +1138,7 @@ class TestSharedReduction:
                             for sp, spec in species])
         state = KineticState(f=samples[:, None] * np.array(profile)[:, None],
                              t=0.0, grid=grid, dx=dx)
-        diag = Diagnostics(dim=grid.dim)
+        diag = Diagnostics(grid.dim, scen.records)
         diag.append(diagnose(state, params))
         nsteps = int(round(scen.t_end / dt))
         strang = scen.splitting == "strang"
@@ -1281,7 +1281,7 @@ class TestDiagnostics:
     def test_anisotropy_of_unknown_species_rejected(self, small_grid,
                                                     species):
         f1 = maxwellian_on_grid(1.0, (0, 0, 0), 1.0, 1.0, small_grid)
-        diag = Diagnostics(3)
+        diag = Diagnostics(3, 1)
         diag.append(diagnose(one_cell(f1, f1, small_grid), make_params()))
         assert diag.anisotropy(2).shape == (1,)
         with pytest.raises(ValueError, match=(
@@ -1297,17 +1297,18 @@ def bits(value):
 
 
 class TestDiagnosticsTable:
-    """Records as rows of one float64 table, read back through `records`
-    and the series bit for bit."""
+    """Records as rows of one float64 table: each field of `diagnose`'s
+    row, and of the rows read back through `records` and the series,
+    bit for bit the reduction's own expression."""
 
     TENSOR = np.array([[1.1, 0.2, -0.1], [0.2, 0.9, 0.15],
                        [-0.1, 0.15, 1.3]])
 
-    def records(self, dim):
-        """`diagnose` records on a dim-D lattice, t = 0.1 apart: both
-        species (species 2 sheared), each species absent, a negative
-        entry, a negative and an infinite entry, a NaN entry, and a
-        two-cell state."""
+    def states(self, dim):
+        """States on a dim-D lattice, t = 0.1 apart: both species
+        (species 2 sheared), each species absent, a negative entry, a
+        negative and an infinite entry, a NaN entry, a two-cell state
+        and both species absent."""
         grid = VelocityGrid(dim, -6.0, 6.0, {1: 32, 2: 16, 3: 10}[dim])
         u = np.array([0.3, -0.1, 0.2][:dim])
         f1 = maxwellian_on_grid(1.0, u, 1.1, 1.0, grid)
@@ -1320,38 +1321,73 @@ class TestDiagnosticsTable:
             (f1, f2), (f1, zero), (zero, f2), (f1, negative),
             (f1, infinite), (nan, f2))]
         blocks.append(np.array([[f1, 0.5 * f1], [f2, 1.5 * f2]]))
-        return [diagnose(KineticState(f=f, t=0.1 * i, grid=grid),
-                         make_params()) for i, f in enumerate(blocks)]
+        blocks.append(np.array([zero, zero])[:, None])
+        return [KineticState(f=f, t=0.1 * i, grid=grid)
+                for i, f in enumerate(blocks)]
+
+    def records(self, dim):
+        return [diagnose(state, make_params()) for state in self.states(dim)]
+
+    @staticmethod
+    def reduced(state, params):
+        """Each species' (mass, moment set of its cell average or None)."""
+        mix = MixtureState.from_distributions(
+            state.f.mean(axis=1, keepdims=True), params.species1.m,
+            params.species2.m, state.grid)
+        return [(m, None if mom is None else mom.rows(0))
+                for m, mom in ((mix.m1, mix.mom1), (mix.m2, mix.mom2))]
 
     def diagnostics(self, dim, recs):
-        diag = Diagnostics(dim)
+        diag = Diagnostics(dim, len(recs))
         for rec in recs:
             diag.append(rec)
         return diag
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_records_read_back_bitwise(self, dim):
-        recs = self.records(dim)
-        rows = self.diagnostics(dim, recs).records
+        params, states = make_params(), self.states(dim)
+        recs = [diagnose(state, params) for state in states]
+        diag = self.diagnostics(dim, recs)
+        rows = diag.records
         assert len(rows) == len(recs)
-        assert recs[1].mom2 is None and recs[2].mom1 is None
-        assert [r.negative for r in recs] == [False] * 3 + [True] * 3 + [
-            False]
-        for rec, row in zip(recs, rows):
-            for field in ("t", "mass1", "mass2", "momentum", "energy", "h",
-                          "aniso1", "aniso2"):
-                assert bits(getattr(row, field)) == bits(
-                    getattr(rec, field)), field
-            assert isinstance(row.t, float) and row.negative is rec.negative
-            for k in (1, 2):
-                want, got = getattr(rec, f"mom{k}"), getattr(row, f"mom{k}")
-                assert (got is None) == (want is None)
-                if want is None:
-                    continue
-                for name in ("n", "u", "T", "P", "Qtilde"):
-                    assert bits(getattr(got, name)) == bits(
-                        getattr(want, name)), (k, name)
-                assert bits(got.P.T) == bits(got.P)
+        for state, rec, row in zip(states, recs, rows):
+            species = self.reduced(state, params)
+            present = [(m, mom) for m, mom in species if mom is not None]
+            want = dict(
+                t=state.t,
+                mass1=0.0 if species[0][1] is None else species[0][1].n,
+                mass2=0.0 if species[1][1] is None else species[1][1].n,
+                momentum=sum((m * mom.n * mom.u for m, mom in present),
+                             np.zeros(dim)),
+                energy=float(sum(0.5 * m * mom.n * float(mom.u @ mom.u)
+                                 + 0.5 * float(np.trace(mom.P))
+                                 for m, mom in present)),
+                h=h_functional(state.f, state.grid) / state.f.shape[1])
+            for k, (m, mom) in enumerate(species, start=1):
+                want[f"aniso{k}"] = 0.0 if mom is None else float(
+                    np.linalg.norm(mom.P - mom.n * mom.T * np.eye(dim)))
+            for got in (rec, row):
+                for field, value in want.items():
+                    assert bits(getattr(got, field)) == bits(value), field
+                assert isinstance(got.t, float)
+                for k, (m, mom) in enumerate(species, start=1):
+                    read = getattr(got, f"mom{k}")
+                    assert (read is None) == (mom is None)
+                    if mom is None:
+                        continue
+                    for name in ("n", "u", "T", "P", "Qtilde"):
+                        assert bits(getattr(read, name)) == bits(
+                            getattr(mom, name)), (k, name)
+                    assert bits(read.P.T) == bits(read.P)
+        assert [r.mom2 is None for r in recs[:3]] == [False, True, False]
+        assert recs[2].mom1 is None and recs[-1].mom1 is recs[-1].mom2 is None
+        for got in (recs, rows):
+            assert [r.negative for r in got] == [False] * 3 + [True] * 3 + [
+                False] * 2
+        # both species absent: every column but t is +0.0
+        assert diagnostics_header(dim)[0] == "t"
+        width = diag.table.shape[1]
+        assert bits(diag.table[-1, 1:]) == bits(np.zeros(width - 1))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_series_equal_the_per_record_expressions(self, dim):
@@ -1369,16 +1405,16 @@ class TestDiagnosticsTable:
             assert bits(diag.anisotropy(k)) == bits([
                 getattr(r, f"aniso{k}") for r in recs])
 
-    def test_table_is_the_csv_layout_and_keeps_its_rows_as_it_grows(self):
-        recs = self.records(2)
+    def test_table_is_the_csv_layout_and_keeps_its_rows(self):
+        states = self.states(2)
+        recs = [diagnose(state, make_params()) for state in states]
         once, often = (self.diagnostics(2, recs * n) for n in (1, 5))
         header = diagnostics_header(2)
         assert once.table.shape == (len(recs), len(header))
         assert not once.table.flags.writeable
-        assert once.table[0, header.index("P2xy")] == recs[0].mom2.P[0, 1]
+        P2 = self.reduced(states[0], make_params())[1][1].P
+        assert once.table[0, header.index("P2xy")] == P2[0, 1]
         assert once.table[1, header.index("P2xy")] == 0.0  # absent
-        assert bits(often.table) == bits(np.tile(once.table, (5, 1)))
-        often.reserve(0)  # keeps the rows appended
         assert bits(often.table) == bits(np.tile(once.table, (5, 1)))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
