@@ -208,7 +208,11 @@ def _scan_runs(cfg: RunConfig) -> list[tuple[float, Scenario, float]]:
     sigma_min = 1.0 / math.sqrt(max(m1, m2))
     vmax = 6.0 * sigma_max
     points = max(12, math.ceil(2.0 * vmax / sigma_min))
-    grid = VelocityGrid(dim=3, vmin=-vmax, vmax=vmax, points=points)
+    try:
+        grid = VelocityGrid(dim=3, vmin=-vmax, vmax=vmax, points=points)
+    except ValueError as exc:
+        raise ConfigError(f"masses {m1}, {m2} size the scan lattice: "
+                          f"{exc}") from None
     values = np.linspace(spec["start"], spec["stop"], spec["count"])
     return [(value, *_scan_scenario(cfg, spec["parameter"], value, grid))
             for value in values.tolist()]

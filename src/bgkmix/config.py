@@ -39,7 +39,7 @@ def _defaults(record) -> dict:
 # special case; a species' `u` defaults to a scalar, its x component
 _SPECIES = {**_defaults(SpeciesInit), "u": 0.0}
 _SCHEMA = {
-    "schema_version": None, "masses": object,
+    "schema_version": SCHEMA_VERSION, "masses": object,
     "interaction": dict.fromkeys(("nu12", "epsilon", "beta1", "beta2"), float),
     "mixing": {"delta": 1.0, "alpha": 1.0, "gamma": 0.0},
     "es": {**_defaults(EsParams), "variant": EsParams.variant.value},

@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .grid import MomentSet, _tri_index
+from .grid import MomentSet, _monomials, _tri_index
 
 
 _AXES = "xyz"
@@ -61,15 +61,6 @@ def _width(dim: int) -> int:
     return _columns(dim)["negative"].stop
 
 
-@functools.lru_cache(maxsize=None)
-def _triangle(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, columns) of P's upper triangle in `_tri_index` order,
-    read-only."""
-    i, j = np.array(_tri_index(dim)).T
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
 def _scalar_field(field: str) -> property:
     """A `DiagRow` attribute: the field's one column, as a float."""
     return property(lambda self: float(self._get(field)[0]))
@@ -99,7 +90,7 @@ class DiagRow:
         |P - n T I|.  An absent species' columns hold 0, and the flag 0
         or 1."""
         row, at = np.zeros(_width(dim)), _columns(dim)
-        i, j = _triangle(dim)
+        i, j = _monomials(dim)[:2]
         for k, (m, mom) in zip("12", species):
             if mom is None:
                 continue
@@ -130,7 +121,7 @@ class DiagRow:
             return None
         u = self._get("u" + k).copy()
         P = np.empty((len(u), len(u)))
-        i, j = _triangle(len(u))
+        i, j = _monomials(len(u))[:2]
         P[i, j] = P[j, i] = self._get("P" + k)
         return MomentSet(n=float(self._get("n" + k)[0]), u=u,
                          T=float(self._get("T" + k)[0]), P=P,

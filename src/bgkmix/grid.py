@@ -651,8 +651,7 @@ def _gaussian_derivs(p: np.ndarray, d: int) -> np.ndarray:
     return B
 
 
-def _newton_match(n, u, s, isotropic: bool, sample, derivs, tol: float,
-                  what):
+def _newton_match(n, u, s, isotropic: bool, sample, derivs, what):
     """Newton-correct a stack of K targets of either family until the
     raw moments q of each member's sampled target hit the exact ones.
 
@@ -662,33 +661,35 @@ def _newton_match(n, u, s, isotropic: bool, sample, derivs, tol: float,
     from (1, v_i, v_i v_j) by select.  sample(p, rows) gives the centred
     moment tensors of the members `rows` and derivs(p, d) their
     derivative matrices B; `_newton_system` turns them into q and dq/dp.
-    A member has converged when n matches to tol relative, u to tol
-    times the velocity scale sqrt(tr S / d) + |u|, and each s, read back
-    from q through J, to tol times tr S / d: one residual array against
-    one of limits.  The whole stack steps until a member converges, which
-    is then frozen; from there on only the members not yet converged are
-    sampled and solved (one stacked solve), so each member follows
-    exactly its solo iterates.  Each step is halved until n > 0 and S is
-    positive definite (theta > 0 for the Maxwellian), down to 2^-20,
-    and a member not converged after MAX_ITER steps fails.  Failures
-    name the member through what(k).  Returns (p, per-member iteration
-    counts).
+    A member has converged when n matches to MATCH_TOL relative, u to
+    MATCH_TOL times the velocity scale sqrt(tr S / d) + |u|, and each s,
+    read back from q through J, to MATCH_TOL times tr S / d: one residual
+    array against one of limits.  The whole stack steps until a member
+    converges, which is then frozen; from there on only the members not
+    yet converged are sampled and solved (one stacked solve), so each
+    member follows exactly its solo iterates.  Each step is halved until
+    n > 0 and S is positive definite (theta > 0 for the Maxwellian), down
+    to 2^-20, and a member not converged after MAX_ITER steps fails.
+    Failures name the member through what(k).  Returns (p, per-member
+    iteration counts).
     """
     K, d = u.shape
     ti, tj = _monomials(d)[:2]
     J, select, count = _family(d, isotropic)
-    cov, nk = s @ J.T, n[:, None]
-    # per member: a 2-D GEMM's summation order depends on the stack size
-    target = (select @ np.concatenate([nk, nk * u, nk * (
-        u.take(ti, 1) * u.take(tj, 1) + cov)], axis=1)[:, :, None])[:, :, 0]
-    tscale = cov[:, :d].sum(axis=1) / d
-    vscale = np.sqrt(tscale) + np.sqrt((u * u).sum(axis=1))
-    limit = tol * np.array([n, vscale] + [tscale] * s.shape[1]).T
-    pa = ref = np.concatenate([nk, u, s], axis=1)
+    pa = ref = np.concatenate([n[:, None], u, s], axis=1)
     p, iters, active = np.empty_like(pa), np.zeros(K, dtype=int), np.arange(K)
     # q0 = 0 gives NaN, which fails the tests as n already does; a
-    # diverging iterate overflows to inf, which fails them too
+    # diverging iterate, or a target far off the lattice, overflows to
+    # inf, which fails them too
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cov, nk = s @ J.T, n[:, None]
+        # per member: a 2-D GEMM's summation order depends on the stack size
+        exact = np.concatenate([nk, nk * u, nk * (
+            u.take(ti, 1) * u.take(tj, 1) + cov)], axis=1)
+        target = (select @ exact[:, :, None])[:, :, 0]
+        tscale = cov[:, :d].sum(axis=1) / d
+        vscale = np.sqrt(tscale) + np.sqrt((u * u).sum(axis=1))
+        limit = MATCH_TOL * np.array([n, vscale] + [tscale] * s.shape[1]).T
         for it in range(MAX_ITER + 1):
             SAG = _newton_system(pa[:, 1:1 + d], select, sample(pa, active))
             q = SAG[:, :, 0]
@@ -773,7 +774,7 @@ def _maxwellian_factors(n, u, T, mass, grid: VelocityGrid, match: bool):
     p, iters = _newton_match(
         n, u, theta[:, None], True,
         lambda p, rows: _maxwellian_sample(p, grid, factors, rows),
-        _maxwellian_derivs, MATCH_TOL,
+        _maxwellian_derivs,
         lambda k: f"member {k}: Maxwellian n={n[k]}, T={T[k]}")
     return stacked, p[:, 0], p[:, -1], factors, iters
 
@@ -833,7 +834,7 @@ def match_gaussian(n, u, tensor, mass, grid: VelocityGrid,
     _, iters = _newton_match(
         n, u, cov[:, ti, tj], False,
         lambda p, rows: _gaussian_sample(p, grid, out, rows), _gaussian_derivs,
-        MATCH_TOL, lambda k: f"member {k}: Gaussian n={n[k]}")
+        lambda k: f"member {k}: Gaussian n={n[k]}")
     f = out if stacked else out[0]
     return (f, int(iters.max())) if return_info else f
 

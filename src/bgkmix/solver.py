@@ -64,8 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagRow, Diagnostics
-from .errors import CflError, NotSpdError
-from .grid import VelocityGrid, h_functional, match_gaussian, \
+from .errors import CflError, DegenerateDensityError, NotSpdError
+from .grid import N_FLOOR, VelocityGrid, h_functional, match_gaussian, \
     match_moments, gaussian_on_grid, maxwellian_on_grid, spd_factor
 from .params import ModelParams, _positive, derive_frequencies, \
     validate
@@ -536,6 +536,12 @@ def run_scenario(scenario: Scenario) -> Diagnostics:
     samples = np.array([_initial_sample(sp, spec.m, grid, match) for sp, spec
                         in ((scenario.species1, params.species1),
                             (scenario.species2, params.species2))])
+    # moments would take a configured species sampled below the floor,
+    # as a drift far off the lattice gives, to be absent
+    densities = grid.weight * samples.sum(axis=1)
+    for k, init in enumerate((scenario.species1, scenario.species2)):
+        if init is not None and init.n > 0.0 and densities[k] < N_FLOOR:
+            raise DegenerateDensityError(densities[k], N_FLOOR, species=k + 1)
     profile = scenario.density_profile()[:, None]
     state = KineticState(f=samples[:, None, :] * profile, t=0.0, grid=grid,
                          dx=dx)

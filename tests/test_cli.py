@@ -3,6 +3,8 @@ import json
 import operator
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,8 +14,9 @@ from bgkmix import chapman, cli
 from bgkmix import config as configmod
 from bgkmix.cli import diagnostics_header, main
 from bgkmix.config import parse_config
-from bgkmix.errors import (InsufficientWindowError, MissingKeyError,
-                           UnknownVariantError, ValidationFailureError)
+from bgkmix.errors import (ConfigError, InsufficientWindowError,
+                           MissingKeyError, UnknownVariantError,
+                           ValidationFailureError)
 from bgkmix.solver import Diagnostics
 from bgkmix.svgplot import line_plot_svg
 
@@ -76,6 +79,13 @@ class TestParseConfig:
     def test_rejects_other_schema_version(self):
         with pytest.raises(Exception, match="schema_version"):
             parse_config(json.dumps(base_doc(schema_version=99)))
+
+    def test_schema_version_is_an_integer(self):
+        """JSON true is not version 1, though True == 1; 1.0 is."""
+        with pytest.raises(ConfigError, match="^schema_version must be an "
+                           "integer"):
+            parse_config(json.dumps(base_doc(schema_version=True)))
+        parse_config(json.dumps(base_doc(schema_version=1.0)))
 
     def test_integer_field_takes_an_integral_number(self):
         scen = parse_config(json.dumps(
@@ -1002,19 +1012,173 @@ class TestCliCommands:
         assert all(len(r) == len(header) for r in rows)
 
 
+def bundle(grid=None, **sections):
+    """A config of masses 1 and 2 and their interaction on 16 points per
+    axis, with the keys of `grid` and of the other sections given."""
+    return base_doc(**{
+        "masses": [1.0, 2.0],
+        "interaction": {"nu12": 1.0, "epsilon": 0.5, "beta1": 1.0,
+                        "beta2": 1.0},
+        "grid": {"points": 16, **(grid or {})}, **sections})
+
+
+# the configs and wave scenarios of the entry-point cases
+ES2D = bundle({"dim": 2}, scenario={
+    "species1": {"tensor": [[1.2, 0.1], [0.1, 0.8]]},
+    "species2": {"T": 1.5, "u": [0.2, 0.0]}})
+ES3D = bundle(scenario={
+    "species1": {"tensor": [[1.2, 0.3, -0.1], [0.3, 0.9, 0.2],
+                            [-0.1, 0.2, 0.7]]},
+    "species2": {"T": 1.5, "u": [0.2, 0.0, 0.0]}})
+WAVE = {"cells": 8, "dt": 0.01, "t_end": 0.05, "wave_amplitude": 0.1}
+ESWAVE = bundle(scenario={**WAVE, **ES3D["scenario"]})
+WAVE13 = {"cells": 13, "dt": 0.005, "t_end": 0.03, "wave_amplitude": 0.1,
+          "species1": {"u": [0.3, 0.0, 0.0]},
+          "species2": {"T": 1.5, "u": [-0.2, 0.0, 0.0]}}
+STRANG = bundle({"dim": 1, "vmin": -4, "vmax": 4}, scenario={
+    "cells": 8, "dt": 0.04, "t_end": 0.16, "splitting": "strang",
+    "wave_amplitude": 0.1})
+WAVE1D = bundle({"dim": 1, "points": 32}, scenario={
+    **WAVE, "species1": {"u": [0.3]}, "species2": {"T": 1.5}})
+
+
+class TestEntryPoint:
+    """The command line's contract: exit 0 with finite output, or exit
+    1 or 2 with one stderr line.  In process, the suite's warning filter
+    makes any warning a failure; as a process, a warning is counted
+    among the stderr lines."""
+
+    # runs that succeed: (config, subcommand and flags, the line count
+    # of a table on standard output, or None for a CSV file)
+    RUNS = {
+        "relax-es2d-plot": (ES2D, ["relax", "--plot", "t,H"], None),
+        "relax-es2d-esa": (ES2D, ["relax", "--variant", "es-full-a"], None),
+        "relax-es2d-rk4": (ES2D, ["relax", "--integrator", "rk4"], None),
+        "relax-es3d-rk4-esa": (ES3D, [
+            "relax", "--integrator", "rk4", "--variant", "es-full-a"], None),
+        "wave-1d": (WAVE1D, ["wave"], None),
+        "wave-1d-rk4-esb": (WAVE1D, [
+            "wave", "--integrator", "rk4", "--variant", "es-full-b"], None),
+        "wave-es-exp": (ESWAVE, [
+            "wave", "--integrator", "exp", "--variant", "es-full-a"], None),
+        "wave-es-rk4": (ESWAVE, [
+            "wave", "--integrator", "rk4", "--variant", "es-full-a"], None),
+        "wave-13-lie": (bundle(scenario={**WAVE13, "splitting": "lie"}),
+                        ["wave"], None),
+        "wave-13-strang": (bundle(scenario={**WAVE13, "splitting": "strang"}),
+                           ["wave"], None),
+        "wave-strang": (STRANG, ["wave"], None),
+        "wave-strang-rk4": (STRANG, ["wave", "--integrator", "rk4"], None),
+        "persistence": (bundle(), ["persistence"], 201),
+        "persistence-huge": (bundle(persistence={
+            "kappa_min": 1e70, "kappa_max": 1e100, "count": 4}),
+            ["persistence"], 5),
+    }
+
+    @pytest.mark.parametrize("case", list(RUNS))
+    def test_run_writes_a_finite_table(self, tmp_path, capsys, case):
+        """Exit 0, nothing on stderr and a table of finite values: on
+        standard output, of its line count, or as a CSV of at least three
+        lines whose total_mass1 holds to 1e-13 relative.  --plot draws
+        one SVG."""
+        doc, argv, lines = self.RUNS[case]
+        rc = main([*argv, "-c", write_config(tmp_path, doc),
+                   "-o", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        text = (captured.out if lines else
+                (tmp_path / f"{argv[0]}.csv").read_text())
+        header, *rows = text.splitlines()
+        table = np.array([row.split(",") for row in rows], dtype=float)
+        assert np.isfinite(table).all()
+        if lines:
+            assert len(rows) + 1 == lines
+        else:
+            assert len(rows) >= 2
+            mass = table[:, header.split(",").index("total_mass1")]
+            assert np.abs(mass - mass[0]).max() <= 1e-13 * mass[0]
+        svgs = list(tmp_path.glob("*.svg"))
+        assert len(svgs) == ("--plot" in argv)
+        assert all(svg.read_text().startswith("<svg") for svg in svgs)
+
+    # refusals: (config, subcommand, exit code, pattern of the stderr line)
+    REFUSALS = {
+        "points-beyond-memory": (bundle({"points": 100000}), "validate", 1,
+                                 r"error: points .* physical memory$"),
+        "scan-lattice-beyond-memory": (bundle(masses=[1.0, 1e6], scan={
+            "parameter": "delta", "start": 0.0, "stop": 0.6, "count": 3}),
+            "validate", 1, r"error: points .* physical memory$"),
+        "points-beyond-float": (bundle({"points": 10 ** 400}), "validate", 1,
+                                r"error: grid\.points is out of range$"),
+        # a drift far off the lattice: the target's moments overflow
+        "drift-off-lattice": (bundle({"dim": 1}, scenario={
+            "species1": {"u": [1e300]}}), "relax", 2,
+            r"numerical failure: no admissible Newton step while matching "
+            r"member 0: Maxwellian"),
+        "drift-off-lattice-tensor": (bundle({"dim": 1}, scenario={
+            "species1": {"tensor": [[1.0]], "u": [1e300]}}), "relax", 2,
+            r"numerical failure: no admissible Newton step while matching "
+            r"member 0: Gaussian"),
+        # unmatched, the sample is below the density floor
+        "unmatched-off-lattice": (bundle({"dim": 1}, scenario={
+            "moment_matching": False, "species1": {"u": [20]}}), "relax", 2,
+            r"numerical failure: density \S+ below floor \S+ of species 1;"),
+    }
+
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_refusal_is_one_line(self, tmp_path, capsys, case):
+        """The exit code and one matching stderr line; nothing on stdout
+        and no CSV."""
+        doc, command, code, pattern = self.REFUSALS[case]
+        rc = main([command, "-c", write_config(tmp_path, doc),
+                   "-o", str(tmp_path)])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert (rc, captured.out, len(err)) == (code, "", 1), err
+        assert re.match(pattern, err[0]), err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("doc, command, code, pattern", [
+        (bundle(), "validate", 0, None), REFUSALS["points-beyond-float"],
+        REFUSALS["drift-off-lattice"]], ids=["ok", "exit-1", "exit-2"])
+    def test_entry_point_process(self, tmp_path, doc, command, code,
+                                 pattern):
+        """`python -m bgkmix` as its own process, warnings shown as the
+        interpreter shows them: `ok` and nothing on stderr, or the
+        refusal's exit code and one stderr line."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get(
+            "PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "bgkmix", command,
+             "-c", write_config(tmp_path, doc), "-o", str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+        err = done.stderr.splitlines()
+        if code == 0:
+            assert (done.returncode, done.stdout, err) == (0, "ok\n", [])
+        else:
+            assert (done.returncode, len(err)) == (code, 1), done.stderr
+            assert re.match(pattern, err[0]), err
+
+
 # the hostile-value sweep's base: 1-D, 16 points, both species and a
 # scan section, every leaf that takes a list given as one; a tensor,
 # which would make T count for nothing, is left out and swept in the
 # form [[x]]
-SWEEP_BASE = base_doc(
-    masses=[1.0, 2.0],
-    interaction={"nu12": 1.0, "epsilon": 0.5, "beta1": 1.0, "beta2": 1.0},
-    grid={"dim": 1, "vmin": [-8.0], "vmax": [8.0], "points": [16]},
+SWEEP_BASE = bundle(
+    {"dim": 1, "vmin": [-8.0], "vmax": [8.0], "points": [16]},
     scenario={"species1": {"u": [0.1]}, "species2": {"u": [-0.1], "T": 1.2}},
     scan={"parameter": "delta", "start": 0.0, "stop": 0.6, "count": 3})
 # 10**400 is an integer beyond the float range, finite but out of range
 HOSTILE = [float("nan"), float("inf"), -float("inf"), 0, -1, 1e300, -1e300,
            2.5, 1e-300, 1e6, 10 ** 400]
+# the keys a refusal may name in place of its leaf: the t_end that a dt
+# beyond it leaves without a step, the scanned delta of a scan bound, and
+# the masses m1 and m2 of the parameter check and the delta interval
+# that they set
+NAMED_AS = {"scenario.dt": ("t_end",), "scan.start": ("delta",),
+            "scan.stop": ("delta",), "masses": ("m1", "m2", "delta")}
 
 
 def schema_leaves(schema, path=""):
@@ -1055,10 +1219,15 @@ class TestHostileValues:
                 functools.reduce(lambda d, k: d.setdefault(k, {}), path,
                                  doc)[name] = given
                 rc = main(["validate", "-c", write_config(tmp_path, doc)])
-                err = capsys.readouterr().err.splitlines()
+                captured = capsys.readouterr()
+                err = captured.err.splitlines()
                 case = f"{leaf} = {given!r}: exit {rc}, {err}"
                 assert len(err) <= 1, case
                 assert rc in (0, 1) or (rc == 2 and err[0].startswith(
                     "numerical failure: CFL")), case
                 refused = value == 10 ** 400 or not np.isfinite(value)
                 assert rc == 1 or not refused, case
+                if rc:  # the line, or validate's violation, names the leaf
+                    line, = err or captured.out.splitlines()
+                    assert any(key in line for key in (
+                        name, *NAMED_AS.get(leaf, ()))), f"{case} {line}"
