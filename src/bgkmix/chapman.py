@@ -227,12 +227,16 @@ def analytic_rates(nu12: float, delta: float, alpha: float, n1: float,
 def fit_decay_rate(times, amplitudes) -> float:
     """Decay rate from the log-linear part of an amplitude series.
 
-    Fits ln(amplitude) against time by least squares over the samples
-    with amplitude in [1e-6, 0.1] times the initial amplitude, which
-    skips both the early transient and the round-off floor, and returns
-    the sign-flipped slope; fewer than 10 samples there raise
-    InsufficientWindowError.  A series that never moves off its initial
-    amplitude has nothing to fit and reports rate zero.
+    Fits y = ln(amplitude) against time t by least squares over the
+    samples with amplitude in [1e-6, 0.1] times the initial amplitude,
+    which skips both the early transient and the round-off floor, and
+    returns minus the slope in closed form,
+    sum (t - t_mean)(y - y_mean) / sum (t - t_mean)^2, each sum a numpy
+    reduction (no BLAS, whose summation order follows its thread count).
+    Fewer than 10 samples there raise InsufficientWindowError, and a
+    window whose times are all equal (or not finite) ValueError.  A
+    series that never moves off its initial amplitude has nothing to fit
+    and reports rate zero.
     """
     t = np.asarray(times, dtype=float)
     a = np.asarray(amplitudes, dtype=float)
@@ -249,8 +253,13 @@ def fit_decay_rate(times, amplitudes) -> float:
         raise InsufficientWindowError(
             f"only {count} samples inside the fit window "
             "[1e-06, 0.1] x initial; need 10")
-    slope = np.polyfit(t[mask], np.log(a[mask]), 1)[0]
-    return -float(slope)
+    t, y = t[mask], np.log(a[mask])
+    t = t - t.mean()
+    spread = np.sum(t * t)
+    if not 0.0 < spread < np.inf:  # NaN fails too
+        raise ValueError("the fit window's times must be finite and not "
+                         "all equal")
+    return -float(np.sum(t * (y - y.mean())) / spread)
 
 
 HeatFluxCheck = namedtuple("HeatFluxCheck", "quadrature formula discrepancy")

@@ -38,7 +38,7 @@ from .errors import (CflError, ConfigError, DegenerateDensityError,
 from .params import Variant, derive_frequencies, validate
 from .persistence import persistence_lower_bound, persistence_unequal_mass
 from .diagnostics import Diagnostics, diagnostics_header
-from .solver import Scenario, SpeciesInit, run_scenario
+from .solver import Scenario, SpeciesInit, check_peak, run_scenario
 from .svgplot import line_plot_svg
 from .grid import VelocityGrid
 
@@ -118,10 +118,12 @@ def _cmd_run(cfg: RunConfig, args) -> int:
 
 def _densities(cfg: RunConfig, command: str) -> tuple[float, float]:
     """Both species' initial densities; an absent species is an input
-    error of `command`, which describes the pair."""
+    error of `command`, which describes the pair, naming its key."""
     scen = cfg.make_scenario()
-    if scen.species1 is None or scen.species2 is None:
-        raise ConfigError(f"{command} needs both species")
+    for k, init in enumerate((scen.species1, scen.species2), start=1):
+        if init is None:
+            raise ConfigError(f"{command} needs both species: "
+                              f"scenario.species{k} is null or has n = 0")
     return scen.species1.n, scen.species2.n
 
 
@@ -163,6 +165,9 @@ def _cmd_persistence(cfg: RunConfig, args) -> int:
     return 0
 
 
+_SCAN_INTEGRATOR = "rk4"
+
+
 def _scan_scenario(cfg: RunConfig, parameter: str, value: float,
                    grid: VelocityGrid) -> tuple[Scenario, float]:
     """The relaxation run on `grid` for one scan value, and its rate."""
@@ -194,14 +199,15 @@ def _scan_scenario(cfg: RunConfig, parameter: str, value: float,
     cadence = max(1, int(round(t_end / dt / 2000)))
     return Scenario(params=params, grid=grid, species1=sp1, species2=sp2,
                     dt=dt, t_end=t_end, output_every=cadence,
-                    integrator="rk4", moment_matching=True), lam
+                    integrator=_SCAN_INTEGRATOR, moment_matching=True), lam
 
 
 def _scan_runs(cfg: RunConfig) -> list[tuple[float, Scenario, float]]:
     """Each scan value with its run and analytic rate, all built (and
     so checked) before any of them runs.  The runs share one lattice,
     sized to the thermal widths at T = 1: six widths of extent for the
-    lighter species, one cell per width for the heavier."""
+    lighter species, one cell per width for the heavier; a lattice that
+    cannot be built or held names the masses."""
     spec = cfg.scan_spec
     m1, m2 = cfg.params.species1.m, cfg.params.species2.m
     sigma_max = 1.0 / math.sqrt(min(m1, m2))
@@ -210,6 +216,7 @@ def _scan_runs(cfg: RunConfig) -> list[tuple[float, Scenario, float]]:
     points = max(12, math.ceil(2.0 * vmax / sigma_min))
     try:
         grid = VelocityGrid(dim=3, vmin=-vmax, vmax=vmax, points=points)
+        check_peak(grid, 0, _SCAN_INTEGRATOR)
     except ValueError as exc:
         raise ConfigError(f"masses {m1}, {m2} size the scan lattice: "
                           f"{exc}") from None

@@ -247,14 +247,16 @@ def _require_mass(mass: np.ndarray) -> None:
              "mass must be finite and positive")
 
 
-def _block(out, members: int, grid: VelocityGrid) -> np.ndarray:
-    """`out`, checked to be a C-contiguous (members, nodes) array, or a
-    new one."""
+def _block(out, shape: tuple) -> np.ndarray:
+    """`out`, checked to be a C-contiguous float64 array of `shape`, or
+    a new one when it is None."""
     if out is None:
-        return np.empty((members, grid.nnodes))
-    if out.shape != (members, grid.nnodes) or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous ({members}, "
-                         f"{grid.nnodes}) array (got {out.shape})")
+        return np.empty(shape)
+    if (out.shape != shape or out.dtype != np.float64
+            or not out.flags.c_contiguous):
+        layout = "" if out.flags.c_contiguous else ", not C-contiguous"
+        raise ValueError(f"out must be a C-contiguous {shape} array "
+                         f"(got {out.dtype} {out.shape}{layout})")
     return out
 
 
@@ -454,7 +456,7 @@ def gaussian_on_grid(n, u, tensor, mass, grid: VelocityGrid,
     _require(n >= 0.0, n, "density must be nonnegative")
     _require_mass(mass)
     chol = np.broadcast_to(spd.chol, (len(n), grid.dim, grid.dim))
-    out = _block(out, len(n), grid)
+    out = _block(out, (len(n), grid.nnodes))
     _gaussian_fill(n, u, chol / np.sqrt(mass)[:, None, None], grid, out)
     return out if stacked else out[0]
 
@@ -572,16 +574,20 @@ def _maxwellian_derivs(p: np.ndarray, d: int) -> np.ndarray:
     return B
 
 
-def _failing_member(solve, *stacks) -> int | None:
-    """The first member k on which solve(*(s[k] for s in stacks)) alone
-    raises LinAlgError, or None: a stacked LAPACK call that fails names
-    no member."""
-    for k, member in enumerate(zip(*stacks)):
-        try:
-            solve(*member)
-        except np.linalg.LinAlgError:
-            return k
-    return None
+def _failures(solve, *stacks) -> np.ndarray:
+    """Per member k, whether solve(*(s[k] for s in stacks)) raises
+    LinAlgError: one stacked call, and one per member only when that
+    fails, as a stacked LAPACK call that fails names no member."""
+    fails = np.zeros(len(stacks[0]), dtype=bool)
+    try:
+        solve(*stacks)
+    except np.linalg.LinAlgError:
+        for k, member in enumerate(zip(*stacks)):
+            try:
+                solve(*member)
+            except np.linalg.LinAlgError:
+                fails[k] = True
+    return fails
 
 
 def _stride_runs(rows) -> list[tuple[int, int, int]]:
@@ -617,12 +623,12 @@ def _gaussian_sample(p: np.ndarray, grid: VelocityGrid, out: np.ndarray,
     try:
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
-        k = _failing_member(np.linalg.cholesky, cov)
-        if k is None:
+        failing = np.flatnonzero(_failures(np.linalg.cholesky, cov))
+        if not failing.size:
             raise
+        k = rows[failing[0]]
         raise NoConvergenceError(f"covariance left the positive-definite "
-                                 f"cone (member {rows[k]})",
-                                 member=rows[k]) from exc
+                                 f"cone (member {k})", member=k) from exc
     M = []
     for a, b, stride in _stride_runs(rows):
         block = out[rows[a]:rows[b - 1] + 1:stride]
@@ -668,8 +674,11 @@ def _newton_match(n, u, s, isotropic: bool, sample, derivs, what):
     converges, which is then frozen; from there on only the members not
     yet converged are sampled and solved (one stacked solve), so each
     member follows exactly its solo iterates.  Each step is halved until
-    n > 0 and S is positive definite (theta > 0 for the Maxwellian), down
-    to 2^-20, and a member not converged after MAX_ITER steps fails.
+    n > 0 and LAPACK's Cholesky factors S, so a step is admitted exactly
+    when the sample can factor it (`_failures`; theta > 0 for the
+    Maxwellian), down to 2^-20; only the members a test refuses are
+    halved and tested again.  A member not converged after MAX_ITER
+    steps fails.
     Failures name the member through what(k).  Returns (p, per-member
     iteration counts).
     """
@@ -715,28 +724,31 @@ def _newton_match(n, u, s, isotropic: bool, sample, derivs, what):
             try:
                 step = np.linalg.solve(dqdp, rhs)[:, :, 0]
             except np.linalg.LinAlgError as exc:
-                k = _failing_member(np.linalg.solve, dqdp, rhs)
-                if k is None:
+                failing = np.flatnonzero(_failures(np.linalg.solve, dqdp, rhs))
+                if not failing.size:
                     raise
-                k = int(active[k])
+                k = int(active[failing[0]])
                 raise NoConvergenceError(
                     f"singular Jacobian while matching {what(k)}",
                     member=k) from exc
-            cand, shrink = pa - step, np.ones(len(pa))
+            cand, shrink, todo = pa - step, np.ones(len(pa)), slice(None)
             while True:
-                ok = np.isfinite(cand).all(axis=1) & (cand[:, 0] > 0.0)
-                s_ok = cand[ok, 1 + d:]  # theta, or S's upper triangle
-                ok[ok] = (s_ok[:, 0] > 0.0 if isotropic else
-                          np.linalg.eigvalsh(_symmetric(s_ok, d))[:, 0] > 0.0)
+                # only the members refused so far are shrunk and retested
+                c = cand[todo]
+                ok = np.isfinite(c).all(axis=1) & (c[:, 0] > 0.0)
+                s_ok = c[ok, 1 + d:]  # theta, or S's upper triangle
+                ok[ok] = (s_ok[:, 0] > 0.0 if isotropic else ~_failures(
+                    np.linalg.cholesky, _symmetric(s_ok, d)))
                 if ok.all():
                     break
-                shrink[~ok] *= 0.5
+                todo = np.arange(len(pa))[todo][~ok]
+                shrink[todo] *= 0.5
                 if shrink.min() < 2.0 ** -20:
                     k = int(active[np.argmin(shrink)])
                     raise NoConvergenceError(
                         f"no admissible Newton step while matching {what(k)}",
                         member=k)
-                cand = pa - shrink[:, None] * step
+                cand[todo] = pa[todo] - shrink[todo, None] * step[todo]
             pa = cand
     k = int(active[0])
     raise NoConvergenceError(
@@ -783,7 +795,7 @@ def _maxwellian_rows(stacked: bool, n, theta, factors, grid: VelocityGrid,
                      out) -> np.ndarray:
     """One row per member of a factored stack, written into `out` if
     given; the stack's one row when it was not stacked."""
-    out = _block(out, len(n), grid)
+    out = _block(out, (len(n), grid.nnodes))
     _maxwellian_fill(n[:, None], theta[:, None], factors[:, None], grid, out)
     return out if stacked else out[0]
 
@@ -830,7 +842,7 @@ def match_gaussian(n, u, tensor, mass, grid: VelocityGrid,
     K, d = len(n), grid.dim
     ti, tj = _monomials(d)[:2]
     cov = np.broadcast_to(spd.matrix, (K, d, d)) / mass[:, None, None]
-    out = _block(out, K, grid)
+    out = _block(out, (K, grid.nnodes))
     _, iters = _newton_match(
         n, u, cov[:, ti, tj], False,
         lambda p, rows: _gaussian_sample(p, grid, out, rows), _gaussian_derivs,

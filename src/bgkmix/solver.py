@@ -344,6 +344,23 @@ _RUN_BYTES = 64 * 1024
 _RECORD_BYTES = 768
 
 
+def check_peak(grid: VelocityGrid, cells: int, integrator: str) -> None:
+    """ValueError when a run's peak, in (2, cells, nodes) float64 state
+    blocks and per-member tables, exceeds physical memory: from the
+    counts alone and before any allocation."""
+    memory = physical_memory()
+    block = 2 * max(1, int(cells)) * grid.nnodes * 8
+    a, b = _MEMBER_DOUBLES
+    members = 4 * max(1, int(cells))
+    peak = (_PEAK_BLOCKS[integrator] * block + _RUN_BYTES
+            + members * (a + b * int(sum(grid.points))) * 8)
+    if peak > memory:
+        raise ValueError(f"points {grid.points.tolist()} with cells {cells} "
+                         f"give a state block of {block} bytes, and an "
+                         f"{integrator} run holds {peak} bytes at its peak, "
+                         f"beyond the {memory} bytes of physical memory")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one run.  Construction, and so
@@ -390,22 +407,8 @@ class Scenario:
             raise ValueError(f"unknown splitting {self.splitting!r}")
         if self.cells < 0:
             raise ValueError(f"cells must be >= 0 (got {self.cells})")
-        # the run's peak, in (2, cells, nodes) float64 state blocks and
-        # per-member tables, from the counts alone and before any
-        # allocation
-        memory = physical_memory()
-        block = 2 * max(1, int(self.cells)) * self.grid.nnodes * 8
-        a, b = _MEMBER_DOUBLES
-        members = 4 * max(1, int(self.cells))
-        peak = (_PEAK_BLOCKS[self.integrator] * block + _RUN_BYTES
-                + members * (a + b * int(sum(self.grid.points))) * 8)
-        if peak > memory:
-            raise ValueError(f"points {self.grid.points.tolist()} with cells "
-                             f"{self.cells} give a state block of {block} "
-                             f"bytes, and an {self.integrator} run holds "
-                             f"{peak} bytes at its peak, beyond the {memory} "
-                             f"bytes of physical memory")
-        records = self.records
+        check_peak(self.grid, self.cells, self.integrator)
+        memory, records = physical_memory(), self.records
         if records * _RECORD_BYTES > memory:
             raise ValueError(f"dt {self.dt}, t_end {self.t_end} and "
                              f"output_every {self.output_every} give "

@@ -308,12 +308,8 @@ def build_targets(state: MixtureState, params: ModelParams,
     cells = (np.shape(present[0].n) if present
              else (1,) if out is None else out.shape[1:-1])
     C, N = math.prod(cells), grid.nnodes
-    if out is None:
-        out = (np.empty if len(present) == 2 else np.zeros)((4, C, N))
-    elif out.shape != (4,) + cells + (N,) or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous {(4,) + cells + (N,)} "
-                         f"array (got {out.shape})")
-    elif len(present) < 2:
+    out = gridmod._block(out, (4,) + cells + (N,))
+    if len(present) < 2:
         out.fill(0.0)
     _families(state, params, grid, C, lambda lo, hi, tensor, members: (
         _sampler(tensor, match)(*members, grid,
@@ -340,8 +336,12 @@ def weighted_targets(state: MixtureState, params: ModelParams,
     per-axis factors (`grid._maxwellian_fill`), a run of rows of at most
     _CHUNK_BYTES at a time, and added into the row.  A degenerate
     species adds nothing to its row, nor to the other's cross term.
+    `out` must be a C-contiguous float64 block of the state's cells.
     """
-    C, N = weights.shape[1], grid.nnodes
+    present = [m for m in (state.mom1, state.mom2) if m is not None]
+    C = np.size(present[0].n) if present else weights.shape[1]
+    N = grid.nnodes
+    out = gridmod._block(out, (2, C, N))
 
     def add(lo, hi, tensor, members):
         if tensor:

@@ -398,6 +398,33 @@ class TestFitDecayRate:
                            rf"positive \(got {a0}\)$"):
             chapman.fit_decay_rate(t, a)
 
+    @pytest.mark.parametrize("shift", [0.0, 1e3], ids=["t0", "t1e3"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closed_form_slope(self, seed, shift):
+        """The rate is minus the centred least-squares slope over the
+        window, to 1e-15, and np.polyfit's slope to 1e-13 relative, on
+        noisy exponentials, also with the times shifted far from 0."""
+        rng = np.random.default_rng(seed)
+        t = shift + np.sort(rng.uniform(0.0, 8.0, 300))
+        rate = rng.uniform(0.5, 3.0)
+        a = np.exp(-rate * (t - shift)) * (1.0 + 1e-3 * rng.standard_normal(
+            t.size))
+        a[0] = 1.0
+        window = (a >= 1e-6) & (a <= 0.1)
+        tw, y = t[window], np.log(a[window])
+        tc = tw - tw.mean()
+        centred = -np.sum(tc * (y - y.mean())) / np.sum(tc * tc)
+        got = chapman.fit_decay_rate(t, a)
+        assert abs(got - centred) <= 1e-15 * abs(centred)
+        assert abs(got + np.polyfit(tw, y, 1)[0]) <= 1e-13 * abs(centred)
+
+    def test_equal_times_in_the_window_are_refused(self):
+        t = np.concatenate([[0.0], np.full(20, 2.0)])
+        a = np.concatenate([[1.0], np.geomspace(0.05, 1e-5, 20)])
+        with pytest.raises(ValueError, match="^the fit window's times must "
+                           "be finite and not all equal$"):
+            chapman.fit_decay_rate(t, a)
+
 
 class TestHeatFluxCheck:
     def test_zero_drift(self, ref_grid):

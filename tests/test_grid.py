@@ -294,7 +294,8 @@ class TestMaxwellianOnGrid:
     def test_out_must_be_a_c_contiguous_block_of_the_stack(self, small_grid):
         n = small_grid.nnodes
         for out in (np.empty((1, n + 1)), np.empty((2, n)),
-                    np.empty((1, 2 * n))[:, ::2]):
+                    np.empty((1, 2 * n))[:, ::2],
+                    np.empty((1, n), dtype=np.float32)):
             with pytest.raises(ValueError, match=rf"^out must be a "
                                rf"C-contiguous \(1, {n}\) array \(got "):
                 maxwellian_on_grid(1.0, (0, 0, 0), 1.0, 1.0, small_grid,
@@ -907,8 +908,8 @@ class TestStackedMatching:
 class TestStepHalving:
     """Newton steps halved until the iterate is admissible (n > 0 and a
     positive definite covariance), for the Maxwellian and for the
-    Gaussian, whose test takes the eigenvalues of S, on clipped 8-point
-    1-D lattices."""
+    Gaussian, whose test is the Cholesky factorization that samples S,
+    on clipped 8-point 1-D lattices."""
 
     FAMILIES = pytest.mark.parametrize("family", ["maxwellian", "gaussian"])
 
@@ -945,6 +946,28 @@ class TestStepHalving:
         assert abs(mom.u[0] - 0.25) <= 1e-12
         assert abs(mom.T - 0.7) <= 1e-12
 
+    def test_admitted_members_are_not_retested(self, monkeypatch):
+        """Stacked with a member (u = 0) that the halvings above leave
+        admitted, only the shrunk candidates are factored again: no
+        candidate covariance goes through Cholesky twice, and each row
+        is the member's match alone."""
+        grid = VelocityGrid(dim=1, vmin=-1.5, vmax=1.5, points=9)
+        tested, failures = [], gridmod._failures
+
+        def record(solve, *stacks):
+            if solve is np.linalg.cholesky:
+                tested.extend(m.tobytes() for m in stacks[0])
+            return failures(solve, *stacks)
+
+        monkeypatch.setattr(gridmod, "_failures", record)
+        f, iters = self.match("gaussian", [1.0, 1.0], [[0.25], [0.0]],
+                              [0.7, 0.7], grid)
+        assert iters == 20
+        assert len(tested) == len(set(tested)) == 29
+        for k, u in enumerate((0.25, 0.0)):
+            assert np.array_equal(f[k], self.match("gaussian", 1.0, [u],
+                                                   0.7, grid)[0])
+
     @FAMILIES
     def test_iteration_limit_names_the_member(self, family, monkeypatch):
         """The 20-iteration match above, allowed only 3 iterations."""
@@ -965,6 +988,26 @@ class TestStepHalving:
         with pytest.raises(NoConvergenceError, match="member 0") as err:
             self.match(family, 1.0, [0.5], 1.7, grid)
         assert err.value.member == 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_admits_exactly_what_cholesky_factors(self, dim):
+        """A stack of an SPD, a singular and an indefinite covariance
+        admits the first alone, member by member, as the sampler that
+        factors the stack would; an all-SPD stack admits every member
+        through its one stacked call."""
+        spd = SHEARED[:dim, :dim]
+        singular = np.zeros((dim, dim))
+        singular[:-1, :-1] = spd[:-1, :-1]
+        indefinite = spd.copy()  # negative in 1-D
+        indefinite[-1, -1] = -1.0
+        stack = np.array([spd, singular, indefinite])
+
+        def admitted(covs):
+            return (~gridmod._failures(np.linalg.cholesky, covs)).tolist()
+
+        assert admitted(stack) == [True, False, False]
+        assert admitted(stack[[0, 0]]) == [True, True]
+        assert admitted(stack[:0]) == []
 
 
 class TestSpdFactor:

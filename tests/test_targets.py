@@ -493,7 +493,8 @@ class TestBuildTargets:
         for out in (np.empty((4, 2, N)), np.empty((3, 3, N)),
                     np.empty((4, 3, N + 1)), np.empty((4, 3 * N)),
                     np.empty((4, 3, 2 * N))[..., ::2],
-                    np.empty((4, 3, N), order="F")):
+                    np.empty((4, 3, N), order="F"),
+                    np.empty((4, 3, N), dtype=np.float32)):
             with pytest.raises(ValueError, match="out must be a C-contig"):
                 build_targets(st, make_params(), small_grid, out=out)
 
@@ -589,6 +590,26 @@ class TestWeightedTargets:
                                np.zeros((2, 3, mid_grid.nnodes)), match)
         assert np.array_equal(got, one)
         assert np.all(one > 0.0)
+
+    @pytest.mark.parametrize("case", ["cells", "strided", "float32"])
+    def test_out_must_be_the_block_of_the_states_cells(self, case):
+        """`out` is checked as `build_targets` checks its block: on a 2-D
+        lattice, a (2, 3, nodes) block for a one-cell state, a strided
+        (2, 2, nodes) view for a two-cell state and a float32 block are
+        refused, and nothing is added."""
+        grid = VelocityGrid(dim=2, vmin=-8.0, vmax=8.0, points=16)
+        N, cells = grid.nnodes, 1 if case == "cells" else 2
+        f = np.array([[match_moments(1.0, (0.2 * s, 0.0), 1.0, m, grid)]
+                      * cells for m, s in ((1.0, 1.0), (2.0, -1.0))])
+        st = MixtureState.from_distributions(f, 1.0, 2.0, grid)
+        out = {"cells": np.zeros((2, 3, N)),
+               "strided": np.zeros((2, 2, 2 * N))[..., ::2],
+               "float32": np.zeros((2, 2, N), dtype=np.float32)}[case]
+        with pytest.raises(ValueError, match=rf"^out must be a C-contiguous "
+                           rf"\(2, {cells}, {N}\) array \(got "):
+            weighted_targets(st, make_params(), grid,
+                             np.full((4, cells, 1), 0.1), out)
+        assert not out.any()
 
     def test_failure_names_target_and_cell(self):
         """The unmatchable cell of TestBuildTargets fails as it does
